@@ -6,9 +6,11 @@ and a provenance tag naming the formula or method that produced it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
+from . import landaun
 from .pwpoly import PiecewisePoly
 
 EXACT = "Exact"
@@ -23,6 +25,8 @@ class Segment:
     def __post_init__(self):
         if not self.T > 0:
             raise ValueError(f"segment length must be positive, got {self.T}")
+        if self.T == math.inf:
+            raise ValueError("segment length must be finite")
 
 
 class _HalfLineType:
@@ -43,11 +47,15 @@ Domain = Union[Segment, _HalfLineType, _FullLineType]
 
 @dataclass(frozen=True)
 class BoundQuery:
+    """sup |f^(k)|, or |f'(t0)| given t0, or the total variation of f if functional = "var"."""
+
     n: int
     k: int
     a: float
     b: float
     domain: Domain
+    functional: str = "sup"
+    t0: Optional[float] = None
 
     def __post_init__(self):
         if self.n < 2:
@@ -56,62 +64,67 @@ class BoundQuery:
             raise ValueError(f"need 0 <= k <= n, got k={self.k}")
         if not (self.a > 0 and self.b > 0):
             raise ValueError("bounds a and b must be positive")
+        if math.inf in (self.a, self.b):
+            raise ValueError("bounds a and b must be finite")
+        segment = isinstance(self.domain, Segment)
+        if self.functional not in ("sup", "var"):
+            raise ValueError(f"functional must be 'sup' or 'var', got {self.functional!r}")
+        if self.functional == "var" and not (self.n == 2 and segment):
+            raise ValueError("--functional var needs --n 2 and --domain segment")
+        if self.t0 is not None:
+            if not segment:
+                raise ValueError("--t0 only applies to --domain segment")
+            if self.n != 2:
+                raise ValueError("pointwise bounds are only available for --n 2")
+            if not math.isfinite(self.t0):
+                raise ValueError(f"t0 must be finite, got {self.t0}")
 
 
 @dataclass(frozen=True)
 class BoundResult:
+    """An Interval has value = upper; the half-line bracket route keeps its bracket."""
+
     value: float
     status: str  # EXACT | UPPER_BOUND | INTERVAL
     provenance: str
-    lo: Optional[float] = None
-    hi: Optional[float] = None
+    lower: Optional[float] = None
+    upper: Optional[float] = None
     witness: Optional[PiecewisePoly] = None
     witness_point: Optional[float] = None
+    bracket: Optional[landaun.CnkBracket] = None
 
-    def as_dict(self) -> dict:
-        out = {"value": self.value, "status": self.status, "provenance": self.provenance}
-        if self.status == INTERVAL:
-            out["lo"] = self.lo
-            out["hi"] = self.hi
-        if self.witness is not None:
-            out["witness"] = self.witness.to_json_dict()
-            out["witness_point"] = self.witness_point
-        return out
+    @property
+    def exact(self) -> Optional[float]:
+        return self.value if self.status == EXACT else None
 
 
 def compute_bound(query: BoundQuery) -> BoundResult:
-    """Route a (n, k, a, b, domain) query to the sharpest applicable result:
-    closed forms for n = 2 and the whole line, the n = 3 segment/half-line
+    """Route a query to the sharpest applicable result: the total-variation,
+    pointwise and n = 2 closed forms, the whole-line constants, the n = 3
     formulas, half-line brackets, and certificate upper bounds otherwise."""
-    from . import landau2, landaun, peano
+    from . import landau2, peano
 
     n, k, a, b, dom = query.n, query.k, query.a, query.b, query.domain
 
+    if query.functional == "var":
+        return landau2.sigma1(a, b, dom.T)
+    if query.t0 is not None:
+        return landau2.sigma_pointwise(landau2.PointwiseQuery(query.t0, dom.T, a, b))
+    if (n, k) == (2, 1):
+        return landau2.sigma_inf(a, b, dom)
     if isinstance(dom, _FullLineType):
-        value = landaun.kolmogorov_bound(n, k, a, b)
-        witness = landau2.whole_line_witness(a, b) if (n, k) == (2, 1) else None
-        point = landau2.whole_line_witness_point(a, b) if (n, k) == (2, 1) else None
-        return BoundResult(value, EXACT, "kolmogorov-whole-line", witness=witness, witness_point=point)
-
-    if isinstance(dom, _HalfLineType):
-        if n == 2 and k == 1:
-            return landau2.sigma_inf(a, b, HalfLine)
-        if n == 3 and k in (1, 2):
-            sato = landaun.sato_segment(k, a, b, landaun.sato_t0(a, b))
-            return BoundResult(sato.value_for(k), EXACT, "sato-half-line")
-        bracket = landaun.cnk_bracket(n, k)
-        scale = a ** (1 - k / n) * b ** (k / n)
-        return BoundResult(
-            bracket.upper * scale,
-            UPPER_BOUND,
-            f"half-line-bracket({bracket.upper_source})",
-        )
-
-    T = dom.T
-    if n == 2 and k == 1:
-        return landau2.sigma_inf(a, b, Segment(T))
+        return BoundResult(landaun.kolmogorov_bound(n, k, a, b), EXACT, "kolmogorov-whole-line")
     if n == 3 and k in (1, 2):
-        sato = landaun.sato_segment(k, a, b, T)
-        return BoundResult(sato.value_for(k), EXACT, f"sato-segment-{sato.regime}")
+        segment = isinstance(dom, Segment)
+        sato = landaun.sato_segment(k, a, b, dom.T if segment else landaun.sato_t0(a, b))
+        tag = f"sato-segment-{sato.regime}" if segment else "sato-half-line"
+        return BoundResult(sato.value_for(k), EXACT, tag)
+    if isinstance(dom, _HalfLineType):
+        bracket = landaun.cnk_bracket(n, k)
+        tag = f"half-line-bracket({bracket.upper_source})"
+        return BoundResult(bracket.upper * bracket.scale(a, b), UPPER_BOUND, tag, bracket=bracket)
+    # restricting a member of the class on [0, T] to [0, T*] gives a member
+    # there, so the bound at min(T, T*) holds on [0, T] as well
     cert = peano.vandermonde_certificate(n, k)
+    T = min(dom.T, cert.optimal_T(a, b))
     return BoundResult(cert.segment_bound(a, b, T), UPPER_BOUND, "vandermonde-certificate")

@@ -16,10 +16,10 @@ import sys
 from fractions import Fraction
 from typing import List, Optional
 
-from . import eulerspline, landau2, landaun, oracle, peano
+from . import eulerspline, landaun, oracle, peano
 from .bounds import BoundQuery, BoundResult, FullLine, HalfLine, Segment, compute_bound
 from .exactnum import euler_number
-from .pwpoly import PiecewisePoly, StructuralError, is_extreme_point, membership
+from .pwpoly import PiecewisePoly, StructuralError, is_extreme_point, membership, transform
 
 SCHEMA_VERSION = "1"
 
@@ -40,99 +40,57 @@ def _fail(message: str, code: int = 2) -> int:
     return code
 
 
-def _domain(args) -> object:
+def _query(args) -> BoundQuery:
     if args.domain == "line":
-        return FullLine
-    if args.domain == "halfline":
-        return HalfLine
-    if args.T is None:
+        domain = FullLine
+    elif args.domain == "halfline":
+        domain = HalfLine
+    elif args.T is None:
         raise ValueError("--domain segment requires --T")
-    return Segment(args.T)
+    else:
+        domain = Segment(args.T)
+    return BoundQuery(args.n, args.k, args.a, args.b, domain, args.functional, args.t0)
 
 
-def _bound_result(args) -> BoundResult:
-    dom = _domain(args)
-    if args.t0 is not None:
-        if args.domain != "segment":
-            raise ValueError("--t0 only applies to --domain segment")
-        if args.n != 2:
-            raise ValueError("pointwise bounds are only available for --n 2")
-        return landau2.sigma_pointwise(
-            landau2.PointwiseQuery(args.t0, args.T, args.a, args.b)
-        )
-    return compute_bound(BoundQuery(n=args.n, k=args.k, a=args.a, b=args.b, domain=dom))
+def _provenance(query: BoundQuery, result: BoundResult) -> str:
+    return f"sigma1-{result.provenance}" if query.functional == "var" else result.provenance
 
 
 def cmd_bound(args) -> int:
-    try:
-        if args.functional == "var":
-            if args.n != 2 or args.domain != "segment":
-                raise ValueError("--functional var needs --n 2 and --domain segment")
-            res = landau2.sigma1(args.a, args.b, args.T)
-            out = res.as_dict()
-            out.pop("witness", None)
-            _emit("bound", out, [f"sigma1-{res.provenance}"])
-            return 0
-        result = _bound_result(args)
-    except ValueError as exc:
-        return _fail(f"error: {exc}")
-    out = result.as_dict()
-    out.pop("witness", None)
-    out.pop("witness_point", None)
-    if out["provenance"].startswith("half-line-bracket"):
-        bracket = landaun.cnk_bracket(args.n, args.k)
-        scale = args.a ** (1 - args.k / args.n) * args.b ** (args.k / args.n)
-        out["bracket"] = {
-            "upper": bracket.upper * scale,
-            "upper_source": bracket.upper_source,
-            "matorin": bracket.matorin * scale,
-            "malliavin": bracket.malliavin * scale,
-            "lower_shape": bracket.lower * scale,
-            "lower_kappa_free": bracket.lower_kappa_free,
-        }
-    _emit("bound", out, [result.provenance])
+    query = _query(args)
+    result = compute_bound(query)
+    if query.functional == "var":
+        out = {"lower": result.lower, "upper": result.upper, "exact": result.exact}
+    else:
+        out = {"value": result.value}
+    out.update(status=result.status, provenance=result.provenance)
+    if result.bracket is not None:
+        out["bracket"] = result.bracket.as_dict(query.a, query.b)
+    _emit("bound", out, [_provenance(query, result)])
     return 0
 
 
-def _extremal_witness(args) -> tuple[PiecewisePoly, str]:
-    if args.functional == "var":
-        if args.n != 2 or args.domain != "segment":
-            raise ValueError("--functional var needs --n 2 and --domain segment")
-        res = landau2.sigma1(args.a, args.b, args.T)
-        if res.witness is None:
-            raise ValueError(
-                "no extremal witness available: sigma_1 is only exactly known "
-                "for T' <= 4 and on the lattice"
-            )
-        return res.witness, f"sigma1-{res.provenance}"
-    if args.domain == "line" and args.n >= 3:
-        scale = (args.b / args.a) ** (1.0 / args.n)
-        from .pwpoly import transform
-
-        witness = transform(eulerspline.q_n_piecewise(args.n, periods=2), mu=args.a, lam=scale)
-        return witness, "kolmogorov-whole-line"
-    result = _bound_result(args)
-    if result.witness is None:
-        raise ValueError(f"no extremal witness available for this query ({result.provenance})")
-    return result.witness, result.provenance
-
-
 def cmd_extremal(args) -> int:
-    try:
-        witness, provenance = _extremal_witness(args)
-    except ValueError as exc:
-        return _fail(f"error: {exc}")
-    report = membership(witness, args.n, args.a, args.b)
+    query = _query(args)
+    result = compute_bound(query)
+    witness = result.witness
+    if query.domain is FullLine and query.n >= 3:
+        # built here, not in compute_bound: it costs more than the bound itself
+        lam = (query.b / query.a) ** (1.0 / query.n)
+        witness = transform(eulerspline.q_n_piecewise(query.n, periods=2), mu=query.a, lam=lam)
+    provenance = _provenance(query, result)
+    if witness is None:
+        raise ValueError(f"no extremal witness available for this query ({provenance})")
+    report = membership(witness, query.n, query.a, query.b)
     if not report.ok:
         return _fail(f"internal error: witness failed membership: {report.violations}", 1)
     doc = witness.to_json_dict()
+    out = {"spline": doc}
     if args.out:
         with open(args.out, "w") as fh:
-            json.dump(doc, fh)
-            fh.write("\n")
-        _emit("extremal", {"written": args.out, "membership": "ok"}, [provenance])
-    else:
-        _emit("extremal", {"spline": doc, "membership": "ok"}, [provenance])
+            fh.write(json.dumps(doc) + "\n")
+        out = {"written": args.out}
+    _emit("extremal", {**out, "membership": "ok"}, [provenance])
     return 0
 
 
@@ -142,9 +100,7 @@ def cmd_oracle(args) -> int:
         if args.t0 is None or args.T is None:
             return _fail("error: oracle pointwise needs --T and --t0")
         value = oracle.lp_max_pointwise_derivative(args.a, args.b, args.T, args.t0, args.M)
-        closed = landau2.sigma_pointwise(
-            landau2.PointwiseQuery(args.t0, args.T, args.a, args.b)
-        ).value
+        closed = compute_bound(BoundQuery(2, 1, args.a, args.b, Segment(args.T), t0=args.t0)).value
         result = {
             "value": value,
             "status": "OracleApprox",
@@ -160,7 +116,7 @@ def cmd_oracle(args) -> int:
         args.a, args.b, args.T, max_switches=args.max_switches,
         restarts=args.restarts, seed=seed,
     )
-    closed = landau2.sigma1(args.a, args.b, args.T)
+    closed = compute_bound(BoundQuery(2, 1, args.a, args.b, Segment(args.T), "var"))
     discrepancy = None if closed.exact is None else (value - closed.exact) / closed.exact
     result = {
         "value": value,
@@ -221,8 +177,16 @@ def cmd_table(args) -> int:
     return 0
 
 
-def cmd_kernel(args) -> int:
+def _sample_csv(header: List[str], x0: float, x1: float, samples: int, fn) -> int:
     writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(header)
+    for i in range(samples):
+        x = x0 + (x1 - x0) * i / (samples - 1)
+        writer.writerow([repr(x), repr(fn(x))])
+    return 0
+
+
+def cmd_kernel(args) -> int:
     if args.n == 2:
         L = peano.derivative_functional(args.x, args.T)
     else:
@@ -237,30 +201,19 @@ def cmd_kernel(args) -> int:
         lambdas = peano._lambda_system(args.n, args.k, x, alphas)
         terms = [(x, args.k, Fraction(1))] + [(al, 0, -lam) for al, lam in zip(alphas, lambdas)]
         L = peano.LinearFunctional(tuple(terms), Fraction(1), args.n)
-    writer.writerow(["t", "K"])
-    for i in range(args.samples):
-        t = float(L.T) * i / (args.samples - 1)
-        writer.writerow([repr(t), repr(peano.peano_kernel(L, t))])
-    return 0
+    return _sample_csv(["t", "K"], 0.0, float(L.T), args.samples, lambda t: peano.peano_kernel(L, t))
 
 
 def cmd_spline(args) -> int:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
+    x0, x1 = args.x0, args.x1
     if args.what == "en":
         fn = lambda x: eulerspline.e_n(args.n, x)
-        x0, x1 = args.x0, args.x1
     elif args.what == "euler-spline":
         fn = lambda x: eulerspline.euler_spline(args.n, x)
-        x0, x1 = args.x0, args.x1
     else:  # qn
         fn = lambda x: eulerspline.q_n(args.n, x)
-        span = 4.0 / eulerspline.q_n_scale(args.n)  # two full periods
-        x0, x1 = 0.0, span
-    writer.writerow(["x", "value"])
-    for i in range(args.samples):
-        x = x0 + (x1 - x0) * i / (args.samples - 1)
-        writer.writerow([repr(x), repr(fn(x))])
-    return 0
+        x0, x1 = 0.0, 4.0 / eulerspline.q_n_scale(args.n)  # two full periods
+    return _sample_csv(["x", "value"], x0, x1, args.samples, fn)
 
 
 def cmd_verify(args) -> int:
@@ -296,6 +249,13 @@ def cmd_verify(args) -> int:
         verdict_ok = verdict.is_extreme
     _emit("verify", result, ["membership-check" if not args.extreme else "extreme-point-certificate"])
     return 0 if verdict_ok else 1
+
+
+def _samples(text: str) -> int:
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"need at least 2 samples, got {value}")
+    return value
 
 
 def _add_bound_flags(p: argparse.ArgumentParser) -> None:
@@ -354,13 +314,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--T", type=float, default=1.0)
     p.add_argument("--x", type=float, required=True)
-    p.add_argument("--samples", type=int, default=201)
+    p.add_argument("--samples", type=_samples, default=201)
     p.set_defaults(fn=cmd_kernel)
 
     p = sub.add_parser("spline", help="sample Euler splines (CSV)")
     p.add_argument("--what", choices=["en", "euler-spline", "qn"], required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--samples", type=int, default=201)
+    p.add_argument("--samples", type=_samples, default=201)
     p.add_argument("--x0", type=float, default=0.0)
     p.add_argument("--x1", type=float, default=2.0)
     p.set_defaults(fn=cmd_spline)

@@ -18,17 +18,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Union
 
 from .exactnum import (
     Poly,
+    Real,
     _bernoulli_unchecked,
     _check_index,
     euler_number,
     euler_poly,
 )
-
-Real = Union[Fraction, float, int]
 
 
 @dataclass(frozen=True)

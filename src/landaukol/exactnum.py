@@ -21,7 +21,7 @@ from typing import Iterable, Union
 
 Rational = Fraction
 
-Coeff = Union[Fraction, float, int]
+Real = Union[Fraction, float, int]
 
 MAX_INDEX = 64
 
@@ -47,7 +47,7 @@ class Poly:
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable[Coeff] = ()):
+    def __init__(self, coeffs: Iterable[Real] = ()):
         cs = list(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
@@ -64,8 +64,8 @@ class Poly:
     def is_exact(self) -> bool:
         return all(isinstance(c, (Fraction, int)) for c in self.coeffs)
 
-    def __call__(self, x: Coeff) -> Coeff:
-        acc: Coeff = 0
+    def __call__(self, x: Real) -> Real:
+        acc: Real = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
@@ -91,7 +91,7 @@ class Poly:
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
-    def __mul__(self, other: Union["Poly", Coeff]) -> "Poly":
+    def __mul__(self, other: Union["Poly", Real]) -> "Poly":
         if not isinstance(other, Poly):
             return Poly(c * other for c in self.coeffs)
         if self.is_zero() or other.is_zero():
@@ -115,7 +115,7 @@ class Poly:
 
     def antiderivative(self) -> "Poly":
         """Antiderivative with zero constant term; exact inputs stay exact."""
-        out: list[Coeff] = [0]
+        out: list[Real] = [0]
         for i, c in enumerate(self.coeffs):
             if isinstance(c, (Fraction, int)):
                 out.append(Fraction(c, i + 1))
@@ -123,7 +123,7 @@ class Poly:
                 out.append(c / (i + 1))
         return Poly(out)
 
-    def compose_affine(self, c0: Coeff, c1: Coeff) -> "Poly":
+    def compose_affine(self, c0: Real, c1: Real) -> "Poly":
         """Return p(c0 + c1*x) by Horner over the polynomial ring."""
         acc = Poly()
         lin = Poly([c0, c1])

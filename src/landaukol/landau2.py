@@ -12,18 +12,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 from .bounds import EXACT, INTERVAL, BoundResult, Domain, _FullLineType, _HalfLineType
-from .exactnum import Poly
+from .exactnum import Poly, Real
+from .landaun import kolmogorov_bound
 from .pwpoly import (
     MIN_KNOT_GAP,
     PiecewisePoly,
     require_member,
     transform,
 )
-
-Real = Union[Fraction, float, int]
 
 SQRT2 = math.sqrt(2.0)
 _EDGE = 1e-9
@@ -98,26 +97,23 @@ def q_train(shift: float, lo: float, hi: float) -> PiecewisePoly:
 # -- witnesses for the sup-norm problem -------------------------------------
 
 
+def _number_type(T: Real) -> type:
+    """Fraction for an exact length, float otherwise."""
+    return Fraction if isinstance(T, (Fraction, int)) else float
+
+
 def _ramp_witness_unit(T: Real) -> PiecewisePoly:
     """f = -t^2/2 + (2/T + T/2) t - 1 on [0, T]; member for T <= 2 with the
     maximal initial slope."""
-    if isinstance(T, (Fraction, int)):
-        T = Fraction(T)
-        return PiecewisePoly([Fraction(0), T], [Poly([Fraction(-1), 2 / T + T / 2, Fraction(-1, 2)])], 2)
-    T = float(T)
-    return PiecewisePoly([0.0, T], [Poly([-1.0, 2 / T + T / 2, -0.5])], 2)
+    F = _number_type(T)
+    T = F(T)
+    return PiecewisePoly([F(0), T], [Poly([F(-1), 2 / T + T / 2, F(-1) / 2])], 2)
 
 
 def _long_witness_unit(T: Real) -> PiecewisePoly:
     """Rise along -t^2/2 + 2t - 1 for t <= 2, then park at the wall."""
-    two = Fraction(2) if isinstance(T, (Fraction, int)) else 2.0
-    one = Fraction(1) if isinstance(T, (Fraction, int)) else 1.0
-    half = Fraction(1, 2) if isinstance(T, (Fraction, int)) else 0.5
-    return PiecewisePoly(
-        [0 * one, two, T],
-        [Poly([-one, two, -half]), Poly([one])],
-        2,
-    )
+    F = _number_type(T)
+    return PiecewisePoly([F(0), F(2), T], [Poly([F(-1), F(2), F(-1) / 2]), Poly([F(1)])], 2)
 
 
 def _scale_witness(w: PiecewisePoly, a: float, b: float) -> PiecewisePoly:
@@ -142,14 +138,8 @@ def sigma_inf(a: float, b: float, domain: Domain) -> BoundResult:
         raise ValueError("a and b must be positive")
 
     if isinstance(domain, _FullLineType):
-        value = math.sqrt(2 * a * b)
-        return BoundResult(
-            value,
-            EXACT,
-            "whole-line-comparison",
-            witness=whole_line_witness(a, b),
-            witness_point=whole_line_witness_point(a, b),
-        )
+        value, witness = kolmogorov_bound(2, 1, a, b), whole_line_witness(a, b)
+        return BoundResult(value, EXACT, "kolmogorov-whole-line", witness=witness, witness_point=0.0)
 
     if isinstance(domain, _HalfLineType):
         value = 2 * math.sqrt(a * b)
@@ -184,10 +174,6 @@ def whole_line_witness(a: float, b: float) -> PiecewisePoly:
         2,
     )
     return _scale_witness(unit, a, b)
-
-
-def whole_line_witness_point(a: float, b: float) -> float:
-    return 0.0
 
 
 # -- the pointwise problem ---------------------------------------------------
@@ -387,25 +373,7 @@ def insert_bump(f: PiecewisePoly, t0: float, h: float, tol: float = _EDGE) -> Pi
 # -- the total-variation problem sigma_1 ------------------------------------
 
 
-@dataclass(frozen=True)
-class Sigma1Result:
-    lower: float
-    upper: float
-    exact: Optional[float]
-    provenance: str  # 'T<=2' | '2<=T<=4' | 'lattice' | 'encadrement' | 'subadditive'
-    witness: Optional[PiecewisePoly] = None
-
-    def as_dict(self) -> dict:
-        out = {
-            "lower": self.lower,
-            "upper": self.upper,
-            "exact": self.exact,
-            "status": EXACT if self.exact is not None else INTERVAL,
-            "provenance": self.provenance,
-        }
-        if self.witness is not None:
-            out["witness"] = self.witness.to_json_dict()
-        return out
+Sigma1Result = BoundResult  # provenance 'T<=2' | '2<=T<=4' | 'lattice' | 'encadrement' | 'subadditive'
 
 
 _LATTICE_STEP = 2 * SQRT2
@@ -498,34 +466,34 @@ def lattice_witness_unit(N: int) -> PiecewisePoly:
     return PiecewisePoly(knots, pieces, 2)
 
 
-def sigma1(a: float, b: float, T: float) -> Sigma1Result:
+def _sigma1_exact(v: float, provenance: str, witness: Optional[PiecewisePoly] = None) -> BoundResult:
+    return BoundResult(v, EXACT, provenance, lower=v, upper=v, witness=witness)
+
+
+def sigma1(a: float, b: float, T: float) -> BoundResult:
     """sup of the total variation of f over [0, T] for the (a, b) class;
-    exact in three regimes, a certified interval elsewhere."""
+    exact in three regimes, a certified interval [lower, upper] elsewhere."""
     if not (a > 0 and b > 0):
         raise ValueError("a and b must be positive")
-    if T < 0:
-        raise ValueError("T must be nonnegative")
+    if not 0 <= T < math.inf:
+        raise ValueError(f"T must be nonnegative and finite, got {T}")
     if T == 0:
-        return Sigma1Result(0.0, 0.0, 0.0, "T<=2")
+        return _sigma1_exact(0.0, "T<=2")
     t_unit = T * math.sqrt(b / a)
 
     if t_unit <= 2:
         witness = _scale_witness(_tau_witness_unit(t_unit), a, b) if T > _EDGE else None
-        return Sigma1Result(2 * a, 2 * a, 2 * a, "T<=2", witness)
+        return _sigma1_exact(2 * a, "T<=2", witness)
     N = _lattice_index(t_unit)
     if t_unit <= 4 and N is None:
         v = a * _sigma1_exact_unit(t_unit)
-        return Sigma1Result(
-            v, v, v, "2<=T<=4", _scale_witness(_parabola_witness_unit(t_unit), a, b)
-        )
+        return _sigma1_exact(v, "2<=T<=4", _scale_witness(_parabola_witness_unit(t_unit), a, b))
     if N is not None:
         v = a * (2 * N + 4)
-        return Sigma1Result(
-            v, v, v, "lattice", _scale_witness(lattice_witness_unit(N), a, b)
-        )
+        return _sigma1_exact(v, "lattice", _scale_witness(lattice_witness_unit(N), a, b))
 
     lower = a * _sigma1_lower_unit(t_unit)
     upper = a * _sigma1_upper_unit(t_unit)
     plain = a * (t_unit / SQRT2 + 5)
     provenance = "subadditive" if upper < plain - 1e-12 else "encadrement"
-    return Sigma1Result(lower, upper, None, provenance)
+    return BoundResult(upper, INTERVAL, provenance, lower=lower, upper=upper)

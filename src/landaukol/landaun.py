@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .eulerspline import _frac_pow, s_n
+from .eulerspline import q_n_deriv_sup
 from .exactnum import Poly
 
 C31 = 3.0 ** (5.0 / 3.0) / 2  # sharp half-line constant for (n, k) = (3, 1)
@@ -30,8 +30,7 @@ def kolmogorov_bound(n: int, k: int, a: float, b: float) -> float:
         raise ValueError(f"need 0 <= k <= n, got k={k}")
     if not (a > 0 and b > 0):
         raise ValueError("a and b must be positive")
-    ratio = float(s_n(n - k)) / _frac_pow(s_n(n), 1 - k / n)
-    return ratio * a ** (1 - k / n) * b ** (k / n)
+    return q_n_deriv_sup(n, k) * a ** (1 - k / n) * b ** (k / n)
 
 
 # -- the order-3 segment formulas -------------------------------------------
@@ -178,16 +177,19 @@ class CnkBracket:
     def upper_source(self) -> str:
         return "matorin" if self.matorin <= self.malliavin else "malliavin"
 
-    def as_dict(self) -> dict:
+    def scale(self, a: float, b: float) -> float:
+        """a^(1-k/n) b^(k/n): maps the unit-class constants to the (a, b) class."""
+        return a ** (1 - self.k / self.n) * b ** (self.k / self.n)
+
+    def as_dict(self, a: float, b: float) -> dict:
+        """The bracket for the (a, b) class."""
+        scale = self.scale(a, b)
         return {
-            "n": self.n,
-            "k": self.k,
-            "exact": self.exact,
-            "upper": self.upper,
+            "upper": self.upper * scale,
             "upper_source": self.upper_source,
-            "matorin": self.matorin,
-            "malliavin": self.malliavin,
-            "lower_shape": self.lower,
+            "matorin": self.matorin * scale,
+            "malliavin": self.malliavin * scale,
+            "lower_shape": self.lower * scale,
             "lower_kappa_free": self.lower_kappa_free,
         }
 

@@ -15,13 +15,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple
 
 from . import _roots
-from .exactnum import Poly
+from .exactnum import Poly, Real
 from .pwpoly import PiecewisePoly
-
-Real = Union[Fraction, float, int]
 
 
 @dataclass(frozen=True)
@@ -55,12 +53,6 @@ class LinearFunctional:
                 total += float(lam) * float(f.deriv_value(alpha, m))
             else:
                 total += float(lam) * float(f.nth_derivative(m)(alpha))
-        return total
-
-    def apply_exact(self, f: PiecewisePoly) -> Fraction:
-        total = Fraction(0)
-        for alpha, m, lam in self.terms:
-            total += Fraction(lam) * Fraction(f.deriv_value(alpha, m))
         return total
 
 

@@ -19,12 +19,10 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple
 
 from . import _roots
-from .exactnum import Poly
-
-Real = Union[Fraction, float, int]
+from .exactnum import Poly, Real
 
 JOIN_TOL = 1e-9
 SUP_TOL = 1e-10  # resolution of the exact-mode sup check at irrational critical points
@@ -151,6 +149,8 @@ class PiecewisePoly:
         def dec(v) -> Real:
             if isinstance(v, str):
                 return Fraction(v)
+            if not math.isfinite(v):
+                raise ValueError(f"non-finite number {v}")
             return float(v)
 
         try:
@@ -279,7 +279,8 @@ def membership(f: PiecewisePoly, n: int, a: Real, b: Real, tol: float = JOIN_TOL
     for i, p in enumerate(f.pieces):
         cn = p.coeffs[n] if p.degree >= n else 0
         dn = abs(cn * math.factorial(n))
-        if (exact and dn > b) or (not exact and float(dn) > float(b) + tol):
+        # written as "not <=" so that a NaN counts as a violation
+        if not (dn <= b if exact else float(dn) <= float(b) + tol):
             violations.append(
                 Violation(
                     "nth-derivative",
@@ -292,7 +293,7 @@ def membership(f: PiecewisePoly, n: int, a: Real, b: Real, tol: float = JOIN_TOL
         lo, hi = f.knots[i], f.knots[i + 1]
         sup = piece_sup(p, lo, hi, exact)
         limit = float(a) + (SUP_TOL if exact else tol)
-        if sup > limit:
+        if not sup <= limit:
             violations.append(
                 Violation("sup", float(lo), f"sup |f| = {sup} > {float(a)} on piece {i}")
             )

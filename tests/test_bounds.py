@@ -1,11 +1,16 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from landaukol import Sigma1Result, sigma1, sigma_inf
 from landaukol.bounds import (
     EXACT,
+    INTERVAL,
     UPPER_BOUND,
     BoundQuery,
+    BoundResult,
     FullLine,
     HalfLine,
     Segment,
@@ -54,3 +59,68 @@ def test_query_validation():
         BoundQuery(2, 1, -1, 1, FullLine)
     with pytest.raises(ValueError):
         Segment(0.0)
+    with pytest.raises(ValueError):
+        Segment(math.inf)
+    for bad in (dict(a=math.inf), dict(b=math.inf), dict(t0=math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            BoundQuery(**{"n": 2, "k": 1, "a": 1, "b": 1, "domain": Segment(10.0), **bad})
+    with pytest.raises(ValueError):
+        BoundQuery(3, 1, 1, 1, Segment(1.0), "var")
+    with pytest.raises(ValueError):
+        BoundQuery(2, 1, 1, 1, HalfLine, "var")
+    with pytest.raises(ValueError):
+        BoundQuery(2, 1, 1, 1, FullLine, t0=0.5)
+    with pytest.raises(ValueError):
+        BoundQuery(3, 1, 1, 1, Segment(1.0), t0=0.5)
+    with pytest.raises(ValueError):
+        BoundQuery(2, 1, 1, 1, Segment(1.0), "l2")
+
+
+def test_var_and_pointwise_routing():
+    res = compute_bound(BoundQuery(2, 1, 1, 1, Segment(3.0), "var"))
+    assert Sigma1Result is BoundResult and isinstance(sigma1(1, 1, 3.0), BoundResult)
+    assert res.status == EXACT and res.exact == res.lower == res.upper == pytest.approx(2.5)
+    assert res.provenance == "2<=T<=4" and res.witness is not None
+    res = compute_bound(BoundQuery(2, 1, 1, 1, Segment(100.0), "var"))
+    assert res.status == INTERVAL and res.exact is None
+    assert res.lower <= res.upper == res.value
+    res = compute_bound(BoundQuery(2, 1, 1, 1, Segment(10.0), t0=1.0))
+    assert res.value == pytest.approx(math.sqrt(6) - 1, abs=1e-12)
+    assert res.provenance == "pointwise-free-end" and res.witness_point == 1.0
+
+
+def test_half_line_bracket_is_carried():
+    res = compute_bound(BoundQuery(5, 2, 2.0, 3.0, HalfLine))
+    assert res.bracket is not None and res.bracket.upper_source in res.provenance
+    assert res.bracket.as_dict(2.0, 3.0)["upper"] == res.value
+
+
+def test_whole_line_n2_has_one_tag():
+    res = compute_bound(BoundQuery(2, 1, 2.0, 3.0, FullLine))
+    assert res.provenance == sigma_inf(2.0, 3.0, FullLine).provenance == "kolmogorov-whole-line"
+    assert res.value == pytest.approx(math.sqrt(12), rel=1e-15)
+    assert res.witness is not None and res.witness_point == 0.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    nk=st.sampled_from([(2, 1), (3, 1), (3, 2)]),
+    a=st.floats(0.1, 10),
+    b=st.floats(0.1, 10),
+    T1=st.floats(1e-2, 1e3),
+    T2=st.floats(1e-2, 1e3),
+)
+def test_segment_bound_non_increasing_in_T(nk, a, b, T1, T2):
+    n, k = nk
+    short, long = sorted((T1, T2))
+    v_short = compute_bound(BoundQuery(n, k, a, b, Segment(short))).value
+    v_long = compute_bound(BoundQuery(n, k, a, b, Segment(long))).value
+    assert v_long <= v_short * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("T", [3.0, 10.0, 100.0])
+def test_certificate_bound_non_increasing_in_T(T):
+    # certificates are not memoized, so n >= 4 stays out of the property test
+    value = compute_bound(BoundQuery(4, 2, 1, 1, Segment(T))).value
+    assert value <= compute_bound(BoundQuery(4, 2, 1, 1, Segment(T / 2))).value * (1 + 1e-12)
+    assert value >= compute_bound(BoundQuery(4, 2, 1, 1, FullLine)).value

@@ -31,6 +31,62 @@ GOLDEN_SEGMENT = (
 
 GOLDEN_EULER_CSV = "n,E_n\n0,1\n1,0\n2,-1\n3,0\n4,5\n5,0\n6,-61\n7,0\n8,1385\n"
 
+# one full stdout line per route, pinned byte for byte
+GOLDEN_ROUTES = {
+    ("bound", "--n", "5", "--k", "2", "--domain", "halfline"): (
+        '{"schema_version": "1", "command": "bound", "result": {"value": 9.720967791467691, '
+        '"status": "UpperBound", "provenance": "half-line-bracket(matorin)", "bracket": '
+        '{"upper": 9.720967791467691, "upper_source": "matorin", "matorin": 9.720967791467691, '
+        '"malliavin": 24319.634688777707, "lower_shape": 4.419417382415922, "lower_kappa_free": true}}, '
+        '"provenance": ["half-line-bracket(matorin)"]}'
+    ),
+    ("bound", "--n", "3", "--k", "1", "--domain", "halfline"): (
+        '{"schema_version": "1", "command": "bound", "result": {"value": 3.1201257345778566, '
+        '"status": "Exact", "provenance": "sato-half-line"}, "provenance": ["sato-half-line"]}'
+    ),
+    ("bound", "--n", "2", "--T", "1", "--t0", "0"): (
+        '{"schema_version": "1", "command": "bound", "result": {"value": 2.5, '
+        '"status": "Exact", "provenance": "pointwise-short-segment"}, '
+        '"provenance": ["pointwise-short-segment"]}'
+    ),
+    ("bound", "--n", "2", "--T", "10", "--t0", "1"): (
+        '{"schema_version": "1", "command": "bound", "result": {"value": 1.4494897427831779, '
+        '"status": "Exact", "provenance": "pointwise-free-end"}, "provenance": ["pointwise-free-end"]}'
+    ),
+    ("bound", "--n", "2", "--T", "10", "--t0", "5"): (
+        '{"schema_version": "1", "command": "bound", "result": {"value": 1.4142135623730951, '
+        '"status": "Exact", "provenance": "pointwise-interior-comparison"}, '
+        '"provenance": ["pointwise-interior-comparison"]}'
+    ),
+    ("bound", "--n", "3", "--k", "2", "--a", "2", "--b", "0.5", "--T", "3"): (
+        '{"schema_version": "1", "command": "bound", "result": {"value": 4.301166435746724, '
+        '"status": "Exact", "provenance": "sato-segment-short"}, "provenance": ["sato-segment-short"]}'
+    ),
+    ("bound", "--n", "4", "--k", "2", "--T", "3"): (
+        '{"schema_version": "1", "command": "bound", "result": {"value": 39.03030042694714, '
+        '"status": "UpperBound", "provenance": "vandermonde-certificate"}, '
+        '"provenance": ["vandermonde-certificate"]}'
+    ),
+    ("bound", "--functional", "var", "--T", "3"): (
+        '{"schema_version": "1", "command": "bound", "result": {"lower": 2.5, "upper": 2.5, '
+        '"exact": 2.5, "status": "Exact", "provenance": "2<=T<=4"}, "provenance": ["sigma1-2<=T<=4"]}'
+    ),
+    ("bound", "--functional", "var", "--T", "100"): (
+        '{"schema_version": "1", "command": "bound", "result": {"lower": 70.71067811865474, '
+        '"upper": 72.21905903731832, "exact": null, "status": "Interval", "provenance": "subadditive"}, '
+        '"provenance": ["sigma1-subadditive"]}'
+    ),
+    ("extremal", "--n", "3", "--domain", "line"): (
+        '{"schema_version": "1", "command": "extremal", "result": {"spline": {"knots": [0.0, '
+        '2.8844991406148166, 5.768998281229633, 8.653497421844449, 11.537996562459266], "pieces": '
+        '[[1.0, 0.0, -0.7211247851537043, 0.1666666666666667], '
+        '[9.0, -8.320335292207616, 2.163374355461113, -0.1666666666666667], '
+        '[-55.0, 24.961005876622853, -3.605623925768522, 0.1666666666666667], '
+        '[161.0, -49.922011753245705, 5.047873496075931, -0.1666666666666667]], "n": 3}, '
+        '"membership": "ok"}, "provenance": ["kolmogorov-whole-line"]}'
+    ),
+}
+
 
 def test_golden_bound_line(capsys):
     code, out, _ = run_cli(capsys, "bound", "--n", "2", "--k", "1", "--a", "1", "--b", "1",
@@ -49,6 +105,13 @@ def test_golden_table_euler_numbers(capsys):
     code, out, _ = run_cli(capsys, "table", "--what", "euler-numbers", "--max-n", "8")
     assert code == 0
     assert out == GOLDEN_EULER_CSV
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_ROUTES), ids=" ".join)
+def test_golden_routes(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.strip() == GOLDEN_ROUTES[argv]
 
 
 def test_bound_halfline_bracket(capsys):
@@ -92,6 +155,10 @@ def test_bound_invalid_combination_exits_2(capsys):
     assert code == 2 and "t0" in err
     code, _, err = run_cli(capsys, "bound", "--n", "2", "--domain", "segment")
     assert code == 2 and "--T" in err
+    code, _, err = run_cli(capsys, "bound", "--a", "inf", "--T", "1")
+    assert code == 2 and err.startswith("error:") and "finite" in err
+    code, _, err = run_cli(capsys, "bound", "--functional", "var", "--T", "inf")
+    assert code == 2 and err.startswith("error:") and "finite" in err
 
 
 def test_extremal_verify_round_trip(tmp_path, capsys):
@@ -140,6 +207,24 @@ def test_verify_extreme_flag(tmp_path, capsys):
     assert code == 1
     assert payload["result"]["membership"] is True
     assert payload["result"]["is_extreme"] is False
+
+
+def test_verify_rejects_non_finite_spline(tmp_path, capsys):
+    for text in ('{"knots": [0, 1], "pieces": [[NaN]], "n": 2}',
+                 '{"knots": [0, Infinity], "pieces": [[0.5]], "n": 2}'):
+        path = tmp_path / "nan.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "verify", "--file", str(path))
+        assert code == 2 and out == "" and "cannot read spline" in err
+
+
+def test_samples_below_two_exit_2(capsys):
+    for argv in (["kernel", "--x", "0.5", "--samples", "1"],
+                 ["spline", "--what", "qn", "--n", "3", "--samples", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "samples" in capsys.readouterr().err
 
 
 def test_verify_parse_error_exits_2(tmp_path, capsys):

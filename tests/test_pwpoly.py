@@ -235,3 +235,18 @@ def test_json_round_trip():
         PiecewisePoly.from_json("{not json")
     with pytest.raises(StructuralError):
         PiecewisePoly.from_json('{"knots": [0.0], "pieces": [], "n": 2}')
+
+
+def test_non_finite_splines_are_rejected():
+    nan = math.nan
+    # built in code: a NaN sup or a NaN n-th derivative is a violation
+    rep = membership(PiecewisePoly([0.0, 1.0], [Poly([nan])], 2), 2, 1, 1)
+    assert not rep.ok and any(v.kind == "sup" for v in rep.violations)
+    rep = membership(PiecewisePoly([0.0, 1.0], [Poly([0.0, 0.0, nan])], 2), 2, 1, 1)
+    assert not rep.ok and any(v.kind == "nth-derivative" for v in rep.violations)
+    # read from JSON: non-finite knots or coefficients are structural errors
+    for text in ('{"knots": [0, 1], "pieces": [[NaN]], "n": 2}',
+                 '{"knots": [0, Infinity], "pieces": [[0.5]], "n": 2}',
+                 '{"knots": [0, 1], "pieces": [[0.5, -Infinity]], "n": 2}'):
+        with pytest.raises(StructuralError):
+            PiecewisePoly.from_json(text)
