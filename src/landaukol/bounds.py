@@ -110,6 +110,9 @@ def compute_bound(query: BoundQuery) -> BoundResult:
         return landau2.sigma1(a, b, dom.T)
     if query.t0 is not None:
         return landau2.sigma_pointwise(landau2.PointwiseQuery(query.t0, dom.T, a, b))
+    if k in (0, n):
+        # a constant, or a short-period Euler spline, attains each given bound
+        return BoundResult(a if k == 0 else b, EXACT, "class-bound")
     if (n, k) == (2, 1):
         return landau2.sigma_inf(a, b, dom)
     if isinstance(dom, _FullLineType):

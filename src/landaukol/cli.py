@@ -99,8 +99,9 @@ def cmd_oracle(args) -> int:
     if args.problem == "pointwise":
         if args.t0 is None or args.T is None:
             return _fail("error: oracle pointwise needs --T and --t0")
+        query = BoundQuery(2, 1, args.a, args.b, Segment(args.T), t0=args.t0)  # validates before the LP
         value = oracle.lp_max_pointwise_derivative(args.a, args.b, args.T, args.t0, args.M)
-        closed = compute_bound(BoundQuery(2, 1, args.a, args.b, Segment(args.T), t0=args.t0)).value
+        closed = compute_bound(query).value
         result = {
             "value": value,
             "status": "OracleApprox",
@@ -112,11 +113,12 @@ def cmd_oracle(args) -> int:
         return 0
     if args.T is None:
         return _fail("error: oracle sigma1 needs --T")
+    query = BoundQuery(2, 1, args.a, args.b, Segment(args.T), "var")  # validates before the search
     value, control = oracle.bangbang_sigma1_search(
         args.a, args.b, args.T, max_switches=args.max_switches,
         restarts=args.restarts, seed=seed,
     )
-    closed = compute_bound(BoundQuery(2, 1, args.a, args.b, Segment(args.T), "var"))
+    closed = compute_bound(query)
     discrepancy = None if closed.exact is None else (value - closed.exact) / closed.exact
     result = {
         "value": value,
@@ -196,11 +198,7 @@ def cmd_kernel(args) -> int:
             return _fail("error: need 0 <= x <= 1")
         if not 0 < args.k < args.n:
             return _fail("error: need 0 < k < n")
-        alphas = [Fraction(i, args.n) for i in range(1, args.n + 1)]
-        x = Fraction(args.x).limit_denominator(10**9)
-        lambdas = peano._lambda_system(args.n, args.k, x, alphas)
-        terms = [(x, args.k, Fraction(1))] + [(al, 0, -lam) for al, lam in zip(alphas, lambdas)]
-        L = peano.LinearFunctional(tuple(terms), Fraction(1), args.n)
+        L = peano.certificate_functional(args.n, args.k, Fraction(args.x).limit_denominator(10**9))
     return _sample_csv(["t", "K"], 0.0, float(L.T), args.samples, lambda t: peano.peano_kernel(L, t))
 
 

@@ -59,6 +59,10 @@ class LinearFunctional:
 def derivative_functional(x: Real, T: Real) -> LinearFunctional:
     """L(f) = f'(x) - (f(T) - f(0))/T, the order-2 functional whose kernel
     is t/T for t < x and (t - T)/T for t > x."""
+    if not 0 < T < math.inf:
+        raise ValueError(f"T must be positive and finite, got {T}")
+    if not 0 <= x <= T:
+        raise ValueError(f"need 0 <= x <= T, got x={x}, T={T}")
     if isinstance(x, (Fraction, int)) and isinstance(T, (Fraction, int)):
         one_over_T = Fraction(1, 1) / Fraction(T)
         return LinearFunctional(
@@ -234,19 +238,43 @@ def _solve_exact(matrix: List[List[Fraction]], rhs: List[Fraction]) -> List[Frac
     return [aug[r][n] for r in range(n)]
 
 
-def _lambda_system(n: int, k: int, x: Fraction, alphas: Sequence[Fraction]) -> List[Fraction]:
-    matrix = [[alpha**j for alpha in alphas] for j in range(n)]
-    rhs = [
-        Fraction(math.perm(j, k)) * x ** (j - k) if j >= k else Fraction(0)
-        for j in range(n)
+def certificate_nodes(n: int) -> List[Fraction]:
+    """The interpolation nodes alpha_i = i/n, i = 1..n, of the certificate."""
+    return [Fraction(i, n) for i in range(1, n + 1)]
+
+
+def lagrange_derivatives(alphas: Sequence[Fraction], k: int) -> List[Poly]:
+    """ell_i^(k) for the Lagrange basis ell_i on the nodes: lambda_i(x) =
+    ell_i^(k)(x) are the weights with sum_i lambda_i(x) p(alpha_i) = p^(k)(x)
+    for every p of degree < len(alphas).  Coefficients of ell_i solve the
+    transposed Vandermonde system with right-hand side e_i."""
+    n = len(alphas)
+    matrix = [[alpha**m for m in range(n)] for alpha in alphas]
+    return [
+        Poly(_solve_exact(matrix, [Fraction(int(i == j)) for j in range(n)])).nth_derivative(k)
+        for i in range(n)
     ]
-    return _solve_exact(matrix, rhs)
 
 
-def _kernel_sup(L: LinearFunctional) -> float:
+def certificate_functional(n: int, k: int, x: Fraction) -> LinearFunctional:
+    """L_x(f) = f^(k)(x) - sum_i lambda_i(x) f(alpha_i), the functional whose
+    kernel the certificate bounds at x."""
+    alphas = certificate_nodes(n)
+    lambdas = [ell(x) for ell in lagrange_derivatives(alphas, k)]
+    terms = [(x, k, Fraction(1))] + [(alpha, 0, -lam) for alpha, lam in zip(alphas, lambdas)]
+    return LinearFunctional(tuple(terms), Fraction(1), n)
+
+
+def _power_over_factorial(c: Fraction, p: int) -> List[Fraction]:
+    """Coefficients in t of (c - t)^p / p!."""
+    fact = math.factorial(p)
+    return [Fraction(math.comb(p, m) * (-1) ** m, fact) * c ** (p - m) for m in range(p + 1)]
+
+
+def _kernel_sup(pieces: Sequence[Tuple[Real, Real, Poly]]) -> float:
     """sup_t |K(t)| via per-interval polynomial maxima."""
     best = 0.0
-    for lo, hi, poly in kernel_pieces(L):
+    for lo, hi, poly in pieces:
         if poly.is_zero():
             continue
         fp = poly.to_float()
@@ -259,26 +287,52 @@ def _kernel_sup(L: LinearFunctional) -> float:
     return best
 
 
+def _certificate_pieces(
+    x: Fraction,
+    k: int,
+    alphas: Sequence[Fraction],
+    lambdas: Sequence[Fraction],
+    expansions: Sequence[List[Fraction]],
+) -> List[Tuple[Fraction, Fraction, Poly]]:
+    """kernel_pieces of L_x, built right to left: a piece's polynomial is the
+    running sum of -lambda_i (alpha_i - t)^(n-1)/(n-1)! over alpha_i >= hi,
+    plus the (x - t)^(n-1-k)/(n-1-k)! term when x >= hi."""
+    x_term = _power_over_factorial(x, len(alphas) - 1 - k)
+    breaks = sorted({Fraction(0), Fraction(1), x, *alphas})
+    suffix = [Fraction(0)] * len(alphas)
+    i = len(alphas)
+    out = []
+    for lo, hi in reversed(list(zip(breaks, breaks[1:]))):
+        while i and alphas[i - 1] >= hi:
+            i -= 1
+            lam = lambdas[i]
+            suffix = [s - lam * e for s, e in zip(suffix, expansions[i])]
+        coeffs = suffix if hi > x else [s + c for s, c in zip(suffix, x_term)] + suffix[len(x_term):]
+        out.append((lo, hi, Poly(coeffs)))
+    out.reverse()
+    return out
+
+
 def vandermonde_certificate(n: int, k: int, grid_size: int = 201) -> KernelCertificate:
-    """Solve, exactly, the n x n Vandermonde systems that make
-    L_x(f) = f^(k)(x) - sum_i lambda_i(x) f(i/n) annihilate degree < n, for x
-    on a uniform grid of [0, 1]; A = max_x sum |lambda_i(x)| and
-    B = max_x sup_t |K_x(t)|."""
+    """Make L_x(f) = f^(k)(x) - sum_i lambda_i(x) f(i/n) annihilate degree < n
+    for x on a uniform grid of [0, 1], with lambda_i = ell_i^(k) from the
+    Lagrange basis; A = max_x sum |lambda_i(x)| and B = max_x sup_t |K_x(t)|.
+    The basis and the expansions of (alpha_i - t)^(n-1)/(n-1)! are exact and
+    built once; each x costs a Horner evaluation and suffix sums."""
     if not 2 <= n <= 12:
         raise ValueError(f"unsupported order n={n}: Vandermonde certificate needs 2 <= n <= 12")
     if not 0 < k < n:
         raise ValueError(f"need 0 < k < n, got k={k}")
     if grid_size < 201:
         raise ValueError("grid_size must be at least 201")
-    alphas = [Fraction(i, n) for i in range(1, n + 1)]
+    alphas = certificate_nodes(n)
+    basis = lagrange_derivatives(alphas, k)
+    expansions = [_power_over_factorial(alpha, n - 1) for alpha in alphas]
     A = Fraction(0)
     B = 0.0
     for j in range(grid_size):
         x = Fraction(j, grid_size - 1)
-        lambdas = _lambda_system(n, k, x, alphas)
+        lambdas = [ell(x) for ell in basis]
         A = max(A, sum(abs(l) for l in lambdas))
-        terms: List[Tuple[Real, int, Real]] = [(x, k, Fraction(1))]
-        terms += [(alpha, 0, -lam) for alpha, lam in zip(alphas, lambdas)]
-        L = LinearFunctional(tuple(terms), Fraction(1), n)
-        B = max(B, _kernel_sup(L))
+        B = max(B, _kernel_sup(_certificate_pieces(x, k, alphas, lambdas, expansions)))
     return KernelCertificate(A=float(A), B=B, n=n, k=k, grid_size=grid_size)

@@ -50,6 +50,14 @@ def test_segment_routing():
     assert res4.value >= compute_bound(BoundQuery(4, 2, 1, 1, FullLine)).value
 
 
+@pytest.mark.parametrize("domain", [Segment(3.0), HalfLine, FullLine], ids=repr)
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_k_zero_and_n_give_the_class_bounds(domain, n):
+    for k, value in ((0, 0.7), (n, 1.9)):
+        res = compute_bound(BoundQuery(n, k, 0.7, 1.9, domain))
+        assert (res.value, res.status, res.provenance) == (value, EXACT, "class-bound")
+
+
 def test_query_validation():
     with pytest.raises(ValueError):
         BoundQuery(1, 1, 1, 1, FullLine)

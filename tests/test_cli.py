@@ -276,6 +276,42 @@ def test_kernel_csv(capsys):
     assert code == 2
 
 
+# stdout of `landau kernel --n 4 --k 2 --x 0.3 --samples 5`, byte for byte
+GOLDEN_KERNEL_CSV = (
+    "t,K\n0.0,4.440892098500626e-16\n0.25,1.1102230246251565e-16\n0.5,0.125\n"
+    "0.75,0.03333333333333333\n1.0,0.0\n"
+)
+
+
+def test_golden_kernel_certificate_csv(capsys):
+    code, out, _ = run_cli(capsys, "kernel", "--n", "4", "--k", "2", "--x", "0.3", "--samples", "5")
+    assert code == 0
+    assert out == GOLDEN_KERNEL_CSV
+
+
+def test_kernel_rejects_bad_segment(capsys):
+    for argv in (["--T", "0", "--x", "0"], ["--T", "inf", "--x", "0.5"],
+                 ["--T", "nan", "--x", "0.5"], ["--T", "1", "--x", "1.5"],
+                 ["--T", "1", "--x", "-0.1"]):
+        code, out, err = run_cli(capsys, "kernel", "--samples", "3", *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error:") and len(err.splitlines()) == 1, argv
+
+
+def test_oracle_rejects_bad_T_before_searching(capsys, monkeypatch):
+    from landaukol import oracle
+
+    def never(*args, **kwargs):
+        raise AssertionError("oracle ran on an invalid query")
+
+    monkeypatch.setattr(oracle, "bangbang_sigma1_search", never)
+    monkeypatch.setattr(oracle, "lp_max_pointwise_derivative", never)
+    for argv in (["--problem", "sigma1", "--T", "inf"], ["--problem", "sigma1", "--T", "0"],
+                 ["--problem", "pointwise", "--T", "inf", "--t0", "1"]):
+        code, _, err = run_cli(capsys, "oracle", *argv)
+        assert code == 2 and err.startswith("error:"), argv
+
+
 def test_spline_csv(capsys):
     code, out, _ = run_cli(capsys, "spline", "--what", "euler-spline", "--n", "4",
                            "--samples", "3", "--x0", "0", "--x1", "1")

@@ -4,14 +4,18 @@ from fractions import Fraction
 
 import pytest
 
+from landaukol import peano
 from landaukol.exactnum import Poly
 from landaukol.peano import (
     LinearFunctional,
     annihilates_polys,
+    certificate_functional,
+    certificate_nodes,
     deriv_kernel_l1_exact,
     derivative_functional,
     kernel_l1_norm,
     kernel_pieces,
+    lagrange_derivatives,
     landau_bound_n2,
     peano_kernel,
     peano_kernel_at,
@@ -193,3 +197,43 @@ def test_vandermonde_rejects_out_of_range():
         vandermonde_certificate(13, 1)
     with pytest.raises(ValueError):
         vandermonde_certificate(4, 0)
+
+
+# (A, B) as computed by one exact Vandermonde solve per grid point, as repr literals
+PINNED_CERTIFICATES = {
+    (4, 1): (90.66666666666667, 0.08012746456355713),
+    (4, 2): (320.0, 0.38608276348795434),
+    (4, 3): (512.0, 1.0),
+    (5, 2): (1666.6666666666667, 0.07821404450888009),
+    (6, 3): (39744.0, 0.07758842358092016),
+    (8, 3): (823022.9333333333, 0.0010653421562810128),
+}
+
+
+@pytest.mark.parametrize("nk", list(PINNED_CERTIFICATES), ids=str)
+def test_certificate_constants_are_pinned(nk):
+    cert = vandermonde_certificate(*nk)
+    assert (cert.A, cert.B) == PINNED_CERTIFICATES[nk]
+
+
+def test_lagrange_derivatives_reproduce_polynomial_derivatives():
+    # sum_i ell_i^(k)(x) p(alpha_i) = p^(k)(x) for every monomial of degree < n
+    n, k = 5, 2
+    alphas = certificate_nodes(n)
+    basis = lagrange_derivatives(alphas, k)
+    for x in (F(0), F(3, 7), F(1)):
+        for j in range(n):
+            lhs = sum(ell(x) * alpha**j for ell, alpha in zip(basis, alphas))
+            assert lhs == (math.perm(j, k) * x ** (j - k) if j >= k else 0)
+
+
+@pytest.mark.parametrize("n, k", [(4, 2), (6, 3)])
+def test_suffix_sum_pieces_match_kernel_pieces(n, k):
+    alphas = certificate_nodes(n)
+    basis = lagrange_derivatives(alphas, k)
+    expansions = [peano._power_over_factorial(alpha, n - 1) for alpha in alphas]
+    # grid points off the nodes, on a node, and at both ends
+    for x in (F(0), F(7, 200), F(1, 2), F(1, 3), F(133, 200), F(1)):
+        lambdas = [ell(x) for ell in basis]
+        pieces = peano._certificate_pieces(x, k, alphas, lambdas, expansions)
+        assert pieces == kernel_pieces(certificate_functional(n, k, x))
