@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .exactnum import Poly
 
 DEFAULT_WIDTH = Fraction(1, 10**12)
@@ -166,6 +164,8 @@ def real_roots_float(
 ) -> List[Root]:
     """Real roots of a float-coefficient polynomial in [lo, hi], clustered;
     multiplicities are cluster sizes (callers refine via derivatives)."""
+    import numpy as np  # deferred: the exact lane and the closed forms never need it
+
     coeffs = [float(c) for c in p.coeffs]
     if not coeffs:
         raise ValueError("zero polynomial has every point as a root")

@@ -101,7 +101,19 @@ class BoundResult:
 def compute_bound(query: BoundQuery) -> BoundResult:
     """Route a query to the sharpest applicable result: the total-variation,
     pointwise and n = 2 closed forms, the whole-line constants, the n = 3
-    formulas, half-line brackets, and certificate upper bounds otherwise."""
+    formulas, half-line brackets, and certificate upper bounds otherwise.
+    Raises ValueError when the bound is not a finite float."""
+    try:
+        result = _route(query)
+        finite = all(math.isfinite(v) for v in (result.value, result.lower, result.upper) if v is not None)
+    except OverflowError:  # float ** raises where * and / give inf
+        finite = False
+    if not finite:
+        raise ValueError("the bound is outside the float range; rescale a, b or T")
+    return result
+
+
+def _route(query: BoundQuery) -> BoundResult:
     from . import landau2, peano
 
     n, k, a, b, dom = query.n, query.k, query.a, query.b, query.domain

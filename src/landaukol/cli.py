@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 from typing import List, Optional
 
-from . import eulerspline, landaun, oracle, peano
+from . import eulerspline, landaun, peano
 from .bounds import BoundQuery, BoundResult, FullLine, HalfLine, Segment, compute_bound
 from .exactnum import euler_number
 from .pwpoly import PiecewisePoly, StructuralError, is_extreme_point, membership, transform
@@ -95,6 +95,8 @@ def cmd_extremal(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from . import oracle  # deferred: only the oracles need scipy
+
     seed = int(os.environ.get("LANDAU_SEED", args.seed))
     if args.problem == "pointwise":
         if args.t0 is None or args.T is None:
@@ -182,8 +184,11 @@ def cmd_table(args) -> int:
 def _sample_csv(header: List[str], x0: float, x1: float, samples: int, fn) -> int:
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(header)
+    lo, width = Fraction(x0), Fraction(x1) - Fraction(x0)
     for i in range(samples):
-        x = x0 + (x1 - x0) * i / (samples - 1)
+        # rounded once from the exact point, so it lies in [x0, x1] and the
+        # last one is x1, where x0 + (x1 - x0) * i could overflow
+        x = float(lo + width * i / (samples - 1))
         writer.writerow([repr(x), repr(fn(x))])
     return 0
 

@@ -100,7 +100,8 @@ def sato_segment(k: int, a: float, b: float, T: float) -> SatoResult:
         T=T,
         alpha=alpha,
         value_k1=4 * a / u + b * u * u / 6,
-        value_k2=4 * a / (u * u) + 2 * b * u / 3,
+        # u * u underflows to 0 only where the k = 2 value is past the float range
+        value_k2=4 * a / (u * u) + 2 * b * u / 3 if u * u > 0 else math.inf,
         regime="short",
     )
 

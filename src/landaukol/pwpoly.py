@@ -354,6 +354,15 @@ def contact_set(
 
     for i, p in enumerate(f.pieces):
         lo, hi = f.knots[i], f.knots[i + 1]
+        critical: List[float] = []
+        if not exact:
+            # a tangential contact is a double root of p -/+ a: np.roots may
+            # return it as a complex pair and Newton may polish it away, so
+            # the critical points of p are candidates too
+            pf, flo, fhi = p.to_float(), float(lo), float(hi)
+            dp = pf.derivative()
+            critical = [_roots.polish_float_root(dp, r.approx, flo, fhi)
+                        for r in _piece_roots(dp, flo, fhi, False)]
         for sign in (1, -1):
             q = p - Poly([sign * (Fraction(a) if exact else float(a))])
             near_zero = q.is_zero() or (
@@ -362,16 +371,23 @@ def contact_set(
             if near_zero:
                 intervals.append(ContactInterval(float(lo), float(hi), sign))
                 continue
-            for r in _piece_roots(q, lo, hi, exact):
-                if exact:
-                    mult = min(r.multiplicity, n)
-                    points.append(ContactPoint(r.approx, sign, mult))
-                else:
-                    x = _roots.polish_float_root(q.to_float(), r.approx, float(lo), float(hi))
-                    if abs(float(p.to_float()(x)) - sign * float(a)) > 10 * tol:
-                        continue
-                    mult = _contact_multiplicity_float(f, x, n, 1e-6)
-                    points.append(ContactPoint(x, sign, mult))
+            if exact:
+                for r in _piece_roots(q, lo, hi, True):
+                    points.append(ContactPoint(r.approx, sign, min(r.multiplicity, n)))
+                continue
+            qf = q.to_float()
+
+            def touches(x: float) -> bool:
+                return abs(float(pf(x)) - sign * float(a)) <= 10 * tol
+
+            found = [x for x in (_roots.polish_float_root(qf, r.approx, flo, fhi)
+                                 for r in _piece_roots(qf, flo, fhi, False)) if touches(x)]
+            # a critical point is the same contact as a root if p stays at
+            # the wall between them
+            found += [x for x in critical
+                      if touches(x) and not any(touches((x + y) / 2) for y in found)]
+            for x in found:
+                points.append(ContactPoint(x, sign, _contact_multiplicity_float(f, x, n, 1e-6)))
 
     # merge adjacent contact intervals of equal sign
     intervals.sort(key=lambda iv: iv.lo)
@@ -382,15 +398,21 @@ def contact_set(
         else:
             merged.append(iv)
 
-    # dedupe points (shared knots are seen from both sides) and drop points
-    # swallowed by a contact interval
+    # dedupe points (shared knots are seen from both sides, and a float
+    # tangential contact next to a knot may be found in both pieces) and drop
+    # points swallowed by a contact interval
     span = max(1.0, f.length)
     points.sort(key=lambda cp: cp.t)
     deduped: List[ContactPoint] = []
     for cp in points:
         if any(iv.lo - 1e-9 * span <= cp.t <= iv.hi + 1e-9 * span for iv in merged):
             continue
-        if deduped and abs(cp.t - deduped[-1].t) <= 1e-9 * span:
+        if deduped and (abs(cp.t - deduped[-1].t) <= 1e-9 * span or (
+            not exact and cp.sign == deduped[-1].sign
+            and abs(float(f((cp.t + deduped[-1].t) / 2)) - cp.sign * float(a)) <= 10 * tol
+        )):
+            if cp.multiplicity > deduped[-1].multiplicity:
+                deduped[-1] = cp
             continue
         deduped.append(cp)
     return deduped, merged

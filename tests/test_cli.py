@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -161,6 +165,19 @@ def test_bound_invalid_combination_exits_2(capsys):
     assert code == 2 and err.startswith("error:") and "finite" in err
 
 
+def test_bound_outside_float_range_exits_2(capsys):
+    for argv in (["--n", "4", "--k", "2", "--T", "1e-200"],  # T**-k overflows
+                 ["--n", "4", "--k", "2", "--T", "1e-30", "--a", "1e300"],  # a T**-k is inf
+                 ["--n", "3", "--k", "2", "--T", "1e-200"],
+                 ["--n", "2", "--T", "1e-320"]):
+        code, out, err = run_cli(capsys, "bound", *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error:") and len(err.splitlines()) == 1, argv
+    # the k = 1 value on the same segment is in range
+    code, payload, _ = run_json(capsys, "bound", "--n", "3", "--k", "1", "--T", "1e-200")
+    assert code == 0 and math.isfinite(payload["result"]["value"])
+
+
 def test_extremal_verify_round_trip(tmp_path, capsys):
     for argv in (
         ["extremal", "--n", "2", "--domain", "segment", "--T", "2", "--t0", "0"],
@@ -289,6 +306,15 @@ def test_golden_kernel_certificate_csv(capsys):
     assert out == GOLDEN_KERNEL_CSV
 
 
+def test_kernel_samples_stay_finite_on_huge_segment(capsys):
+    code, out, _ = run_cli(capsys, "kernel", "--n", "2", "--x", "0", "--T", "1e308",
+                           "--samples", "3")
+    assert code == 0
+    rows = [[float(v) for v in line.split(",")] for line in out.splitlines()[1:]]
+    assert len(rows) == 3 and all(math.isfinite(v) for row in rows for v in row)
+    assert rows[-1][0] == 1e308
+
+
 def test_kernel_rejects_bad_segment(capsys):
     for argv in (["--T", "0", "--x", "0"], ["--T", "inf", "--x", "0.5"],
                  ["--T", "nan", "--x", "0.5"], ["--T", "1", "--x", "1.5"],
@@ -331,3 +357,47 @@ def test_table_variants(capsys):
     assert code == 0
     header = out.splitlines()[0]
     assert "lower_shape_kappa_free" in header
+
+
+# Runs `landau ARGV` in a fresh interpreter and reports which of numpy and
+# scipy it loaded; with no ARGV it only imports the CLI.
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    from landaukol.cli import main
+    code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+heavy = sorted(m for m in ("numpy", "scipy") if m in sys.modules)
+print(json.dumps({"code": code, "out": out.getvalue(), "heavy": heavy}))
+"""
+
+
+def _probe(*argv):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("argv", [
+    (),
+    ("bound", "--n", "2", "--T", "10"),
+    ("bound", "--n", "2", "--T", "10", "--t0", "1"),
+    ("bound", "--n", "2", "--T", "3", "--functional", "var"),
+    ("bound", "--n", "3", "--k", "1", "--domain", "line"),
+    ("bound", "--n", "5", "--k", "2", "--domain", "halfline"),
+    ("table", "--what", "cnk", "--max-n", "6"),
+], ids=lambda argv: " ".join(argv) or "import")
+def test_closed_forms_load_neither_numpy_nor_scipy(argv):
+    # numpy and scipy cost most of a closed-form call's start-up; a later
+    # top-level import would bring that back without failing anything else
+    probe = _probe(*argv)
+    assert probe["code"] == 0
+    assert probe["heavy"] == []
+
+
+def test_oracle_still_loads_scipy():
+    probe = _probe("oracle", "--problem", "pointwise", "--T", "2", "--t0", "1", "--M", "50")
+    assert probe["code"] == 0 and "scipy" in probe["heavy"]
+    assert json.loads(probe["out"])["result"]["status"] == "OracleApprox"

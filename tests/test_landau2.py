@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from landaukol.bounds import FullLine, HalfLine, Segment
 from landaukol.exactnum import Poly
@@ -23,7 +25,7 @@ from landaukol.landau2 import (
     sigma_inf_value,
     sigma_pointwise,
 )
-from landaukol.pwpoly import PiecewisePoly, membership, total_variation
+from landaukol.pwpoly import PiecewisePoly, is_extreme_point, membership, total_variation
 
 SQRT2 = math.sqrt(2.0)
 F = Fraction
@@ -122,6 +124,40 @@ def test_sigma_pointwise_witnesses_attain():
         assert membership(res.witness, 2, a, b).ok
         slope = float(res.witness.deriv_value(t0, 1))
         assert abs(slope) == pytest.approx(res.value, abs=1e-10)
+
+
+def test_interior_witness_tangential_contacts_found():
+    # np.roots returned the double roots of p -/+ a here as complex pairs
+    # and no contact point was found, so the extreme point was rejected
+    a, b, T, t0 = 0.25575248004414, 0.3822180109466301, 5.299742231409002, 2.4507858849881297
+    res = sigma_pointwise(PointwiseQuery(t0, T, a, b))
+    assert res.provenance == "pointwise-interior-comparison"
+    verdict = is_extreme_point(res.witness, 2, a, b)
+    assert verdict.is_extreme and verdict.numeric
+    assert [cp.multiplicity for cp in verdict.contact_points] == [2, 2]
+    # float half parabola: its critical point sits at |f| = 1/2, not at the wall
+    half = PiecewisePoly([0.0, 4.0], [Poly([0.5, -1.0, 0.25])], 2)
+    verdict = is_extreme_point(half, 2, 1.0, 1.0)
+    assert not verdict.is_extreme and verdict.multiplicity_sum == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    a=st.floats(0.05, 20),
+    b=st.floats(0.05, 20),
+    T_unit=st.floats(2 * SQRT2 + 0.01, 40),
+    share=st.floats(0.0, 1.0),
+)
+def test_interior_witnesses_are_certified_extreme(a, b, T_unit, share):
+    t0_unit = SQRT2 + 0.005 + share * (T_unit - 2 * SQRT2 - 0.01)
+    scale = math.sqrt(a / b)
+    res = sigma_pointwise(PointwiseQuery(t0_unit * scale, T_unit * scale, a, b))
+    assert res.provenance == "pointwise-interior-comparison"
+    verdict = is_extreme_point(res.witness, 2, a, b)
+    assert verdict.is_extreme, verdict
+    # each contact is counted once
+    ts = [cp.t for cp in verdict.contact_points]
+    assert all(v - u > 1e-3 * scale for u, v in zip(ts, ts[1:]))
 
 
 def test_sigma_pointwise_branch_continuity():
