@@ -5,7 +5,9 @@ Two lanes, matching the two coefficient regimes of the splines handled here:
 * exact ``Fraction`` coefficients: square-free decomposition, Sturm chains and
   rational bisection give certified isolating intervals (width 1e-12) with
   exact multiplicities;
-* ``float`` coefficients: ``numpy.roots`` with filtering and clustering.
+* ``float`` coefficients: the real roots of ``numpy.roots`` inside the
+  interval, each with multiplicity 1 (callers that need the order of a
+  contact take it from derivatives).
 """
 from __future__ import annotations
 
@@ -134,7 +136,7 @@ def _isolate_square_free(
             q, _ = _divmod(p, Poly([-mid, Fraction(1)]))
             found.extend(_isolate_square_free(q, a, mid, width))
             found.extend(_isolate_square_free(q, mid, b, width))
-            return found
+            continue
         stack.append((a, mid))
         stack.append((mid, b))
     return found
@@ -162,8 +164,8 @@ def real_roots_exact(
 def real_roots_float(
     p: Poly, lo: float, hi: float, edge_tol: float = 1e-9
 ) -> List[Root]:
-    """Real roots of a float-coefficient polynomial in [lo, hi], clustered;
-    multiplicities are cluster sizes (callers refine via derivatives)."""
+    """The real roots numpy.roots finds in [lo, hi], sorted and clamped to
+    the interval, each with multiplicity 1 (a double root may come twice)."""
     import numpy as np  # deferred: the exact lane and the closed forms never need it
 
     coeffs = [float(c) for c in p.coeffs]
@@ -177,20 +179,8 @@ def real_roots_float(
         return []
     raw = np.roots(desc)
     span = max(1.0, abs(hi - lo))
-    real = sorted(
-        float(r.real)
-        for r in raw
-        if abs(r.imag) <= 1e-7 * span and lo - edge_tol <= r.real <= hi + edge_tol
-    )
-    out: List[Root] = []
-    for r in real:
-        r = min(max(r, lo), hi)
-        if out and abs(r - out[-1].approx) <= 1e-7 * span:
-            last = out[-1]
-            out[-1] = Root(last.approx, last.multiplicity + 1)
-        else:
-            out.append(Root(r, 1))
-    return out
+    real = sorted(float(r.real) for r in raw if abs(r.imag) <= 1e-7 * span)
+    return [Root(min(max(r, lo), hi), 1) for r in real if lo - edge_tol <= r <= hi + edge_tol]
 
 
 def polish_float_root(p: Poly, r: float, lo: float, hi: float, steps: int = 3) -> float:

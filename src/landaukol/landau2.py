@@ -4,15 +4,18 @@ f'(t0), the comparison parabola train q, prolongation constructors, line
 extendability, and the total-variation supremum sigma_1.
 
 Every exact value comes with an extremal witness spline that passes the
-membership check and attains the value at the reported point.  General (a, b)
-queries are reduced to the unit class by f(t) = a * f_unit(t * sqrt(b/a)).
+membership check and attains the value at the reported point, unless the
+witness would have knots closer than MIN_KNOT_GAP (a segment of length about
+1e-12, or a, b so far apart that the scaling collapses); the value is then
+returned without one.  General (a, b) queries are reduced to the unit class
+by f(t) = a * f_unit(t * sqrt(b/a)).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from .bounds import EXACT, INTERVAL, BoundResult, Domain, _FullLineType, _HalfLineType
 from .exactnum import Poly, Real
@@ -20,6 +23,7 @@ from .landaun import kolmogorov_bound
 from .pwpoly import (
     MIN_KNOT_GAP,
     PiecewisePoly,
+    StructuralError,
     require_member,
     transform,
 )
@@ -116,11 +120,20 @@ def _long_witness_unit(T: Real) -> PiecewisePoly:
     return PiecewisePoly([F(0), F(2), T], [Poly([F(-1), F(2), F(-1) / 2]), Poly([F(1)])], 2)
 
 
-def _scale_witness(w: PiecewisePoly, a: float, b: float) -> PiecewisePoly:
-    """Map a unit-class witness to the (a, b) class: W(t) = a w(t sqrt(b/a))."""
-    if a == 1 and b == 1:
-        return w
-    return transform(w, mu=a, lam=math.sqrt(b / a))
+def _witness(
+    unit: Callable[[], PiecewisePoly], a: float, b: float, reflect_at: Optional[float] = None
+) -> Optional[PiecewisePoly]:
+    """The unit-class witness unit() mapped to the (a, b) class by
+    W(t) = a w(t sqrt(b/a)), then reflected onto [0, reflect_at] if given;
+    None when a spline on the way has knots closer than MIN_KNOT_GAP, so
+    that the bound is still returned."""
+    try:
+        w = unit()
+        if (a, b) != (1, 1):
+            w = transform(w, mu=a, lam=math.sqrt(b / a))
+        return w if reflect_at is None else transform(w, mu=-1.0, lam=-1.0, t0=reflect_at)
+    except StructuralError:
+        return None
 
 
 def sigma_inf_value(a: float, b: float, T: float) -> float:
@@ -138,42 +151,29 @@ def sigma_inf(a: float, b: float, domain: Domain) -> BoundResult:
         raise ValueError("a and b must be positive")
 
     if isinstance(domain, _FullLineType):
-        value, witness = kolmogorov_bound(2, 1, a, b), whole_line_witness(a, b)
-        return BoundResult(value, EXACT, "kolmogorov-whole-line", witness=witness, witness_point=0.0)
-
-    if isinstance(domain, _HalfLineType):
-        value = 2 * math.sqrt(a * b)
-        t_unit = Fraction(3)  # any length > 2 carries the extremal rise
-        witness = _scale_witness(_long_witness_unit(t_unit), a, b)
-        return BoundResult(value, EXACT, "half-line-monotone-limit", witness=witness, witness_point=0.0)
-
-    T = domain.T
-    t_unit = T * math.sqrt(b / a)
-    # the witness for t_unit just above 2 would carry a degenerate flat piece;
-    # both branches agree to O((t_unit - 2)^2) there
-    if t_unit <= 2 + _EDGE:
-        value = 2 * a / T + b * T / 2
-        witness = _scale_witness(_ramp_witness_unit(t_unit), a, b) if T > _EDGE else None
-        return BoundResult(
-            value,
-            EXACT,
-            "segment-short-closed-form",
-            witness=witness,
-            witness_point=0.0 if witness is not None else None,
-        )
-    value = 2 * math.sqrt(a * b)
-    witness = _scale_witness(_long_witness_unit(t_unit), a, b)
-    return BoundResult(value, EXACT, "segment-long-closed-form", witness=witness, witness_point=0.0)
+        value, tag = kolmogorov_bound(2, 1, a, b), "kolmogorov-whole-line"
+        unit = _whole_line_witness_unit
+    elif isinstance(domain, _HalfLineType):
+        value, tag = 2 * math.sqrt(a * b), "half-line-monotone-limit"
+        unit = lambda: _long_witness_unit(Fraction(3))  # any length > 2 carries the extremal rise
+    else:
+        T = domain.T
+        t_unit = T * math.sqrt(b / a)
+        # the witness for t_unit just above 2 would carry a degenerate flat
+        # piece; both branches agree to O((t_unit - 2)^2) there
+        if t_unit <= 2 + _EDGE:
+            value, tag = 2 * a / T + b * T / 2, "segment-short-closed-form"
+            unit = (lambda: _ramp_witness_unit(t_unit)) if T > _EDGE else None
+        else:
+            value, tag = 2 * math.sqrt(a * b), "segment-long-closed-form"
+            unit = lambda: _long_witness_unit(t_unit)
+    witness = _witness(unit, a, b) if unit else None
+    return BoundResult(value, EXACT, tag, witness=witness, witness_point=None if witness is None else 0.0)
 
 
-def whole_line_witness(a: float, b: float) -> PiecewisePoly:
-    """One arc of the comparison train, restricted to [0, 2 sqrt(2a/b)]."""
-    unit = PiecewisePoly(
-        [0.0, 2 * SQRT2],
-        [Poly([1.0, 0.0, -0.5]).compose_affine(-SQRT2, 1.0)],
-        2,
-    )
-    return _scale_witness(unit, a, b)
+def _whole_line_witness_unit() -> PiecewisePoly:
+    """One arc of the comparison train on [0, 2 sqrt(2)]."""
+    return PiecewisePoly([0.0, 2 * SQRT2], [Poly([1.0, 0.0, -0.5]).compose_affine(-SQRT2, 1.0)], 2)
 
 
 # -- the pointwise problem ---------------------------------------------------
@@ -224,15 +224,17 @@ def _free_end_witness_unit(t0: float, T: float) -> PiecewisePoly:
     return PiecewisePoly(knots, pieces, 2)
 
 
-def _sigma_pointwise_unit(t0: float, T: float) -> Tuple[float, str, PiecewisePoly]:
-    """Value, branch tag and witness for the unit class, assuming t0 <= T/2."""
+def _sigma_pointwise_unit(
+    t0: float, T: float
+) -> Tuple[float, str, Callable[[], PiecewisePoly]]:
+    """Value, branch tag and witness builder for the unit class, assuming
+    t0 <= T/2."""
     if t0 > SQRT2:
-        witness = q_train(t0 + SQRT2, 0.0, T)
-        return SQRT2, "pointwise-interior-comparison", witness
+        return SQRT2, "pointwise-interior-comparison", lambda: q_train(t0 + SQRT2, 0.0, T)
     if T <= t0 + phi(t0) + _EDGE:
         value = G(t0, T - t0)
-        return value, "pointwise-short-segment", _two_contact_witness_unit(t0, T)
-    return phi(t0), "pointwise-free-end", _free_end_witness_unit(t0, T)
+        return value, "pointwise-short-segment", lambda: _two_contact_witness_unit(t0, T)
+    return phi(t0), "pointwise-free-end", lambda: _free_end_witness_unit(t0, T)
 
 
 def sigma_pointwise(query: PointwiseQuery) -> BoundResult:
@@ -243,16 +245,14 @@ def sigma_pointwise(query: PointwiseQuery) -> BoundResult:
     reflected = t0_unit > t_unit / 2
     if reflected:
         t0_unit = t_unit - t0_unit
-    value_unit, tag, unit_witness = _sigma_pointwise_unit(t0_unit, t_unit)
-    witness = _scale_witness(unit_witness, a, b)
-    if reflected:
-        witness = transform(witness, mu=-1.0, lam=-1.0, t0=T)
+    value_unit, tag, unit = _sigma_pointwise_unit(t0_unit, t_unit)
+    witness = _witness(unit, a, b, reflect_at=T if reflected else None)
     return BoundResult(
         value_unit * math.sqrt(a * b),
         EXACT,
         tag,
         witness=witness,
-        witness_point=t0,
+        witness_point=None if witness is None else t0,
     )
 
 
@@ -482,15 +482,15 @@ def sigma1(a: float, b: float, T: float) -> BoundResult:
     t_unit = T * math.sqrt(b / a)
 
     if t_unit <= 2:
-        witness = _scale_witness(_tau_witness_unit(t_unit), a, b) if T > _EDGE else None
+        witness = _witness(lambda: _tau_witness_unit(t_unit), a, b) if T > _EDGE else None
         return _sigma1_exact(2 * a, "T<=2", witness)
     N = _lattice_index(t_unit)
     if t_unit <= 4 and N is None:
         v = a * _sigma1_exact_unit(t_unit)
-        return _sigma1_exact(v, "2<=T<=4", _scale_witness(_parabola_witness_unit(t_unit), a, b))
+        return _sigma1_exact(v, "2<=T<=4", _witness(lambda: _parabola_witness_unit(t_unit), a, b))
     if N is not None:
         v = a * (2 * N + 4)
-        return _sigma1_exact(v, "lattice", _scale_witness(lattice_witness_unit(N), a, b))
+        return _sigma1_exact(v, "lattice", _witness(lambda: lattice_witness_unit(N), a, b))
 
     lower = a * _sigma1_lower_unit(t_unit)
     upper = a * _sigma1_upper_unit(t_unit)

@@ -35,14 +35,11 @@ def simplex_maximize(
     c: np.ndarray,
     A: np.ndarray,
     b: np.ndarray,
-    maxiter: int = 200000,
     tol: float = 1e-9,
-    rule: str = "bland",
 ) -> Tuple[np.ndarray, float, int]:
     """Maximize c.x subject to A x <= b, x >= 0, for b >= 0 (the all-slack
     basis is then feasible and no phase-1 is needed).  Bland's entering and
-    leaving rules guarantee termination; 'dantzig' picks the most negative
-    reduced cost (ties to the lowest index) and is usually faster."""
+    leaving rules guarantee termination; returns (x, value, pivots)."""
     m, n = A.shape
     if np.any(b < 0):
         raise SimplexError("negative right-hand side: slack basis infeasible")
@@ -56,16 +53,10 @@ def simplex_maximize(
 
     iterations = 0
     while True:
-        obj = T[m, :-1]
-        if rule == "bland":
-            neg = np.nonzero(obj < -tol)[0]
-            if neg.size == 0:
-                break
-            j = int(neg[0])
-        else:
-            j = int(np.argmin(obj))
-            if obj[j] >= -tol:
-                break
+        neg = np.nonzero(T[m, :-1] < -tol)[0]
+        if neg.size == 0:
+            break
+        j = int(neg[0])
         col = T[:m, j]
         pos = col > tol
         if not pos.any():
@@ -86,8 +77,6 @@ def simplex_maximize(
         T[r, j] = 1.0
         basis[r] = j
         iterations += 1
-        if iterations > maxiter:
-            raise SimplexError(f"iteration cap {maxiter} exceeded")
 
     x = np.zeros(n + m)
     rhs = T[:m, -1]
@@ -111,8 +100,8 @@ class LpProblem:
     A: np.ndarray = field(repr=False)
     rhs: np.ndarray = field(repr=False)
 
-    def solve(self, rule: str = "bland", maxiter: int = 200000) -> Tuple[float, np.ndarray, int]:
-        u, value, iters = simplex_maximize(self.c, self.A, self.rhs, maxiter=maxiter, rule=rule)
+    def solve(self) -> Tuple[float, np.ndarray, int]:
+        u, value, iters = simplex_maximize(self.c, self.A, self.rhs)
         return value, u - self.a, iters  # shift back to v = u - a
 
 
@@ -155,12 +144,10 @@ def build_pointwise_lp(a: float, b: float, T: float, t0: float, M: int) -> LpPro
     return LpProblem(M=M, h=h, a=a, b=b, T=T, t0_index=j, c=c, A=A, rhs=rhs)
 
 
-def lp_max_pointwise_derivative(
-    a: float, b: float, T: float, t0: float, M: int, rule: str = "bland"
-) -> float:
+def lp_max_pointwise_derivative(a: float, b: float, T: float, t0: float, M: int) -> float:
     """Discretized supremum of the derivative at t0; approximates the closed
     form to O(h) (the discrete constraints relax the continuum ones)."""
-    return build_pointwise_lp(a, b, T, t0, M).solve(rule=rule)[0]
+    return build_pointwise_lp(a, b, T, t0, M).solve()[0]
 
 
 # -- bang-bang switching-point search ----------------------------------------
@@ -231,9 +218,7 @@ def _evaluate_bangbang(
 
 
 def _decode(theta: np.ndarray, T: float) -> Tuple[float, float, List[float]]:
-    f0, fp0 = theta[0], theta[1]
-    switches = sorted(float(np.clip(s, 0.0, T)) for s in theta[2:])
-    return float(f0), float(fp0), switches
+    return float(theta[0]), float(theta[1]), np.sort(np.clip(theta[2:], 0.0, T)).tolist()
 
 
 def bangbang_sigma1_search(

@@ -6,9 +6,12 @@ polynomials of degree < n satisfies L(f) = integral of K * f^(n), where
 
     K(t) = sum_i lambda_i (alpha_i - t)^(n-1-m_i) / (n-1-m_i)!  [t <= alpha_i]
 
-is piecewise polynomial in t with breakpoints at the alpha_i.  Everything in
-this module keeps exact rationals exact; sups over kernel pieces are taken
-per interval from polynomial critical points, never from raw grids.
+is piecewise polynomial in t with breakpoints at the alpha_i.  Functionals
+are exact: alpha, lambda and T are stored as Fractions (a float converts
+exactly), so the annihilation test is an identity, kernel pieces have
+rational coefficients and the L1 norm splits at exactly isolated sign
+changes.  The certificate's kernel sup is taken per piece at the float
+critical points of the polynomial, never from raw grids in t.
 """
 from __future__ import annotations
 
@@ -19,31 +22,37 @@ from typing import List, Sequence, Tuple
 
 from . import _roots
 from .exactnum import Poly, Real
-from .pwpoly import PiecewisePoly
+from .pwpoly import PiecewisePoly, abs_integral
+
+
+def _exact(v: Real) -> Fraction:
+    """v as a Fraction; a float converts exactly, an inf or NaN is refused."""
+    if isinstance(v, float) and not math.isfinite(v):
+        raise ValueError(f"non-finite number {v}")
+    return Fraction(v)
 
 
 @dataclass(frozen=True)
 class LinearFunctional:
-    """Finite sum of derivative evaluations on [0, T], kernel order n."""
+    """Finite sum of derivative evaluations on [0, T], kernel order n.
+    alpha, lambda and T are stored as Fractions."""
 
-    terms: Tuple[Tuple[Real, int, Real], ...]  # (alpha, m, lambda)
-    T: Real
+    terms: Tuple[Tuple[Fraction, int, Fraction], ...]  # (alpha, m, lambda)
+    T: Fraction
     n: int
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("kernel order n must be >= 1")
-        for alpha, m, _lam in self.terms:
-            if not 0 <= float(alpha) <= float(self.T):
-                raise ValueError(f"alpha {alpha} outside [0, {self.T}]")
+        T = _exact(self.T)
+        terms = tuple((_exact(alpha), m, _exact(lam)) for alpha, m, lam in self.terms)
+        for alpha, m, _lam in terms:
+            if not 0 <= alpha <= T:
+                raise ValueError(f"alpha {alpha} outside [0, {T}]")
             if not 0 <= m <= self.n - 1:
                 raise ValueError(f"derivative order {m} outside 0..{self.n - 1}")
-
-    def is_exact(self) -> bool:
-        return all(
-            isinstance(alpha, (Fraction, int)) and isinstance(lam, (Fraction, int))
-            for alpha, _m, lam in self.terms
-        )
+        object.__setattr__(self, "T", T)
+        object.__setattr__(self, "terms", terms)
 
     def __call__(self, f) -> float:
         """Apply to a callable-with-derivatives (PiecewisePoly or Poly)."""
@@ -63,34 +72,16 @@ def derivative_functional(x: Real, T: Real) -> LinearFunctional:
         raise ValueError(f"T must be positive and finite, got {T}")
     if not 0 <= x <= T:
         raise ValueError(f"need 0 <= x <= T, got x={x}, T={T}")
-    if isinstance(x, (Fraction, int)) and isinstance(T, (Fraction, int)):
-        one_over_T = Fraction(1, 1) / Fraction(T)
-        return LinearFunctional(
-            ((Fraction(x), 1, Fraction(1)), (Fraction(T), 0, -one_over_T), (Fraction(0), 0, one_over_T)),
-            Fraction(T),
-            2,
-        )
-    return LinearFunctional(
-        ((float(x), 1, 1.0), (float(T), 0, -1.0 / float(T)), (0.0, 0, 1.0 / float(T))),
-        float(T),
-        2,
+    one_over_T = 1 / Fraction(T)
+    return LinearFunctional(((x, 1, 1), (T, 0, -one_over_T), (0, 0, one_over_T)), T, 2)
+
+
+def annihilates_polys(L: LinearFunctional) -> bool:
+    """True iff L kills every monomial x^j, j < n, exactly."""
+    return all(
+        sum(lam * math.perm(j, m) * alpha ** (j - m) for alpha, m, lam in L.terms if m <= j) == 0
+        for j in range(L.n)
     )
-
-
-def annihilates_polys(L: LinearFunctional, rel_tol: float = 1e-10) -> bool:
-    """True iff L kills every monomial x^j, j < n, within rel_tol relative to
-    sum |lambda_i| T^j."""
-    for j in range(L.n):
-        total = 0.0
-        scale = 0.0
-        for alpha, m, lam in L.terms:
-            scale += abs(float(lam)) * float(L.T) ** j
-            if m <= j:
-                coeff = math.perm(j, m)  # j!/(j-m)!
-                total += float(lam) * coeff * float(alpha) ** (j - m)
-        if abs(total) > rel_tol * max(scale, 1e-300):
-            return False
-    return True
 
 
 def kernel_discontinuities(L: LinearFunctional) -> List[float]:
@@ -113,56 +104,33 @@ def peano_kernel(L: LinearFunctional, t: Real) -> float:
     return peano_kernel_at(L, t)[0]
 
 
-def kernel_pieces(L: LinearFunctional) -> List[Tuple[Real, Real, Poly]]:
+def kernel_pieces(L: LinearFunctional) -> List[Tuple[Fraction, Fraction, Poly]]:
     """The kernel as (lo, hi, polynomial-in-t) pieces between breakpoints."""
-    exact = L.is_exact()
-    zero: Real = Fraction(0) if exact else 0.0
-    pts = {zero, L.T if exact else float(L.T)}
-    for alpha, _m, _lam in L.terms:
-        pts.add(alpha if exact else float(alpha))
-    breaks = sorted(pts, key=float)
-    out: List[Tuple[Real, Real, Poly]] = []
+    breaks = sorted({Fraction(0), L.T, *(alpha for alpha, _m, _lam in L.terms)})
+    out: List[Tuple[Fraction, Fraction, Poly]] = []
     for lo, hi in zip(breaks, breaks[1:]):
         poly = Poly()
         for alpha, m, lam in L.terms:
-            if float(alpha) >= float(hi):
+            if alpha >= hi:
                 p = L.n - 1 - m
-                fact = Fraction(1, math.factorial(p)) if exact else 1.0 / math.factorial(p)
                 # (alpha - t)^p expanded in t
-                base = Poly([alpha, -1 if exact else -1.0])
-                powp = Poly([1 if exact else 1.0])
+                base = Poly([alpha, -1])
+                powp = Poly([1])
                 for _ in range(p):
                     powp = powp * base
-                poly = poly + powp * (lam * fact)
-            elif float(alpha) > float(lo):
+                poly = poly + powp * (lam * Fraction(1, math.factorial(p)))
+            elif alpha > lo:
                 raise AssertionError("alpha strictly inside a kernel piece")
         out.append((lo, hi, poly))
     return out
 
 
 def kernel_l1_norm(L: LinearFunctional) -> float:
-    """Integral of |K| over [0, T]: split each piece at the kernel's sign
-    changes and integrate the polynomial exactly in between."""
+    """Integral of |K| over [0, T]: each piece split at the kernel's sign
+    changes and integrated in between."""
     if not annihilates_polys(L):
         raise ValueError("functional does not annihilate polynomials of degree < n")
-    total = 0.0
-    exact = L.is_exact()
-    for lo, hi, poly in kernel_pieces(L):
-        if poly.is_zero():
-            continue
-        cuts = [float(lo)]
-        for r in (
-            _roots.real_roots_exact(poly, Fraction(lo), Fraction(hi))
-            if exact
-            else _roots.real_roots_float(poly.to_float(), float(lo), float(hi))
-        ):
-            if float(lo) < r.approx < float(hi):
-                cuts.append(r.approx)
-        cuts.append(float(hi))
-        anti = poly.antiderivative().to_float()
-        for u, v in zip(cuts, cuts[1:]):
-            total += abs(anti(v) - anti(u))
-    return total
+    return sum((abs_integral(poly, lo, hi, True) for lo, hi, poly in kernel_pieces(L)), 0.0)
 
 
 def deriv_kernel_l1_exact(x: Real, T: Real) -> Fraction:
@@ -196,7 +164,6 @@ class KernelCertificate:
     B: float
     n: int
     k: int
-    grid_size: int
 
     def __post_init__(self):
         if not (self.A > 0 and self.B > 0):
@@ -313,7 +280,10 @@ def _certificate_pieces(
     return out
 
 
-def vandermonde_certificate(n: int, k: int, grid_size: int = 201) -> KernelCertificate:
+CERTIFICATE_GRID = 201  # x = j/200, j = 0..200
+
+
+def vandermonde_certificate(n: int, k: int) -> KernelCertificate:
     """Make L_x(f) = f^(k)(x) - sum_i lambda_i(x) f(i/n) annihilate degree < n
     for x on a uniform grid of [0, 1], with lambda_i = ell_i^(k) from the
     Lagrange basis; A = max_x sum |lambda_i(x)| and B = max_x sup_t |K_x(t)|.
@@ -323,16 +293,14 @@ def vandermonde_certificate(n: int, k: int, grid_size: int = 201) -> KernelCerti
         raise ValueError(f"unsupported order n={n}: Vandermonde certificate needs 2 <= n <= 12")
     if not 0 < k < n:
         raise ValueError(f"need 0 < k < n, got k={k}")
-    if grid_size < 201:
-        raise ValueError("grid_size must be at least 201")
     alphas = certificate_nodes(n)
     basis = lagrange_derivatives(alphas, k)
     expansions = [_power_over_factorial(alpha, n - 1) for alpha in alphas]
     A = Fraction(0)
     B = 0.0
-    for j in range(grid_size):
-        x = Fraction(j, grid_size - 1)
+    for j in range(CERTIFICATE_GRID):
+        x = Fraction(j, CERTIFICATE_GRID - 1)
         lambdas = [ell(x) for ell in basis]
         A = max(A, sum(abs(l) for l in lambdas))
         B = max(B, _kernel_sup(_certificate_pieces(x, k, alphas, lambdas, expansions)))
-    return KernelCertificate(A=float(A), B=B, n=n, k=k, grid_size=grid_size)
+    return KernelCertificate(A=float(A), B=B, n=n, k=k)

@@ -207,25 +207,22 @@ def piece_sup(p: Poly, lo: Real, hi: Real, exact: bool) -> float:
     return max(candidates)
 
 
+def abs_integral(p: Poly, lo: Real, hi: Real, exact: bool) -> float:
+    """Integral of |p| over [lo, hi]: split at the roots of p inside the
+    interval and integrate the polynomial in between."""
+    flo, fhi = float(lo), float(hi)
+    cuts = [flo] + [r.approx for r in _piece_roots(p, lo, hi, exact) if flo < r.approx < fhi] + [fhi]
+    anti = p.antiderivative().to_float()
+    return sum((abs(anti(v) - anti(u)) for u, v in zip(cuts, cuts[1:])), 0.0)
+
+
 def total_variation(f: PiecewisePoly) -> float:
-    """Integral of |f'| over the domain, split exactly at the sign changes
-    of f' inside each piece."""
-    total = 0.0
+    """Integral of |f'| over the domain, piece by piece."""
     exact = f.is_exact()
-    for i, p in enumerate(f.pieces):
-        lo, hi = f.knots[i], f.knots[i + 1]
-        dp = p.derivative()
-        if dp.is_zero():
-            continue
-        cuts = [float(lo)]
-        for r in _piece_roots(dp, lo, hi, exact):
-            if float(lo) < r.approx < float(hi):
-                cuts.append(r.approx)
-        cuts.append(float(hi))
-        anti = dp.antiderivative().to_float()
-        for u, v in zip(cuts, cuts[1:]):
-            total += abs(anti(v) - anti(u))
-    return total
+    return sum(
+        abs_integral(p.derivative(), lo, hi, exact)
+        for p, lo, hi in zip(f.pieces, f.knots, f.knots[1:])
+    )
 
 
 # -- membership -----------------------------------------------------------

@@ -178,6 +178,30 @@ def test_bound_outside_float_range_exits_2(capsys):
     assert code == 0 and math.isfinite(payload["result"]["value"])
 
 
+# finite bounds whose scaled witness would have knots closer than 1e-12
+COLLAPSED_WITNESS = {
+    ("--T", "1e-13", "--t0", "0"): 2e13,
+    ("--a", "1e-300", "--b", "1e300", "--T", "1"): 2.0,
+    ("--a", "1e-300", "--b", "1e300", "--domain", "halfline"): 2.0,
+    ("--a", "1e-300", "--b", "1e300", "--domain", "line"): math.sqrt(2.0),
+}
+
+
+@pytest.mark.parametrize("argv", list(COLLAPSED_WITNESS), ids=" ".join)
+def test_bound_without_witness_still_prints_the_value(capsys, argv):
+    code, payload, err = run_json(capsys, "bound", "--n", "2", *argv)
+    assert code == 0, err
+    assert payload["result"]["status"] == "Exact"
+    assert payload["result"]["value"] == pytest.approx(COLLAPSED_WITNESS[argv], rel=1e-15)
+
+
+@pytest.mark.parametrize("argv", list(COLLAPSED_WITNESS), ids=" ".join)
+def test_extremal_without_scaled_witness_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, "extremal", "--n", "2", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: no extremal witness available") and len(err.splitlines()) == 1
+
+
 def test_extremal_verify_round_trip(tmp_path, capsys):
     for argv in (
         ["extremal", "--n", "2", "--domain", "segment", "--T", "2", "--t0", "0"],
@@ -304,6 +328,20 @@ def test_golden_kernel_certificate_csv(capsys):
     code, out, _ = run_cli(capsys, "kernel", "--n", "4", "--k", "2", "--x", "0.3", "--samples", "5")
     assert code == 0
     assert out == GOLDEN_KERNEL_CSV
+
+
+# stdout of `landau kernel --n 2 --T 1.7 --x 0.3 --samples 9`, byte for byte:
+# float x and T go through the exact functional
+GOLDEN_KERNEL_N2_CSV = (
+    "t,K\n0.0,0.0\n0.2125,0.125\n0.425,-0.75\n0.6375,-0.625\n0.85,-0.5\n1.0625,-0.375\n"
+    "1.275,-0.25000000000000006\n1.4875,-0.12499999999999996\n1.7,0.0\n"
+)
+
+
+def test_golden_kernel_n2_csv(capsys):
+    code, out, _ = run_cli(capsys, "kernel", "--n", "2", "--T", "1.7", "--x", "0.3", "--samples", "9")
+    assert code == 0
+    assert out == GOLDEN_KERNEL_N2_CSV
 
 
 def test_kernel_samples_stay_finite_on_huge_segment(capsys):

@@ -58,6 +58,28 @@ def test_kernel_l1_norm_closed_form():
     assert deriv_kernel_l1_exact(F(1), F(2)) == F(1, 2)
 
 
+def test_float_functional_converts_exactly():
+    L = derivative_functional(0.3, 1.7)
+    assert L.T == F(1.7) and all(isinstance(v, F) for alpha, _m, lam in L.terms for v in (alpha, lam))
+    assert annihilates_polys(L)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            LinearFunctional(((bad, 0, F(1)),), F(1), 1)
+        with pytest.raises(ValueError):
+            LinearFunctional(((F(0), 0, bad),), F(1), 1)
+        with pytest.raises(ValueError):
+            LinearFunctional(((F(0), 0, F(1)),), bad, 1)
+
+
+def test_kernel_l1_norm_of_float_functionals():
+    rng = random.Random(5)
+    for _ in range(20):
+        T = rng.uniform(0.01, 50.0)
+        x = rng.uniform(0.0, T)
+        got = kernel_l1_norm(derivative_functional(x, T))
+        assert got == pytest.approx(float(deriv_kernel_l1_exact(x, T)), rel=1e-12)
+
+
 def test_kernel_l1_matches_riemann_sum():
     rng = random.Random(17)
     for _ in range(5):

@@ -250,3 +250,15 @@ def test_non_finite_splines_are_rejected():
                  '{"knots": [0, 1], "pieces": [[0.5, -Infinity]], "n": 2}'):
         with pytest.raises(StructuralError):
             PiecewisePoly.from_json(text)
+
+
+def test_membership_sees_a_bump_hidden_by_a_split_midpoint_root():
+    # f' has the roots 1/10, 3/4 and 7/8; |f(1/10)| = 0.05302 > a, and the
+    # sup check finds it only if the root isolator keeps 1/10
+    f = PiecewisePoly.from_json(
+        '{"knots": ["0/1", "1/1"], "pieces": [["-1/20", "-21/320", "131/320", "-23/40", "1/4"]], "n": 4}'
+    )
+    assert abs(float(f(Fraction(1, 10)))) > 0.053
+    report = membership(f, 4, Fraction(51, 1000), Fraction(6))
+    assert not report.ok and not report.numeric
+    assert [v.kind for v in report.violations] == ["sup"]
