@@ -6,13 +6,15 @@ extendability, and the total-variation supremum sigma_1.
 Every exact value comes with an extremal witness spline that passes the
 membership check and attains the value at the reported point, unless the
 witness would have knots closer than MIN_KNOT_GAP (a segment of length about
-1e-12, or a, b so far apart that the scaling collapses); the value is then
-returned without one.  General (a, b) queries are reduced to the unit class
-by f(t) = a * f_unit(t * sqrt(b/a)).
+1e-12, or a, b so far apart that the scaling collapses), more than MAX_ARCS
+comparison arcs, or b/a outside the float range; the value is then returned
+without one.  General (a, b) queries are reduced to the unit class by
+f(t) = a * f_unit(t * sqrt(b/a)), with sqrt(b/a) and sqrt(a b) kept in range.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional, Tuple
@@ -29,6 +31,7 @@ from .pwpoly import (
 )
 
 SQRT2 = math.sqrt(2.0)
+MAX_ARCS = 10**5
 _EDGE = 1e-9
 
 
@@ -80,6 +83,8 @@ def q_train(shift: float, lo: float, hi: float) -> PiecewisePoly:
     period = 2 * SQRT2
     k_lo = math.floor((lo - shift) / period) - 1
     k_hi = math.ceil((hi - shift) / period) + 1
+    if k_hi - k_lo > MAX_ARCS:
+        raise StructuralError(f"comparison train on [{lo}, {hi}] has more than {MAX_ARCS} arcs")
     knots: List[float] = [lo]
     pieces: List[Poly] = []
     base = Poly([1.0, 0.0, -0.5])
@@ -120,6 +125,14 @@ def _long_witness_unit(T: Real) -> PiecewisePoly:
     return PiecewisePoly([F(0), F(2), T], [Poly([F(-1), F(2), F(-1) / 2]), Poly([F(1)])], 2)
 
 
+def _scales(a: float, b: float) -> Tuple[float, float]:
+    """(sqrt(b/a), sqrt(a b)) from a, b scaled by even powers of two: the ratio and
+    product stay in the float range, and the exact scaling keeps in-range bits."""
+    ea, eb = math.frexp(a)[1] // 2 * 2, math.frexp(b)[1] // 2 * 2
+    ma, mb = math.ldexp(a, -ea), math.ldexp(b, -eb)
+    return math.ldexp(math.sqrt(mb / ma), (eb - ea) // 2), math.ldexp(math.sqrt(ma * mb), (ea + eb) // 2)
+
+
 def _witness(
     unit: Callable[[], PiecewisePoly], a: float, b: float, reflect_at: Optional[float] = None
 ) -> Optional[PiecewisePoly]:
@@ -130,7 +143,10 @@ def _witness(
     try:
         w = unit()
         if (a, b) != (1, 1):
-            w = transform(w, mu=a, lam=math.sqrt(b / a))
+            lam = _scales(a, b)[0]
+            if not sys.float_info.min <= lam * lam < math.inf:
+                return None  # b/a leaves the float range: scaled t^2 terms are lost
+            w = transform(w, mu=a, lam=lam)
         return w if reflect_at is None else transform(w, mu=-1.0, lam=-1.0, t0=reflect_at)
     except StructuralError:
         return None
@@ -154,18 +170,19 @@ def sigma_inf(a: float, b: float, domain: Domain) -> BoundResult:
         value, tag = kolmogorov_bound(2, 1, a, b), "kolmogorov-whole-line"
         unit = _whole_line_witness_unit
     elif isinstance(domain, _HalfLineType):
-        value, tag = 2 * math.sqrt(a * b), "half-line-monotone-limit"
+        value, tag = 2 * _scales(a, b)[1], "half-line-monotone-limit"
         unit = lambda: _long_witness_unit(Fraction(3))  # any length > 2 carries the extremal rise
     else:
         T = domain.T
-        t_unit = T * math.sqrt(b / a)
+        scale, root_ab = _scales(a, b)
+        t_unit = T * scale
         # the witness for t_unit just above 2 would carry a degenerate flat
         # piece; both branches agree to O((t_unit - 2)^2) there
         if t_unit <= 2 + _EDGE:
             value, tag = 2 * a / T + b * T / 2, "segment-short-closed-form"
             unit = (lambda: _ramp_witness_unit(t_unit)) if T > _EDGE else None
         else:
-            value, tag = 2 * math.sqrt(a * b), "segment-long-closed-form"
+            value, tag = 2 * root_ab, "segment-long-closed-form"
             unit = lambda: _long_witness_unit(t_unit)
     witness = _witness(unit, a, b) if unit else None
     return BoundResult(value, EXACT, tag, witness=witness, witness_point=None if witness is None else 0.0)
@@ -240,7 +257,7 @@ def _sigma_pointwise_unit(
 def sigma_pointwise(query: PointwiseQuery) -> BoundResult:
     """sup of f'(t0) (equivalently |f'(t0)|) over the segment class."""
     a, b, T, t0 = query.a, query.b, query.T, query.t0
-    scale = math.sqrt(b / a)
+    scale, root_ab = _scales(a, b)
     t0_unit, t_unit = t0 * scale, T * scale
     reflected = t0_unit > t_unit / 2
     if reflected:
@@ -248,7 +265,7 @@ def sigma_pointwise(query: PointwiseQuery) -> BoundResult:
     value_unit, tag, unit = _sigma_pointwise_unit(t0_unit, t_unit)
     witness = _witness(unit, a, b, reflect_at=T if reflected else None)
     return BoundResult(
-        value_unit * math.sqrt(a * b),
+        value_unit * root_ab,
         EXACT,
         tag,
         witness=witness,
@@ -403,6 +420,7 @@ def _sigma1_exact_unit(T: float) -> Optional[float]:
 
 
 _SPLITS = [0.5 * i for i in range(1, 9)]  # exact blocks of length 0.5 .. 4
+_FULL_SEARCH = 1000.0
 
 
 def _sigma1_upper_unit(T: float, depth: int = 2) -> float:
@@ -416,11 +434,12 @@ def _sigma1_upper_unit(T: float, depth: int = 2) -> float:
         for s in _SPLITS:
             if s < T:
                 cands.append(_sigma1_exact_unit(s) + _sigma1_upper_unit(T - s, depth - 1))
-        N = 1
-        while N * _LATTICE_STEP + 4 <= T:
-            block = N * _LATTICE_STEP + 4
-            cands.append(2 * N + 4 + _sigma1_upper_unit(T - block, depth - 1))
-            N += 1
+        # every block up to T = _FULL_SEARCH (the search is quadratic in T), the longest beyond
+        first = 1 if T <= _FULL_SEARCH else math.floor((T - 4) / _LATTICE_STEP)
+        for N in range(first, sys.maxsize if T <= _FULL_SEARCH else first + 1):
+            if N * _LATTICE_STEP + 4 > T:
+                break
+            cands.append(2 * N + 4 + _sigma1_upper_unit(T - (N * _LATTICE_STEP + 4), depth - 1))
     return min(cands)
 
 
@@ -479,7 +498,7 @@ def sigma1(a: float, b: float, T: float) -> BoundResult:
         raise ValueError(f"T must be nonnegative and finite, got {T}")
     if T == 0:
         return _sigma1_exact(0.0, "T<=2")
-    t_unit = T * math.sqrt(b / a)
+    t_unit = T * _scales(a, b)[0]
 
     if t_unit <= 2:
         witness = _witness(lambda: _tau_witness_unit(t_unit), a, b) if T > _EDGE else None

@@ -10,15 +10,17 @@ is piecewise polynomial in t with breakpoints at the alpha_i.  Functionals
 are exact: alpha, lambda and T are stored as Fractions (a float converts
 exactly), so the annihilation test is an identity, kernel pieces have
 rational coefficients and the L1 norm splits at exactly isolated sign
-changes.  The certificate's kernel sup is taken per piece at the float
-critical points of the polynomial, never from raw grids in t.
+changes.  The certificate runs on integer suffix sums over one denominator;
+its kernel sup is taken per piece at the float critical points, skipping the
+pieces whose exact Taylor bound cannot raise it, which leaves B unchanged.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from . import _roots
 from .exactnum import Poly, Real
@@ -84,11 +86,6 @@ def annihilates_polys(L: LinearFunctional) -> bool:
     )
 
 
-def kernel_discontinuities(L: LinearFunctional) -> List[float]:
-    """Jump locations: alphas carrying a derivative of maximal order n-1."""
-    return sorted({float(a) for a, m, _ in L.terms if m == L.n - 1})
-
-
 def peano_kernel_at(L: LinearFunctional, t: Real) -> Tuple[float, bool]:
     """(K(t), at_jump): the kernel value, one-sided (left limit) at jumps."""
     total = 0.0
@@ -96,7 +93,7 @@ def peano_kernel_at(L: LinearFunctional, t: Real) -> Tuple[float, bool]:
         p = L.n - 1 - m
         if float(t) <= float(alpha):
             total += float(lam) * float(alpha - t) ** p / math.factorial(p)
-    at_jump = any(float(t) == float(a) for a in kernel_discontinuities(L))
+    at_jump = any(float(t) == float(a) for a, m, _ in L.terms if m == L.n - 1)  # order n-1 jumps
     return total, at_jump
 
 
@@ -232,52 +229,88 @@ def certificate_functional(n: int, k: int, x: Fraction) -> LinearFunctional:
     return LinearFunctional(tuple(terms), Fraction(1), n)
 
 
-def _power_over_factorial(c: Fraction, p: int) -> List[Fraction]:
-    """Coefficients in t of (c - t)^p / p!."""
-    fact = math.factorial(p)
-    return [Fraction(math.comb(p, m) * (-1) ** m, fact) * c ** (p - m) for m in range(p + 1)]
+class _GridTables(NamedTuple):
+    """The certificate at x = j/grid in integers: lambda_i(x) = L_i(j) / lam_den,
+    kernel-piece t-coefficients N_m / D, breaks lo, hi over n * grid."""
+
+    n: int
+    grid: int
+    lam: List[List[int]]  # L_i(j) = sum_m lam[i][m] j^m
+    lam_den: int
+    expansions: List[List[int]]  # (alpha_i - t)^(n-1)/(n-1)! times D / lam_den
+    x_term: List[int]  # (x - t)^d/d! times D is sum_m x_term[m] j^(d-m) t^m
+    D: int
+    shift: List[int]  # u^(n-1-m), u = 2 n grid, for _piece_bound
+
+    def lambdas(self, j: int) -> List[int]:
+        powers = [j**m for m in range(len(self.x_term))]
+        return [sum(map(operator.mul, coeffs, powers)) for coeffs in self.lam]
 
 
-def _kernel_sup(pieces: Sequence[Tuple[Real, Real, Poly]]) -> float:
-    """sup_t |K(t)| via per-interval polynomial maxima."""
-    best = 0.0
-    for lo, hi, poly in pieces:
-        if poly.is_zero():
-            continue
-        fp = poly.to_float()
-        cand = [abs(fp(float(lo))), abs(fp(float(hi)))]
-        fpd = fp.derivative()
-        if not fpd.is_zero():
-            for r in _roots.real_roots_float(fpd, float(lo), float(hi)):
-                cand.append(abs(fp(r.approx)))
-        best = max(best, max(cand))
-    return best
+def _grid_tables(n: int, k: int, grid: int) -> _GridTables:
+    d = n - 1 - k
+    basis = lagrange_derivatives(certificate_nodes(n), k)
+    den = math.lcm(*(c.denominator for ell in basis for c in ell.coeffs))
+    lam = [[int(c * den) * grid ** (d - m) for m, c in enumerate(ell.coeffs)] for ell in basis]
+    # (i/n - t)^(n-1)/(n-1)! has integer coefficients over n^(n-1) (n-1)!, (j/grid - t)^d/d! over grid^d d!
+    e_den, x_den = den * grid**d * n ** (n - 1) * math.factorial(n - 1), grid**d * math.factorial(d)
+    D = math.lcm(e_den, x_den)
+    expansions = [[D // e_den * math.comb(n - 1, m) * (-1) ** m * i ** (n - 1 - m) * n**m for m in range(n)]
+                  for i in range(1, n + 1)]
+    x_term = [D // x_den * math.comb(d, m) * (-1) ** m * grid**m for m in range(d + 1)]
+    shift = [(2 * n * grid) ** (n - 1 - m) for m in range(n)]
+    return _GridTables(n, grid, lam, den * grid**d, expansions, x_term, D, shift)
 
 
-def _certificate_pieces(
-    x: Fraction,
-    k: int,
-    alphas: Sequence[Fraction],
-    lambdas: Sequence[Fraction],
-    expansions: Sequence[List[Fraction]],
-) -> List[Tuple[Fraction, Fraction, Poly]]:
-    """kernel_pieces of L_x, built right to left: a piece's polynomial is the
-    running sum of -lambda_i (alpha_i - t)^(n-1)/(n-1)! over alpha_i >= hi,
-    plus the (x - t)^(n-1-k)/(n-1-k)! term when x >= hi."""
-    x_term = _power_over_factorial(x, len(alphas) - 1 - k)
-    breaks = sorted({Fraction(0), Fraction(1), x, *alphas})
-    suffix = [Fraction(0)] * len(alphas)
-    i = len(alphas)
-    out = []
+def _certificate_pieces(tab: _GridTables, j: int, lambdas: Sequence[int]) -> List[Tuple[int, int, List[int]]]:
+    """kernel_pieces of L_x at x = j/grid as (lo, hi, numerators), right to left: the
+    sum of -lambda_i (alpha_i - t)^(n-1)/(n-1)! over alpha_i >= hi, plus (x - t)^d/d! if x >= hi."""
+    n, grid, d = tab.n, tab.grid, len(tab.x_term) - 1
+    x_term = [c * j ** (d - m) for m, c in enumerate(tab.x_term)]
+    breaks = sorted({0, j * n, *range(grid, n * grid + 1, grid)})
+    suffix, i, out = [0] * n, n, []
     for lo, hi in reversed(list(zip(breaks, breaks[1:]))):
-        while i and alphas[i - 1] >= hi:
+        while i and i * grid >= hi:
             i -= 1
-            lam = lambdas[i]
-            suffix = [s - lam * e for s, e in zip(suffix, expansions[i])]
-        coeffs = suffix if hi > x else [s + c for s, c in zip(suffix, x_term)] + suffix[len(x_term):]
-        out.append((lo, hi, Poly(coeffs)))
-    out.reverse()
-    return out
+            suffix = [s - lambdas[i] * e for s, e in zip(suffix, tab.expansions[i])]
+        coeffs = suffix if hi > j * n else [s + c for s, c in zip(suffix, x_term)] + suffix[d + 1:]
+        out.append((lo, hi, coeffs))
+    return out[::-1]
+
+
+def _piece_bound(tab: _GridTables, lo: int, hi: int, nums: Sequence[int]) -> float:
+    """Upper bound on every candidate _kernel_sup takes on p(t) = sum_m N_m t^m / D,
+    lo <= n grid t <= hi.  With u = 2 n grid and t = (lo + hi + w)/u, the exact
+    integer Taylor shift D u^(n-1) p(t) = sum_i r_i w^i and |w| <= hi - lo give
+    sup |p| <= sum_i |r_i| (hi - lo)^i / (D u^(n-1)) <= C = sum_m |N_m| / D.  The
+    float candidates (rounded coefficients, Horner steps, points within 2^-53 of
+    the piece in [0, 1], |p'| <= (n - 1) C) exceed the exact |p| by at most
+    3n 2^-53 C, the quotients below lose a few 2^-53 C: 1e-12 C covers it all."""
+    top, mid, h = tab.n - 1, lo + hi, hi - lo
+    r = [c * p for c, p in zip(nums, tab.shift)]
+    for s in range(top):
+        for m in range(top - 1, s - 1, -1):
+            r[m] += mid * r[m + 1]
+    S = 0
+    for c in reversed(r):
+        S = S * h + abs(c)
+    return S / (tab.D * tab.shift[0]) + 1e-12 * (sum(map(abs, nums)) / tab.D)
+
+
+def _kernel_sup(pieces: Sequence[Tuple[int, int, List[int]]], tab: _GridTables, best: float = 0.0) -> float:
+    """max(best, sup_t |K(t)|) from per-piece float maxima at the ends and critical
+    points, skipping a piece whose _piece_bound is below the running best."""
+    unit = tab.n * tab.grid
+    for lo, hi, nums in pieces:
+        if not any(nums) or _piece_bound(tab, lo, hi, nums) < best:
+            continue
+        fp = Poly(c / tab.D for c in nums)
+        lo_f, hi_f = lo / unit, hi / unit
+        cand = [abs(fp(lo_f)), abs(fp(hi_f))]
+        if fp.degree > 0:
+            cand.extend(abs(fp(r.approx)) for r in _roots.real_roots_float(fp.derivative(), lo_f, hi_f))
+        best = max(best, *cand)
+    return best
 
 
 CERTIFICATE_GRID = 201  # x = j/200, j = 0..200
@@ -286,21 +319,15 @@ CERTIFICATE_GRID = 201  # x = j/200, j = 0..200
 def vandermonde_certificate(n: int, k: int) -> KernelCertificate:
     """Make L_x(f) = f^(k)(x) - sum_i lambda_i(x) f(i/n) annihilate degree < n
     for x on a uniform grid of [0, 1], with lambda_i = ell_i^(k) from the
-    Lagrange basis; A = max_x sum |lambda_i(x)| and B = max_x sup_t |K_x(t)|.
-    The basis and the expansions of (alpha_i - t)^(n-1)/(n-1)! are exact and
-    built once; each x costs a Horner evaluation and suffix sums."""
+    Lagrange basis; A = max_x sum |lambda_i(x)| and B = max_x sup_t |K_x(t)|."""
     if not 2 <= n <= 12:
         raise ValueError(f"unsupported order n={n}: Vandermonde certificate needs 2 <= n <= 12")
     if not 0 < k < n:
         raise ValueError(f"need 0 < k < n, got k={k}")
-    alphas = certificate_nodes(n)
-    basis = lagrange_derivatives(alphas, k)
-    expansions = [_power_over_factorial(alpha, n - 1) for alpha in alphas]
-    A = Fraction(0)
-    B = 0.0
+    tab = _grid_tables(n, k, CERTIFICATE_GRID - 1)
+    A, B = 0, 0.0
     for j in range(CERTIFICATE_GRID):
-        x = Fraction(j, CERTIFICATE_GRID - 1)
-        lambdas = [ell(x) for ell in basis]
-        A = max(A, sum(abs(l) for l in lambdas))
-        B = max(B, _kernel_sup(_certificate_pieces(x, k, alphas, lambdas, expansions)))
-    return KernelCertificate(A=float(A), B=B, n=n, k=k)
+        lambdas = tab.lambdas(j)
+        A = max(A, sum(map(abs, lambdas)))
+        B = _kernel_sup(_certificate_pieces(tab, j, lambdas), tab, B)
+    return KernelCertificate(A=A / tab.lam_den, B=B, n=n, k=k)

@@ -156,7 +156,8 @@ class PiecewisePoly:
         try:
             knots = [dec(k) for k in d["knots"]]
             pieces = [Poly([dec(c) for c in cs]) for cs in d["pieces"]]
-            n = int(d.get("n", 2))
+            if type(n := d.get("n", 2)) is not int or n < 1:  # bool and 2.5 are refused
+                raise ValueError(f"n must be an integer >= 1, got {n!r}")
         except (KeyError, TypeError, ValueError) as exc:
             raise StructuralError(f"bad spline JSON: {exc}") from exc
         return PiecewisePoly(knots, pieces, n)
@@ -250,8 +251,8 @@ def membership(f: PiecewisePoly, n: int, a: Real, b: Real, tol: float = JOIN_TOL
     piece, sup |f| <= a, and |f^(n)| <= b (a constant on each piece)."""
     if n < 1:
         raise ValueError("order n must be >= 1")
-    if not (a > 0 and b > 0):
-        raise ValueError("bounds a and b must be positive")
+    if not (0 < a < math.inf and 0 < b < math.inf):
+        raise ValueError("bounds a and b must be positive and finite")
     exact = f.is_exact() and _is_exact_number(a) and _is_exact_number(b)
     violations: List[Violation] = []
 

@@ -16,6 +16,7 @@ from landaukol.bounds import (
     Segment,
     compute_bound,
 )
+from landaukol.pwpoly import membership, total_variation
 
 SQRT2 = math.sqrt(2.0)
 
@@ -132,3 +133,31 @@ def test_certificate_bound_non_increasing_in_T(T):
     value = compute_bound(BoundQuery(4, 2, 1, 1, Segment(T))).value
     assert value <= compute_bound(BoundQuery(4, 2, 1, 1, Segment(T / 2))).value * (1 + 1e-12)
     assert value >= compute_bound(BoundQuery(4, 2, 1, 1, FullLine)).value
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    route=st.sampled_from(["segment", "halfline", "line", "t0", "var"]),
+    log_a=st.floats(-3, 3),
+    log_b=st.floats(-3, 3),
+    T_unit=st.floats(1e-3, 60),
+    where=st.floats(0, 1),
+)
+def test_exact_witness_is_a_member_attaining_its_value(route, log_a, log_b, T_unit, where):
+    # every n = 2 Exact result that carries a witness is a member of the
+    # class, and attains its value at witness_point (the total variation
+    # for the var functional)
+    a, b = 10.0**log_a, 10.0**log_b
+    T = T_unit * math.sqrt(a / b)
+    domain = {"halfline": HalfLine, "line": FullLine}.get(route, Segment(T))
+    query = BoundQuery(2, 1, a, b, domain, "var" if route == "var" else "sup",
+                       where * T if route == "t0" else None)
+    res = compute_bound(query)
+    if res.status != EXACT or res.witness is None:
+        return
+    assert membership(res.witness, 2, a, b).ok
+    if route == "var":
+        attained = total_variation(res.witness)
+    else:
+        attained = abs(float(res.witness.deriv_value(res.witness_point, 1)))
+    assert attained == pytest.approx(res.value, rel=1e-9)

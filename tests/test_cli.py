@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from landaukol.cli import main
 
@@ -202,6 +207,38 @@ def test_extremal_without_scaled_witness_exits_2(capsys, argv):
     assert err.startswith("error: no extremal witness available") and len(err.splitlines()) == 1
 
 
+# a and b about 600 orders of magnitude apart, or both near the top of the
+# float range: sqrt(b/a) or sqrt(a b) alone would leave the float range
+FAR_APART = {
+    ("--a", "1e300", "--b", "1e-300", "--T", "1"): 2e300,
+    ("--a", "1e300", "--b", "1e-300", "--T", "1", "--functional", "var"): 2e300,
+    ("--a", "1e300", "--b", "1e-300", "--domain", "halfline"): 2.0,
+    ("--a", "1e300", "--b", "1e-300", "--T", "1", "--t0", "0.5"): 2e300,
+    ("--a", "1e300", "--b", "1e300", "--T", "10"): 2e300,
+    ("--a", "1e300", "--b", "1e300", "--domain", "halfline"): 2e300,
+    ("--a", "1e-300", "--b", "1e300", "--T", "1", "--t0", "0.3"): math.sqrt(2.0),
+    ("--a", "1e-300", "--b", "1e300", "--T", "1", "--functional", "var"): 1 / math.sqrt(2.0),
+}
+
+
+@pytest.mark.parametrize("argv", list(FAR_APART), ids=" ".join)
+def test_bound_with_far_apart_a_b_prints_the_value(capsys, argv):
+    code, payload, err = run_json(capsys, "bound", "--n", "2", *argv)
+    assert code == 0, err
+    result = payload["result"]
+    assert result.get("value", result.get("upper")) == pytest.approx(FAR_APART[argv], rel=1e-12)
+
+
+@pytest.mark.parametrize("argv", list(FAR_APART), ids=" ".join)
+def test_extremal_with_far_apart_a_b_is_a_member_or_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, "extremal", "--n", "2", *argv)
+    if code == 0:
+        assert json.loads(out)["result"]["membership"] == "ok"
+    else:
+        assert code == 2 and out == ""
+        assert err.startswith("error: no extremal witness available") and len(err.splitlines()) == 1
+
+
 def test_extremal_verify_round_trip(tmp_path, capsys):
     for argv in (
         ["extremal", "--n", "2", "--domain", "segment", "--T", "2", "--t0", "0"],
@@ -257,6 +294,47 @@ def test_verify_rejects_non_finite_spline(tmp_path, capsys):
         path.write_text(text)
         code, out, err = run_cli(capsys, "verify", "--file", str(path))
         assert code == 2 and out == "" and "cannot read spline" in err
+
+
+@pytest.mark.parametrize("extreme", [(), ("--extreme",)], ids=["membership", "extreme"])
+@pytest.mark.parametrize("bounds", ["--b=inf", "--a=inf", "--a=nan", "--b=-inf"])
+def test_verify_rejects_non_finite_bounds(tmp_path, capsys, bounds, extreme):
+    path = tmp_path / "w.json"
+    path.write_text('{"knots": [0, 1], "pieces": [[0.5]], "n": 2}')
+    code, out, err = run_cli(capsys, "verify", "--file", str(path), bounds, *extreme)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("n", ["2.5", "0", "-1", "true", '"2"', "null"])
+def test_verify_rejects_a_non_integer_order(tmp_path, capsys, n):
+    path = tmp_path / "w.json"
+    path.write_text('{"knots": [0, 1], "pieces": [[0.5]], "n": %s}' % n)
+    code, out, err = run_cli(capsys, "verify", "--file", str(path))
+    assert code == 2 and out == "" and "cannot read spline" in err
+
+
+_any_float = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    t_end=st.one_of(st.floats(0.5, 4), _any_float),
+    coeffs=st.lists(st.one_of(st.floats(-1, 1), _any_float), min_size=1, max_size=3),
+    a=st.one_of(st.floats(1, 4), _any_float),
+    b=st.one_of(st.floats(0.5, 4), _any_float),
+    extreme=st.booleans(),
+)
+def test_verify_never_passes_non_finite_input(t_end, coeffs, a, b, extreme):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "w.json"
+        path.write_text(json.dumps({"knots": [0.0, t_end], "pieces": [coeffs], "n": 2}))
+        argv = ["verify", "--file", str(path), f"--a={a!r}", f"--b={b!r}"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + ["--extreme"] * extreme)
+    if not all(math.isfinite(v) for v in (t_end, *coeffs, a, b)):
+        assert code != 0 and "Traceback" not in err.getvalue()
 
 
 def test_samples_below_two_exit_2(capsys):

@@ -1,8 +1,11 @@
+import functools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from landaukol import peano
 from landaukol.exactnum import Poly
@@ -251,11 +254,108 @@ def test_lagrange_derivatives_reproduce_polynomial_derivatives():
 
 @pytest.mark.parametrize("n, k", [(4, 2), (6, 3)])
 def test_suffix_sum_pieces_match_kernel_pieces(n, k):
-    alphas = certificate_nodes(n)
-    basis = lagrange_derivatives(alphas, k)
-    expansions = [peano._power_over_factorial(alpha, n - 1) for alpha in alphas]
     # grid points off the nodes, on a node, and at both ends
     for x in (F(0), F(7, 200), F(1, 2), F(1, 3), F(133, 200), F(1)):
-        lambdas = [ell(x) for ell in basis]
-        pieces = peano._certificate_pieces(x, k, alphas, lambdas, expansions)
+        tab = peano._grid_tables(n, k, x.denominator)
+        j, unit = x.numerator, n * tab.grid
+        pieces = peano._certificate_pieces(tab, j, tab.lambdas(j))
+        pieces = [(F(lo, unit), F(hi, unit), Poly(F(c, tab.D) for c in nums)) for lo, hi, nums in pieces]
         assert pieces == kernel_pieces(certificate_functional(n, k, x))
+
+
+# (A, B) for every supported (n, k), as repr literals
+CERTIFICATE_TABLE = {
+    (2, 1): (4.0, 1.0),
+    (3, 1): (24.0, 0.39999999999999997),
+    (3, 2): (36.0, 1.0),
+    (4, 1): (90.66666666666667, 0.08012746456355713),
+    (4, 2): (320.0, 0.38608276348795434),
+    (4, 3): (512.0, 1.0),
+    (5, 1): (280.0, 0.010397176427241583),
+    (5, 2): (1666.6666666666667, 0.07821404450888009),
+    (5, 3): (6000.0, 0.37969718408188124),
+    (5, 4): (10000.0, 1.0000000000000036),
+    (6, 1): (774.4, 0.0010032659047768027),
+    (6, 2): (6720.0, 0.01045945515701404),
+    (6, 3): (39744.0, 0.07758842358092016),
+    (6, 4): (145152.0, 0.37713545270445714),
+    (6, 5): (248832.0, 1.0000000000000142),
+    (7, 1): (2001.0666666666666, 7.67876607775048e-05),
+    (7, 2): (23293.51111111111, 0.0010369417085102361),
+    (7, 3): (197568.0, 0.010544731926228956),
+    (7, 4): (1165285.3333333333, 0.07748232982468428),
+    (7, 5): (4302592.0, 0.3765976277442018),
+    (7, 6): (7529536.0, 1.0),
+    (8, 1): (4942.019047619047, 4.870437898407042e-06),
+    (8, 2): (73113.6, 8.148155476740996e-05),
+    (8, 3): (823022.9333333333, 0.0010653421562810128),
+    (8, 4): (6881280.0, 0.010646539074360306),
+    (8, 5): (40544938.666666664, 0.0776551771561873),
+    (8, 6): (150994944.0, 0.37703598877533917),
+    (8, 7): (268435456.0, 1.0),
+    (9, 1): (11821.714285714286, 2.636330481029051e-07),
+    (9, 2): (214033.37142857144, 5.295130829902246e-06),
+    (9, 3): (3040416.0, 8.53362769426512e-05),
+    (9, 4): (33466348.8, 0.001090377361145034),
+    (9, 5): (277136640.0, 0.010756057865468627),
+    (9, 6): (1632586752.0, 0.0779839398442359),
+    (9, 7): (6122200320.0, 0.3780128913467711),
+    (9, 8): (11019960576.0, 1.0000000000106866),
+    (10, 1): (27619.555555555555, 1.2444250769686434e-08),
+    (10, 2): (595159.3650793651, 2.9313548569517823e-07),
+    (10, 3): (10297058.201058201, 5.651041954645667e-06),
+    (10, 4): (142208000.0, 8.863406949341512e-05),
+    (10, 5): (1540622222.2222223, 0.0011130721570278002),
+    (10, 6): (12672000000.0, 0.010868554116831186),
+    (10, 7): (74666666666.66667, 0.07839856473738571),
+    (10, 8): (281600000000.0, 0.37928301830275757),
+    (10, 9): (512000000000.0, 1.0000000000327418),
+    (11, 1): (63373.409523809525, 5.207147483085077e-10),
+    (11, 2): (1591074.8647619048, 1.4127252067678534e-08),
+    (11, 3): (32656570.92063492, 3.185489666748722e-07),
+    (11, 4): (547015771.5640211, 5.957851059324587e-06),
+    (11, 5): (7400615552.0, 9.153406426112842e-05),
+    (11, 6): (79237435575.46666, 0.0011339787118525013),
+    (11, 7): (648533050880.0, 0.010981265017104391),
+    (11, 8): (3823019189674.6665, 0.0788599989362524),
+    (11, 9): (14487230613504.0, 0.38070770551845357),
+    (11, 10): (26559922791424.0, 1.0),
+    (12, 1): (143351.1341991342, 1.956599680654365e-11),
+    (12, 2): (4123525.12, 6.026274809717167e-10),
+    (12, 3): (98388939.33714285, 1.5618951241794167e-08),
+    (12, 4): (1949168903.3142858, 3.4085533956462483e-07),
+    (12, 5): (31870634276.57143, 6.228041652640154e-06),
+    (12, 6): (424490670489.6, 9.413486390813519e-05),
+    (12, 7): (4504220703129.6, 0.0011534390042040599),
+    (12, 8): (36728463163392.0, 0.01109254285853467),
+    (12, 9): (216628218298368.0, 0.07934476267592316),
+    (12, 10): (824243952549888.0, 0.3822063086016101),
+    (12, 11): (1521681143169024.0, 1.0000000012441888),
+}
+
+
+def test_certificate_table_is_pinned():
+    for (n, k), constants in CERTIFICATE_TABLE.items():
+        cert = vandermonde_certificate(n, k)
+        assert (cert.A, cert.B) == constants, (n, k)
+
+
+@functools.lru_cache(maxsize=None)
+def _tables(n, k):
+    return peano._grid_tables(n, k, peano.CERTIFICATE_GRID - 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_piece_bound_dominates_every_candidate(data):
+    # the pruning bound of a piece is at least the largest value _kernel_sup
+    # takes on it, for kernel pieces and for arbitrary integer numerators
+    n = data.draw(st.integers(2, 12), label="n")
+    k = data.draw(st.integers(1, n - 1), label="k")
+    j = data.draw(st.integers(0, 200), label="j")
+    tab = _tables(n, k)
+    pieces = peano._certificate_pieces(tab, j, tab.lambdas(j))
+    lo, hi, nums = data.draw(st.sampled_from(pieces), label="piece")
+    if data.draw(st.booleans(), label="random numerators"):
+        nums = data.draw(st.lists(st.integers(-tab.D, tab.D), min_size=n, max_size=n), label="nums")
+    assert peano._kernel_sup([(lo, hi, nums)], tab) <= peano._piece_bound(tab, lo, hi, nums)
