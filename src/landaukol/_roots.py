@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .exactnum import Poly
 
-DEFAULT_WIDTH = Fraction(1, 10**12)
+WIDTH = Fraction(1, 10**12)
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,7 @@ def _count(chain: Sequence[Poly], lo: Fraction, hi: Fraction) -> int:
 
 
 def _isolate_square_free(
-    p: Poly, lo: Fraction, hi: Fraction, width: Fraction
+    p: Poly, lo: Fraction, hi: Fraction
 ) -> List[Tuple[Optional[Fraction], Fraction, Fraction]]:
     """Roots of square-free p in (lo, hi] as (exact_or_None, lo, hi) triples."""
     chain = _sturm_chain(p)
@@ -117,7 +117,7 @@ def _isolate_square_free(
         if n == 0:
             continue
         if n == 1:
-            while b - a > width:
+            while b - a > WIDTH:
                 mid = (a + b) / 2
                 if p(mid) == 0:
                     found.append((mid, mid, mid))
@@ -134,17 +134,15 @@ def _isolate_square_free(
             found.append((mid, mid, mid))
             # deflate so the two halves only see the remaining roots
             q, _ = _divmod(p, Poly([-mid, Fraction(1)]))
-            found.extend(_isolate_square_free(q, a, mid, width))
-            found.extend(_isolate_square_free(q, mid, b, width))
+            found.extend(_isolate_square_free(q, a, mid))
+            found.extend(_isolate_square_free(q, mid, b))
             continue
         stack.append((a, mid))
         stack.append((mid, b))
     return found
 
 
-def real_roots_exact(
-    p: Poly, lo: Fraction, hi: Fraction, width: Fraction = DEFAULT_WIDTH
-) -> List[Root]:
+def real_roots_exact(p: Poly, lo: Fraction, hi: Fraction) -> List[Root]:
     """All real roots of p (Fraction coefficients) in the closed [lo, hi],
     with multiplicities, sorted."""
     lo, hi = Fraction(lo), Fraction(hi)
@@ -152,7 +150,7 @@ def real_roots_exact(
     for factor, mult in square_free_decomposition(p):
         if factor(lo) == 0:
             roots.append(Root(float(lo), mult, exact=lo, bracket=(lo, lo)))
-        for exact, a, b in _isolate_square_free(factor, lo, hi, width):
+        for exact, a, b in _isolate_square_free(factor, lo, hi):
             if exact is not None:
                 roots.append(Root(float(exact), mult, exact=exact, bracket=(exact, exact)))
             else:
@@ -161,9 +159,7 @@ def real_roots_exact(
     return roots
 
 
-def real_roots_float(
-    p: Poly, lo: float, hi: float, edge_tol: float = 1e-9
-) -> List[Root]:
+def real_roots_float(p: Poly, lo: float, hi: float) -> List[Root]:
     """The real roots numpy.roots finds in [lo, hi], sorted and clamped to
     the interval, each with multiplicity 1 (a double root may come twice)."""
     import numpy as np  # deferred: the exact lane and the closed forms never need it
@@ -180,14 +176,14 @@ def real_roots_float(
     raw = np.roots(desc)
     span = max(1.0, abs(hi - lo))
     real = sorted(float(r.real) for r in raw if abs(r.imag) <= 1e-7 * span)
-    return [Root(min(max(r, lo), hi), 1) for r in real if lo - edge_tol <= r <= hi + edge_tol]
+    return [Root(min(max(r, lo), hi), 1) for r in real if lo - 1e-9 <= r <= hi + 1e-9]
 
 
-def polish_float_root(p: Poly, r: float, lo: float, hi: float, steps: int = 3) -> float:
+def polish_float_root(p: Poly, r: float, lo: float, hi: float) -> float:
     """A few guarded Newton steps to sharpen a simple float root."""
     dp = p.derivative()
     x = r
-    for _ in range(steps):
+    for _ in range(3):
         d = float(dp(x))
         if d == 0 or not math.isfinite(d):
             break

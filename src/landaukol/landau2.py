@@ -281,11 +281,11 @@ def _endpoint_state(f: PiecewisePoly, at_start: bool) -> Tuple[float, float]:
     return float(f(t)), float(f.deriv_value(t, 1))
 
 
-def extendable_to_line(f: PiecewisePoly, tol: float = _EDGE) -> bool:
+def extendable_to_line(f: PiecewisePoly) -> bool:
     """Criterion at the two endpoints only: |f'| <= sqrt(2 (1 - |f|))."""
     for at_start in (True, False):
         v, d = _endpoint_state(f, at_start)
-        if d * d > 2 * (1 - abs(v)) + tol:
+        if d * d > 2 * (1 - abs(v)) + _EDGE:
             return False
     return True
 
@@ -347,7 +347,7 @@ def prolong_affine(f: PiecewisePoly, h: float, epsilon: float, theta: float) -> 
     return PiecewisePoly(knots, pieces, 2)
 
 
-def insert_bump(f: PiecewisePoly, t0: float, h: float, tol: float = _EDGE) -> PiecewisePoly:
+def insert_bump(f: PiecewisePoly, t0: float, h: float) -> PiecewisePoly:
     """Splice a double-parabola bump of height h^2/16 at a stationary point
     t0; the output lives on [start, end + h] and its total variation exceeds
     the input's by exactly h^2/8."""
@@ -357,7 +357,7 @@ def insert_bump(f: PiecewisePoly, t0: float, h: float, tol: float = _EDGE) -> Pi
         raise ValueError(f"need t0 in [{start}, {end}), got {t0}")
     v = float(f(t0))
     d = float(f.deriv_value(t0, 1))
-    if abs(d) > tol:
+    if abs(d) > _EDGE:
         raise ValueError(f"need f'(t0) = 0, got f'({t0}) = {d}")
     if not v < 1:
         raise ValueError(f"need f(t0) < 1, got f(t0) = {v}")

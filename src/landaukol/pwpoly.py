@@ -5,8 +5,11 @@ exact extreme-point certificate.
 Pieces hold coefficients in the *global* coordinate (the same t as the knots).
 Coefficients and knots may be exact ``Fraction``s or ``float``s: exact splines
 are checked exactly, float splines against the absolute tolerance
-``JOIN_TOL`` = 1e-9 and the verdicts carry a ``numeric`` flag (extremal
-constructions involving sqrt(2) cannot be represented exactly).
+``JOIN_TOL`` = 1e-9 plus the rounding allowance 1e-12 * sum |c_m| |t|^m of a
+piece at its ends, and the verdicts carry a ``numeric`` flag (extremal
+constructions involving sqrt(2) cannot be represented exactly). Float sups
+and contact sets share one candidate rule: |p| peaks on a piece only at its
+ends and at the real roots of p'.
 
 The almost-everywhere bang-bang condition of the extreme-point certificate is
 decided piecewise-exactly, which is complete for splines; measurable members
@@ -189,22 +192,42 @@ def _piece_roots(p: Poly, lo: Real, hi: Real, exact: bool) -> List[_roots.Root]:
         return []
     if exact:
         return _roots.real_roots_exact(p, Fraction(lo), Fraction(hi))
-    return _roots.real_roots_float(p.to_float(), float(lo), float(hi))
+    return _roots.real_roots_float(p, float(lo), float(hi))
+
+
+def _float_peaks(p: Poly, lo: float, hi: float) -> List[float]:
+    """Where |p| (float coefficients) can peak on [lo, hi]: the ends and the
+    real roots of p' inside, polished by Newton."""
+    dp = p.derivative()
+    return [lo, hi] + [_roots.polish_float_root(dp, r.approx, lo, hi)
+                       for r in _piece_roots(dp, lo, hi, False)]
+
+
+def _within_allowance(x: float, limit: float, lo: Real, hi: Real, *polys: Poly) -> bool:
+    """x <= limit + 1e-12 * sum |c_m| |t|^m over the polys, at the end t of
+    [lo, hi] of largest |t|: a generous bound on the rounding error of float
+    p(t) in global coordinates (Higham, Accuracy and Stability of Numerical
+    Algorithms, 5.1). Horner on |c_m| and |t| overflows to inf instead of
+    raising; a non-finite allowance or a NaN x fails."""
+    t = max(abs(float(lo)), abs(float(hi)))
+    extra = 0.0
+    for p in polys:
+        s = 0.0
+        for c in reversed(p.coeffs):
+            s = s * t + abs(float(c))
+        extra += 1e-12 * s
+    return math.isfinite(extra) and x <= limit + extra
 
 
 def piece_sup(p: Poly, lo: Real, hi: Real, exact: bool) -> float:
     """sup of |p| on [lo, hi] by critical-point enumeration (root isolation
     of p'); exact mode resolves irrational critical points to 1e-12 brackets."""
+    if not exact:
+        pf = p.to_float()
+        return max(abs(pf(x)) for x in _float_peaks(pf, float(lo), float(hi)))
     candidates = [abs(float(p(lo))), abs(float(p(hi)))]
-    for r in _piece_roots(p.derivative(), lo, hi, exact):
-        if r.exact is not None:
-            candidates.append(abs(float(p(r.exact))))
-        elif r.bracket is not None:
-            a, b = r.bracket
-            candidates.append(max(abs(float(p(a))), abs(float(p(b)))))
-        else:
-            x = _roots.polish_float_root(p.derivative().to_float(), r.approx, float(lo), float(hi))
-            candidates.append(abs(float(p.to_float()(x))))
+    for r in _piece_roots(p.derivative(), lo, hi, True):
+        candidates.extend(abs(float(p(x))) for x in r.bracket)  # (x, x) at a rational root
     return max(candidates)
 
 
@@ -266,10 +289,12 @@ def membership(f: PiecewisePoly, n: int, a: Real, b: Real, tol: float = JOIN_TOL
         t = f.knots[i]
         left, right = f.pieces[i - 1], f.pieces[i]
         for order in range(n):
-            vl = left.nth_derivative(order)(t)
-            vr = right.nth_derivative(order)(t)
+            dl, dr = left.nth_derivative(order), right.nth_derivative(order)
+            vl, vr = dl(t), dr(t)
             gap = abs(float(vl - vr))
-            if (exact and vl != vr) or (not exact and gap > tol):
+            if (vl != vr) if exact else not (
+                gap <= tol or _within_allowance(gap, tol, t, t, dl, dr)
+            ):
                 violations.append(
                     Violation("join", float(t), f"order-{order} mismatch at knot {i}: gap {gap:.3e}")
                 )
@@ -291,7 +316,7 @@ def membership(f: PiecewisePoly, n: int, a: Real, b: Real, tol: float = JOIN_TOL
         lo, hi = f.knots[i], f.knots[i + 1]
         sup = piece_sup(p, lo, hi, exact)
         limit = float(a) + (SUP_TOL if exact else tol)
-        if not sup <= limit:
+        if not (sup <= limit or not exact and _within_allowance(sup, limit, lo, hi, p)):
             violations.append(
                 Violation("sup", float(lo), f"sup |f| = {sup} > {float(a)} on piece {i}")
             )
@@ -333,59 +358,37 @@ class ExtremeVerdict:
     numeric: bool
 
 
-def _contact_multiplicity_float(f: PiecewisePoly, t: float, n: int, tol: float) -> int:
-    piece = f.pieces[f.piece_index(t)].to_float()
-    for j in range(1, n):
-        if abs(float(piece.nth_derivative(j)(t))) > tol:
-            return j
-    return n
-
-
-def contact_set(
-    f: PiecewisePoly, n: int, a: Real, tol: float = JOIN_TOL
-) -> Tuple[List[ContactPoint], List[ContactInterval]]:
+def contact_set(f: PiecewisePoly, n: int, a: Real) -> Tuple[List[ContactPoint], List[ContactInterval]]:
     """Points and whole pieces where |f| = a, with multiplicities
-    (order of the first nonvanishing derivative, capped at n)."""
+    (order of the first nonvanishing derivative, capped at n). f must be a
+    member (|f| <= a), as `is_extreme_point` checks first: a float contact
+    is then a point where |p| peaks on its piece (an end or a critical
+    point) and touches a."""
     exact = f.is_exact() and _is_exact_number(a)
     points: List[ContactPoint] = []
     intervals: List[ContactInterval] = []
 
     for i, p in enumerate(f.pieces):
         lo, hi = f.knots[i], f.knots[i + 1]
-        critical: List[float] = []
         if not exact:
-            # a tangential contact is a double root of p -/+ a: np.roots may
-            # return it as a complex pair and Newton may polish it away, so
-            # the critical points of p are candidates too
-            pf, flo, fhi = p.to_float(), float(lo), float(hi)
-            dp = pf.derivative()
-            critical = [_roots.polish_float_root(dp, r.approx, flo, fhi)
-                        for r in _piece_roots(dp, flo, fhi, False)]
+            pf = p.to_float()
+            peaks = _float_peaks(pf, float(lo), float(hi))
         for sign in (1, -1):
             q = p - Poly([sign * (Fraction(a) if exact else float(a))])
             near_zero = q.is_zero() or (
-                not exact and all(abs(float(c)) <= tol for c in q.coeffs)
+                not exact and all(abs(float(c)) <= JOIN_TOL for c in q.coeffs)
             )
             if near_zero:
                 intervals.append(ContactInterval(float(lo), float(hi), sign))
-                continue
-            if exact:
+            elif exact:
                 for r in _piece_roots(q, lo, hi, True):
                     points.append(ContactPoint(r.approx, sign, min(r.multiplicity, n)))
-                continue
-            qf = q.to_float()
-
-            def touches(x: float) -> bool:
-                return abs(float(pf(x)) - sign * float(a)) <= 10 * tol
-
-            found = [x for x in (_roots.polish_float_root(qf, r.approx, flo, fhi)
-                                 for r in _piece_roots(qf, flo, fhi, False)) if touches(x)]
-            # a critical point is the same contact as a root if p stays at
-            # the wall between them
-            found += [x for x in critical
-                      if touches(x) and not any(touches((x + y) / 2) for y in found)]
-            for x in found:
-                points.append(ContactPoint(x, sign, _contact_multiplicity_float(f, x, n, 1e-6)))
+            else:
+                for x in peaks:
+                    gap = abs(pf(x) - sign * float(a))
+                    if gap <= 10 * JOIN_TOL or _within_allowance(gap, 10 * JOIN_TOL, lo, hi, pf):
+                        m = next((j for j in range(1, n) if abs(pf.nth_derivative(j)(x)) > 1e-6), n)
+                        points.append(ContactPoint(x, sign, m))
 
     # merge adjacent contact intervals of equal sign
     intervals.sort(key=lambda iv: iv.lo)
@@ -407,7 +410,7 @@ def contact_set(
             continue
         if deduped and (abs(cp.t - deduped[-1].t) <= 1e-9 * span or (
             not exact and cp.sign == deduped[-1].sign
-            and abs(float(f((cp.t + deduped[-1].t) / 2)) - cp.sign * float(a)) <= 10 * tol
+            and abs(float(f((cp.t + deduped[-1].t) / 2)) - cp.sign * float(a)) <= 10 * JOIN_TOL
         )):
             if cp.multiplicity > deduped[-1].multiplicity:
                 deduped[-1] = cp
@@ -416,13 +419,13 @@ def contact_set(
     return deduped, merged
 
 
-def is_extreme_point(f: PiecewisePoly, n: int, a: Real, b: Real, tol: float = JOIN_TOL) -> ExtremeVerdict:
+def is_extreme_point(f: PiecewisePoly, n: int, a: Real, b: Real) -> ExtremeVerdict:
     """Certify whether f is an extreme point of the convex class: the contact
     multiplicities must sum to at least n, and every piece away from the
     contact set must have |f^(n)| equal to b (bang-bang)."""
     require_member(f, n, a, b)
     exact = f.is_exact() and _is_exact_number(a) and _is_exact_number(b)
-    points, intervals = contact_set(f, n, a, tol)
+    points, intervals = contact_set(f, n, a)
     msum: float = sum(cp.multiplicity for cp in points)
     if intervals:
         msum = math.inf
@@ -435,7 +438,7 @@ def is_extreme_point(f: PiecewisePoly, n: int, a: Real, b: Real, tol: float = JO
             continue
         cn = p.coeffs[n] if p.degree >= n else 0
         dn = abs(cn * math.factorial(n))
-        if (exact and dn != b) or (not exact and abs(float(dn) - float(b)) > tol):
+        if (exact and dn != b) or (not exact and abs(float(dn) - float(b)) > JOIN_TOL):
             violations.append(i)
 
     return ExtremeVerdict(

@@ -257,6 +257,20 @@ def test_extremal_verify_round_trip(tmp_path, capsys):
         assert payload["result"]["membership"] is True
 
 
+def test_extremal_with_large_values_or_coefficients_is_a_member(tmp_path, capsys):
+    # joins and sups are checked within the rounding allowance of the pieces:
+    # values near 1e300, and global coefficients of about 1e6 at t = 2.5
+    code, payload, err = run_json(capsys, "extremal", "--n", "2", "--a", "1e300", "--b", "1e-2",
+                                  "--domain", "halfline")
+    assert code == 0 and payload["result"]["membership"] == "ok", err
+    path = tmp_path / "w.json"
+    code, payload, err = run_json(capsys, "extremal", "--n", "2", "--b", "1e6", "--T", "5",
+                                  "--t0", "2.5", "--out", str(path))
+    assert code == 0 and payload["result"]["membership"] == "ok", err
+    code, payload, err = run_json(capsys, "verify", "--file", str(path), "--b", "1e6", "--extreme")
+    assert code == 0 and payload["result"]["is_extreme"] is True, err
+
+
 def test_extremal_without_witness_exits_2(capsys):
     code, _, err = run_cli(capsys, "extremal", "--n", "2", "--domain", "segment",
                            "--T", "30", "--functional", "var")

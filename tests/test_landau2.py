@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from landaukol.bounds import FullLine, HalfLine, Segment
@@ -380,3 +380,26 @@ def test_lattice_witness_sliding_window():
         assert total_variation(window) <= 2 + 1e-9
     head = f.restrict(0.0, width)
     assert total_variation(head) > 2.3
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    a=st.floats(-1, 1).map(lambda e: 10**e),
+    b=st.floats(-1, 1).map(lambda e: 10**e),
+    T=st.floats(0.05, 30),
+    share=st.floats(0.0, 1.0),
+)
+# a comparison train whose contacts, taken as roots of p -/+ a, came out with multiplicity 1
+@example(a=0.6725112978292626, b=4.417588964588893, T=3.983892936531503, share=0.4511100746705944)
+def test_interior_contacts_of_witnesses_are_tangential(a, b, T, share):
+    """A C^1 member touches the wall inside its domain only tangentially, so
+    every interior contact of a sigma_pointwise or sigma1 witness has
+    multiplicity 2."""
+    for res in (sigma_pointwise(PointwiseQuery(share * T, T, a, b)), sigma1(a, b, T)):
+        if res.witness is None:
+            continue
+        w = res.witness
+        lo, hi = float(w.t_start), float(w.t_end)
+        edge = 1e-9 * max(1.0, hi - lo)
+        verdict = is_extreme_point(w, 2, a, b)
+        assert all(cp.multiplicity == 2 for cp in verdict.contact_points if lo + edge < cp.t < hi - edge)

@@ -4,7 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from landaukol.eulerspline import euler_spline_piecewise
 from landaukol.exactnum import Poly
 from landaukol.pwpoly import (
     ContactInterval,
@@ -107,6 +110,30 @@ def test_contact_set_q_restriction():
     assert all(p.multiplicity == 2 for p in points)
     signs = [p.sign for p in sorted(points, key=lambda p: p.t)]
     assert signs == [1, -1, 1]
+
+
+def _float_copy(f):
+    return PiecewisePoly([float(k) for k in f.knots], [p.to_float() for p in f.pieces], f.n_smooth)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    st.builds(lambda n, j: euler_spline_piecewise(n, F(j, 4), F(j, 4) + 6),
+              st.integers(2, 9), st.integers(0, 8)),
+    # T <= 2 keeps the two-contact rise a member for every t0 in [0, T]
+    st.builds(lambda k, i: two_contact_extreme(F(k, 8) * i / 8, F(k, 8)),
+              st.integers(1, 16), st.integers(0, 8)),
+))
+def test_float_contact_sets_match_the_exact_lane(f):
+    n = f.n_smooth
+    exact_points, exact_intervals = contact_set(f, n, F(1))
+    points, intervals = contact_set(_float_copy(f), n, 1.0)
+    assert not exact_intervals and not intervals
+    assert [(p.sign, p.multiplicity) for p in points] == [
+        (p.sign, p.multiplicity) for p in exact_points
+    ]
+    tol = 1e-9 * max(1.0, f.length)
+    assert all(abs(p.t - q.t) <= tol for p, q in zip(points, exact_points))
 
 
 def test_is_extreme_accepts_known_extremes():
