@@ -5,11 +5,12 @@ exact extreme-point certificate.
 Pieces hold coefficients in the *global* coordinate (the same t as the knots).
 Coefficients and knots may be exact ``Fraction``s or ``float``s: exact splines
 are checked exactly, float splines against the absolute tolerance
-``JOIN_TOL`` = 1e-9 plus the rounding allowance 1e-12 * sum |c_m| |t|^m of a
-piece at its ends, and the verdicts carry a ``numeric`` flag (extremal
-constructions involving sqrt(2) cannot be represented exactly). Float sups
-and contact sets share one candidate rule: |p| peaks on a piece only at its
-ends and at the real roots of p'.
+``JOIN_TOL`` = 1e-9 plus a rounding allowance in units of sum |c_m| |t|^m at
+the piece ends (1e-12 for joins, ``EVAL_ULPS`` * (degree + 1) for sups and
+contacts), and the verdicts carry a ``numeric`` flag (extremal constructions
+involving sqrt(2) cannot be represented exactly). Float sups and contact sets
+share one candidate rule: |p| peaks on a piece only at its ends and at the
+real roots of p'.
 
 The almost-everywhere bang-bang condition of the extreme-point certificate is
 decided piecewise-exactly, which is complete for splines; measurable members
@@ -29,6 +30,7 @@ from .exactnum import Poly, Real
 
 JOIN_TOL = 1e-9
 SUP_TOL = 1e-10  # resolution of the exact-mode sup check at irrational critical points
+EVAL_ULPS = 2.0**-51  # allowance of a float value per degree, in units of sum |c_m| |t|^m
 MIN_KNOT_GAP = 1e-12
 
 
@@ -203,20 +205,21 @@ def _float_peaks(p: Poly, lo: float, hi: float) -> List[float]:
                        for r in _piece_roots(dp, lo, hi, False)]
 
 
-def _within_allowance(x: float, limit: float, lo: Real, hi: Real, *polys: Poly) -> bool:
-    """x <= limit + 1e-12 * sum |c_m| |t|^m over the polys, at the end t of
-    [lo, hi] of largest |t|: a generous bound on the rounding error of float
+def _within_allowance(x: float, limit: float, factor: float, lo: Real, hi: Real, *polys: Poly) -> bool:
+    """x <= limit, or x <= limit + factor * sum |c_m| |t|^m over the polys at
+    the end t of [lo, hi] of largest |t|, which bounds the rounding of float
     p(t) in global coordinates (Higham, Accuracy and Stability of Numerical
-    Algorithms, 5.1). Horner on |c_m| and |t| overflows to inf instead of
-    raising; a non-finite allowance or a NaN x fails."""
+    Algorithms, 5.1). The Horner sum overflows to inf, which fails."""
+    if x <= limit:
+        return True
     t = max(abs(float(lo)), abs(float(hi)))
-    extra = 0.0
-    for p in polys:
-        s = 0.0
-        for c in reversed(p.coeffs):
-            s = s * t + abs(float(c))
-        extra += 1e-12 * s
-    return math.isfinite(extra) and x <= limit + extra
+    extra = sum(Poly(abs(float(c)) for c in p.coeffs)(t) for p in polys)  # Horner: no OverflowError
+    return math.isfinite(extra) and x <= limit + factor * extra
+
+
+def _touches(p: Poly, x: float, sign: int, a: float, lo: Real, hi: Real) -> bool:
+    """Float p(x) = sign * a within 10 * JOIN_TOL plus the evaluation allowance of p."""
+    return _within_allowance(abs(p(x) - sign * a), 10 * JOIN_TOL, EVAL_ULPS * (p.degree + 1), lo, hi, p)
 
 
 def piece_sup(p: Poly, lo: Real, hi: Real, exact: bool) -> float:
@@ -276,7 +279,7 @@ def membership(f: PiecewisePoly, n: int, a: Real, b: Real, tol: float = JOIN_TOL
         raise ValueError("order n must be >= 1")
     if not (0 < a < math.inf and 0 < b < math.inf):
         raise ValueError("bounds a and b must be positive and finite")
-    exact = f.is_exact() and _is_exact_number(a) and _is_exact_number(b)
+    exact = (exact_pieces := f.is_exact()) and _is_exact_number(a) and _is_exact_number(b)
     violations: List[Violation] = []
 
     for i, p in enumerate(f.pieces):
@@ -292,9 +295,7 @@ def membership(f: PiecewisePoly, n: int, a: Real, b: Real, tol: float = JOIN_TOL
             dl, dr = left.nth_derivative(order), right.nth_derivative(order)
             vl, vr = dl(t), dr(t)
             gap = abs(float(vl - vr))
-            if (vl != vr) if exact else not (
-                gap <= tol or _within_allowance(gap, tol, t, t, dl, dr)
-            ):
+            if (vl != vr) if exact_pieces else not _within_allowance(gap, tol, 1e-12, t, t, dl, dr):
                 violations.append(
                     Violation("join", float(t), f"order-{order} mismatch at knot {i}: gap {gap:.3e}")
                 )
@@ -316,7 +317,8 @@ def membership(f: PiecewisePoly, n: int, a: Real, b: Real, tol: float = JOIN_TOL
         lo, hi = f.knots[i], f.knots[i + 1]
         sup = piece_sup(p, lo, hi, exact)
         limit = float(a) + (SUP_TOL if exact else tol)
-        if not (sup <= limit or not exact and _within_allowance(sup, limit, lo, hi, p)):
+        ulps = EVAL_ULPS * (p.degree + 1)
+        if not (sup <= limit if exact else _within_allowance(sup, limit, ulps, lo, hi, p)):
             violations.append(
                 Violation("sup", float(lo), f"sup |f| = {sup} > {float(a)} on piece {i}")
             )
@@ -385,8 +387,7 @@ def contact_set(f: PiecewisePoly, n: int, a: Real) -> Tuple[List[ContactPoint], 
                     points.append(ContactPoint(r.approx, sign, min(r.multiplicity, n)))
             else:
                 for x in peaks:
-                    gap = abs(pf(x) - sign * float(a))
-                    if gap <= 10 * JOIN_TOL or _within_allowance(gap, 10 * JOIN_TOL, lo, hi, pf):
+                    if _touches(pf, x, sign, float(a), lo, hi):
                         m = next((j for j in range(1, n) if abs(pf.nth_derivative(j)(x)) > 1e-6), n)
                         points.append(ContactPoint(x, sign, m))
 
@@ -408,9 +409,11 @@ def contact_set(f: PiecewisePoly, n: int, a: Real) -> Tuple[List[ContactPoint], 
     for cp in points:
         if any(iv.lo - 1e-9 * span <= cp.t <= iv.hi + 1e-9 * span for iv in merged):
             continue
+        mid = (cp.t + deduped[-1].t) / 2 if deduped else cp.t
+        j = f.piece_index(mid)
         if deduped and (abs(cp.t - deduped[-1].t) <= 1e-9 * span or (
             not exact and cp.sign == deduped[-1].sign
-            and abs(float(f((cp.t + deduped[-1].t) / 2)) - cp.sign * float(a)) <= 10 * JOIN_TOL
+            and _touches(f.pieces[j], mid, cp.sign, float(a), f.knots[j], f.knots[j + 1])
         )):
             if cp.multiplicity > deduped[-1].multiplicity:
                 deduped[-1] = cp
@@ -426,15 +429,12 @@ def is_extreme_point(f: PiecewisePoly, n: int, a: Real, b: Real) -> ExtremeVerdi
     require_member(f, n, a, b)
     exact = f.is_exact() and _is_exact_number(a) and _is_exact_number(b)
     points, intervals = contact_set(f, n, a)
-    msum: float = sum(cp.multiplicity for cp in points)
-    if intervals:
-        msum = math.inf
+    msum: float = math.inf if intervals else sum(cp.multiplicity for cp in points)
 
     violations: List[int] = []
     for i, p in enumerate(f.pieces):
         lo, hi = float(f.knots[i]), float(f.knots[i + 1])
-        inside_contact = any(iv.lo <= lo + 1e-12 and hi - 1e-12 <= iv.hi for iv in intervals)
-        if inside_contact:
+        if any(iv.lo <= lo + 1e-12 and hi - 1e-12 <= iv.hi for iv in intervals):
             continue
         cn = p.coeffs[n] if p.degree >= n else 0
         dn = abs(cn * math.factorial(n))

@@ -285,6 +285,17 @@ def test_verify_rejects_non_member(tmp_path, capsys):
     assert payload["result"]["membership"] is False
 
 
+def test_verify_checks_exact_joins_exactly(tmp_path, capsys):
+    # (t - 1000)^2 with a jump of 1e-7 at t = 1000: float a and b do not make
+    # the exact pieces a float spline, so the join gets no rounding allowance
+    path = tmp_path / "gap.json"
+    path.write_text('{"knots": ["999/1", "1000/1", "1001/1"], "pieces": [["1000000/1", "-2000/1", "1/1"],'
+                    ' ["10000000000001/10000000", "-2000/1", "1/1"]], "n": 2}')
+    code, payload, _ = run_json(capsys, "verify", "--file", str(path), "--a", "2", "--b", "2")
+    assert code == 1
+    assert [v["kind"] for v in payload["result"]["violations"]] == ["join"]
+
+
 def test_verify_extreme_flag(tmp_path, capsys):
     path = tmp_path / "w.json"
     run_cli(capsys, "extremal", "--n", "2", "--domain", "segment", "--T", "2", "--t0", "1",

@@ -136,6 +136,19 @@ def test_float_contact_sets_match_the_exact_lane(f):
     assert all(abs(p.t - q.t) <= tol for p, q in zip(points, exact_points))
 
 
+def test_rounding_allowance_does_not_admit_non_members_or_far_peaks():
+    # on [7.5, 7.75] the global coefficients of this piece reach 3e11 while
+    # |f| <= 1, so an allowance that grows as 1e-12 * sum |c_m| |t|^m (0.33)
+    # swallows both a doubled copy (sup 1.41) and the end value 0.71 < 1
+    f = euler_spline_piecewise(12, F(15, 2), F(31, 4))
+    assert contact_set(f, 12, F(1)) == ([], [])
+    assert contact_set(_float_copy(f), 12, 1.0) == ([], [])
+    b = 2 * max(abs(float(p.nth_derivative(12)(0))) for p in f.pieces)
+    doubled = PiecewisePoly([float(k) for k in f.knots], [(p * 2).to_float() for p in f.pieces], 12)
+    report = membership(doubled, 12, 1.0, b)
+    assert [v.kind for v in report.violations] == ["sup"]
+
+
 def test_is_extreme_accepts_known_extremes():
     assert is_extreme_point(two_contact_extreme(1, 2), 2, F(1), F(1)).is_extreme
     cap = PiecewisePoly([F(0), F(1)], [Poly([F(1), F(0), F(-1, 2)])], 2)
