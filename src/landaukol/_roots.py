@@ -167,13 +167,14 @@ def real_roots_float(p: Poly, lo: float, hi: float) -> List[Root]:
     coeffs = [float(c) for c in p.coeffs]
     if not coeffs:
         raise ValueError("zero polynomial has every point as a root")
-    scale = max(abs(c) for c in coeffs)
-    desc = list(reversed(coeffs))
-    while desc and abs(desc[0]) <= 1e-14 * scale:
-        desc.pop(0)
-    if len(desc) <= 1:
+    # drop c_d only if |c_d| <= 1e-14 max_m |c_m| R^(m - d) (R >= |t| on [lo, hi]; no overflow)
+    R = max(1.0, abs(lo), abs(hi))
+    while len(coeffs) > 1 and abs(coeffs[-1]) <= 1e-14 * max(
+            abs(c) * R ** (m - len(coeffs) + 1) for m, c in enumerate(coeffs)):
+        coeffs.pop()
+    if len(coeffs) <= 1:
         return []
-    raw = np.roots(desc)
+    raw = np.roots(coeffs[::-1])
     span = max(1.0, abs(hi - lo))
     real = sorted(float(r.real) for r in raw if abs(r.imag) <= 1e-7 * span)
     return [Root(min(max(r, lo), hi), 1) for r in real if lo - 1e-9 <= r <= hi + 1e-9]

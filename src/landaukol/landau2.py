@@ -241,28 +241,24 @@ def _free_end_witness_unit(t0: float, T: float) -> PiecewisePoly:
     return PiecewisePoly(knots, pieces, 2)
 
 
-def _sigma_pointwise_unit(
-    t0: float, T: float
-) -> Tuple[float, str, Callable[[], PiecewisePoly]]:
-    """Value, branch tag and witness builder for the unit class, assuming
-    t0 <= T/2."""
-    if t0 > SQRT2:
-        return SQRT2, "pointwise-interior-comparison", lambda: q_train(t0 + SQRT2, 0.0, T)
-    if T <= t0 + phi(t0) + _EDGE:
-        value = G(t0, T - t0)
-        return value, "pointwise-short-segment", lambda: _two_contact_witness_unit(t0, T)
-    return phi(t0), "pointwise-free-end", lambda: _free_end_witness_unit(t0, T)
+def _sigma_pointwise_unit(t0: float, T: float) -> Tuple[float, str, Callable[[], PiecewisePoly], bool]:
+    """Value, branch tag, witness builder for the unit class, and whether the
+    witness is to be reflected onto [0, T] (it is built for min(t0, T - t0))."""
+    s, reflected = min(t0, T - t0), t0 > T / 2
+    if s > SQRT2:
+        # q is even with antiperiod 2 sqrt(2), so q(t - t0 - sqrt(2)) has slope
+        # sqrt(2) at t0 unreflected; a reflection would cancel terms of size T^2
+        return SQRT2, "pointwise-interior-comparison", lambda: q_train(t0 + SQRT2, 0.0, T), False
+    if T <= s + phi(s) + _EDGE:
+        return G(s, T - s), "pointwise-short-segment", lambda: _two_contact_witness_unit(s, T), reflected
+    return phi(s), "pointwise-free-end", lambda: _free_end_witness_unit(s, T), reflected
 
 
 def sigma_pointwise(query: PointwiseQuery) -> BoundResult:
     """sup of f'(t0) (equivalently |f'(t0)|) over the segment class."""
     a, b, T, t0 = query.a, query.b, query.T, query.t0
     scale, root_ab = _scales(a, b)
-    t0_unit, t_unit = t0 * scale, T * scale
-    reflected = t0_unit > t_unit / 2
-    if reflected:
-        t0_unit = t_unit - t0_unit
-    value_unit, tag, unit = _sigma_pointwise_unit(t0_unit, t_unit)
+    value_unit, tag, unit, reflected = _sigma_pointwise_unit(t0 * scale, T * scale)
     witness = _witness(unit, a, b, reflect_at=T if reflected else None)
     return BoundResult(
         value_unit * root_ab,

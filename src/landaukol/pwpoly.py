@@ -4,13 +4,15 @@ exact extreme-point certificate.
 
 Pieces hold coefficients in the *global* coordinate (the same t as the knots).
 Coefficients and knots may be exact ``Fraction``s or ``float``s: exact splines
-are checked exactly, float splines against the absolute tolerance
-``JOIN_TOL`` = 1e-9 plus a rounding allowance in units of sum |c_m| |t|^m at
-the piece ends (1e-12 for joins, ``EVAL_ULPS`` * (degree + 1) for sups and
-contacts), and the verdicts carry a ``numeric`` flag (extremal constructions
-involving sqrt(2) cannot be represented exactly). Float sups and contact sets
-share one candidate rule: |p| peaks on a piece only at its ends and at the
-real roots of p'.
+are checked exactly, float splines against ``REL_TOL`` times the class scale
+a^(1 - m/n) b^(m/n) of the compared f^(m) (a for values and contacts, b for
+|f^(n)|) plus a rounding allowance ``EVAL_ULPS`` * (degree + 1) * sum |c_m|
+|t|^m at the piece ends, so no verdict changes when f maps to mu f(lam t) and
+(a, b) to (|mu| a, |mu lam^n| b). Float verdicts carry a ``numeric`` flag
+(extremal constructions involving sqrt(2) cannot be represented exactly).
+Float sups and contact sets share one candidate rule: |p| peaks on a piece
+only at its ends and at the real roots of p'; contacts within ``REL_TOL`` *
+length are one.
 
 The almost-everywhere bang-bang condition of the extreme-point certificate is
 decided piecewise-exactly, which is complete for splines; measurable members
@@ -28,8 +30,7 @@ from typing import List, Sequence, Tuple
 from . import _roots
 from .exactnum import Poly, Real
 
-JOIN_TOL = 1e-9
-SUP_TOL = 1e-10  # resolution of the exact-mode sup check at irrational critical points
+REL_TOL = 1e-9  # of the class scale a^(1 - m/n) b^(m/n) of f^(m)
 EVAL_ULPS = 2.0**-51  # allowance of a float value per degree, in units of sum |c_m| |t|^m
 MIN_KNOT_GAP = 1e-12
 
@@ -205,21 +206,21 @@ def _float_peaks(p: Poly, lo: float, hi: float) -> List[float]:
                        for r in _piece_roots(dp, lo, hi, False)]
 
 
-def _within_allowance(x: float, limit: float, factor: float, lo: Real, hi: Real, *polys: Poly) -> bool:
-    """x <= limit, or x <= limit + factor * sum |c_m| |t|^m over the polys at
-    the end t of [lo, hi] of largest |t|, which bounds the rounding of float
-    p(t) in global coordinates (Higham, Accuracy and Stability of Numerical
-    Algorithms, 5.1). The Horner sum overflows to inf, which fails."""
+def _within_allowance(x: float, limit: float, lo: Real, hi: Real, *polys: Poly) -> bool:
+    """x <= limit, or x <= limit + the sum over the polys of EVAL_ULPS * (deg + 1)
+    * sum |c_m| |t|^m at the end t of [lo, hi] of largest |t|, which bounds the
+    rounding of float p(t) in global coordinates (Higham, Accuracy and Stability
+    of Numerical Algorithms, 5.1). The Horner sum overflows to inf, which fails."""
     if x <= limit:
         return True
     t = max(abs(float(lo)), abs(float(hi)))
-    extra = sum(Poly(abs(float(c)) for c in p.coeffs)(t) for p in polys)  # Horner: no OverflowError
-    return math.isfinite(extra) and x <= limit + factor * extra
+    extra = sum((p.degree + 1) * Poly(abs(float(c)) for c in p.coeffs)(t) for p in polys)  # Horner: no OverflowError
+    return math.isfinite(extra) and x <= limit + EVAL_ULPS * extra
 
 
 def _touches(p: Poly, x: float, sign: int, a: float, lo: Real, hi: Real) -> bool:
-    """Float p(x) = sign * a within 10 * JOIN_TOL plus the evaluation allowance of p."""
-    return _within_allowance(abs(p(x) - sign * a), 10 * JOIN_TOL, EVAL_ULPS * (p.degree + 1), lo, hi, p)
+    """Float p(x) = sign * a within 10 * REL_TOL * a plus the evaluation allowance of p."""
+    return _within_allowance(abs(p(x) - sign * a), 10 * REL_TOL * a, lo, hi, p)
 
 
 def piece_sup(p: Poly, lo: Real, hi: Real, exact: bool) -> float:
@@ -272,7 +273,7 @@ class MembershipReport:
         return self.ok
 
 
-def membership(f: PiecewisePoly, n: int, a: Real, b: Real, tol: float = JOIN_TOL) -> MembershipReport:
+def membership(f: PiecewisePoly, n: int, a: Real, b: Real) -> MembershipReport:
     """Check the class conditions: C^(n-1) joins at the knots, degree <= n per
     piece, sup |f| <= a, and |f^(n)| <= b (a constant on each piece)."""
     if n < 1:
@@ -280,6 +281,7 @@ def membership(f: PiecewisePoly, n: int, a: Real, b: Real, tol: float = JOIN_TOL
     if not (0 < a < math.inf and 0 < b < math.inf):
         raise ValueError("bounds a and b must be positive and finite")
     exact = (exact_pieces := f.is_exact()) and _is_exact_number(a) and _is_exact_number(b)
+    fa, fb = float(a), float(b)
     violations: List[Violation] = []
 
     for i, p in enumerate(f.pieces):
@@ -290,21 +292,21 @@ def membership(f: PiecewisePoly, n: int, a: Real, b: Real, tol: float = JOIN_TOL
 
     for i in range(1, len(f.pieces)):
         t = f.knots[i]
-        left, right = f.pieces[i - 1], f.pieces[i]
-        for order in range(n):
-            dl, dr = left.nth_derivative(order), right.nth_derivative(order)
+        dl, dr = f.pieces[i - 1], f.pieces[i]
+        for order in range(min(n, max(dl.degree, dr.degree) + 1)):  # higher orders vanish on both sides
             vl, vr = dl(t), dr(t)
             gap = abs(float(vl - vr))
-            if (vl != vr) if exact_pieces else not _within_allowance(gap, tol, 1e-12, t, t, dl, dr):
+            scale = fa ** (1 - order / n) * fb ** (order / n)
+            if (vl != vr) if exact_pieces else not _within_allowance(gap, REL_TOL * scale, t, t, dl, dr):
                 violations.append(
                     Violation("join", float(t), f"order-{order} mismatch at knot {i}: gap {gap:.3e}")
                 )
+            dl, dr = dl.derivative(), dr.derivative()
 
     for i, p in enumerate(f.pieces):
-        cn = p.coeffs[n] if p.degree >= n else 0
-        dn = abs(cn * math.factorial(n))
+        dn = abs(p.coeffs[n] * math.factorial(n)) if p.degree >= n else 0  # no n! below degree n
         # written as "not <=" so that a NaN counts as a violation
-        if not (dn <= b if exact else float(dn) <= float(b) + tol):
+        if not (dn <= b if exact else float(dn) <= fb * (1 + REL_TOL)):
             violations.append(
                 Violation(
                     "nth-derivative",
@@ -316,11 +318,10 @@ def membership(f: PiecewisePoly, n: int, a: Real, b: Real, tol: float = JOIN_TOL
     for i, p in enumerate(f.pieces):
         lo, hi = f.knots[i], f.knots[i + 1]
         sup = piece_sup(p, lo, hi, exact)
-        limit = float(a) + (SUP_TOL if exact else tol)
-        ulps = EVAL_ULPS * (p.degree + 1)
-        if not (sup <= limit if exact else _within_allowance(sup, limit, ulps, lo, hi, p)):
+        # exact: rounding is monotone, so p(x) <= a gives float(p(x)) <= float(a)
+        if not (sup <= fa if exact else _within_allowance(sup, fa * (1 + REL_TOL), lo, hi, p)):
             violations.append(
-                Violation("sup", float(lo), f"sup |f| = {sup} > {float(a)} on piece {i}")
+                Violation("sup", float(lo), f"sup |f| = {sup} > {fa} on piece {i}")
             )
 
     return MembershipReport(ok=not violations, numeric=not exact, violations=tuple(violations))
@@ -367,6 +368,7 @@ def contact_set(f: PiecewisePoly, n: int, a: Real) -> Tuple[List[ContactPoint], 
     is then a point where |p| peaks on its piece (an end or a critical
     point) and touches a."""
     exact = f.is_exact() and _is_exact_number(a)
+    fa = float(a)
     points: List[ContactPoint] = []
     intervals: List[ContactInterval] = []
 
@@ -376,26 +378,26 @@ def contact_set(f: PiecewisePoly, n: int, a: Real) -> Tuple[List[ContactPoint], 
             pf = p.to_float()
             peaks = _float_peaks(pf, float(lo), float(hi))
         for sign in (1, -1):
-            q = p - Poly([sign * (Fraction(a) if exact else float(a))])
-            near_zero = q.is_zero() or (
-                not exact and all(abs(float(c)) <= JOIN_TOL for c in q.coeffs)
-            )
-            if near_zero:
+            q = p - Poly([sign * (Fraction(a) if exact else fa)])
+            if q.is_zero() or (not exact and all(abs(float(c)) <= REL_TOL * fa for c in q.coeffs)):
                 intervals.append(ContactInterval(float(lo), float(hi), sign))
             elif exact:
                 for r in _piece_roots(q, lo, hi, True):
                     points.append(ContactPoint(r.approx, sign, min(r.multiplicity, n)))
             else:
                 for x in peaks:
-                    if _touches(pf, x, sign, float(a), lo, hi):
-                        m = next((j for j in range(1, n) if abs(pf.nth_derivative(j)(x)) > 1e-6), n)
+                    if _touches(pf, x, sign, fa, lo, hi):
+                        # p^(j)(x) = 0 within its own evaluation allowance
+                        ds = (pf.nth_derivative(j) for j in range(1, min(n, pf.degree + 1)))
+                        m = next((j for j, d in enumerate(ds, 1)
+                                  if not _within_allowance(abs(d(x)), 0.0, lo, hi, d)), n)
                         points.append(ContactPoint(x, sign, m))
 
     # merge adjacent contact intervals of equal sign
     intervals.sort(key=lambda iv: iv.lo)
     merged: List[ContactInterval] = []
     for iv in intervals:
-        if merged and iv.sign == merged[-1].sign and iv.lo <= merged[-1].hi + 1e-12:
+        if merged and iv.sign == merged[-1].sign and iv.lo <= merged[-1].hi:
             merged[-1] = ContactInterval(merged[-1].lo, max(merged[-1].hi, iv.hi), iv.sign)
         else:
             merged.append(iv)
@@ -403,17 +405,17 @@ def contact_set(f: PiecewisePoly, n: int, a: Real) -> Tuple[List[ContactPoint], 
     # dedupe points (shared knots are seen from both sides, and a float
     # tangential contact next to a knot may be found in both pieces) and drop
     # points swallowed by a contact interval
-    span = max(1.0, f.length)
+    window = REL_TOL * f.length
     points.sort(key=lambda cp: cp.t)
     deduped: List[ContactPoint] = []
     for cp in points:
-        if any(iv.lo - 1e-9 * span <= cp.t <= iv.hi + 1e-9 * span for iv in merged):
+        if any(iv.lo - window <= cp.t <= iv.hi + window for iv in merged):
             continue
         mid = (cp.t + deduped[-1].t) / 2 if deduped else cp.t
         j = f.piece_index(mid)
-        if deduped and (abs(cp.t - deduped[-1].t) <= 1e-9 * span or (
+        if deduped and (abs(cp.t - deduped[-1].t) <= window or (
             not exact and cp.sign == deduped[-1].sign
-            and _touches(f.pieces[j], mid, cp.sign, float(a), f.knots[j], f.knots[j + 1])
+            and _touches(f.pieces[j], mid, cp.sign, fa, f.knots[j], f.knots[j + 1])
         )):
             if cp.multiplicity > deduped[-1].multiplicity:
                 deduped[-1] = cp
@@ -434,11 +436,10 @@ def is_extreme_point(f: PiecewisePoly, n: int, a: Real, b: Real) -> ExtremeVerdi
     violations: List[int] = []
     for i, p in enumerate(f.pieces):
         lo, hi = float(f.knots[i]), float(f.knots[i + 1])
-        if any(iv.lo <= lo + 1e-12 and hi - 1e-12 <= iv.hi for iv in intervals):
+        if any(iv.lo <= lo and hi <= iv.hi for iv in intervals):  # the same float knots
             continue
-        cn = p.coeffs[n] if p.degree >= n else 0
-        dn = abs(cn * math.factorial(n))
-        if (exact and dn != b) or (not exact and abs(float(dn) - float(b)) > JOIN_TOL):
+        dn = abs(p.coeffs[n] * math.factorial(n)) if p.degree >= n else 0
+        if (exact and dn != b) or (not exact and abs(float(dn) - float(b)) > REL_TOL * float(b)):
             violations.append(i)
 
     return ExtremeVerdict(

@@ -276,7 +276,7 @@ def test_criterion_10_property_suites():
         lam = rng.choice([-1, 1]) * rng.uniform(0.3, 3.0)
         t_shift = rng.uniform(-2, 2)
         g = transform(f, mu=mu, lam=lam, t0=t_shift)
-        assert membership(g, 2, abs(mu), abs(mu * lam**2), tol=1e-8).ok
+        assert membership(g, 2, abs(mu), abs(mu * lam**2)).ok
 
     # sigma1 subadditivity on a grid
     blocks = [0.5 * i for i in range(1, 9)]

@@ -161,3 +161,23 @@ def test_exact_witness_is_a_member_attaining_its_value(route, log_a, log_b, T_un
     else:
         attained = abs(float(res.witness.deriv_value(res.witness_point, 1)))
     assert attained == pytest.approx(res.value, rel=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    nk=st.integers(2, 8).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 1))),
+    log_a=st.floats(-3, 3),
+    log_b=st.floats(-3, 3),
+    log_T=st.floats(-2, 3),
+)
+def test_segment_at_least_half_line_at_least_full_line(nk, log_a, log_b, log_T):
+    # the restriction of a member of a larger domain is a member of a smaller
+    # one; the half line's n >= 4 bracket is an upper bound, compared as such
+    n, k = nk
+    a, b = 10.0**log_a, 10.0**log_b
+    T = (a / b) ** (1 / n) * 10.0**log_T
+    line, half, seg = (compute_bound(BoundQuery(n, k, a, b, d)).value for d in (FullLine, HalfLine, Segment(T)))
+    assert half >= line * (1 - 1e-9)
+    assert seg >= line * (1 - 1e-9)
+    if n <= 3:
+        assert seg >= half * (1 - 1e-12)

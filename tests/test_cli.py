@@ -285,6 +285,26 @@ def test_verify_rejects_non_member(tmp_path, capsys):
     assert payload["result"]["membership"] is False
 
 
+def test_verify_compares_the_sup_with_a_small_a(tmp_path, capsys):
+    # |f| = 5e-10 is 500 times a; an absolute floor of 1e-9 let it through
+    path = tmp_path / "c.json"
+    path.write_text('{"knots": [0.0, 1.0], "pieces": [[5e-10]], "n": 2}')
+    code, payload, _ = run_json(capsys, "verify", "--file", str(path), "--a", "1e-12", "--b", "1")
+    assert code == 1
+    assert [v["kind"] for v in payload["result"]["violations"]] == ["sup"]
+
+
+def test_interior_witness_near_the_far_end_of_a_long_segment_round_trips(tmp_path, capsys):
+    # a witness reflected onto [0, T] cancelled coefficients of size T^2, and
+    # its joins came out about 1e-7 off
+    path = tmp_path / "w.json"
+    code, payload, err = run_json(capsys, "extremal", "--n", "2", "--T", "20000", "--t0", "15000",
+                                  "--out", str(path))
+    assert code == 0 and payload["result"]["membership"] == "ok", err
+    code, payload, err = run_json(capsys, "verify", "--file", str(path), "--extreme")
+    assert code == 0 and payload["result"]["is_extreme"] is True, err
+
+
 def test_verify_checks_exact_joins_exactly(tmp_path, capsys):
     # (t - 1000)^2 with a jump of 1e-7 at t = 1000: float a and b do not make
     # the exact pieces a float spline, so the join gets no rounding allowance
@@ -513,11 +533,11 @@ print(json.dumps({"code": code, "out": out.getvalue(), "heavy": heavy}))
 """
 
 
-def _probe(*argv):
+def _probe(*argv, timeout=120):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv], env=env,
-                          capture_output=True, text=True, timeout=120, check=True)
+                          capture_output=True, text=True, timeout=timeout, check=True)
     return json.loads(proc.stdout)
 
 
@@ -542,3 +562,14 @@ def test_oracle_still_loads_scipy():
     probe = _probe("oracle", "--problem", "pointwise", "--T", "2", "--t0", "1", "--M", "50")
     assert probe["code"] == 0 and "scipy" in probe["heavy"]
     assert json.loads(probe["out"])["result"]["status"] == "OracleApprox"
+
+
+def test_verify_cost_does_not_grow_with_the_order(tmp_path):
+    # joins are checked up to the larger degree of the two pieces, and no
+    # piece below degree n computes n! (factorial(10**6) alone takes seconds)
+    path = tmp_path / "lin.json"
+    path.write_text('{"knots": [0.0, 1.0, 2.0], "pieces": [[0.0, 0.5], [0.0, 0.5]], "n": 2}')
+    small, huge = (_probe("verify", "--file", str(path), "--n", n, "--extreme", timeout=30)
+                   for n in ("3", "1000000"))
+    assert huge == small
+    assert json.loads(small["out"])["result"]["membership"] is True

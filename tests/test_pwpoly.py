@@ -4,9 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from landaukol.bounds import BoundQuery, FullLine, HalfLine, compute_bound
 from landaukol.eulerspline import euler_spline_piecewise
 from landaukol.exactnum import Poly
 from landaukol.pwpoly import (
@@ -134,6 +135,78 @@ def test_float_contact_sets_match_the_exact_lane(f):
     ]
     tol = 1e-9 * max(1.0, f.length)
     assert all(abs(p.t - q.t) <= tol for p, q in zip(points, exact_points))
+
+
+def test_float_contact_sets_match_the_exact_lane_at_high_order():
+    # derivatives count as zero within their own rounding allowance: a fixed
+    # 1e-6 gave multiplicity 1 at the knot contacts 7 and 8 (n = 11, 12); the
+    # positions of contacts of high multiplicity are ill-conditioned (up to
+    # 4.1e-8 * length off), so only signs and multiplicities are compared
+    for n in (10, 11, 12):
+        for j in range(9):
+            f = euler_spline_piecewise(n, F(j, 4), F(j, 4) + 6)
+            exact_points, _ = contact_set(f, n, F(1))
+            points, _ = contact_set(_float_copy(f), n, 1.0)
+            assert [(p.sign, p.multiplicity) for p in points] == [
+                (p.sign, p.multiplicity) for p in exact_points
+            ], (n, j)
+
+
+def _unit_class_splines():
+    """(spline, b, member, extreme) in the class |f| <= 1, |f^(n)| <= b."""
+    parabola = Poly([-1.0, 2.0, -0.5])  # -1 -> 1 -> -1 on [0, 4]
+    euler3 = euler_spline_piecewise(3, F(0), F(6))
+    return [
+        (two_contact_extreme(1, 2), 1.0, True, True),
+        (steep_ramp(1), 1.0, True, True),
+        (PiecewisePoly([0.0, 4.0], [parabola], 2), 1.0, True, True),
+        (PiecewisePoly([0.0, 4.0], [parabola * 1.01], 2), 1.0, False, False),
+        (PiecewisePoly([0.0, 4.0], [Poly([0.5, -1.0, 0.25])], 2), 1.0, True, False),  # half parabola
+        (q_restriction_pieces(), 1.0, True, True),
+        (PiecewisePoly([F(0), F(2), F(3)], [Poly([F(-1), F(2), F(-1, 2)]), Poly([F(1)])], 2), 1.0, True, True),
+        (PiecewisePoly([F(0), F(1)], [Poly([F(0)])], 2), 1.0, True, False),
+        (PiecewisePoly([0.0, 1.0], [Poly([1.0, 0.0, -0.6])], 2), 1.0, False, False),  # |f''| = 1.2
+        (PiecewisePoly([0.0, 4.0], [Poly([0.0, 0.3])], 2), 1.0, False, False),  # |f(4)| = 1.2
+        (_float_copy(euler3), abs(float(euler3.pieces[0].nth_derivative(3)(0))), True, True),
+    ]
+
+
+UNIT_CLASS = _unit_class_splines()
+
+
+def _verdict(f, n, a, b):
+    member = membership(f, n, a, b).ok
+    return member, member and is_extreme_point(f, n, a, b).is_extreme
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    index=st.integers(0, len(UNIT_CLASS) - 1),
+    log_mu=st.floats(-100, 100),
+    log_lam=st.floats(-50, 50),
+    signs=st.tuples(st.sampled_from([-1, 1]), st.sampled_from([-1, 1])),
+)
+def test_verdicts_do_not_change_when_f_is_rescaled(index, log_mu, log_lam, signs):
+    # g(t) = mu f(lam t) is in the class (|mu|, |mu| |lam|^n b) exactly when f
+    # is in (1, b), and extreme there exactly when f is extreme
+    f, b, member, extreme = UNIT_CLASS[index]
+    n = f.n_smooth
+    mu, lam = signs[0] * 10.0**log_mu, signs[1] * 10.0**log_lam
+    try:
+        g = transform(f, mu=mu, lam=lam)
+    except StructuralError:  # knots closer than MIN_KNOT_GAP, an absolute floor
+        assume(False)
+    assert _verdict(g, n, abs(mu), abs(mu) * abs(lam) ** n * b) == _verdict(f, n, 1.0, b) == (member, extreme)
+
+
+@pytest.mark.parametrize("a, b, domain", [(1e200, 1e12, HalfLine), (1e200, 1e12, FullLine), (1.0, 1e-300, FullLine)])
+def test_witnesses_far_from_the_unit_scale_are_certified(a, b, domain):
+    # |f''| was compared with b by an absolute 1e-9, which a rounding of
+    # 2 * 499999999999.99994 failed, and the float root finder dropped the
+    # slope term -1e-300 t of p' on [0, 2.8e150], so no contact was seen
+    w = compute_bound(BoundQuery(2, 1, a, b, domain)).witness
+    assert membership(w, 2, a, b).ok
+    assert is_extreme_point(w, 2, a, b).is_extreme
 
 
 def test_rounding_allowance_does_not_admit_non_members_or_far_peaks():
