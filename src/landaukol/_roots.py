@@ -167,9 +167,10 @@ def real_roots_float(p: Poly, lo: float, hi: float) -> List[Root]:
     coeffs = [float(c) for c in p.coeffs]
     if not coeffs:
         raise ValueError("zero polynomial has every point as a root")
-    # drop c_d only if |c_d| <= 1e-14 max_m |c_m| R^(m - d) (R >= |t| on [lo, hi]; no overflow)
-    R = max(1.0, abs(lo), abs(hi))
-    while len(coeffs) > 1 and abs(coeffs[-1]) <= 1e-14 * max(
+    # drop c_d only if |c_d| <= 1e-14 max_m |c_m| R^(m - d) (R >= |t| on [lo, hi]; no
+    # overflow), which needs |c_d| <= 1e-14 max_m |c_m|: that cheap test goes first
+    R, top = max(1.0, abs(lo), abs(hi)), max(map(abs, coeffs))
+    while len(coeffs) > 1 and abs(coeffs[-1]) <= 1e-14 * top and abs(coeffs[-1]) <= 1e-14 * max(
             abs(c) * R ** (m - len(coeffs) + 1) for m, c in enumerate(coeffs)):
         coeffs.pop()
     if len(coeffs) <= 1:

@@ -292,8 +292,9 @@ def membership(f: PiecewisePoly, n: int, a: Real, b: Real) -> MembershipReport:
 
     for i in range(1, len(f.pieces)):
         t = f.knots[i]
-        dl, dr = f.pieces[i - 1], f.pieces[i]
-        for order in range(min(n, max(dl.degree, dr.degree) + 1)):  # higher orders vanish on both sides
+        left, right = f.pieces[i - 1], f.pieces[i]
+        for order in range(min(n, max(left.degree, right.degree) + 1)):  # higher orders vanish on both sides
+            dl, dr = left.nth_derivative(order), right.nth_derivative(order)
             vl, vr = dl(t), dr(t)
             gap = abs(float(vl - vr))
             scale = fa ** (1 - order / n) * fb ** (order / n)
@@ -301,7 +302,6 @@ def membership(f: PiecewisePoly, n: int, a: Real, b: Real) -> MembershipReport:
                 violations.append(
                     Violation("join", float(t), f"order-{order} mismatch at knot {i}: gap {gap:.3e}")
                 )
-            dl, dr = dl.derivative(), dr.derivative()
 
     for i, p in enumerate(f.pieces):
         dn = abs(p.coeffs[n] * math.factorial(n)) if p.degree >= n else 0  # no n! below degree n
