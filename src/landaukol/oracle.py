@@ -2,7 +2,8 @@
 
 Three tools, deliberately sharing no code with the formulas they check:
 
-* a dense-tableau simplex solver (written here, no external LP dependency)
+* a tableau simplex solver (written here, no external LP dependency) whose
+  Bland pivots update only the columns where the pivot row is nonzero,
   maximizing discretized derivative objectives over the discretized class
   |v_i| <= a, |v_{i+1} - 2 v_i + v_{i-1}| <= b h^2;
 * a randomized switching-point search over genuine bang-bang trajectories,
@@ -25,6 +26,7 @@ from .exactnum import Poly
 from .pwpoly import PiecewisePoly
 
 SQRT2 = math.sqrt(2.0)
+PIVOT_RUN_GAP = 64  # nonzero pivot-row columns closer than this share one BLAS call
 
 
 class SimplexError(RuntimeError):
@@ -43,7 +45,7 @@ def simplex_maximize(
     m, n = A.shape
     if np.any(b < 0):
         raise SimplexError("negative right-hand side: slack basis infeasible")
-    # Fortran order so the pivot can run as one in-place BLAS rank-1 update
+    # Fortran order so that a run of columns is one in-place BLAS rank-1 update
     T = np.zeros((m + 1, n + m + 1), order="F")
     T[:m, :n] = A
     T[:m, n : n + m] = np.eye(m)
@@ -71,8 +73,15 @@ def simplex_maximize(
         reducer = T[:, j].copy()
         reducer[r] = 0.0
         row = np.ascontiguousarray(T[r])
-        res = dger(-1.0, reducer, row, a=T, overwrite_a=1)
-        assert res is T
+        # the rank-1 update adds -row[c] * reducer to column c, which leaves
+        # the column as it is where row[c] == 0: update only the runs of
+        # nonzero columns, merging runs less than PIVOT_RUN_GAP apart
+        nz = np.flatnonzero(row)
+        gaps = np.flatnonzero(np.diff(nz) >= PIVOT_RUN_GAP)
+        for lo, hi in zip(np.r_[nz[0], nz[gaps + 1]].tolist(), (np.r_[nz[gaps], nz[-1]] + 1).tolist()):
+            block = T[:, lo:hi]
+            if dger(-1.0, reducer, row[lo:hi], a=block, overwrite_a=1) is not block:
+                raise SimplexError("the BLAS rank-1 update did not run in place")
         T[:, j] = 0.0
         T[r, j] = 1.0
         basis[r] = j
@@ -218,7 +227,8 @@ def _evaluate_bangbang(
 
 
 def _decode(theta: np.ndarray, T: float) -> Tuple[float, float, List[float]]:
-    return float(theta[0]), float(theta[1]), np.sort(np.clip(theta[2:], 0.0, T)).tolist()
+    th = theta.tolist()  # plain floats: cheaper than numpy per element at these sizes
+    return th[0], th[1], sorted(min(max(s, 0.0), T) for s in th[2:])
 
 
 def bangbang_sigma1_search(

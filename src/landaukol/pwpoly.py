@@ -6,10 +6,11 @@ Pieces hold coefficients in the *global* coordinate (the same t as the knots).
 Coefficients and knots may be exact ``Fraction``s or ``float``s: exact splines
 are checked exactly, float splines against ``REL_TOL`` times the class scale
 a^(1 - m/n) b^(m/n) of the compared f^(m) (a for values and contacts, b for
-|f^(n)|) plus a rounding allowance ``EVAL_ULPS`` * (degree + 1) * sum |c_m|
-|t|^m at the piece ends, so no verdict changes when f maps to mu f(lam t) and
-(a, b) to (|mu| a, |mu lam^n| b). Float verdicts carry a ``numeric`` flag
-(extremal constructions involving sqrt(2) cannot be represented exactly).
+|f^(n)|) plus a rounding allowance ``EVAL_ULPS`` * (degree + 1) * sum (|c_m| +
+``UNDERFLOW``) |t|^m at the piece ends, so no verdict changes when f maps to
+mu f(lam t) and (a, b) to (|mu| a, |mu lam^n| b). Float verdicts carry a
+``numeric`` flag (extremal constructions involving sqrt(2) cannot be
+represented exactly).
 Float sups and contact sets share one candidate rule: |p| peaks on a piece
 only at its ends and at the real roots of p'; contacts within ``REL_TOL`` *
 length are one.
@@ -32,6 +33,7 @@ from .exactnum import Poly, Real
 
 REL_TOL = 1e-9  # of the class scale a^(1 - m/n) b^(m/n) of f^(m)
 EVAL_ULPS = 2.0**-51  # allowance of a float value per degree, in units of sum |c_m| |t|^m
+UNDERFLOW = 2.0**-1074 / EVAL_ULPS  # absolute error of a coefficient, in the same units
 MIN_KNOT_GAP = 1e-12
 
 
@@ -206,15 +208,24 @@ def _float_peaks(p: Poly, lo: float, hi: float) -> List[float]:
                        for r in _piece_roots(dp, lo, hi, False)]
 
 
-def _within_allowance(x: float, limit: float, lo: Real, hi: Real, *polys: Poly) -> bool:
-    """x <= limit, or x <= limit + the sum over the polys of EVAL_ULPS * (deg + 1)
-    * sum |c_m| |t|^m at the end t of [lo, hi] of largest |t|, which bounds the
-    rounding of float p(t) in global coordinates (Higham, Accuracy and Stability
-    of Numerical Algorithms, 5.1). The Horner sum overflows to inf, which fails."""
+def _within_allowance(x: float, limit: float, lo: Real, hi: Real, *polys: Poly, order: int = 0) -> bool:
+    """x <= limit, or x <= limit + the sum over the polys p of EVAL_ULPS *
+    (deg p - order + 1) * P^(order)(t), P = sum (|c_m| + UNDERFLOW) t^m, at the end
+    t of [lo, hi] of largest |t|. This bounds the rounding of float p^(order)(t)
+    in global coordinates (Higham, Accuracy and Stability of Numerical
+    Algorithms, 5.1), with its underflow term: a coefficient or Horner product
+    below the normal range is off by up to 2^-1074 absolutely, and the error of
+    c_m reaches p^(order)(t) times the order-th derivative of t^m. The Horner
+    sum overflows to inf, which fails."""
     if x <= limit:
         return True
     t = max(abs(float(lo)), abs(float(hi)))
-    extra = sum((p.degree + 1) * Poly(abs(float(c)) for c in p.coeffs)(t) for p in polys)  # Horner: no OverflowError
+    extra = 0.0
+    for p in polys:
+        acc = 0.0
+        for m in range(p.degree, order - 1, -1):  # Horner: no OverflowError
+            acc = acc * t + (abs(float(p.coeffs[m])) + UNDERFLOW) * math.perm(m, order)
+        extra += (p.degree - order + 1) * acc
     return math.isfinite(extra) and x <= limit + EVAL_ULPS * extra
 
 
@@ -298,7 +309,7 @@ def membership(f: PiecewisePoly, n: int, a: Real, b: Real) -> MembershipReport:
             vl, vr = dl(t), dr(t)
             gap = abs(float(vl - vr))
             scale = fa ** (1 - order / n) * fb ** (order / n)
-            if (vl != vr) if exact_pieces else not _within_allowance(gap, REL_TOL * scale, t, t, dl, dr):
+            if (vl != vr) if exact_pieces else not _within_allowance(gap, REL_TOL * scale, t, t, left, right, order=order):
                 violations.append(
                     Violation("join", float(t), f"order-{order} mismatch at knot {i}: gap {gap:.3e}")
                 )
@@ -390,7 +401,7 @@ def contact_set(f: PiecewisePoly, n: int, a: Real) -> Tuple[List[ContactPoint], 
                         # p^(j)(x) = 0 within its own evaluation allowance
                         ds = (pf.nth_derivative(j) for j in range(1, min(n, pf.degree + 1)))
                         m = next((j for j, d in enumerate(ds, 1)
-                                  if not _within_allowance(abs(d(x)), 0.0, lo, hi, d)), n)
+                                  if not _within_allowance(abs(d(x)), 0.0, lo, hi, pf, order=j)), n)
                         points.append(ContactPoint(x, sign, m))
 
     # merge adjacent contact intervals of equal sign

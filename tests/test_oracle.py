@@ -1,8 +1,13 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
+from landaukol import oracle
 from landaukol.landau2 import sigma1, sigma_inf_value, sigma_pointwise, PointwiseQuery
 from landaukol.oracle import (
     BangBangControl,
@@ -32,6 +37,83 @@ def test_simplex_small_known_lp():
 def test_simplex_rejects_negative_rhs():
     with pytest.raises(SimplexError):
         simplex_maximize(np.array([1.0]), np.array([[1.0]]), np.array([-1.0]))
+
+
+def _random_box_lp(seed, m=30, n=600, density=0.02):
+    """Sparse random rows over many variables, each variable boxed by 1: the
+    pivot rows have nonzeros in several runs of columns far apart."""
+    rng = np.random.default_rng(seed)
+    A = np.vstack([rng.uniform(-1.0, 1.0, size=(m, n)) * (rng.random((m, n)) < density), np.eye(n)])
+    b = np.concatenate([rng.uniform(0.0, 2.0, size=m), np.ones(n)])
+    return rng.uniform(-1.0, 1.0, size=n), A, b
+
+
+def _pointwise(T, t0, M):
+    return build_pointwise_lp(1, 1, T, t0, M).solve()
+
+
+def _random(seed):
+    x, value, pivots = simplex_maximize(*_random_box_lp(seed))
+    return value, x, pivots
+
+
+# (value, pivots, sha256 of x) of the dense-update simplex, which updated every
+# column of the tableau on every pivot
+@pytest.mark.parametrize("solve, args, value, pivots, digest", [
+    (_pointwise, (10, 5, 800), "1.4079646017699503", 572,
+     "1e7d337aac58cbbd7e446daf2afd652207197d3c595be4b6d4f00854e4b53696"),
+    (_pointwise, (1, 0, 200), "2.500000000000019", 297,
+     "c0e56cf4920a4d6ba763b6ba3be6c9cb64bcb52853c0f8c04c851f4b4bb93b4d"),
+    (_pointwise, (4, 0.5, 200), "1.6166037735849088", 242,
+     "0c18c8b3149e63f76a77bfa4657800eaeb298fccf24e55c33b0e5a6e13ef7bda"),
+    (_pointwise, (10, 5, 200), "1.3892857142857145", 146,
+     "4ddf6b262ab4e58ddaf70bfe743919ab720c73d27639b2a2f432abfbaefd7dcb"),
+    (_random, (2024,), "144.33308368088413", 347,
+     "355e878ea0346d62518aedb7deb35448529b4f2f07a859fb5c7a173cb27f0940"),
+], ids=["interior-800", "short-200", "free-end-200", "interior-200", "random-2024"])
+def test_simplex_outputs_are_pinned_bit_for_bit(solve, args, value, pivots, digest):
+    v, x, p = solve(*args)
+    assert (repr(v), p, hashlib.sha256(x.tobytes()).hexdigest()) == (value, pivots, digest)
+
+
+def _highs_max(c, A, b):
+    res = linprog(-c, A_ub=A, b_ub=b, bounds=(0, None), method="highs")
+    assert res.status == 0
+    return -res.fun
+
+
+@pytest.mark.parametrize("T, t0", [(1, 0), (4, 0.5), (10, 5)])
+def test_simplex_agrees_with_highs_on_pointwise_lps(T, t0):
+    lp = build_pointwise_lp(1, 1, T, t0, 200)
+    assert lp.solve()[0] == pytest.approx(_highs_max(lp.c, lp.A, lp.rhs), rel=1e-9)
+
+
+_quarters = st.integers(-8, 8).map(lambda k: k / 4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda m: st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.lists(_quarters, min_size=n, max_size=n),
+    st.lists(st.lists(_quarters, min_size=n, max_size=n), min_size=m, max_size=m),
+    st.lists(st.integers(0, 12).map(lambda k: k / 4), min_size=m, max_size=m),
+    st.lists(st.integers(1, 12).map(lambda k: k / 4), min_size=n, max_size=n),
+))))
+def test_simplex_agrees_with_highs_on_random_bounded_lps(lp):
+    # A x <= b with b >= 0 (degenerate when some b_i = 0) and a box block
+    c, rows, b, box = (np.array(v, dtype=float) for v in lp)
+    A = np.vstack([rows, np.eye(len(c))])
+    rhs = np.concatenate([b, box])
+    x, value, _ = simplex_maximize(c, A, rhs)
+    assert np.all(A @ x <= rhs + 1e-9) and np.all(x >= -1e-9)
+    assert value == pytest.approx(c @ x, rel=1e-9, abs=1e-12)
+    assert value == pytest.approx(_highs_max(c, A, rhs), rel=1e-9, abs=1e-12)
+
+
+def test_simplex_refuses_an_update_that_did_not_run_in_place(monkeypatch):
+    # a BLAS wrapper that returned a copy would drop the update silently
+    monkeypatch.setattr(oracle, "dger", lambda alpha, x, y, a, overwrite_a: a.copy())
+    with pytest.raises(SimplexError):
+        simplex_maximize(np.array([1.0]), np.array([[1.0]]), np.array([1.0]))
 
 
 def test_lp_matches_closed_forms_small():

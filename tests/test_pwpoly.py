@@ -222,6 +222,23 @@ def test_rounding_allowance_does_not_admit_non_members_or_far_peaks():
     assert [v.kind for v in report.violations] == ["sup"]
 
 
+def test_subnormal_coefficients_keep_a_member():
+    # the image of the float EE_7 copy has coefficients down to 6.4e-315, each
+    # off by up to 2^-1074, which at |t| ~ 1e45 opens an order-0 join by 2.6e-9;
+    # a relative allowance alone rejected this member
+    f = _float_copy(euler_spline_piecewise(7, F(0), F(6)))
+    b = abs(float(f.pieces[0].nth_derivative(7)(0)))
+    mu, lam = -1.75e-4, -5e-45
+    g = transform(f, mu=mu, lam=lam)
+    assert 0 < min(abs(c) for p in g.pieces for c in p.coeffs if c) < 1e-314
+    assert membership(g, 7, abs(mu), abs(mu * lam**7) * b).ok
+    assert is_extreme_point(g, 7, abs(mu), abs(mu * lam**7) * b).is_extreme
+    # the allowance stays far below a 1% excess of the sup at this scale
+    larger = transform(PiecewisePoly(f.knots, [p * 1.01 for p in f.pieces], 7), mu=mu, lam=lam)
+    report = membership(larger, 7, abs(mu), abs(mu * lam**7) * b * 1.01)
+    assert {v.kind for v in report.violations} == {"sup"}
+
+
 def test_is_extreme_accepts_known_extremes():
     assert is_extreme_point(two_contact_extreme(1, 2), 2, F(1), F(1)).is_extreme
     cap = PiecewisePoly([F(0), F(1)], [Poly([F(1), F(0), F(-1, 2)])], 2)
