@@ -1,17 +1,20 @@
 """Shared result types and the uniform bound-query front door.
 
-Every computed bound carries a status (Exact / UpperBound / Interval), an
-optional extremal witness spline with the point where the value is attained,
-and a provenance tag naming the formula or method that produced it.
+Every computed bound carries a status (Exact / UpperBound / Interval), a
+provenance tag naming the formula or method that produced it and, where the
+value is attained, a builder of the extremal witness spline, which
+`BoundResult.witness` runs on first access: a caller of the value alone builds no spline.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Union
+import sys
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable, Optional, Union
 
-from . import landaun
-from .pwpoly import PiecewisePoly
+from . import eulerspline, landaun
+from .pwpoly import PiecewisePoly, StructuralError, transform
 
 EXACT = "Exact"
 UPPER_BOUND = "UpperBound"
@@ -89,13 +92,21 @@ class BoundResult:
     provenance: str
     lower: Optional[float] = None
     upper: Optional[float] = None
-    witness: Optional[PiecewisePoly] = None
-    witness_point: Optional[float] = None
+    witness_point: Optional[float] = None  # where the witness attains the value
     bracket: Optional[landaun.CnkBracket] = None
+    _build: Optional[Callable[[], Optional[PiecewisePoly]]] = field(default=None, repr=False, compare=False)
 
     @property
     def exact(self) -> Optional[float]:
         return self.value if self.status == EXACT else None
+
+    @cached_property
+    def witness(self) -> Optional[PiecewisePoly]:
+        """The extremal spline, built on first access; None if there is none or its knots collapse."""
+        try:
+            return None if self._build is None else self._build()
+        except StructuralError:
+            return None
 
 
 def compute_bound(query: BoundQuery) -> BoundResult:
@@ -128,7 +139,8 @@ def _route(query: BoundQuery) -> BoundResult:
     if (n, k) == (2, 1):
         return landau2.sigma_inf(a, b, dom)
     if isinstance(dom, _FullLineType):
-        return BoundResult(landaun.kolmogorov_bound(n, k, a, b), EXACT, "kolmogorov-whole-line")
+        return BoundResult(landaun.kolmogorov_bound(n, k, a, b), EXACT, "kolmogorov-whole-line",
+                           _build=lambda: _line_witness(n, a, b))
     if n == 3 and k in (1, 2):
         segment = isinstance(dom, Segment)
         sato = landaun.sato_segment(k, a, b, dom.T if segment else landaun.sato_t0(a, b))
@@ -143,3 +155,11 @@ def _route(query: BoundQuery) -> BoundResult:
     cert = peano.vandermonde_certificate(n, k)
     T = min(dom.T, cert.optimal_T(a, b))
     return BoundResult(cert.segment_bound(a, b, T), UPPER_BOUND, "vandermonde-certificate")
+
+
+def _line_witness(n: int, a: float, b: float) -> Optional[PiecewisePoly]:
+    """Two periods of the Euler spline q_n scaled to the (a, b) class; None when
+    lam^n = b/a leaves the normal float range, where the scaled t^n terms lose bits."""
+    if not sys.float_info.min <= b / a < math.inf:
+        return None
+    return transform(eulerspline.q_n_piecewise(n, periods=2), mu=a, lam=(b / a) ** (1.0 / n))

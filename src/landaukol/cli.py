@@ -19,7 +19,7 @@ from typing import List, Optional
 from . import eulerspline, landaun, peano
 from .bounds import BoundQuery, BoundResult, FullLine, HalfLine, Segment, compute_bound
 from .exactnum import euler_number
-from .pwpoly import PiecewisePoly, StructuralError, is_extreme_point, membership, transform
+from .pwpoly import PiecewisePoly, StructuralError, is_extreme_point, membership
 
 SCHEMA_VERSION = "1"
 
@@ -74,10 +74,6 @@ def cmd_extremal(args) -> int:
     query = _query(args)
     result = compute_bound(query)
     witness = result.witness
-    if query.domain is FullLine and query.n >= 3:
-        # built here, not in compute_bound: it costs more than the bound itself
-        lam = (query.b / query.a) ** (1.0 / query.n)
-        witness = transform(eulerspline.q_n_piecewise(query.n, periods=2), mu=query.a, lam=lam)
     provenance = _provenance(query, result)
     if witness is None:
         raise ValueError(f"no extremal witness available for this query ({provenance})")

@@ -3,13 +3,14 @@ over a segment, half-line and the whole line, the pointwise supremum of
 f'(t0), the comparison parabola train q, prolongation constructors, line
 extendability, and the total-variation supremum sigma_1.
 
-Every exact value comes with an extremal witness spline that passes the
-membership check and attains the value at the reported point, unless the
-witness would have knots closer than MIN_KNOT_GAP (a segment of length about
-1e-12, or a, b so far apart that the scaling collapses), more than MAX_ARCS
-comparison arcs, or b/a outside the float range; the value is then returned
-without one.  General (a, b) queries are reduced to the unit class by
-f(t) = a * f_unit(t * sqrt(b/a)), with sqrt(b/a) and sqrt(a b) kept in range.
+Every exact value comes with a builder of an extremal witness spline, which
+`BoundResult.witness` runs on first access; the spline passes the membership
+check and attains the value at the reported point.  The witness is None when
+its knots would be closer than MIN_KNOT_GAP (a segment of length about 1e-12,
+or a, b so far apart that the scaling collapses), it would need more than
+MAX_ARCS comparison arcs, or b/a is outside the float range.  General (a, b)
+queries are reduced to the unit class by f(t) = a * f_unit(t * sqrt(b/a)),
+with sqrt(b/a) and sqrt(a b) kept in range.
 """
 from __future__ import annotations
 
@@ -19,16 +20,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional, Tuple
 
-from .bounds import EXACT, INTERVAL, BoundResult, Domain, _FullLineType, _HalfLineType
+from .bounds import EXACT, INTERVAL, BoundResult, Domain, Segment, _FullLineType, _HalfLineType
 from .exactnum import Poly, Real
 from .landaun import kolmogorov_bound
-from .pwpoly import (
-    MIN_KNOT_GAP,
-    PiecewisePoly,
-    StructuralError,
-    require_member,
-    transform,
-)
+from .pwpoly import MIN_KNOT_GAP, PiecewisePoly, StructuralError, require_member, transform
 
 SQRT2 = math.sqrt(2.0)
 MAX_ARCS = 10**5
@@ -137,28 +132,19 @@ def _witness(
     unit: Callable[[], PiecewisePoly], a: float, b: float, reflect_at: Optional[float] = None
 ) -> Optional[PiecewisePoly]:
     """The unit-class witness unit() mapped to the (a, b) class by
-    W(t) = a w(t sqrt(b/a)), then reflected onto [0, reflect_at] if given;
-    None when a spline on the way has knots closer than MIN_KNOT_GAP, so
-    that the bound is still returned."""
-    try:
-        w = unit()
-        if (a, b) != (1, 1):
-            lam = _scales(a, b)[0]
-            if not sys.float_info.min <= lam * lam < math.inf:
-                return None  # b/a leaves the float range: scaled t^2 terms are lost
-            w = transform(w, mu=a, lam=lam)
-        return w if reflect_at is None else transform(w, mu=-1.0, lam=-1.0, t0=reflect_at)
-    except StructuralError:
-        return None
+    W(t) = a w(t sqrt(b/a)), then reflected onto [0, reflect_at] if given."""
+    w = unit()
+    if (a, b) != (1, 1):
+        lam = _scales(a, b)[0]
+        if not sys.float_info.min <= lam * lam < math.inf:
+            return None  # b/a leaves the float range: scaled t^2 terms are lost
+        w = transform(w, mu=a, lam=lam)
+    return w if reflect_at is None else transform(w, mu=-1.0, lam=-1.0, t0=reflect_at)
 
 
 def sigma_inf_value(a: float, b: float, T: float) -> float:
     """Closed form for the segment sup of |f'|."""
-    if not (a > 0 and b > 0 and T > 0):
-        raise ValueError("a, b, T must be positive")
-    if T <= 2 * math.sqrt(a / b):
-        return 2 * a / T + b * T / 2
-    return 2 * math.sqrt(a * b)
+    return sigma_inf(a, b, Segment(T)).value
 
 
 def sigma_inf(a: float, b: float, domain: Domain) -> BoundResult:
@@ -184,8 +170,8 @@ def sigma_inf(a: float, b: float, domain: Domain) -> BoundResult:
         else:
             value, tag = 2 * root_ab, "segment-long-closed-form"
             unit = lambda: _long_witness_unit(t_unit)
-    witness = _witness(unit, a, b) if unit else None
-    return BoundResult(value, EXACT, tag, witness=witness, witness_point=None if witness is None else 0.0)
+    build = None if unit is None else lambda: _witness(unit, a, b)
+    return BoundResult(value, EXACT, tag, witness_point=0.0, _build=build)
 
 
 def _whole_line_witness_unit() -> PiecewisePoly:
@@ -259,14 +245,8 @@ def sigma_pointwise(query: PointwiseQuery) -> BoundResult:
     a, b, T, t0 = query.a, query.b, query.T, query.t0
     scale, root_ab = _scales(a, b)
     value_unit, tag, unit, reflected = _sigma_pointwise_unit(t0 * scale, T * scale)
-    witness = _witness(unit, a, b, reflect_at=T if reflected else None)
-    return BoundResult(
-        value_unit * root_ab,
-        EXACT,
-        tag,
-        witness=witness,
-        witness_point=None if witness is None else t0,
-    )
+    return BoundResult(value_unit * root_ab, EXACT, tag, witness_point=t0,
+                       _build=lambda: _witness(unit, a, b, T if reflected else None))
 
 
 # -- prolongations and extendability ----------------------------------------
@@ -481,10 +461,6 @@ def lattice_witness_unit(N: int) -> PiecewisePoly:
     return PiecewisePoly(knots, pieces, 2)
 
 
-def _sigma1_exact(v: float, provenance: str, witness: Optional[PiecewisePoly] = None) -> BoundResult:
-    return BoundResult(v, EXACT, provenance, lower=v, upper=v, witness=witness)
-
-
 def sigma1(a: float, b: float, T: float) -> BoundResult:
     """sup of the total variation of f over [0, T] for the (a, b) class;
     exact in three regimes, a certified interval [lower, upper] elsewhere."""
@@ -493,22 +469,20 @@ def sigma1(a: float, b: float, T: float) -> BoundResult:
     if not 0 <= T < math.inf:
         raise ValueError(f"T must be nonnegative and finite, got {T}")
     if T == 0:
-        return _sigma1_exact(0.0, "T<=2")
+        return BoundResult(0.0, EXACT, "T<=2", lower=0.0, upper=0.0)
     t_unit = T * _scales(a, b)[0]
-
-    if t_unit <= 2:
-        witness = _witness(lambda: _tau_witness_unit(t_unit), a, b) if T > _EDGE else None
-        return _sigma1_exact(2 * a, "T<=2", witness)
     N = _lattice_index(t_unit)
-    if t_unit <= 4 and N is None:
-        v = a * _sigma1_exact_unit(t_unit)
-        return _sigma1_exact(v, "2<=T<=4", _witness(lambda: _parabola_witness_unit(t_unit), a, b))
-    if N is not None:
-        v = a * (2 * N + 4)
-        return _sigma1_exact(v, "lattice", _witness(lambda: lattice_witness_unit(N), a, b))
-
-    lower = a * _sigma1_lower_unit(t_unit)
-    upper = a * _sigma1_upper_unit(t_unit)
-    plain = a * (t_unit / SQRT2 + 5)
-    provenance = "subadditive" if upper < plain - 1e-12 else "encadrement"
-    return BoundResult(upper, INTERVAL, provenance, lower=lower, upper=upper)
+    if t_unit <= 2:
+        v, tag, unit = 2 * a, "T<=2", (lambda: _tau_witness_unit(t_unit)) if T > _EDGE else None
+    elif t_unit <= 4 and N is None:
+        v, tag, unit = a * _sigma1_exact_unit(t_unit), "2<=T<=4", lambda: _parabola_witness_unit(t_unit)
+    elif N is not None:
+        v, tag, unit = a * (2 * N + 4), "lattice", lambda: lattice_witness_unit(N)
+    else:
+        lower = a * _sigma1_lower_unit(t_unit)
+        upper = a * _sigma1_upper_unit(t_unit)
+        plain = a * (t_unit / SQRT2 + 5)
+        provenance = "subadditive" if upper < plain - 1e-12 else "encadrement"
+        return BoundResult(upper, INTERVAL, provenance, lower=lower, upper=upper)
+    build = None if unit is None else lambda: _witness(unit, a, b)
+    return BoundResult(v, EXACT, tag, lower=v, upper=v, _build=build)

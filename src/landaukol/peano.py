@@ -184,10 +184,11 @@ class KernelCertificate:
         return (a_star * float(a) / (b_star * float(b))) ** (1.0 / self.n)
 
 
-def _solve_exact(matrix: List[List[Fraction]], rhs: List[Fraction]) -> List[Fraction]:
-    """Gaussian elimination with exact rationals (partial pivoting by size)."""
-    n = len(rhs)
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
+def _solve_exact(matrix: List[List[Fraction]], rhss: List[List[Fraction]]) -> List[List[Fraction]]:
+    """The solutions x of matrix x = rhs, one per right-hand side, by one
+    Gauss-Jordan pass over exact rationals (the first nonzero pivot)."""
+    n = len(matrix)
+    aug = [row[:] + [rhs[i] for rhs in rhss] for i, row in enumerate(matrix)]
     for col in range(n):
         piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if piv is None:
@@ -199,7 +200,7 @@ def _solve_exact(matrix: List[List[Fraction]], rhs: List[Fraction]) -> List[Frac
             if r != col and aug[r][col] != 0:
                 factor = aug[r][col]
                 aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
-    return [aug[r][n] for r in range(n)]
+    return [[aug[r][n + j] for r in range(n)] for j in range(len(rhss))]
 
 
 def certificate_nodes(n: int) -> List[Fraction]:
@@ -214,10 +215,8 @@ def lagrange_derivatives(alphas: Sequence[Fraction], k: int) -> List[Poly]:
     transposed Vandermonde system with right-hand side e_i."""
     n = len(alphas)
     matrix = [[alpha**m for m in range(n)] for alpha in alphas]
-    return [
-        Poly(_solve_exact(matrix, [Fraction(int(i == j)) for j in range(n)])).nth_derivative(k)
-        for i in range(n)
-    ]
+    units = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    return [Poly(coeffs).nth_derivative(k) for coeffs in _solve_exact(matrix, units)]
 
 
 def certificate_functional(n: int, k: int, x: Fraction) -> LinearFunctional:

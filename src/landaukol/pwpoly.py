@@ -316,8 +316,9 @@ def membership(f: PiecewisePoly, n: int, a: Real, b: Real) -> MembershipReport:
 
     for i, p in enumerate(f.pieces):
         dn = abs(p.coeffs[n] * math.factorial(n)) if p.degree >= n else 0  # no n! below degree n
+        lo, hi = f.knots[i], f.knots[i + 1]
         # written as "not <=" so that a NaN counts as a violation
-        if not (dn <= b if exact else float(dn) <= fb * (1 + REL_TOL)):
+        if not (dn <= b if exact else _within_allowance(float(dn), fb * (1 + REL_TOL), lo, hi, p, order=n)):
             violations.append(
                 Violation(
                     "nth-derivative",
@@ -441,6 +442,7 @@ def is_extreme_point(f: PiecewisePoly, n: int, a: Real, b: Real) -> ExtremeVerdi
     contact set must have |f^(n)| equal to b (bang-bang)."""
     require_member(f, n, a, b)
     exact = f.is_exact() and _is_exact_number(a) and _is_exact_number(b)
+    fb = float(b)
     points, intervals = contact_set(f, n, a)
     msum: float = math.inf if intervals else sum(cp.multiplicity for cp in points)
 
@@ -450,7 +452,7 @@ def is_extreme_point(f: PiecewisePoly, n: int, a: Real, b: Real) -> ExtremeVerdi
         if any(iv.lo <= lo and hi <= iv.hi for iv in intervals):  # the same float knots
             continue
         dn = abs(p.coeffs[n] * math.factorial(n)) if p.degree >= n else 0
-        if (exact and dn != b) or (not exact and abs(float(dn) - float(b)) > REL_TOL * float(b)):
+        if (dn != b) if exact else not _within_allowance(abs(float(dn) - fb), REL_TOL * fb, lo, hi, p, order=n):
             violations.append(i)
 
     return ExtremeVerdict(

@@ -196,7 +196,7 @@ def _random_order2_functional(rng, T):
             break
     matrix = [[alphas[i] ** j for i in range(2)] for j in range(2)]
     rhs = [-(alphas[2] ** j) for j in range(2)]
-    sol = _solve_exact(matrix, rhs)
+    (sol,) = _solve_exact(matrix, [rhs])
     terms = tuple((alphas[i], 0, sol[i]) for i in range(2)) + ((alphas[2], 0, Fraction(1)),)
     return LinearFunctional(terms, T, 2)
 

@@ -13,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from landaukol.cli import main
+from landaukol.landaun import kolmogorov_bound
+from landaukol.pwpoly import PiecewisePoly
 
 
 def run_cli(capsys, *argv):
@@ -237,6 +239,43 @@ def test_extremal_with_far_apart_a_b_is_a_member_or_exits_2(capsys, argv):
     else:
         assert code == 2 and out == ""
         assert err.startswith("error: no extremal witness available") and len(err.splitlines()) == 1
+
+
+# whole-line witnesses of order n >= 3 whose scaling lam^n = b/a leaves the
+# normal float range
+LINE_COLLAPSED_WITNESS = {
+    ("--n", "5", "--a", "1e300", "--b", "1e-300"): kolmogorov_bound(5, 1, 1e300, 1e-300),
+    ("--n", "3", "--a", "1e-300", "--b", "1e300"): kolmogorov_bound(3, 1, 1e-300, 1e300),
+}
+
+
+@pytest.mark.parametrize("argv", list(LINE_COLLAPSED_WITNESS), ids=" ".join)
+def test_line_witness_outside_the_float_range_exits_2(capsys, argv):
+    code, payload, err = run_json(capsys, "bound", "--domain", "line", *argv)
+    assert code == 0, err
+    assert payload["result"]["value"] == pytest.approx(LINE_COLLAPSED_WITNESS[argv], rel=1e-15)
+    code, out, err = run_cli(capsys, "extremal", "--domain", "line", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: no extremal witness available") and len(err.splitlines()) == 1
+
+
+def test_bound_builds_no_spline(capsys, monkeypatch):
+    # a witness is built on first access, and `bound` never reads one
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("`bound` built a spline")
+
+    monkeypatch.setattr(PiecewisePoly, "__init__", refuse)
+    for argv, golden in GOLDEN_ROUTES.items():
+        if argv[0] == "bound":
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 0 and out.strip() == golden, (argv, err)
+    expected = {("--n", "2", *argv): v for argv, v in {**COLLAPSED_WITNESS, **FAR_APART}.items()}
+    expected.update({("--domain", "line", *argv): v for argv, v in LINE_COLLAPSED_WITNESS.items()})
+    for argv, value in expected.items():
+        code, payload, err = run_json(capsys, "bound", *argv)
+        assert code == 0, (argv, err)
+        result = payload["result"]
+        assert result.get("value", result.get("upper")) == pytest.approx(value, rel=1e-12), argv
 
 
 def test_extremal_verify_round_trip(tmp_path, capsys):

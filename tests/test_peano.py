@@ -142,7 +142,7 @@ def _random_annihilating_functional(rng, n, T):
     # solve for the first n lambdas given lambda_n = 1
     from landaukol.peano import _solve_exact
 
-    sol = _solve_exact(matrix, rhs)
+    (sol,) = _solve_exact(matrix, [rhs])
     terms = tuple((alphas[i], 0, sol[i]) for i in range(n)) + ((alphas[n], 0, F(1)),)
     return LinearFunctional(terms, T, n)
 

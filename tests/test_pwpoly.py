@@ -239,6 +239,21 @@ def test_subnormal_coefficients_keep_a_member():
     assert {v.kind for v in report.violations} == {"sup"}
 
 
+def test_subnormal_top_derivative_keeps_a_member():
+    # |f^(7)| = 2.3963763e-314 against b = 2.3963756e-314: a subnormal is off
+    # by up to 2^-1074 absolutely, and a relative comparison alone rejected
+    # this member on every piece
+    f = _float_copy(euler_spline_piecewise(7, F(0), F(6)))
+    mu, lam = -1.29e-15, -6.95e-44
+    g = transform(f, mu=mu, lam=lam)
+    b = abs(mu * lam**7) * abs(float(f.pieces[0].nth_derivative(7)(0)))
+    assert b < 1e-300
+    assert membership(g, 7, abs(mu), b).ok
+    assert is_extreme_point(g, 7, abs(mu), b).is_extreme
+    report = membership(g, 7, abs(mu), b / 1.001)
+    assert {v.kind for v in report.violations} == {"nth-derivative"}
+
+
 def test_is_extreme_accepts_known_extremes():
     assert is_extreme_point(two_contact_extreme(1, 2), 2, F(1), F(1)).is_extreme
     cap = PiecewisePoly([F(0), F(1)], [Poly([F(1), F(0), F(-1, 2)])], 2)
