@@ -91,7 +91,7 @@ def cmd_extremal(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    from . import oracle  # deferred: only the oracles need scipy
+    from . import oracle  # deferred: only the oracles need numpy and scipy's BLAS
 
     seed = int(os.environ.get("LANDAU_SEED", args.seed))
     if args.problem == "pointwise":

@@ -7,6 +7,7 @@ Three tools, deliberately sharing no code with the formulas they check:
   maximizing discretized derivative objectives over the discretized class
   |v_i| <= a, |v_{i+1} - 2 v_i + v_{i-1}| <= b h^2;
 * a randomized switching-point search over genuine bang-bang trajectories,
+  driven by a Nelder-Mead minimizer (also written here, on plain floats),
   whose every reported value is attained by an exactly-verified member, hence
   a certified lower bound on the total-variation supremum;
 * a random member generator that inserts decelerating parabolic landings
@@ -15,15 +16,15 @@ Three tools, deliberately sharing no code with the formulas they check:
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg.blas import dger
-from scipy.optimize import minimize
 
 from .exactnum import Poly
-from .pwpoly import PiecewisePoly
+from .pwpoly import MIN_KNOT_GAP, PiecewisePoly
 
 SQRT2 = math.sqrt(2.0)
 PIVOT_RUN_GAP = 64  # nonzero pivot-row columns closer than this share one BLAS call
@@ -159,6 +160,85 @@ def lp_max_pointwise_derivative(a: float, b: float, T: float, t0: float, M: int)
     return build_pointwise_lp(a, b, T, t0, M).solve()[0]
 
 
+# -- Nelder-Mead ---------------------------------------------------------------
+
+
+class NelderMeadResult(NamedTuple):
+    x: List[float]
+    nfev: int
+
+
+def minimize(
+    fun: Callable[[List[float]], float], x0: Sequence[float], maxiter: int, xatol: float, fatol: float
+) -> NelderMeadResult:
+    """Nelder-Mead on plain floats, step for step scipy's
+    `minimize(method="Nelder-Mead")` with the same maxiter, xatol and fatol:
+    reflection 1, expansion 2, contraction and shrink 1/2, the 5 % / 0.00025
+    initial simplex, the centroid summed row by row from row 0.  Vertices with
+    tied f keep their simplex order (a stable sort), so the path does not
+    depend on how a machine's numpy sorts ties."""
+    n = len(x0)
+    sim = [list(x0)]
+    for k in range(n):
+        y = list(x0)
+        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
+        sim.append(y)
+    fsim = [fun(x) for x in sim]
+    nfev = n + 1
+    order = sorted(range(n + 1), key=fsim.__getitem__)
+    sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
+
+    for _ in range(maxiter - 1):
+        best = sim[0]
+        # fsim is sorted, so its spread is max |fsim[0] - fsim[i]| exactly
+        if fsim[-1] - fsim[0] <= fatol and all(
+            abs(v - c) <= xatol for x in sim[1:] for v, c in zip(x, best)
+        ):
+            break
+        xbar = best
+        for x in sim[1:-1]:
+            xbar = [p + q for p, q in zip(xbar, x)]
+        xbar = [p / n for p in xbar]
+        worst = sim[-1]
+        xr = [2 * p - q for p, q in zip(xbar, worst)]
+        fxr = fun(xr)
+        nfev += 1
+        new = None
+        if fxr < fsim[0]:
+            xe = [3 * p - 2 * q for p, q in zip(xbar, worst)]
+            fxe = fun(xe)
+            nfev += 1
+            new = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            new = (xr, fxr)
+        elif fxr < fsim[-1]:
+            xc = [1.5 * p - 0.5 * q for p, q in zip(xbar, worst)]
+            fxc = fun(xc)
+            nfev += 1
+            if fxc <= fxr:
+                new = (xc, fxc)
+        else:
+            xcc = [0.5 * p + 0.5 * q for p, q in zip(xbar, worst)]
+            fxcc = fun(xcc)
+            nfev += 1
+            if fxcc < fsim[-1]:
+                new = (xcc, fxcc)
+
+        if new is None:  # shrink towards the best vertex
+            sim = [best] + [[c + 0.5 * (v - c) for v, c in zip(x, best)] for x in sim[1:]]
+            fsim = [fsim[0]] + [fun(x) for x in sim[1:]]
+            nfev += n
+            order = sorted(range(n + 1), key=fsim.__getitem__)
+            sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
+        else:
+            # only the last vertex changed: a stable sort puts it after its ties
+            del sim[-1], fsim[-1]
+            i = bisect_right(fsim, new[1])
+            sim.insert(i, new[0])
+            fsim.insert(i, new[1])
+    return NelderMeadResult(sim[0], nfev)
+
+
 # -- bang-bang switching-point search ----------------------------------------
 
 
@@ -182,7 +262,7 @@ class BangBangControl:
         bounds = sorted(min(max(s, 0.0), T) for s in self.switches)
         for end in bounds + [T]:
             t = knots[-1]
-            if end <= t + 1e-12:
+            if end <= t + MIN_KNOT_GAP:
                 sgn = -sgn
                 continue
             curv = sgn * self.scale * b
@@ -195,28 +275,31 @@ class BangBangControl:
 
 
 def _evaluate_bangbang(
-    f0: float, fp0: float, switches: Sequence[float], sign: int, a: float, b: float, T: float
+    f0: float, fp0: float, switches: Sequence[float], sign: int, b: float, T: float
 ) -> Tuple[float, float]:
     """(variation, max_abs): exact per-piece extrema and variation of the raw
-    trajectory."""
+    trajectory; arcs are skipped exactly where `BangBangControl.to_piecewise`
+    skips them."""
     f, fp = f0, fp0
     t = 0.0
     sgn = float(sign)
     variation = 0.0
     max_abs = abs(f0)
-    for end in list(switches) + [T]:
-        if end <= t + 1e-15:
+    for end in [*switches, T]:
+        if end <= t + MIN_KNOT_GAP:
             sgn = -sgn
             continue
         d = end - t
         curv = sgn * b
         # extrema of the quadratic piece
         f_end = f + fp * d + curv * d * d / 2
-        max_abs = max(max_abs, abs(f_end))
+        if abs(f_end) > max_abs:
+            max_abs = abs(f_end)
         tv = -fp / curv  # vertex
         if 0.0 < tv < d:
             f_v = f + fp * tv + curv * tv * tv / 2
-            max_abs = max(max_abs, abs(f_v))
+            if abs(f_v) > max_abs:
+                max_abs = abs(f_v)
             variation += abs(f_v - f) + abs(f_end - f_v)
         else:
             variation += abs(f_end - f)
@@ -226,9 +309,8 @@ def _evaluate_bangbang(
     return variation, max_abs
 
 
-def _decode(theta: np.ndarray, T: float) -> Tuple[float, float, List[float]]:
-    th = theta.tolist()  # plain floats: cheaper than numpy per element at these sizes
-    return th[0], th[1], sorted(min(max(s, 0.0), T) for s in th[2:])
+def _decode(theta: List[float], T: float) -> Tuple[float, float, List[float]]:
+    return theta[0], theta[1], sorted([0.0 if s < 0.0 else T if s > T else s for s in theta[2:]])
 
 
 def bangbang_sigma1_search(
@@ -257,24 +339,20 @@ def bangbang_sigma1_search(
     best_value = -math.inf
     best: Optional[BangBangControl] = None
 
-    def feasible_value(theta: np.ndarray, sign: int) -> Tuple[float, float]:
+    def feasible_value(theta: List[float], sign: int) -> Tuple[float, float]:
         f0, fp0, switches = _decode(theta, T)
-        variation, max_abs = _evaluate_bangbang(f0, fp0, switches, sign, a, b, T)
+        variation, max_abs = _evaluate_bangbang(f0, fp0, switches, sign, b, T)
         scale = 1.0 if max_abs <= a else a / max_abs
         return variation * scale, scale
 
-    def optimize(theta0: np.ndarray, sign: int, rounds: int) -> np.ndarray:
+    def optimize(theta0: List[float], sign: int, rounds: int) -> List[float]:
         # Nelder-Mead stalls when its simplex collapses; restarting it from
         # the incumbent point with a fresh simplex recovers the last digits
         x = theta0
         for _ in range(rounds):
-            res = minimize(
-                lambda th: -feasible_value(th, sign)[0],
-                x,
-                method="Nelder-Mead",
-                options={"maxiter": 400 * (len(x) + 1), "xatol": 1e-12, "fatol": 1e-14},
-            )
-            x = res.x
+            x = minimize(
+                lambda th: -feasible_value(th, sign)[0], x, maxiter=400 * (len(x) + 1), xatol=1e-12, fatol=1e-14
+            ).x
         return x
 
     for r in range(restarts):
@@ -282,7 +360,7 @@ def bangbang_sigma1_search(
         sign = -1 if r % 2 else 1
         f0 = float(rng.uniform(-a, a)) if r % 3 else -a * float(sign)
         fp0 = float(rng.uniform(-1, 1)) * 2 * math.sqrt(a * b)
-        theta0 = np.array([f0, fp0] + sorted(rng.uniform(0, T, size=m).tolist()))
+        theta0 = [f0, fp0] + sorted(rng.uniform(0, T, size=m).tolist())
 
         x = optimize(theta0, sign, rounds=2)
         value, scale = feasible_value(x, sign)
@@ -295,7 +373,7 @@ def bangbang_sigma1_search(
         raise SimplexError("no feasible bang-bang candidate found")
 
     # final polish of the incumbent
-    x = optimize(np.array([best.f0, best.fp0, *best.switches]), best.sign, rounds=3)
+    x = optimize([best.f0, best.fp0, *best.switches], best.sign, rounds=3)
     value, scale = feasible_value(x, best.sign)
     if value > best_value:
         f0b, fp0b, swb = _decode(x, T)

@@ -559,15 +559,15 @@ def test_table_variants(capsys):
     assert "lower_shape_kappa_free" in header
 
 
-# Runs `landau ARGV` in a fresh interpreter and reports which of numpy and
-# scipy it loaded; with no ARGV it only imports the CLI.
+# Runs `landau ARGV` in a fresh interpreter and reports which of numpy, scipy
+# and scipy.optimize it loaded; with no ARGV it only imports the CLI.
 _IMPORT_PROBE = """
 import contextlib, io, json, sys
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     from landaukol.cli import main
     code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
-heavy = sorted(m for m in ("numpy", "scipy") if m in sys.modules)
+heavy = sorted(m for m in ("numpy", "scipy", "scipy.optimize") if m in sys.modules)
 print(json.dumps({"code": code, "out": out.getvalue(), "heavy": heavy}))
 """
 
@@ -601,6 +601,14 @@ def test_oracle_still_loads_scipy():
     probe = _probe("oracle", "--problem", "pointwise", "--T", "2", "--t0", "1", "--M", "50")
     assert probe["code"] == 0 and "scipy" in probe["heavy"]
     assert json.loads(probe["out"])["result"]["status"] == "OracleApprox"
+
+
+def test_bangbang_oracle_does_not_load_scipy_optimize():
+    # the search runs its own Nelder-Mead; scipy.optimize alone costs a
+    # fresh process more start-up time and memory than the search needs
+    probe = _probe("oracle", "--problem", "sigma1", "--T", "2", "--restarts", "20", "--seed", "3")
+    assert probe["code"] == 0 and "scipy.optimize" not in probe["heavy"]
+    assert json.loads(probe["out"])["result"]["value"] == pytest.approx(2.0, abs=1e-3)
 
 
 def test_verify_cost_does_not_grow_with_the_order(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
+from scipy.optimize import minimize as scipy_minimize
 
 from landaukol import oracle
 from landaukol.landau2 import sigma1, sigma_inf_value, sigma_pointwise, PointwiseQuery
@@ -13,13 +14,14 @@ from landaukol.oracle import (
     BangBangControl,
     SimplexError,
     _decode,
+    _evaluate_bangbang,
     bangbang_sigma1_search,
     build_pointwise_lp,
     lp_max_pointwise_derivative,
     random_member,
     simplex_maximize,
 )
-from landaukol.pwpoly import membership, total_variation
+from landaukol.pwpoly import MIN_KNOT_GAP, membership, piece_sup, total_variation
 
 SQRT2 = math.sqrt(2.0)
 
@@ -197,13 +199,81 @@ def test_bangbang_determinism():
 
 
 def test_decode_matches_elementwise_clip():
-    # the vectorized clip-and-sort against the per-element loop it replaced
+    # the search's list of plain floats against a clip and sort written out
+    # element by element
     rng = np.random.default_rng(2024)
     for _ in range(50):
-        theta = rng.uniform(-3.0, 8.0, size=int(rng.integers(2, 10)))
+        theta = rng.uniform(-3.0, 8.0, size=int(rng.integers(2, 10))).tolist()
         f0, fp0, switches = _decode(theta, 5.0)
         assert (f0, fp0) == (float(theta[0]), float(theta[1]))
         assert switches == sorted(min(max(float(s), 0.0), 5.0) for s in theta[2:])
+
+
+@pytest.mark.parametrize("a, b, T, seed", [
+    (1, 1, 1.3, 1), (1, 1, 2.2, 2), (1, 1, 3.7, 4), (2, 0.5, 4.0, 5), (0.5, 3.0, 2.0, 6),
+])
+def test_bangbang_value_is_the_variation_of_its_member(a, b, T, seed):
+    # the search and the member it reports skip the same short arcs, so the
+    # value is the member's variation up to rounding, not up to a dropped arc
+    value, ctrl = bangbang_sigma1_search(a, b, T, restarts=20, seed=seed)
+    assert value == pytest.approx(total_variation(ctrl.to_piecewise(b, T)), rel=1e-12)
+
+
+@st.composite
+def _bangbang_controls(draw):
+    b = draw(st.floats(0.1, 5.0))
+    T = draw(st.floats(0.1, 10.0))
+    switches = [T * s for s in draw(st.lists(st.floats(0.0, 1.0), max_size=8))]
+    # switches a knot gap or less apart, and a little more than that
+    for s, gap in draw(st.lists(st.tuples(st.floats(0.0, 1.0), st.sampled_from(
+            [0.0, 0.5 * MIN_KNOT_GAP, MIN_KNOT_GAP, 3 * MIN_KNOT_GAP, 1e-9])), max_size=3)):
+        switches += [T * s, min(T * s + gap, T)]
+    f0, fp0 = draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0))
+    return f0, fp0, sorted(switches), draw(st.sampled_from([-1, 1])), b, T
+
+
+@settings(max_examples=150, deadline=None)
+@given(_bangbang_controls())
+def test_evaluator_matches_the_member_it_describes(case):
+    f0, fp0, switches, sign, b, T = case
+    variation, max_abs = _evaluate_bangbang(f0, fp0, switches, sign, b, T)
+    f = BangBangControl(f0, fp0, tuple(switches), sign).to_piecewise(b, T)
+    sup = max(piece_sup(p, lo, hi, False) for p, lo, hi in zip(f.pieces, f.knots, f.knots[1:]))
+    # a bound on |f| over the domain sets the scale of the rounding
+    tol = 1e-11 * (abs(f0) + abs(fp0) * T + b * T * T)
+    assert variation == pytest.approx(total_variation(f), rel=1e-11, abs=tol)
+    assert max_abs == pytest.approx(sup, rel=1e-11, abs=tol)
+
+
+def _rosenbrock(x):
+    return sum(100.0 * (x[i + 1] - x[i] ** 2) ** 2 + (1.0 - x[i]) ** 2 for i in range(len(x) - 1))
+
+
+def test_nelder_mead_follows_scipy_bit_for_bit():
+    # numpy's argsort need not keep tied f values in order (its SIMD sorts
+    # are not stable), while oracle.minimize keeps them in simplex order; so
+    # the paths are compared only on runs whose evaluations never tie
+    compared = 0
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        x0 = rng.uniform(-2.0, 2.0, size=2 + seed % 5).tolist()
+        opts = {"maxiter": 400 * (len(x0) + 1), "xatol": 1e-12, "fatol": 1e-14}
+        seen = []
+        ours = oracle.minimize(lambda x: seen.append(_rosenbrock(x)) or seen[-1], x0, **opts)
+        if len(set(seen)) < len(seen):
+            continue
+        ref = scipy_minimize(_rosenbrock, np.array(x0), method="Nelder-Mead", options=opts)
+        assert (ours.x, ours.nfev) == (ref.x.tolist(), ref.nfev), seed
+        compared += 1
+    assert compared >= 30
+
+
+def test_nelder_mead_keeps_tied_vertices_in_simplex_order():
+    # on a flat f every step ties, every step shrinks towards the first
+    # vertex, and a stable order keeps x0 first until the simplex collapses
+    x0 = [0.5, -2.0, 3.0]
+    res = oracle.minimize(lambda x: 1.0, x0, maxiter=1000, xatol=1e-12, fatol=1e-14)
+    assert res.x == x0 and res.x is not x0
 
 
 def test_bangbang_scaling():
