@@ -15,13 +15,7 @@ from .bounds import (
 )
 from .exactnum import Poly, Rational, bernoulli, euler_number, euler_poly
 from .eulerspline import e_n, euler_spline, favard, q_n, q_n_deriv_sup, r_n, s_n
-from .landau2 import (
-    PointwiseQuery,
-    Sigma1Result,
-    sigma1,
-    sigma_inf,
-    sigma_pointwise,
-)
+from .landau2 import PointwiseQuery, sigma1, sigma_inf, sigma_pointwise
 from .landaun import cnk_bracket, kolmogorov_bound, sato_segment
 from .peano import LinearFunctional, kernel_l1_norm, peano_kernel, vandermonde_certificate
 from .pwpoly import (
@@ -53,7 +47,6 @@ __all__ = [
     "Poly",
     "Rational",
     "Segment",
-    "Sigma1Result",
     "bernoulli",
     "cnk_bracket",
     "compute_bound",

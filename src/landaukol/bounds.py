@@ -8,13 +8,12 @@ value is attained, a builder of the extremal witness spline, which
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional, Union
 
 from . import eulerspline, landaun
-from .pwpoly import PiecewisePoly, StructuralError, transform
+from .pwpoly import PiecewisePoly, StructuralError, scalable, transform
 
 EXACT = "Exact"
 UPPER_BOUND = "UpperBound"
@@ -32,20 +31,20 @@ class Segment:
             raise ValueError("segment length must be finite")
 
 
-class _HalfLineType:
+class _Unbounded:
+    """The half line or the whole line; compare with `is`."""
+
+    def __init__(self, name: str):
+        self.name = name
+
     def __repr__(self) -> str:
-        return "HalfLine"
+        return self.name
 
 
-class _FullLineType:
-    def __repr__(self) -> str:
-        return "FullLine"
+HalfLine = _Unbounded("HalfLine")
+FullLine = _Unbounded("FullLine")
 
-
-HalfLine = _HalfLineType()
-FullLine = _FullLineType()
-
-Domain = Union[Segment, _HalfLineType, _FullLineType]
+Domain = Union[Segment, _Unbounded]
 
 
 @dataclass(frozen=True)
@@ -138,7 +137,7 @@ def _route(query: BoundQuery) -> BoundResult:
         return BoundResult(a if k == 0 else b, EXACT, "class-bound")
     if (n, k) == (2, 1):
         return landau2.sigma_inf(a, b, dom)
-    if isinstance(dom, _FullLineType):
+    if dom is FullLine:
         return BoundResult(landaun.kolmogorov_bound(n, k, a, b), EXACT, "kolmogorov-whole-line",
                            _build=lambda: _line_witness(n, a, b))
     if n == 3 and k in (1, 2):
@@ -146,7 +145,7 @@ def _route(query: BoundQuery) -> BoundResult:
         sato = landaun.sato_segment(k, a, b, dom.T if segment else landaun.sato_t0(a, b))
         tag = f"sato-segment-{sato.regime}" if segment else "sato-half-line"
         return BoundResult(sato.value_for(k), EXACT, tag)
-    if isinstance(dom, _HalfLineType):
+    if dom is HalfLine:
         bracket = landaun.cnk_bracket(n, k)
         tag = f"half-line-bracket({bracket.upper_source})"
         return BoundResult(bracket.upper * bracket.scale(a, b), UPPER_BOUND, tag, bracket=bracket)
@@ -159,7 +158,7 @@ def _route(query: BoundQuery) -> BoundResult:
 
 def _line_witness(n: int, a: float, b: float) -> Optional[PiecewisePoly]:
     """Two periods of the Euler spline q_n scaled to the (a, b) class; None when
-    lam^n = b/a leaves the normal float range, where the scaled t^n terms lose bits."""
-    if not sys.float_info.min <= b / a < math.inf:
+    b/a leaves the normal float range."""
+    if not scalable(a, b):
         return None
-    return transform(eulerspline.q_n_piecewise(n, periods=2), mu=a, lam=(b / a) ** (1.0 / n))
+    return transform(eulerspline.q_n_piecewise(n), mu=a, lam=(b / a) ** (1.0 / n))

@@ -132,48 +132,34 @@ def cmd_oracle(args) -> int:
     return 0
 
 
+def _cnk_values(n: int, k: int) -> list:
+    br = landaun.cnk_bracket(n, k)
+    exact = "" if br.exact is None else repr(br.exact)
+    return [exact, repr(br.upper), repr(br.matorin), repr(br.malliavin), repr(br.lower)]
+
+
+# name: (CSV header, the values after n or (n, k)); the order is that of --help
+TABLES = {
+    "favard": (["n", "K_n"], lambda n: [repr(eulerspline.favard(n))]),
+    "euler-numbers": (["n", "E_n"], lambda n: [euler_number(n)]),
+    "rn": (["n", "r_n"], lambda n: [eulerspline.r_n(n)]),
+    "cnk": (["n", "k", "exact", "upper", "matorin", "malliavin", "lower_shape_kappa_free"], _cnk_values),
+    "Ank": (["n", "k", "A_nk"], lambda n, k: [landaun.A_nk_markov(n, k)]),
+    "Bnk": (["n", "k", "kallioniemi", "cartan", "lower_bound"],
+            lambda n, k: [landaun.B_nk_kallioniemi(n, k), landaun.B_nk_cartan(n, k), landaun.B_nk_lower(n, k)]),
+}
+
+
 def cmd_table(args) -> int:
+    header, values = TABLES[args.what]
+    if header[1] == "k":  # 2 <= n <= max_n and 0 < k < n
+        keys = [(n, k) for n in range(2, args.max_n + 1) for k in range(1, n)]
+    else:
+        keys = [(n,) for n in range(args.max_n + 1)]
+    rows = [[*key, *values(*key)] for key in keys]  # before the header: a failing row prints nothing
     writer = csv.writer(sys.stdout, lineterminator="\n")
-    what, max_n = args.what, args.max_n
-    if what == "euler-numbers":
-        writer.writerow(["n", "E_n"])
-        for n in range(max_n + 1):
-            writer.writerow([n, euler_number(n)])
-    elif what == "favard":
-        writer.writerow(["n", "K_n"])
-        for n in range(max_n + 1):
-            writer.writerow([n, repr(eulerspline.favard(n))])
-    elif what == "rn":
-        writer.writerow(["n", "r_n"])
-        for n in range(max_n + 1):
-            writer.writerow([n, eulerspline.r_n(n)])
-    elif what == "Ank":
-        writer.writerow(["n", "k", "A_nk"])
-        for n in range(2, max_n + 1):
-            for k in range(1, n):
-                writer.writerow([n, k, landaun.A_nk_markov(n, k)])
-    elif what == "Bnk":
-        writer.writerow(["n", "k", "kallioniemi", "cartan", "lower_bound"])
-        for n in range(2, max_n + 1):
-            for k in range(1, n):
-                writer.writerow([
-                    n, k,
-                    landaun.B_nk_kallioniemi(n, k),
-                    landaun.B_nk_cartan(n, k),
-                    landaun.B_nk_lower(n, k),
-                ])
-    else:  # cnk
-        writer.writerow(["n", "k", "exact", "upper", "matorin", "malliavin",
-                         "lower_shape_kappa_free"])
-        for n in range(2, max_n + 1):
-            for k in range(1, n):
-                br = landaun.cnk_bracket(n, k)
-                writer.writerow([
-                    n, k,
-                    "" if br.exact is None else repr(br.exact),
-                    repr(br.upper), repr(br.matorin), repr(br.malliavin),
-                    repr(br.lower),
-                ])
+    writer.writerow(header)
+    writer.writerows(rows)
     return 0
 
 
@@ -303,8 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_oracle)
 
     p = sub.add_parser("table", help="emit constant tables (CSV)")
-    p.add_argument("--what", choices=["favard", "euler-numbers", "rn", "cnk", "Ank", "Bnk"],
-                   required=True)
+    p.add_argument("--what", choices=list(TABLES), required=True)
     p.add_argument("--max-n", type=int, default=10)
     p.set_defaults(fn=cmd_table)
 

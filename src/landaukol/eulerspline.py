@@ -6,7 +6,9 @@ satisfies e_n(x+1) = -e_n(x).  Derived objects:
 * r_n = sup |e_n|, s_n = r_n / n!  (exact rationals),
 * the Favard constants K_n = pi^n s_n,
 * the normalized spline EE_n(x) = e_n(x + eps_n)/e_n(eps_n) with EE_n(0) = 1,
-* the unit-class comparison spline q_n(x) = EE_n(x * s_n^(1/n)).
+  where eps_n is 0 for odd n and 1/2 for even n,
+* the unit-class comparison spline q_n(x) = EE_n(x * s_n^(1/n)), also as an
+  explicit spline over two periods.
 
 Raising exact rationals to fractional powers is done once, in double
 precision, via exp/log of the integer numerator and denominator; it is the
@@ -15,29 +17,9 @@ only inexact step in this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
-from .exactnum import (
-    Poly,
-    Real,
-    _bernoulli_unchecked,
-    _check_index,
-    euler_number,
-    euler_poly,
-)
-
-
-@dataclass(frozen=True)
-class EulerSplineTable:
-    """Degree-n data: the piece polynomial E_n on [0,1] and its constants."""
-
-    n: int
-    piece: Poly
-    r_n: Fraction
-    s_n: Fraction
-    epsilon_n: Fraction  # 0 for odd n, 1/2 for even n
+from .exactnum import Real, _bernoulli_unchecked, _check_index, euler_number, euler_poly
 
 
 def r_n(n: int) -> Fraction:
@@ -54,11 +36,9 @@ def s_n(n: int) -> Fraction:
     return r_n(n) / math.factorial(n)
 
 
-@lru_cache(maxsize=None)
-def table(n: int) -> EulerSplineTable:
-    _check_index(n)
-    eps = Fraction(0) if n % 2 else Fraction(1, 2)
-    return EulerSplineTable(n=n, piece=euler_poly(n), r_n=r_n(n), s_n=s_n(n), epsilon_n=eps)
+def _epsilon(n: int) -> Fraction:
+    """The shift eps_n of EE_n: 0 for odd n, 1/2 for even n."""
+    return Fraction(0) if n % 2 else Fraction(1, 2)
 
 
 def e_n_exact(n: int, x: Fraction) -> Fraction:
@@ -116,8 +96,7 @@ def euler_spline(n: int, x: Real) -> float:
     """Normalized spline EE_n(x) = e_n(x + eps_n) / e_n(eps_n); EE_n(0) = 1."""
     if n < 1:
         raise ValueError("euler_spline needs n >= 1")
-    t = table(n)
-    eps = t.epsilon_n
+    eps = _epsilon(n)
     denom = e_n_exact(n, eps)
     if isinstance(x, (Fraction, int)):
         return float(e_n_exact(n, Fraction(x) + eps) / denom)
@@ -153,32 +132,30 @@ def euler_spline_piecewise(n: int, x0: Fraction, x1: Fraction):
     x0, x1 = Fraction(x0), Fraction(x1)
     if not x0 < x1:
         raise ValueError("need x0 < x1")
-    t = table(n)
-    denom = e_n_exact(n, t.epsilon_n)
+    eps = _epsilon(n)
+    denom = e_n_exact(n, eps)
     piece_of = euler_poly(n)
-    k_lo = math.floor(x0 + t.epsilon_n)
-    k_hi = math.ceil(x1 + t.epsilon_n)
+    k_lo = math.floor(x0 + eps)
+    k_hi = math.ceil(x1 + eps)
     knots = [x0]
     pieces = []
     for k in range(k_lo, k_hi):
-        lo = Fraction(k) - t.epsilon_n
+        lo = Fraction(k) - eps
         hi = lo + 1
         if hi <= x0 or lo >= x1:
             continue
         sign = Fraction(-1 if k % 2 else 1)
-        poly = piece_of.compose_affine(t.epsilon_n - k, Fraction(1)) * (sign / denom)
+        poly = piece_of.compose_affine(eps - k, Fraction(1)) * (sign / denom)
         pieces.append(poly)
         knots.append(min(hi, x1))
     return PiecewisePoly(knots, pieces, max(n, 1))
 
 
-def q_n_piecewise(n: int, periods: int = 1):
-    """q_n on [0, periods * 2 / s_n^(1/n)] as a spline (float knots)."""
+def q_n_piecewise(n: int):
+    """q_n on two periods, [0, 4 / s_n^(1/n)], as a spline (float knots)."""
     from .pwpoly import transform
 
     if n < 2:
         raise ValueError("q_n needs n >= 2")
-    if periods < 1:
-        raise ValueError("need periods >= 1")
-    base = euler_spline_piecewise(n, Fraction(0), Fraction(2 * periods))
+    base = euler_spline_piecewise(n, Fraction(0), Fraction(4))
     return transform(base, mu=1.0, lam=q_n_scale(n))

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional, Tuple
 
-from .bounds import EXACT, INTERVAL, BoundResult, Domain, Segment, _FullLineType, _HalfLineType
+from .bounds import EXACT, INTERVAL, BoundResult, Domain, FullLine, HalfLine, Segment
 from .exactnum import Poly, Real
 from .landaun import kolmogorov_bound
-from .pwpoly import MIN_KNOT_GAP, PiecewisePoly, StructuralError, require_member, transform
+from .pwpoly import MIN_KNOT_GAP, PiecewisePoly, StructuralError, require_member, scalable, transform
 
 SQRT2 = math.sqrt(2.0)
 MAX_ARCS = 10**5
@@ -106,12 +106,10 @@ def _number_type(T: Real) -> type:
     return Fraction if isinstance(T, (Fraction, int)) else float
 
 
-def _ramp_witness_unit(T: Real) -> PiecewisePoly:
+def _ramp_witness_unit(T: float) -> PiecewisePoly:
     """f = -t^2/2 + (2/T + T/2) t - 1 on [0, T]; member for T <= 2 with the
     maximal initial slope."""
-    F = _number_type(T)
-    T = F(T)
-    return PiecewisePoly([F(0), T], [Poly([F(-1), 2 / T + T / 2, F(-1) / 2])], 2)
+    return PiecewisePoly([0.0, T], [Poly([-1.0, 2 / T + T / 2, -0.5])], 2)
 
 
 def _long_witness_unit(T: Real) -> PiecewisePoly:
@@ -135,10 +133,9 @@ def _witness(
     W(t) = a w(t sqrt(b/a)), then reflected onto [0, reflect_at] if given."""
     w = unit()
     if (a, b) != (1, 1):
-        lam = _scales(a, b)[0]
-        if not sys.float_info.min <= lam * lam < math.inf:
-            return None  # b/a leaves the float range: scaled t^2 terms are lost
-        w = transform(w, mu=a, lam=lam)
+        if not scalable(a, b):
+            return None
+        w = transform(w, mu=a, lam=_scales(a, b)[0])
     return w if reflect_at is None else transform(w, mu=-1.0, lam=-1.0, t0=reflect_at)
 
 
@@ -152,10 +149,10 @@ def sigma_inf(a: float, b: float, domain: Domain) -> BoundResult:
     if not (a > 0 and b > 0):
         raise ValueError("a and b must be positive")
 
-    if isinstance(domain, _FullLineType):
+    if domain is FullLine:
         value, tag = kolmogorov_bound(2, 1, a, b), "kolmogorov-whole-line"
         unit = _whole_line_witness_unit
-    elif isinstance(domain, _HalfLineType):
+    elif domain is HalfLine:
         value, tag = 2 * _scales(a, b)[1], "half-line-monotone-limit"
         unit = lambda: _long_witness_unit(Fraction(3))  # any length > 2 carries the extremal rise
     else:
@@ -366,18 +363,15 @@ def insert_bump(f: PiecewisePoly, t0: float, h: float) -> PiecewisePoly:
 # -- the total-variation problem sigma_1 ------------------------------------
 
 
-Sigma1Result = BoundResult  # provenance 'T<=2' | '2<=T<=4' | 'lattice' | 'encadrement' | 'subadditive'
-
-
 _LATTICE_STEP = 2 * SQRT2
 
 
-def _lattice_index(T: float, tol: float = _EDGE) -> Optional[int]:
-    """N >= 0 with T = 2 N sqrt(2) + 4, if T sits on the lattice."""
-    if T < 4 - tol:
+def _lattice_index(T: float) -> Optional[int]:
+    """N >= 0 with T = 2 N sqrt(2) + 4 within _EDGE, if T sits on the lattice."""
+    if T < 4 - _EDGE:
         return None
     N = round((T - 4) / _LATTICE_STEP)
-    if N >= 0 and abs(T - (N * _LATTICE_STEP + 4)) <= tol:
+    if N >= 0 and abs(T - (N * _LATTICE_STEP + 4)) <= _EDGE:
         return N
     return None
 
@@ -420,15 +414,8 @@ def _sigma1_upper_unit(T: float, depth: int = 2) -> float:
 
 
 def _sigma1_lower_unit(T: float) -> float:
-    lo = T / SQRT2
-    if T >= 4:
-        lo = max(lo, 4.0)
-        N = math.floor((T - 4) / _LATTICE_STEP)
-        if N >= 0:
-            lo = max(lo, 2.0 * N + 4)
-    elif T >= 2:
-        lo = max(lo, _sigma1_exact_unit(T))
-    return lo
+    """For T > 4 off the lattice: T / sqrt(2), or the longest lattice witness that fits."""
+    return max(T / SQRT2, 2.0 * math.floor((T - 4) / _LATTICE_STEP) + 4)
 
 
 def _tau_witness_unit(T: float) -> PiecewisePoly:

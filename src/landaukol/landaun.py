@@ -40,7 +40,6 @@ def kolmogorov_bound(n: int, k: int, a: float, b: float) -> float:
 class SatoResult:
     """Segment suprema for |f'| and |f''| in the order-3 class."""
 
-    T: float
     alpha: float  # root in [1/3, 1/2) of 12 - 24 alpha = (T^3 b / a) alpha^2 (1-alpha)^2
     value_k1: float
     value_k2: float
@@ -88,7 +87,6 @@ def sato_segment(k: int, a: float, b: float, T: float) -> SatoResult:
     t0 = sato_t0(a, b)
     if T >= t0:
         return SatoResult(
-            T=T,
             alpha=1.0 / 3.0,
             value_k1=C31 * a ** (2 / 3) * b ** (1 / 3),
             value_k2=C32 * a ** (1 / 3) * b ** (2 / 3),
@@ -97,7 +95,6 @@ def sato_segment(k: int, a: float, b: float, T: float) -> SatoResult:
     alpha = _sato_alpha(T**3 * b / a)
     u = alpha * T
     return SatoResult(
-        T=T,
         alpha=alpha,
         value_k1=4 * a / u + b * u * u / 6,
         # u * u underflows to 0 only where the k = 2 value is past the float range
@@ -216,10 +213,11 @@ def _adaptive_simpson(f, lo: float, hi: float, tol: float) -> float:
     return recurse(lo, hi, fa, fm, fb, simpson(lo, hi, fa, fm, fb), tol, 50)
 
 
-def mu_malliavin(lam: float, tol: float = 1e-10) -> float:
+def mu_malliavin(lam: float) -> float:
     """mu(lam) = -integral over [0, lam] of ln tan(pi t / 2): the logarithmic
     singularity at 0 is integrated analytically, the smooth remainder by
-    adaptive Simpson."""
+    adaptive Simpson to 1e-10 in all."""
+    tol = 1e-10
     if not 0 < lam <= 1:
         raise ValueError(f"need 0 < lam <= 1, got {lam}")
     delta = min(lam / 2, 0.01)

@@ -5,7 +5,9 @@ Three tools, deliberately sharing no code with the formulas they check:
 * a tableau simplex solver (written here, no external LP dependency) whose
   Bland pivots update only the columns where the pivot row is nonzero,
   maximizing discretized derivative objectives over the discretized class
-  |v_i| <= a, |v_{i+1} - 2 v_i + v_{i-1}| <= b h^2;
+  |v_i| <= a, |v_{i+1} - 2 v_i + v_{i-1}| <= b h^2 (an `LpProblem` holds
+  the step h, the shift a and the tableau data c, A, rhs; its `solve()`
+  returns (value, v, pivots));
 * a randomized switching-point search over genuine bang-bang trajectories,
   driven by a Nelder-Mead minimizer (also written here, on plain floats),
   whose every reported value is attained by an exactly-verified member, hence
@@ -27,6 +29,7 @@ from .exactnum import Poly
 from .pwpoly import MIN_KNOT_GAP, PiecewisePoly
 
 SQRT2 = math.sqrt(2.0)
+PIVOT_TOL = 1e-9  # reduced costs and pivot-column entries this close to 0 count as 0
 PIVOT_RUN_GAP = 64  # nonzero pivot-row columns closer than this share one BLAS call
 
 
@@ -34,15 +37,11 @@ class SimplexError(RuntimeError):
     pass
 
 
-def simplex_maximize(
-    c: np.ndarray,
-    A: np.ndarray,
-    b: np.ndarray,
-    tol: float = 1e-9,
-) -> Tuple[np.ndarray, float, int]:
+def simplex_maximize(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, float, int]:
     """Maximize c.x subject to A x <= b, x >= 0, for b >= 0 (the all-slack
     basis is then feasible and no phase-1 is needed).  Bland's entering and
-    leaving rules guarantee termination; returns (x, value, pivots)."""
+    leaving rules, with entries beyond PIVOT_TOL, guarantee termination;
+    returns (x, value, pivots)."""
     m, n = A.shape
     if np.any(b < 0):
         raise SimplexError("negative right-hand side: slack basis infeasible")
@@ -56,12 +55,12 @@ def simplex_maximize(
 
     iterations = 0
     while True:
-        neg = np.nonzero(T[m, :-1] < -tol)[0]
+        neg = np.nonzero(T[m, :-1] < -PIVOT_TOL)[0]
         if neg.size == 0:
             break
         j = int(neg[0])
         col = T[:m, j]
-        pos = col > tol
+        pos = col > PIVOT_TOL
         if not pos.any():
             raise SimplexError("unbounded direction in a box-bounded problem")
         ratios = np.full(m, np.inf)
@@ -98,14 +97,11 @@ def simplex_maximize(
 @dataclass(frozen=True)
 class LpProblem:
     """Discretized derivative maximization: M+1 samples v_i on a step-h grid,
-    box |v_i| <= a, second differences within b h^2, linear objective."""
+    box |v_i| <= a, second differences within b h^2, linear objective c;
+    A u <= rhs in the shifted variables u = v + a."""
 
-    M: int
     h: float
     a: float
-    b: float
-    T: float
-    t0_index: int
     c: np.ndarray = field(repr=False)
     A: np.ndarray = field(repr=False)
     rhs: np.ndarray = field(repr=False)
@@ -151,7 +147,7 @@ def build_pointwise_lp(a: float, b: float, T: float, t0: float, M: int) -> LpPro
         A[row + 1, i - 1 : i + 2] = (-1.0, 2.0, -1.0)
         rhs[row + 1] = bh2
         row += 2
-    return LpProblem(M=M, h=h, a=a, b=b, T=T, t0_index=j, c=c, A=A, rhs=rhs)
+    return LpProblem(h=h, a=a, c=c, A=A, rhs=rhs)
 
 
 def lp_max_pointwise_derivative(a: float, b: float, T: float, t0: float, M: int) -> float:
@@ -336,8 +332,7 @@ def bangbang_sigma1_search(
         raise ValueError("need restarts >= 20")
 
     rng = np.random.default_rng(seed)
-    best_value = -math.inf
-    best: Optional[BangBangControl] = None
+    best: Tuple[float, Optional[BangBangControl]] = (-math.inf, None)
 
     def feasible_value(theta: List[float], sign: int) -> Tuple[float, float]:
         f0, fp0, switches = _decode(theta, T)
@@ -355,6 +350,14 @@ def bangbang_sigma1_search(
             ).x
         return x
 
+    def incumbent(x: List[float], sign: int) -> Tuple[float, Optional[BangBangControl]]:
+        # the member at x if it beats the incumbent, else the incumbent
+        value, scale = feasible_value(x, sign)
+        if not value > best[0]:
+            return best
+        f0, fp0, switches = _decode(x, T)
+        return value, BangBangControl(f0, fp0, tuple(switches), sign, scale)
+
     for r in range(restarts):
         m = int(rng.integers(0, max_switches + 1)) if r % 3 else min(r // 3, max_switches)
         sign = -1 if r % 2 else 1
@@ -362,24 +365,14 @@ def bangbang_sigma1_search(
         fp0 = float(rng.uniform(-1, 1)) * 2 * math.sqrt(a * b)
         theta0 = [f0, fp0] + sorted(rng.uniform(0, T, size=m).tolist())
 
-        x = optimize(theta0, sign, rounds=2)
-        value, scale = feasible_value(x, sign)
-        if value > best_value:
-            f0b, fp0b, swb = _decode(x, T)
-            best_value = value
-            best = BangBangControl(f0b, fp0b, tuple(swb), sign, scale)
+        best = incumbent(optimize(theta0, sign, rounds=2), sign)
 
-    if best is None:
+    control = best[1]
+    if control is None:
         raise SimplexError("no feasible bang-bang candidate found")
-
     # final polish of the incumbent
-    x = optimize([best.f0, best.fp0, *best.switches], best.sign, rounds=3)
-    value, scale = feasible_value(x, best.sign)
-    if value > best_value:
-        f0b, fp0b, swb = _decode(x, T)
-        best_value = value
-        best = BangBangControl(f0b, fp0b, tuple(swb), best.sign, scale)
-    return best_value, best
+    x = optimize([control.f0, control.fp0, *control.switches], control.sign, rounds=3)
+    return incumbent(x, control.sign)
 
 
 # -- random member generator ---------------------------------------------------

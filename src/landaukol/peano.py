@@ -170,17 +170,19 @@ class KernelCertificate:
         a, b, T = float(a), float(b), float(T)
         return self.A * a * T**-self.k + self.B * b * T ** (self.n - self.k)
 
+    def _weights(self) -> Tuple[float, float]:
+        """(A / (n - k), B / k), which balance at the optimal T."""
+        return self.A / (self.n - self.k), self.B / self.k
+
     def optimized_bound(self, a: Real, b: Real) -> float:
         """min over T of segment_bound; scale-invariant in (a, b, T)."""
         a, b = float(a), float(b)
-        a_star = self.A / (self.n - self.k)
-        b_star = self.B / self.k
+        a_star, b_star = self._weights()
         c_star = self.n * a_star ** (1 - self.k / self.n) * b_star ** (self.k / self.n)
         return c_star * a ** (1 - self.k / self.n) * b ** (self.k / self.n)
 
     def optimal_T(self, a: Real, b: Real) -> float:
-        a_star = self.A / (self.n - self.k)
-        b_star = self.B / self.k
+        a_star, b_star = self._weights()
         return (a_star * float(a) / (b_star * float(b))) ** (1.0 / self.n)
 
 

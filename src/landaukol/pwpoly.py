@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -105,11 +106,6 @@ class PiecewisePoly:
     def deriv_value(self, t: Real, order: int = 1) -> Real:
         return self.pieces[self.piece_index(t)].nth_derivative(order)(t)
 
-    def derivative(self) -> "PiecewisePoly":
-        return PiecewisePoly(
-            self.knots, [p.derivative() for p in self.pieces], max(self.n_smooth - 1, 0)
-        )
-
     def restrict(self, lo: Real, hi: Real) -> "PiecewisePoly":
         flo, fhi = float(lo), float(hi)
         if not flo < fhi:
@@ -149,8 +145,8 @@ class PiecewisePoly:
             "n": self.n_smooth,
         }
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_json_dict(), **kwargs)
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict())
 
     @staticmethod
     def from_json_dict(d: dict) -> "PiecewisePoly":
@@ -177,6 +173,13 @@ class PiecewisePoly:
         except json.JSONDecodeError as exc:
             raise StructuralError(f"bad spline JSON: {exc}") from exc
         return PiecewisePoly.from_json_dict(d)
+
+
+def scalable(a: float, b: float) -> bool:
+    """Whether b/a = lam^n is in the normal float range, where a unit-class
+    spline mapped to the (a, b) class by `transform` keeps the bits of its
+    scaled lam^m t^m terms."""
+    return sys.float_info.min <= b / a < math.inf
 
 
 def transform(f: PiecewisePoly, mu: Real = 1, lam: Real = 1, t0: Real = 0) -> PiecewisePoly:

@@ -316,6 +316,16 @@ def test_extremal_without_witness_exits_2(capsys):
     assert code == 2 and "witness" in err
 
 
+def test_verify_rejects_a_piece_above_degree_n(tmp_path, capsys):
+    path = tmp_path / "cubic.json"
+    path.write_text(json.dumps({"knots": [0, 1], "pieces": [[0, 0, 0, 0.125]], "n": 2}))
+    code, payload, _ = run_json(capsys, "verify", "--file", str(path))
+    assert code == 1 and payload["result"]["membership"] is False
+    assert payload["result"]["violations"] == [
+        {"kind": "degree", "where": 0.0, "detail": "piece 0 has degree 3 > 2"}
+    ]
+
+
 def test_verify_rejects_non_member(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"knots": [0.0, 1.0], "pieces": [[0.0, 0.0, 1.0]], "n": 2}')
@@ -546,6 +556,69 @@ def test_spline_csv(capsys):
     assert lines[0] == "x,value"
     first = lines[1].split(",")
     assert float(first[1]) == pytest.approx(1.0, abs=1e-12)
+
+
+# stdout of `landau table --what W --max-n 4`, byte for byte
+GOLDEN_TABLES = {
+    "favard": "n,K_n\n0,1.0\n1,1.5707963267948966\n2,1.2337005501361697\n3,1.2919281950124923\n4,1.26834753950524\n",
+    "euler-numbers": "n,E_n\n0,1\n1,0\n2,-1\n3,0\n4,5\n",
+    "rn": "n,r_n\n0,1\n1,1/2\n2,1/4\n3,1/4\n4,5/16\n",
+    "cnk": (
+        "n,k,exact,upper,matorin,malliavin,lower_shape_kappa_free\n"
+        "2,1,2.0,2.0,2.0,1971.3475339775134,2.0\n"
+        "3,1,3.1201257345778566,3.120125734577856,3.120125734577856,4895.733955023645,3.0\n"
+        "3,2,2.8844991406148166,2.8844991406148166,2.8844991406148166,4895.733955023567,3.0\n"
+        "4,1,,4.298279727294168,4.298279727294168,8354.630983004105,4.0\n"
+        "4,2,,5.773502691896258,5.773502691896258,12655.70539664922,2.8284271247461903\n"
+        "4,3,,3.7224194364083982,3.7224194364083982,8354.630983003895,4.0\n"
+    ),
+    "Ank": "n,k,A_nk\n2,1,2\n3,1,8\n3,2,16\n4,1,18\n4,2,96\n4,3,192\n",
+    "Bnk": (
+        "n,k,kallioniemi,cartan,lower_bound\n2,1,1/2,1,3/8\n3,1,1/12,4/3,5/96\n3,2,1/2,8/3,5/12\n"
+        "4,1,1/128,3/4,7/1536\n4,2,19/192,4,7/96\n4,3,1/2,8,7/16\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("what", list(GOLDEN_TABLES))
+def test_golden_tables(capsys, what):
+    code, out, _ = run_cli(capsys, "table", "--what", what, "--max-n", "4")
+    assert code == 0
+    assert out == GOLDEN_TABLES[what]
+
+
+@pytest.mark.parametrize("what, max_n", [("cnk", "31"), ("euler-numbers", "65")])
+def test_table_with_a_failing_row_prints_no_partial_csv(capsys, what, max_n):
+    code, out, err = run_cli(capsys, "table", "--what", what, "--max-n", max_n)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("oracle", "--problem", "pointwise", "--T", "1"), "error: oracle pointwise needs --T and --t0"),
+    (("oracle", "--problem", "sigma1", "--t0", "0"), "error: oracle sigma1 needs --T"),
+    (("kernel", "--n", "4", "--x", "1.5"), "error: need 0 <= x <= 1"),
+    (("kernel", "--n", "4", "--k", "0", "--x", "0.5"), "error: need 0 < k < n"),
+], ids=" ".join)
+def test_missing_or_bad_arguments_exit_2_with_one_line(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", message + "\n")
+
+
+# stdout of `landau spline --what en --n 3 --samples 5 --x0 0 --x1 2` and
+# `landau spline --what qn --n 3 --samples 5` (two periods), byte for byte
+GOLDEN_SPLINE_EN_CSV = "x,value\n0.0,0.25\n0.5,0.0\n1.0,-0.25\n1.5,-0.0\n2.0,0.25\n"
+GOLDEN_SPLINE_QN_CSV = (
+    "x,value\n0.0,1.0\n2.8844991406148166,-1.0\n5.768998281229633,1.0\n"
+    "8.653497421844449,-1.0\n11.537996562459266,1.0\n"
+)
+
+
+def test_golden_spline_en_and_qn_csv(capsys):
+    code, out, _ = run_cli(capsys, "spline", "--what", "en", "--n", "3", "--samples", "5", "--x0", "0", "--x1", "2")
+    assert code == 0 and out == GOLDEN_SPLINE_EN_CSV
+    code, out, _ = run_cli(capsys, "spline", "--what", "qn", "--n", "3", "--samples", "5")
+    assert code == 0 and out == GOLDEN_SPLINE_QN_CSV
 
 
 def test_table_variants(capsys):

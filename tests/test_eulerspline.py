@@ -159,7 +159,7 @@ def test_piecewise_exporters():
         for i in range(0, 41):
             x = Fr(i, 10)
             assert float(f(x)) == pytest.approx(euler_spline(n, x), abs=1e-11)
-        q = q_n_piecewise(n, periods=2)
+        q = q_n_piecewise(n)
         assert membership(q, n, 1, 1).ok
         span = float(q.t_end)
         for i in range(60):

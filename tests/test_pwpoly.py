@@ -15,6 +15,7 @@ from landaukol.pwpoly import (
     MembershipError,
     PiecewisePoly,
     StructuralError,
+    Violation,
     contact_set,
     is_extreme_point,
     membership,
@@ -76,6 +77,14 @@ def test_membership_join_and_sup_violations():
     assert any(v.kind == "sup" for v in rep.violations)
 
 
+def test_membership_reports_a_piece_above_degree_n():
+    for num in (F, float):
+        cubic = PiecewisePoly([num(0), num(1)], [Poly([num(0), num(0), num(0), num(1) / 8])], 2)
+        rep = membership(cubic, 2, 1, 1)
+        assert not rep.ok
+        assert rep.violations == (Violation("degree", 0.0, "piece 0 has degree 3 > 2"),), num
+
+
 def test_structural_errors():
     with pytest.raises(StructuralError):
         PiecewisePoly([F(1), F(0)], [Poly([F(0)])], 2)
@@ -100,6 +109,13 @@ def test_contact_interval():
     points, intervals = contact_set(f, 2, F(1))
     assert points == []
     assert intervals == [ContactInterval(0.0, 1.0, 1)]
+
+
+def test_adjacent_contact_intervals_of_one_sign_merge():
+    for num in (F, float):
+        f = PiecewisePoly([num(0), num(1), num(2), num(3)], [Poly([num(1)])] * 3, 2)
+        points, intervals = contact_set(f, 2, num(1))
+        assert points == [] and intervals == [ContactInterval(0.0, 3.0, 1)], num
 
 
 def test_contact_set_q_restriction():

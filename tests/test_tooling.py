@@ -3,12 +3,15 @@ workloads read result attributes by name; every such name must exist, or a
 refactor breaks the benchmark without failing a test."""
 import importlib
 import importlib.util
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from landaukol import landau2
+from landaukol import landau2, landaun, oracle
 from landaukol.bounds import BoundQuery, FullLine, HalfLine, Segment, compute_bound
+from landaukol.exactnum import Poly
+from landaukol.pwpoly import PiecewisePoly, is_extreme_point
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -38,3 +41,18 @@ def test_traced_boundary_resolves(module, attr, layer):
 def test_result_attributes_read_by_the_workloads(make, point):
     r = make()
     assert r.witness.to_json_dict()["n"] == 2 and r.witness_point == point
+
+
+def test_lp_solve_returns_value_samples_and_pivots():
+    value, v, pivots = oracle.build_pointwise_lp(1.0, 1.0, 1.0, 0.0, 50).solve()
+    assert isinstance(value, float) and v.shape == (51,) and isinstance(pivots, int) and pivots > 0
+
+
+def test_result_fields_read_by_the_workloads():
+    r = landau2.sigma1(1.0, 1.0, 3.0)
+    assert (r.lower, r.upper, r.exact) == (2.5, 2.5, 2.5)
+    br = landaun.cnk_bracket(3, 1)
+    assert br.upper == min(br.matorin, br.malliavin) and br.exact == landaun.C31
+    parabola = PiecewisePoly([Fraction(0), Fraction(4)], [Poly([Fraction(1), Fraction(-2), Fraction(1, 2)])], 2)
+    v = is_extreme_point(parabola, 2, Fraction(1), Fraction(1))
+    assert v.multiplicity_sum == 4 and v.numeric is False  # contacts at 0, 2 (tangential) and 4
