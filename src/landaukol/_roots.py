@@ -2,19 +2,25 @@
 
 Two lanes, matching the two coefficient regimes of the splines handled here:
 
-* exact ``Fraction`` coefficients: square-free decomposition, Sturm chains and
-  rational bisection give certified isolating intervals (width 1e-12) with
-  exact multiplicities;
+* exact ``Fraction`` coefficients: the polynomial is scaled to a primitive
+  integer one, and Yun's square-free decomposition, Sturm chains and
+  bisection run on Python integers (primitive pseudo-remainder sequences,
+  Collins 1967), giving certified isolating intervals (width 1e-12) with exact
+  multiplicities; a ``Fraction`` is built only for the returned brackets;
 * ``float`` coefficients: the real roots of ``numpy.roots`` inside the
   interval, each with multiplicity 1 (callers that need the order of a
   contact take it from derivatives).
+
+Integer polynomials are lists of ``int`` coefficients in ascending degree,
+without trailing zeros (the zero polynomial is ``[]``).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from itertools import zip_longest
+from typing import List, Optional, Tuple
 
 from .exactnum import Poly
 
@@ -31,130 +37,181 @@ class Root:
     bracket: Optional[Tuple[Fraction, Fraction]] = None
 
 
-def _divmod(a: Poly, b: Poly) -> Tuple[Poly, Poly]:
-    if b.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(0, a.degree - b.degree + 1)
-    r = list(a.coeffs)
-    bc = b.coeffs
-    while len(r) >= len(bc) and any(c != 0 for c in r):
-        if r[-1] == 0:
-            r.pop()
+def _trim(a: List[int]) -> List[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _primitive(a: List[int]) -> List[int]:
+    """a divided by its positive content (signs unchanged)."""
+    g = math.gcd(*a)
+    return a if g <= 1 else [c // g for c in a]
+
+
+def _derivative(a: List[int]) -> List[int]:
+    return [i * a[i] for i in range(1, len(a))]
+
+
+def _remainder(a: List[int], b: List[int]) -> List[int]:
+    """A positive multiple of the remainder of a by b: pseudo-division that
+    scales by a positive factor of |lc(b)| at each step, so the signs are
+    those of the rational remainder."""
+    r, lc, db = list(a), b[-1], len(b) - 1
+    while len(r) > db:
+        lead = r.pop()
+        if lead == 0:
             continue
-        shift = len(r) - len(bc)
-        factor = Fraction(r[-1]) / bc[-1]
-        q[shift] = factor
-        for i, c in enumerate(bc):
-            r[shift + i] -= factor * c
-        r.pop()
-    return Poly(q), Poly(r)
+        g = math.gcd(lead, lc)
+        u, v = abs(lc) // g, lead // g if lc > 0 else -lead // g
+        shift = len(r) - db
+        if u != 1:
+            r = [u * c for c in r]
+        for i in range(db):
+            r[shift + i] -= v * b[i]
+    return _trim(r)
 
 
-def _gcd(a: Poly, b: Poly) -> Poly:
-    while not b.is_zero():
-        _, r = _divmod(a, b)
-        a, b = b, r
-    if a.is_zero():
-        return a
-    lead = a.coeffs[-1]
-    return Poly(Fraction(c) / lead for c in a.coeffs)
+def _exact_quotient(a: List[int], b: List[int]) -> List[int]:
+    """a / b for a divisible by b over the rationals and b primitive: the
+    quotient then has integer coefficients (Gauss's lemma)."""
+    r, lc, db = list(a), b[-1], len(b) - 1
+    q = [0] * max(0, len(a) - db)
+    for shift in range(len(q) - 1, -1, -1):
+        c = q[shift] = r[shift + db] // lc
+        if c:
+            for i in range(db):
+                r[shift + i] -= c * b[i]
+    return q
 
 
-def square_free_decomposition(p: Poly) -> List[Tuple[Poly, int]]:
-    """Decompose p into pairwise-coprime square-free factors with their
-    multiplicities (constant factors dropped)."""
-    if p.degree < 1:
-        return []
-    out: List[Tuple[Poly, int]] = []
-    g = _gcd(p, p.derivative())
-    w, _ = _divmod(p, g)
+def _gcd(a: List[int], b: List[int]) -> List[int]:
+    """Primitive gcd with a positive leading coefficient (primitive PRS)."""
+    a, b = _primitive(a), _primitive(b)
+    while b:
+        a, b = b, _primitive(_remainder(a, b))
+    return a if a[-1] > 0 else [-c for c in a]
+
+
+def _square_free(f: List[int]) -> List[Tuple[List[int], int]]:
+    """Yun's decomposition of f (degree >= 1) into pairwise-coprime
+    square-free primitive factors with their multiplicities."""
+    df = _derivative(f)
+    g = _gcd(f, df)
+    b, c = _exact_quotient(f, g), _exact_quotient(df, g)
+    out: List[Tuple[List[int], int]] = []
     i = 1
-    while w.degree > 0:
-        y = _gcd(w, g)
-        fac, _ = _divmod(w, y)
-        if fac.degree > 0:
-            out.append((fac, i))
-        w = y
-        g, _ = _divmod(g, y)
+    while len(b) > 1:
+        d = _trim([x - y for x, y in zip_longest(c, _derivative(b), fillvalue=0)])
+        g = _gcd(b, d)
+        if len(g) > 1:
+            out.append((g, i))
+        b, c = _exact_quotient(b, g), _exact_quotient(d, g)
         i += 1
     return out
 
 
-def _sturm_chain(p: Poly) -> List[Poly]:
-    chain = [p, p.derivative()]
-    while chain[-1].degree > 0:
-        _, r = _divmod(chain[-2], chain[-1])
-        if r.is_zero():
+def _sturm_chain(f: List[int]) -> List[List[int]]:
+    """The Sturm chain of f, each element a positive multiple of the element
+    of the rational chain f, f', -rem(f, f'), ... (so every sign agrees)."""
+    chain = [f, _primitive(_derivative(f))]
+    while len(chain[-1]) > 1:
+        r = _remainder(chain[-2], chain[-1])
+        if not r:
             break
-        chain.append(-r)
+        chain.append(_primitive([-c for c in r]))
     return chain
 
 
-def _variations(chain: Sequence[Poly], x: Fraction) -> int:
-    signs = []
+def _values(chain: List[List[int]], num: int, den: int) -> List[int]:
+    """den^deg(q) q(num / den) for each q of the chain: the homogeneous Horner
+    sum of c_i num^i den^(deg - i), which has the sign of q(num / den) as den > 0."""
+    powers = [den]  # den^1 .. den^deg
+    for _ in range(len(chain[0]) - 2):
+        powers.append(powers[-1] * den)
+    out = []
     for q in chain:
-        v = q(x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+        acc = q[-1] if q else 0
+        for c, w in zip(q[-2::-1], powers):
+            acc = acc * num + c * w
+        out.append(acc)
+    return out
 
 
-def _count(chain: Sequence[Poly], lo: Fraction, hi: Fraction) -> int:
-    """Number of distinct roots in the half-open interval (lo, hi]."""
-    return _variations(chain, lo) - _variations(chain, hi)
+def _variations(values: List[int]) -> int:
+    signs = [v > 0 for v in values if v]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
-def _isolate_square_free(
-    p: Poly, lo: Fraction, hi: Fraction
-) -> List[Tuple[Optional[Fraction], Fraction, Fraction]]:
-    """Roots of square-free p in (lo, hi] as (exact_or_None, lo, hi) triples."""
-    chain = _sturm_chain(p)
+def _isolate(f: List[int], a: int, b: int, den: int) -> List[Tuple[Optional[Fraction], Fraction, Fraction]]:
+    """Roots of square-free f in the half-open (a / den, b / den] as
+    (exact_or_None, lo, hi) triples, bisecting on numerators over a common
+    denominator and carrying the variation counts of both ends."""
+    chain = _sturm_chain(f)
     found: List[Tuple[Optional[Fraction], Fraction, Fraction]] = []
-    stack = [(lo, hi)]
+    stack = [(a, b, den, _variations(_values(chain, a, den)), _variations(_values(chain, b, den)))]
     while stack:
-        a, b = stack.pop()
-        n = _count(chain, a, b)
+        a, b, den, va, vb = stack.pop()
+        n = va - vb
         if n == 0:
             continue
         if n == 1:
-            while b - a > WIDTH:
-                mid = (a + b) / 2
-                if p(mid) == 0:
-                    found.append((mid, mid, mid))
+            while (b - a) * WIDTH.denominator > WIDTH.numerator * den:
+                # the midpoint (a + b) / (2 den); the halves are (2a, a + b] and (a + b, 2b] over 2 den
+                mid, den = a + b, 2 * den
+                values = _values(chain, mid, den)
+                if values[0] == 0:
+                    x = Fraction(mid, den)
+                    found.append((x, x, x))
                     break
-                if _count(chain, a, mid) == 1:
-                    b = mid
+                vm = _variations(values)
+                if va - vm == 1:
+                    a, b, vb = 2 * a, mid, vm
                 else:
-                    a = mid
+                    a, b, va = mid, 2 * b, vm
             else:
-                found.append((None, a, b))
+                found.append((None, Fraction(a, den), Fraction(b, den)))
             continue
-        mid = (a + b) / 2
-        if p(mid) == 0:
-            found.append((mid, mid, mid))
+        mid, den = a + b, 2 * den
+        values = _values(chain, mid, den)
+        if values[0] == 0:
+            x = Fraction(mid, den)
+            found.append((x, x, x))
             # deflate so the two halves only see the remaining roots
-            q, _ = _divmod(p, Poly([-mid, Fraction(1)]))
-            found.extend(_isolate_square_free(q, a, mid))
-            found.extend(_isolate_square_free(q, mid, b))
+            q = _primitive(_exact_quotient(f, [-x.numerator, x.denominator]))
+            found.extend(_isolate(q, 2 * a, mid, den))
+            found.extend(_isolate(q, mid, 2 * b, den))
             continue
-        stack.append((a, mid))
-        stack.append((mid, b))
+        vm = _variations(values)
+        stack.append((2 * a, mid, den, va, vm))
+        stack.append((mid, 2 * b, den, vm, vb))
     return found
+
+
+def _integer(p: Poly) -> List[int]:
+    """p (rational coefficients) times a rational constant: primitive, integer."""
+    coeffs = [Fraction(c) for c in p.coeffs]
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return _primitive([c.numerator * (den // c.denominator) for c in coeffs])
 
 
 def real_roots_exact(p: Poly, lo: Fraction, hi: Fraction) -> List[Root]:
     """All real roots of p (Fraction coefficients) in the closed [lo, hi],
     with multiplicities, sorted."""
     lo, hi = Fraction(lo), Fraction(hi)
+    if p.degree < 1:
+        return []
+    den = math.lcm(lo.denominator, hi.denominator)
+    a, b = lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator)
     roots: List[Root] = []
-    for factor, mult in square_free_decomposition(p):
-        if factor(lo) == 0:
+    for factor, mult in _square_free(_integer(p)):
+        if _values([factor], lo.numerator, lo.denominator)[0] == 0:
             roots.append(Root(float(lo), mult, exact=lo, bracket=(lo, lo)))
-        for exact, a, b in _isolate_square_free(factor, lo, hi):
+        for exact, x, y in _isolate(factor, a, b, den):
             if exact is not None:
                 roots.append(Root(float(exact), mult, exact=exact, bracket=(exact, exact)))
             else:
-                roots.append(Root(float((a + b) / 2), mult, bracket=(a, b)))
+                roots.append(Root(float((x + y) / 2), mult, bracket=(x, y)))
     roots.sort(key=lambda r: r.approx)
     return roots
 

@@ -157,8 +157,8 @@ def _route(query: BoundQuery) -> BoundResult:
 
 
 def _line_witness(n: int, a: float, b: float) -> Optional[PiecewisePoly]:
-    """Two periods of the Euler spline q_n scaled to the (a, b) class; None when
-    b/a leaves the normal float range."""
+    """The Euler spline q_n over `eulerspline.q_n_piecewise`'s periods, scaled
+    to the (a, b) class; None when b/a leaves the normal float range."""
     if not scalable(a, b):
         return None
     return transform(eulerspline.q_n_piecewise(n), mu=a, lam=(b / a) ** (1.0 / n))

@@ -8,7 +8,7 @@ satisfies e_n(x+1) = -e_n(x).  Derived objects:
 * the normalized spline EE_n(x) = e_n(x + eps_n)/e_n(eps_n) with EE_n(0) = 1,
   where eps_n is 0 for odd n and 1/2 for even n,
 * the unit-class comparison spline q_n(x) = EE_n(x * s_n^(1/n)), also as an
-  explicit spline over two periods.
+  explicit spline over enough periods to be an extreme point of the class.
 
 Raising exact rationals to fractional powers is done once, in double
 precision, via exp/log of the integer numerator and denominator; it is the
@@ -152,10 +152,13 @@ def euler_spline_piecewise(n: int, x0: Fraction, x1: Fraction):
 
 
 def q_n_piecewise(n: int):
-    """q_n on two periods, [0, 4 / s_n^(1/n)], as a spline (float knots)."""
+    """q_n on p = max(2, ceil((n - 2) / 4)) periods, [0, 2p / s_n^(1/n)], as a
+    spline (float knots): the fewest periods, at least two, whose 2p + 1
+    double contacts with +-1 sum to at least n."""
     from .pwpoly import transform
 
     if n < 2:
         raise ValueError("q_n needs n >= 2")
-    base = euler_spline_piecewise(n, Fraction(0), Fraction(4))
+    periods = max(2, math.ceil((n - 2) / 4))
+    base = euler_spline_piecewise(n, Fraction(0), Fraction(2 * periods))
     return transform(base, mu=1.0, lam=q_n_scale(n))

@@ -393,12 +393,15 @@ def contact_set(f: PiecewisePoly, n: int, a: Real) -> Tuple[List[ContactPoint], 
             pf = p.to_float()
             peaks = _float_peaks(pf, float(lo), float(hi))
         for sign in (1, -1):
-            q = p - Poly([sign * (Fraction(a) if exact else fa)])
-            if q.is_zero() or (not exact and all(abs(float(c)) <= REL_TOL * fa for c in q.coeffs)):
-                intervals.append(ContactInterval(float(lo), float(hi), sign))
-            elif exact:
-                for r in _piece_roots(q, lo, hi, True):
+            if exact:
+                q = p - Poly([sign * Fraction(a)])
+                if q.is_zero():
+                    intervals.append(ContactInterval(float(lo), float(hi), sign))
+                for r in _piece_roots(q, lo, hi, True):  # none when q is zero
                     points.append(ContactPoint(r.approx, sign, min(r.multiplicity, n)))
+            elif all(_within_allowance(abs(pf(x) - sign * fa), REL_TOL * fa, lo, hi, pf) for x in peaks):
+                # p = sign * a at every place where it can peak, so on the whole piece
+                intervals.append(ContactInterval(float(lo), float(hi), sign))
             else:
                 for x in peaks:
                     if _touches(pf, x, sign, fa, lo, hi):

@@ -296,6 +296,19 @@ def test_extremal_verify_round_trip(tmp_path, capsys):
         assert payload["result"]["membership"] is True
 
 
+@pytest.mark.parametrize("n", ["11", "12"])
+def test_whole_line_witness_of_high_order_is_extreme(tmp_path, capsys, n):
+    # two periods give five double contacts, a sum of 10 < n; the witness
+    # spans three periods here, seven contacts summing to 14
+    path = tmp_path / "w.json"
+    code, _, err = run_cli(capsys, "extremal", "--n", n, "--k", "1", "--domain", "line", "--out", str(path))
+    assert code == 0, err
+    code, payload, _ = run_json(capsys, "verify", "--file", str(path), "--extreme")
+    assert code == 0
+    assert payload["result"]["is_extreme"] is True
+    assert payload["result"]["multiplicity_sum"] == 14
+
+
 def test_extremal_with_large_values_or_coefficients_is_a_member(tmp_path, capsys):
     # joins and sups are checked within the rounding allowance of the pieces:
     # values near 1e300, and global coefficients of about 1e6 at t = 2.5

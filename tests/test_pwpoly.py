@@ -118,6 +118,17 @@ def test_adjacent_contact_intervals_of_one_sign_merge():
         assert points == [] and intervals == [ContactInterval(0.0, 3.0, 1)], num
 
 
+def test_a_long_float_piece_with_small_coefficients_is_no_contact_interval():
+    # the first piece of this witness is 1 - 1.1e-67 t^2 + ... on [0, 6.6e33]:
+    # every coefficient of p - 1 is below REL_TOL, yet p falls from +1 to -1
+    w = compute_bound(BoundQuery(9, 1, 1.0, 1e-300, FullLine)).witness
+    points, intervals = contact_set(w, 9, 1.0)
+    assert intervals == []
+    assert [p.multiplicity for p in points] == [2] * 5
+    verdict = is_extreme_point(w, 9, 1.0, 1e-300)
+    assert verdict.multiplicity_sum == 10 and not verdict.condition_ii_violations
+
+
 def test_contact_set_q_restriction():
     f = q_restriction_pieces()
     points, intervals = contact_set(f, 2, 1)
