@@ -2,12 +2,13 @@
 
 Three tools, deliberately sharing no code with the formulas they check:
 
-* a tableau simplex solver (written here, no external LP dependency) whose
-  Bland pivots update only the columns where the pivot row is nonzero,
-  maximizing discretized derivative objectives over the discretized class
-  |v_i| <= a, |v_{i+1} - 2 v_i + v_{i-1}| <= b h^2 (an `LpProblem` holds
-  the step h, the shift a and the tableau data c, A, rhs; its `solve()`
-  returns (value, v, pivots));
+* a bounded-variable tableau simplex (written here, no external LP
+  dependency) whose Bland pivots update only the columns where the pivot row
+  is nonzero, maximizing discretized derivative objectives over the
+  discretized class |v_i| <= a, |v_{i+1} - 2 v_i + v_{i-1}| <= b h^2: the box
+  is a bound on each variable and each curvature pair is one range row (an
+  `LpProblem` holds the step h, the shift a and the LP data c, A, rhs; its
+  `solve()` returns (value, v, pivots));
 * a randomized switching-point search over genuine bang-bang trajectories,
   driven by a Nelder-Mead minimizer (also written here, on plain floats),
   whose every reported value is attained by an exactly-verified member, hence
@@ -37,38 +38,66 @@ class SimplexError(RuntimeError):
     pass
 
 
-def simplex_maximize(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, float, int]:
-    """Maximize c.x subject to A x <= b, x >= 0, for b >= 0 (the all-slack
-    basis is then feasible and no phase-1 is needed).  Bland's entering and
-    leaving rules, with entries beyond PIVOT_TOL, guarantee termination;
-    returns (x, value, pivots)."""
+def simplex_maximize(
+    c: np.ndarray,
+    A: np.ndarray,
+    b: np.ndarray,
+    x_max: float | np.ndarray = math.inf,
+    s_max: float | np.ndarray = math.inf,
+) -> Tuple[np.ndarray, float, int]:
+    """Maximize c.x subject to A x + s = b, 0 <= x <= x_max, 0 <= s <= s_max
+    (scalars or arrays), so that row i reads b_i - s_max_i <= A_i x <= b_i.
+    Needs 0 <= b <= s_max and x_max >= 0: the all-slack start x = 0, s = b
+    is then feasible and no phase 1 is needed.  Bounded-variable simplex
+    (Chvatal, Linear Programming, ch. 8): a nonbasic variable at its upper
+    bound is replaced by its complement, so every nonbasic variable sits at
+    0.  Bland's entering and leaving rules, with entries beyond PIVOT_TOL and
+    a bound flip counted under the entering variable's index, guarantee
+    termination; returns (x, value, pivots), where pivots counts basis
+    changes (not flips).  With every bound infinite this is the textbook
+    simplex on A x <= b, x >= 0."""
     m, n = A.shape
-    if np.any(b < 0):
-        raise SimplexError("negative right-hand side: slack basis infeasible")
+    # upper bounds of the n structural and the m slack variables
+    ub = np.concatenate([np.broadcast_to(np.asarray(x_max, float), n), np.broadcast_to(np.asarray(s_max, float), m)])
+    if np.any(b < 0) or np.any(b > ub[n:]) or np.any(ub[:n] < 0):
+        raise SimplexError("slack basis infeasible: need 0 <= b <= s_max and x_max >= 0")
     # Fortran order so that a run of columns is one in-place BLAS rank-1 update
     T = np.zeros((m + 1, n + m + 1), order="F")
     T[:m, :n] = A
     T[:m, n : n + m] = np.eye(m)
     T[:m, -1] = b
     T[m, :n] = -c
-    basis = list(range(n, n + m))
+    basis = np.arange(n, n + m)
+    complemented = np.zeros(n + m, dtype=bool)
 
-    iterations = 0
+    def complement(k: int) -> None:
+        # nonbasic x_k = ub_k - x'_k: shift the right-hand side, negate the column
+        T[:, -1] -= ub[k] * T[:, k]
+        T[:, k] *= -1.0
+        complemented[k] = not complemented[k]
+
+    pivots = 0
     while True:
         neg = np.nonzero(T[m, :-1] < -PIVOT_TOL)[0]
         if neg.size == 0:
             break
         j = int(neg[0])
-        col = T[:m, j]
-        pos = col > PIVOT_TOL
-        if not pos.any():
-            raise SimplexError("unbounded direction in a box-bounded problem")
+        col, rhs = T[:m, j], T[:m, -1]
+        # the step at which each basic variable falls to 0 or rises to its bound
         ratios = np.full(m, np.inf)
-        ratios[pos] = T[:m, -1][pos] / col[pos]
-        rmin = ratios.min()
-        ties = np.nonzero(ratios <= rmin + 1e-12 * (1 + abs(rmin)))[0]
-        r = int(min(ties, key=lambda i: basis[i]))
-        piv = T[r, j]
+        pos, rises = col > PIVOT_TOL, col < -PIVOT_TOL
+        ratios[pos] = rhs[pos] / col[pos]
+        ratios[rises] = (ub[basis[rises]] - rhs[rises]) / -col[rises]
+        rmin = min(ratios.min(), ub[j])
+        if rmin == math.inf:
+            raise SimplexError("unbounded direction")
+        cutoff = rmin + 1e-12 * (1 + abs(rmin))
+        ties = np.nonzero(ratios <= cutoff)[0]
+        if ub[j] <= cutoff and (ties.size == 0 or j < basis[ties].min()):
+            complement(j)  # the entering variable reaches its own bound first
+            continue
+        r = int(ties[np.argmin(basis[ties])])
+        leaving, piv = int(basis[r]), T[r, j]
         T[r] /= piv
         reducer = T[:, j].copy()
         reducer[r] = 0.0
@@ -85,20 +114,23 @@ def simplex_maximize(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> Tuple[np.nd
         T[:, j] = 0.0
         T[r, j] = 1.0
         basis[r] = j
-        iterations += 1
+        pivots += 1
+        if piv < 0:
+            complement(leaving)  # it left at its upper bound
 
     x = np.zeros(n + m)
-    rhs = T[:m, -1]
-    for i, bi in enumerate(basis):
-        x[bi] = rhs[i]
-    return x[:n], float(T[m, -1]), iterations
+    x[basis] = T[:m, -1]
+    x[complemented] = ub[complemented] - x[complemented]
+    return x[:n], float(T[m, -1]), pivots
 
 
 @dataclass(frozen=True)
 class LpProblem:
     """Discretized derivative maximization: M+1 samples v_i on a step-h grid,
-    box |v_i| <= a, second differences within b h^2, linear objective c;
-    A u <= rhs in the shifted variables u = v + a."""
+    box |v_i| <= a, second differences within b h^2, linear objective c.  In
+    the shifted variables u = v + a the box is the variable bound
+    0 <= u <= 2a, and each of the M-1 rows of the second-difference matrix A
+    is the range row -rhs <= A u <= rhs with rhs = b h^2."""
 
     h: float
     a: float
@@ -107,8 +139,8 @@ class LpProblem:
     rhs: np.ndarray = field(repr=False)
 
     def solve(self) -> Tuple[float, np.ndarray, int]:
-        u, value, iters = simplex_maximize(self.c, self.A, self.rhs)
-        return value, u - self.a, iters  # shift back to v = u - a
+        u, value, pivots = simplex_maximize(self.c, self.A, self.rhs, x_max=2 * self.a, s_max=2 * self.rhs)
+        return value, u - self.a, pivots  # shift back to v = u - a
 
 
 def build_pointwise_lp(a: float, b: float, T: float, t0: float, M: int) -> LpProblem:
@@ -124,8 +156,7 @@ def build_pointwise_lp(a: float, b: float, T: float, t0: float, M: int) -> LpPro
         raise ValueError(f"t0={t0} outside [0, {T}]")
     h = T / M
     j = int(round(t0 / h))
-    nvar = M + 1
-    c = np.zeros(nvar)
+    c = np.zeros(M + 1)
     if j == 0:
         c[[0, 1, 2]] = np.array([-3.0, 4.0, -1.0]) / (2 * h)
     elif j == M:
@@ -134,20 +165,12 @@ def build_pointwise_lp(a: float, b: float, T: float, t0: float, M: int) -> LpPro
         c[j + 1] = 1.0 / (2 * h)
         c[j - 1] = -1.0 / (2 * h)
 
-    nrow = nvar + 2 * (M - 1)
-    A = np.zeros((nrow, nvar))
-    rhs = np.empty(nrow)
-    A[:nvar] = np.eye(nvar)
-    rhs[:nvar] = 2 * a
-    row = nvar
-    bh2 = b * h * h
-    for i in range(1, M):
-        A[row, i - 1 : i + 2] = (1.0, -2.0, 1.0)
-        rhs[row] = bh2
-        A[row + 1, i - 1 : i + 2] = (-1.0, 2.0, -1.0)
-        rhs[row + 1] = bh2
-        row += 2
-    return LpProblem(h=h, a=a, c=c, A=A, rhs=rhs)
+    # row i is u_i - 2 u_{i+1} + u_{i+2}
+    A = np.zeros((M - 1, M + 1))
+    rows = np.arange(M - 1)
+    for k, w in enumerate((1.0, -2.0, 1.0)):
+        A[rows, rows + k] = w
+    return LpProblem(h=h, a=a, c=c, A=A, rhs=np.full(M - 1, b * h * h))
 
 
 def lp_max_pointwise_derivative(a: float, b: float, T: float, t0: float, M: int) -> float:

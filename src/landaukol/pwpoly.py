@@ -176,10 +176,11 @@ class PiecewisePoly:
 
 
 def scalable(a: float, b: float) -> bool:
-    """Whether b/a = lam^n is in the normal float range, where a unit-class
-    spline mapped to the (a, b) class by `transform` keeps the bits of its
-    scaled lam^m t^m terms."""
-    return sys.float_info.min <= b / a < math.inf
+    """Whether a, b and b/a = lam^n are in the normal float range, where a
+    unit-class spline mapped to the (a, b) class by `transform` keeps the
+    bits of its values (of size a), of its n-th derivative (of size b) and of
+    its scaled lam^m t^m terms."""
+    return min(a, b, b / a) >= sys.float_info.min and b / a < math.inf
 
 
 def transform(f: PiecewisePoly, mu: Real = 1, lam: Real = 1, t0: Real = 0) -> PiecewisePoly:
@@ -307,8 +308,10 @@ def membership(f: PiecewisePoly, n: int, a: Real, b: Real) -> MembershipReport:
     for i in range(1, len(f.pieces)):
         t = f.knots[i]
         left, right = f.pieces[i - 1], f.pieces[i]
+        dl, dr = left, right
         for order in range(min(n, max(left.degree, right.degree) + 1)):  # higher orders vanish on both sides
-            dl, dr = left.nth_derivative(order), right.nth_derivative(order)
+            if order:
+                dl, dr = dl.derivative(), dr.derivative()
             vl, vr = dl(t), dr(t)
             gap = abs(float(vl - vr))
             scale = fa ** (1 - order / n) * fb ** (order / n)
@@ -406,9 +409,12 @@ def contact_set(f: PiecewisePoly, n: int, a: Real) -> Tuple[List[ContactPoint], 
                 for x in peaks:
                     if _touches(pf, x, sign, fa, lo, hi):
                         # p^(j)(x) = 0 within its own evaluation allowance
-                        ds = (pf.nth_derivative(j) for j in range(1, min(n, pf.degree + 1)))
-                        m = next((j for j, d in enumerate(ds, 1)
-                                  if not _within_allowance(abs(d(x)), 0.0, lo, hi, pf, order=j)), n)
+                        m, d = n, pf
+                        for j in range(1, min(n, pf.degree + 1)):
+                            d = d.derivative()
+                            if not _within_allowance(abs(d(x)), 0.0, lo, hi, pf, order=j):
+                                m = j
+                                break
                         points.append(ContactPoint(x, sign, m))
 
     # merge adjacent contact intervals of equal sign

@@ -185,12 +185,14 @@ def test_bound_outside_float_range_exits_2(capsys):
     assert code == 0 and math.isfinite(payload["result"]["value"])
 
 
-# finite bounds whose scaled witness would have knots closer than 1e-12
+# finite bounds whose scaled witness would have knots closer than 1e-12, or
+# subnormal bounds, whose witness would lose the bits of its values
 COLLAPSED_WITNESS = {
     ("--T", "1e-13", "--t0", "0"): 2e13,
     ("--a", "1e-300", "--b", "1e300", "--T", "1"): 2.0,
     ("--a", "1e-300", "--b", "1e300", "--domain", "halfline"): 2.0,
     ("--a", "1e-300", "--b", "1e300", "--domain", "line"): math.sqrt(2.0),
+    ("--T", "2.5", "--a", "5e-324", "--b", "5e-324"): 1e-323,
 }
 
 
@@ -241,11 +243,12 @@ def test_extremal_with_far_apart_a_b_is_a_member_or_exits_2(capsys, argv):
         assert err.startswith("error: no extremal witness available") and len(err.splitlines()) == 1
 
 
-# whole-line witnesses of order n >= 3 whose scaling lam^n = b/a leaves the
-# normal float range
+# whole-line witnesses of order n >= 3 whose scaling lam^n = b/a, or whose
+# bounds a and b, leave the normal float range
 LINE_COLLAPSED_WITNESS = {
     ("--n", "5", "--a", "1e300", "--b", "1e-300"): kolmogorov_bound(5, 1, 1e300, 1e-300),
     ("--n", "3", "--a", "1e-300", "--b", "1e300"): kolmogorov_bound(3, 1, 1e-300, 1e300),
+    ("--n", "6", "--k", "5", "--a", "5e-324", "--b", "5e-324"): kolmogorov_bound(6, 5, 5e-324, 5e-324),
 }
 
 

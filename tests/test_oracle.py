@@ -37,8 +37,11 @@ def test_simplex_small_known_lp():
 
 
 def test_simplex_rejects_negative_rhs():
-    with pytest.raises(SimplexError):
-        simplex_maximize(np.array([1.0]), np.array([[1.0]]), np.array([-1.0]))
+    # the all-slack start x = 0, s = b must lie within the bounds: b < 0,
+    # b > s_max and x_max < 0 each leave it
+    for b, bounds in [(-1.0, {}), (2.0, {"s_max": 1.0}), (1.0, {"x_max": -0.5})]:
+        with pytest.raises(SimplexError):
+            simplex_maximize(np.array([1.0]), np.array([[1.0]]), np.array([b]), **bounds)
 
 
 def _random_box_lp(seed, m=30, n=600, density=0.02):
@@ -59,17 +62,21 @@ def _random(seed):
     return value, x, pivots
 
 
-# (value, pivots, sha256 of x) of the dense-update simplex, which updated every
-# column of the tableau on every pivot
+# (value, pivots, sha256 of x).  random-2024, a general LP with no finite
+# bound, comes from the dense-update simplex, which updated every column of the
+# tableau on every pivot.  The pointwise rows come from the bounded-variable
+# simplex over the M - 1 range rows; each value is within 1e-9 of HiGHS and
+# within 2e-14 relative of the value of the earlier formulation, whose M + 1
+# box rows and 2(M - 1) curvature rows were general <= rows
 @pytest.mark.parametrize("solve, args, value, pivots, digest", [
-    (_pointwise, (10, 5, 800), "1.4079646017699503", 572,
-     "1e7d337aac58cbbd7e446daf2afd652207197d3c595be4b6d4f00854e4b53696"),
-    (_pointwise, (1, 0, 200), "2.500000000000019", 297,
-     "c0e56cf4920a4d6ba763b6ba3be6c9cb64bcb52853c0f8c04c851f4b4bb93b4d"),
-    (_pointwise, (4, 0.5, 200), "1.6166037735849088", 242,
-     "0c18c8b3149e63f76a77bfa4657800eaeb298fccf24e55c33b0e5a6e13ef7bda"),
-    (_pointwise, (10, 5, 200), "1.3892857142857145", 146,
-     "4ddf6b262ab4e58ddaf70bfe743919ab720c73d27639b2a2f432abfbaefd7dcb"),
+    (_pointwise, (10, 5, 800), "1.4079646017699778", 572,
+     "d9e60561787768dd2ea97d9ef0ac837a934f4dd927027e341bf0f45912eaf53b"),
+    (_pointwise, (1, 0, 200), "2.500000000000019", 199,
+     "012cc49238b4b9d3d032795e47a8aa1c120020fd37591a7c1de42f37202ca709"),
+    (_pointwise, (4, 0.5, 200), "1.6166037735849124", 205,
+     "f7011d41fed3e6183f04ebd4a961d89fb1cd75865f5e962b0539efea6c2346f0"),
+    (_pointwise, (10, 5, 200), "1.389285714285715", 146,
+     "9d7b063ec766fd22435f57c3d66097a6954a6ebec1c31fde70799c3f4e6a0f89"),
     (_random, (2024,), "144.33308368088413", 347,
      "355e878ea0346d62518aedb7deb35448529b4f2f07a859fb5c7a173cb27f0940"),
 ], ids=["interior-800", "short-200", "free-end-200", "interior-200", "random-2024"])
@@ -78,19 +85,25 @@ def test_simplex_outputs_are_pinned_bit_for_bit(solve, args, value, pivots, dige
     assert (repr(v), p, hashlib.sha256(x.tobytes()).hexdigest()) == (value, pivots, digest)
 
 
-def _highs_max(c, A, b):
-    res = linprog(-c, A_ub=A, b_ub=b, bounds=(0, None), method="highs")
+def _highs_max(c, A_ub, b_ub, bounds):
+    res = linprog(-c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
     assert res.status == 0
     return -res.fun
 
 
-@pytest.mark.parametrize("T, t0", [(1, 0), (4, 0.5), (10, 5)])
-def test_simplex_agrees_with_highs_on_pointwise_lps(T, t0):
-    lp = build_pointwise_lp(1, 1, T, t0, 200)
-    assert lp.solve()[0] == pytest.approx(_highs_max(lp.c, lp.A, lp.rhs), rel=1e-9)
+@pytest.mark.parametrize("T, t0, M", [(1, 0, 200), (4, 0.5, 200), (10, 5, 200), (10, 5, 800)],
+                         ids=["1-0", "4-0.5", "10-5", "10-5-800"])
+def test_simplex_agrees_with_highs_on_pointwise_lps(T, t0, M):
+    # the range rows -rhs <= A u <= rhs written as two one-sided blocks
+    lp = build_pointwise_lp(1, 1, T, t0, M)
+    highs = _highs_max(lp.c, np.vstack([lp.A, -lp.A]), np.concatenate([lp.rhs, lp.rhs]), (0, 2 * lp.a))
+    assert lp.solve()[0] == pytest.approx(highs, rel=1e-9)
 
 
 _quarters = st.integers(-8, 8).map(lambda k: k / 4)
+# an upper bound (x_max_j, or s_max_i - b_i for a row): none, 0 (for a row,
+# a degenerate range b_i <= A_i x <= b_i) or a quarter step up to 3
+_widths = st.one_of(st.just(math.inf), st.integers(0, 12).map(lambda k: k / 4))
 
 
 @settings(max_examples=100, deadline=None)
@@ -99,16 +112,24 @@ _quarters = st.integers(-8, 8).map(lambda k: k / 4)
     st.lists(st.lists(_quarters, min_size=n, max_size=n), min_size=m, max_size=m),
     st.lists(st.integers(0, 12).map(lambda k: k / 4), min_size=m, max_size=m),
     st.lists(st.integers(1, 12).map(lambda k: k / 4), min_size=n, max_size=n),
+    st.lists(_widths, min_size=n, max_size=n),
+    st.lists(_widths, min_size=m + n, max_size=m + n),
 ))))
 def test_simplex_agrees_with_highs_on_random_bounded_lps(lp):
-    # A x <= b with b >= 0 (degenerate when some b_i = 0) and a box block
-    c, rows, b, box = (np.array(v, dtype=float) for v in lp)
+    # rhs - s_max <= A x <= rhs with rhs >= 0 (degenerate when some rhs_i = 0
+    # or s_max_i = rhs_i), 0 <= x <= x_max, and a box block
+    c, rows, b, box, x_max, widths = (np.array(v, dtype=float) for v in lp)
     A = np.vstack([rows, np.eye(len(c))])
     rhs = np.concatenate([b, box])
-    x, value, _ = simplex_maximize(c, A, rhs)
-    assert np.all(A @ x <= rhs + 1e-9) and np.all(x >= -1e-9)
+    s_max = rhs + widths
+    x, value, _ = simplex_maximize(c, A, rhs, x_max=x_max, s_max=s_max)
+    assert np.all(A @ x <= rhs + 1e-9) and np.all(A @ x >= rhs - s_max - 1e-9)
+    assert np.all(x >= -1e-9) and np.all(x <= x_max + 1e-9)
     assert value == pytest.approx(c @ x, rel=1e-9, abs=1e-12)
-    assert value == pytest.approx(_highs_max(c, A, rhs), rel=1e-9, abs=1e-12)
+    lower = np.isfinite(s_max)
+    highs = _highs_max(c, np.vstack([A, -A[lower]]), np.concatenate([rhs, (s_max - rhs)[lower]]),
+                       [(0, None if math.isinf(u) else u) for u in x_max])
+    assert value == pytest.approx(highs, rel=1e-9, abs=1e-12)
 
 
 def test_simplex_refuses_an_update_that_did_not_run_in_place(monkeypatch):
