@@ -5,11 +5,13 @@ Two lanes, matching the two coefficient regimes of the splines handled here:
 * exact ``Fraction`` coefficients: the polynomial is scaled to a primitive
   integer one, and Yun's square-free decomposition, Sturm chains and
   bisection run on Python integers (primitive pseudo-remainder sequences,
-  Collins 1967), giving certified isolating intervals (width 1e-12) with exact
-  multiplicities; a ``Fraction`` is built only for the returned brackets;
-* ``float`` coefficients: the real roots of ``numpy.roots`` inside the
-  interval, each with multiplicity 1 (callers that need the order of a
-  contact take it from derivatives).
+  Collins 1967), giving certified isolating intervals (width at most 1e-12
+  times min(1, hi - lo)) with exact multiplicities; a ``Fraction`` is built
+  only for the returned brackets;
+* ``float`` coefficients: -c0/c1 at degree 1, and the real roots of
+  ``numpy.roots`` at degree >= 2 (numpy loads only then), each inside the
+  interval with multiplicity 1 (callers that need the order of a contact
+  take it from derivatives).
 
 Integer polynomials are lists of ``int`` coefficients in ascending degree,
 without trailing zeros (the zero polynomial is ``[]``).
@@ -143,10 +145,12 @@ def _variations(values: List[int]) -> int:
     return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
-def _isolate(f: List[int], a: int, b: int, den: int) -> List[Tuple[Optional[Fraction], Fraction, Fraction]]:
+def _isolate(
+    f: List[int], a: int, b: int, den: int, width: Fraction
+) -> List[Tuple[Optional[Fraction], Fraction, Fraction]]:
     """Roots of square-free f in the half-open (a / den, b / den] as
-    (exact_or_None, lo, hi) triples, bisecting on numerators over a common
-    denominator and carrying the variation counts of both ends."""
+    (exact_or_None, lo, hi) triples at most `width` wide, bisecting on numerators
+    over a common denominator and carrying the variation counts of both ends."""
     chain = _sturm_chain(f)
     found: List[Tuple[Optional[Fraction], Fraction, Fraction]] = []
     stack = [(a, b, den, _variations(_values(chain, a, den)), _variations(_values(chain, b, den)))]
@@ -156,7 +160,7 @@ def _isolate(f: List[int], a: int, b: int, den: int) -> List[Tuple[Optional[Frac
         if n == 0:
             continue
         if n == 1:
-            while (b - a) * WIDTH.denominator > WIDTH.numerator * den:
+            while (b - a) * width.denominator > width.numerator * den:
                 # the midpoint (a + b) / (2 den); the halves are (2a, a + b] and (a + b, 2b] over 2 den
                 mid, den = a + b, 2 * den
                 values = _values(chain, mid, den)
@@ -179,8 +183,8 @@ def _isolate(f: List[int], a: int, b: int, den: int) -> List[Tuple[Optional[Frac
             found.append((x, x, x))
             # deflate so the two halves only see the remaining roots
             q = _primitive(_exact_quotient(f, [-x.numerator, x.denominator]))
-            found.extend(_isolate(q, 2 * a, mid, den))
-            found.extend(_isolate(q, mid, 2 * b, den))
+            found.extend(_isolate(q, 2 * a, mid, den, width))
+            found.extend(_isolate(q, mid, 2 * b, den, width))
             continue
         vm = _variations(values)
         stack.append((2 * a, mid, den, va, vm))
@@ -197,17 +201,18 @@ def _integer(p: Poly) -> List[int]:
 
 def real_roots_exact(p: Poly, lo: Fraction, hi: Fraction) -> List[Root]:
     """All real roots of p (Fraction coefficients) in the closed [lo, hi],
-    with multiplicities, sorted."""
+    with multiplicities, sorted; irrational roots in brackets at most
+    WIDTH * min(1, hi - lo) wide."""
     lo, hi = Fraction(lo), Fraction(hi)
     if p.degree < 1:
         return []
-    den = math.lcm(lo.denominator, hi.denominator)
+    den, width = math.lcm(lo.denominator, hi.denominator), WIDTH * min(1, hi - lo)
     a, b = lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator)
     roots: List[Root] = []
     for factor, mult in _square_free(_integer(p)):
         if _values([factor], lo.numerator, lo.denominator)[0] == 0:
             roots.append(Root(float(lo), mult, exact=lo, bracket=(lo, lo)))
-        for exact, x, y in _isolate(factor, a, b, den):
+        for exact, x, y in _isolate(factor, a, b, den, width):
             if exact is not None:
                 roots.append(Root(float(exact), mult, exact=exact, bracket=(exact, exact)))
             else:
@@ -217,10 +222,9 @@ def real_roots_exact(p: Poly, lo: Fraction, hi: Fraction) -> List[Root]:
 
 
 def real_roots_float(p: Poly, lo: float, hi: float) -> List[Root]:
-    """The real roots numpy.roots finds in [lo, hi], sorted and clamped to
-    the interval, each with multiplicity 1 (a double root may come twice)."""
-    import numpy as np  # deferred: the exact lane and the closed forms never need it
-
+    """The real roots in [lo, hi], sorted and clamped to the interval, each
+    with multiplicity 1 (a double root may come twice): -c0/c1 at degree 1,
+    numpy.roots above."""
     coeffs = [float(c) for c in p.coeffs]
     if not coeffs:
         raise ValueError("zero polynomial has every point as a root")
@@ -232,6 +236,11 @@ def real_roots_float(p: Poly, lo: float, hi: float) -> List[Root]:
         coeffs.pop()
     if len(coeffs) <= 1:
         return []
+    if len(coeffs) == 2:
+        r = -coeffs[0] / coeffs[1]
+        return [Root(min(max(r, lo), hi), 1)] if lo - 1e-9 <= r <= hi + 1e-9 else []
+    import numpy as np  # deferred: degree 1, the exact lane and the closed forms never need it
+
     raw = np.roots(coeffs[::-1])
     span = max(1.0, abs(hi - lo))
     real = sorted(float(r.real) for r in raw if abs(r.imag) <= 1e-7 * span)

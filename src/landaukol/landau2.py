@@ -15,7 +15,6 @@ with sqrt(b/a) and sqrt(a b) kept in range.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional, Tuple
@@ -377,8 +376,6 @@ def _lattice_index(T: float) -> Optional[int]:
 
 
 def _sigma1_exact_unit(T: float) -> Optional[float]:
-    if T <= 0:
-        return 0.0
     if T <= 2:
         return 2.0
     if T <= 4:
@@ -389,26 +386,20 @@ def _sigma1_exact_unit(T: float) -> Optional[float]:
     return None
 
 
-_SPLITS = [0.5 * i for i in range(1, 9)]  # exact blocks of length 0.5 .. 4
-_FULL_SEARCH = 1000.0
-
-
 def _sigma1_upper_unit(T: float, depth: int = 2) -> float:
+    """Upper bound for T > 0: exact, else the best split into exact blocks and shorter searches."""
     ex = _sigma1_exact_unit(T)
     if ex is not None:
         return ex
-    cands = [T + 2, T / SQRT2 + 5]
-    if depth > 0:
-        if T >= 1:
-            cands.append(2 * _sigma1_upper_unit(T / 2, depth - 1))
-        for s in _SPLITS:
-            if s < T:
-                cands.append(_sigma1_exact_unit(s) + _sigma1_upper_unit(T - s, depth - 1))
-        # every block up to T = _FULL_SEARCH (the search is quadratic in T), the longest beyond
-        first = 1 if T <= _FULL_SEARCH else math.floor((T - 4) / _LATTICE_STEP)
-        for N in range(first, sys.maxsize if T <= _FULL_SEARCH else first + 1):
-            if N * _LATTICE_STEP + 4 > T:
-                break
+    if depth == 0:
+        return T / SQRT2 + 5
+    cands = [2 * _sigma1_upper_unit(T / 2, depth - 1)]
+    cands.extend(_sigma1_exact_unit(s) + _sigma1_upper_unit(T - s, depth - 1) for s in (2.5, 3.0))
+    # every lattice block exceeds its length / sqrt(2) by the same 4 - 2 sqrt(2), so blocks
+    # differ only in the remainder they leave, and only the two longest leave short ones
+    last = math.floor((T - 4) / _LATTICE_STEP)
+    for N in (last - 1, last):
+        if N >= 1 and N * _LATTICE_STEP + 4 <= T:
             cands.append(2 * N + 4 + _sigma1_upper_unit(T - (N * _LATTICE_STEP + 4), depth - 1))
     return min(cands)
 
@@ -468,8 +459,6 @@ def sigma1(a: float, b: float, T: float) -> BoundResult:
     else:
         lower = a * _sigma1_lower_unit(t_unit)
         upper = a * _sigma1_upper_unit(t_unit)
-        plain = a * (t_unit / SQRT2 + 5)
-        provenance = "subadditive" if upper < plain - 1e-12 else "encadrement"
-        return BoundResult(upper, INTERVAL, provenance, lower=lower, upper=upper)
+        return BoundResult(upper, INTERVAL, "subadditive", lower=lower, upper=upper)
     build = None if unit is None else lambda: _witness(unit, a, b)
     return BoundResult(v, EXACT, tag, lower=v, upper=v, _build=build)

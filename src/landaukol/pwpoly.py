@@ -238,15 +238,16 @@ def _touches(p: Poly, x: float, sign: int, a: float, lo: Real, hi: Real) -> bool
     return _within_allowance(abs(p(x) - sign * a), 10 * REL_TOL * a, lo, hi, p)
 
 
-def piece_sup(p: Poly, lo: Real, hi: Real, exact: bool) -> float:
+def piece_sup(p: Poly, lo: Real, hi: Real, exact: bool) -> Real:
     """sup of |p| on [lo, hi] by critical-point enumeration (root isolation
-    of p'); exact mode resolves irrational critical points to 1e-12 brackets."""
+    of p'): a float, or in exact mode a Fraction read at the ends of the
+    brackets of irrational critical points (`_roots.real_roots_exact`)."""
     if not exact:
         pf = p.to_float()
         return max(abs(pf(x)) for x in _float_peaks(pf, float(lo), float(hi)))
-    candidates = [abs(float(p(lo))), abs(float(p(hi)))]
+    candidates = [abs(p(lo)), abs(p(hi))]
     for r in _piece_roots(p.derivative(), lo, hi, True):
-        candidates.extend(abs(float(p(x))) for x in r.bracket)  # (x, x) at a rational root
+        candidates.extend(abs(p(x)) for x in r.bracket)  # (x, x) at a rational root
     return max(candidates)
 
 
@@ -336,10 +337,9 @@ def membership(f: PiecewisePoly, n: int, a: Real, b: Real) -> MembershipReport:
     for i, p in enumerate(f.pieces):
         lo, hi = f.knots[i], f.knots[i + 1]
         sup = piece_sup(p, lo, hi, exact)
-        # exact: rounding is monotone, so p(x) <= a gives float(p(x)) <= float(a)
-        if not (sup <= fa if exact else _within_allowance(sup, fa * (1 + REL_TOL), lo, hi, p)):
+        if not (sup <= a if exact else _within_allowance(sup, fa * (1 + REL_TOL), lo, hi, p)):
             violations.append(
-                Violation("sup", float(lo), f"sup |f| = {sup} > {fa} on piece {i}")
+                Violation("sup", float(lo), f"sup |f| = {float(sup)} > {fa} on piece {i}")
             )
 
     return MembershipReport(ok=not violations, numeric=not exact, violations=tuple(violations))

@@ -648,8 +648,9 @@ def test_table_variants(capsys):
     assert "lower_shape_kappa_free" in header
 
 
-# Runs `landau ARGV` in a fresh interpreter and reports which of numpy, scipy
-# and scipy.optimize it loaded; with no ARGV it only imports the CLI.
+# Runs `landau ARGV` in a fresh interpreter and reports its exit code, stdout,
+# stderr and which of numpy, scipy and scipy.optimize it loaded; with no ARGV
+# it only imports the CLI.
 _IMPORT_PROBE = """
 import contextlib, io, json, sys
 out = io.StringIO()
@@ -666,7 +667,7 @@ def _probe(*argv, timeout=120):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv], env=env,
                           capture_output=True, text=True, timeout=timeout, check=True)
-    return json.loads(proc.stdout)
+    return dict(json.loads(proc.stdout), err=proc.stderr)
 
 
 @pytest.mark.parametrize("argv", [
@@ -677,11 +678,20 @@ def _probe(*argv, timeout=120):
     ("bound", "--n", "3", "--k", "1", "--domain", "line"),
     ("bound", "--n", "5", "--k", "2", "--domain", "halfline"),
     ("table", "--what", "cnk", "--max-n", "6"),
+    ("extremal", "--n", "2", "--T", "2", "--t0", "0"),
+    ("extremal", "--n", "2", "--T", "3", "--functional", "var"),
+    ("verify", "--file", "{witness}", "--extreme"),
+    ("kernel", "--n", "4", "--k", "2", "--x", "0.3", "--samples", "5"),
+    ("spline", "--what", "euler-spline", "--n", "5", "--samples", "5"),
 ], ids=lambda argv: " ".join(argv) or "import")
-def test_closed_forms_load_neither_numpy_nor_scipy(argv):
+def test_closed_forms_load_neither_numpy_nor_scipy(argv, tmp_path):
     # numpy and scipy cost most of a closed-form call's start-up; a later
-    # top-level import would bring that back without failing anything else
-    probe = _probe(*argv)
+    # top-level import would bring that back without failing anything else.
+    # {witness} is the n = 2 witness of `extremal --n 2 --T 2 --t0 0`, whose
+    # float roots are all of degree 1
+    witness = tmp_path / "w.json"
+    witness.write_text('{"knots": [0.0, 2.0], "pieces": [[-1.0, 2.0, -0.5]], "n": 2}')
+    probe = _probe(*(arg.format(witness=witness) for arg in argv))
     assert probe["code"] == 0
     assert probe["heavy"] == []
 
@@ -698,6 +708,17 @@ def test_bangbang_oracle_does_not_load_scipy_optimize():
     probe = _probe("oracle", "--problem", "sigma1", "--T", "2", "--restarts", "20", "--seed", "3")
     assert probe["code"] == 0 and "scipy.optimize" not in probe["heavy"]
     assert json.loads(probe["out"])["result"]["value"] == pytest.approx(2.0, abs=1e-3)
+
+
+def test_verify_reports_an_overflowing_sup_as_a_non_member(tmp_path):
+    # p' = 1e10 + 2e-300 t has its root far outside the piece, and |f| overflows
+    # on it: a verdict, with no numpy warning or companion-matrix error
+    path = tmp_path / "huge.json"
+    path.write_text('{"knots": [1e300, 1.5e300], "pieces": [[0, 1e10, 1e-300]], "n": 2}')
+    probe = _probe("verify", "--file", str(path))
+    assert (probe["code"], probe["err"]) == (1, "")
+    result = json.loads(probe["out"])["result"]
+    assert result["membership"] is False and {v["kind"] for v in result["violations"]} == {"sup"}
 
 
 def test_verify_cost_does_not_grow_with_the_order(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from landaukol import landau2
 from landaukol.bounds import FullLine, HalfLine, Segment
 from landaukol.exactnum import Poly
 from landaukol.landau2 import (
@@ -329,12 +330,56 @@ def test_sigma1_interval_regime():
     assert res.upper <= 75.71
     assert res.lower <= res.upper
     assert res.upper - res.lower <= 5 + 1e-9
-    assert res.provenance in ("encadrement", "subadditive")
-    # encadrement holds in every regime
+    assert res.provenance == "subadditive"
+    # T / sqrt(2) <= sigma_1 <= T / sqrt(2) + 5 in every regime
     for T in [5, 9.7, 31.4, 250]:
         r = sigma1(1, 1, T)
         assert r.lower >= T / SQRT2 - 1e-9
         assert r.upper <= T / SQRT2 + 5 + 1e-9
+
+
+def _full_scan_upper_unit(T, depth=2):
+    """Reference upper bound from every candidate: T + 2, the eight exact
+    blocks of length 0.5 .. 4 and every lattice block up to T = 1000 (the
+    longest lattice block alone beyond)."""
+    ex = landau2._sigma1_exact_unit(T)
+    if ex is not None:
+        return ex
+    cands = [T + 2, T / SQRT2 + 5]
+    if depth > 0:
+        if T >= 1:
+            cands.append(2 * _full_scan_upper_unit(T / 2, depth - 1))
+        for s in [0.5 * i for i in range(1, 9)]:
+            if s < T:
+                cands.append(landau2._sigma1_exact_unit(s) + _full_scan_upper_unit(T - s, depth - 1))
+        step = 2 * SQRT2
+        first = 1 if T <= 1000 else math.floor((T - 4) / step)
+        for N in range(first, 10**9 if T <= 1000 else first + 1):
+            if N * step + 4 > T:
+                break
+            cands.append(2 * N + 4 + _full_scan_upper_unit(T - (N * step + 4), depth - 1))
+    return min(cands)
+
+
+def _off_lattice(rng, lo, hi, count):
+    Ts = (rng.uniform(lo, hi) for _ in range(count))
+    return [T for T in Ts if landau2._lattice_index(T) is None]
+
+
+def test_sigma1_upper_matches_the_full_scan():
+    rng = random.Random(16)
+    for T in _off_lattice(rng, 4, 60, 600) + _off_lattice(rng, 60, 400, 40) + [4 + 1e-6, 2 * SQRT2 + 4.001]:
+        assert sigma1(1, 1, T).upper == _full_scan_upper_unit(T), T
+    # beyond 1000 the two longest blocks bound at least as tightly as the longest alone
+    for T in _off_lattice(rng, 1000, 5000, 20) + [1000.7]:
+        assert sigma1(1, 1, T).upper <= _full_scan_upper_unit(T), T
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(math.log10(4), 12, exclude_min=True).map(lambda e: 10**e))
+def test_sigma1_interval_stays_inside_the_paper_bounds(T):
+    r = sigma1(1, 1, T)
+    assert r.lower <= r.upper <= T / SQRT2 + 5
 
 
 def test_sigma1_scaling():

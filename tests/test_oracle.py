@@ -67,7 +67,10 @@ def _random(seed):
 # tableau on every pivot.  The pointwise rows come from the bounded-variable
 # simplex over the M - 1 range rows; each value is within 1e-9 of HiGHS and
 # within 2e-14 relative of the value of the earlier formulation, whose M + 1
-# box rows and 2(M - 1) curvature rows were general <= rows
+# box rows and 2(M - 1) curvature rows were general <= rows.  The pins hold
+# bit for bit on OpenBLAS's SkylakeX, Cooperlake and SapphireRapids kernels
+# (5/5 with OPENBLAS_CORETYPE set to each); the Haswell and Zen `dger` rounds
+# differently in the last bits (3/5 fail there), and SandyBridge fails 5/5
 @pytest.mark.parametrize("solve, args, value, pivots, digest", [
     (_pointwise, (10, 5, 800), "1.4079646017699778", 572,
      "d9e60561787768dd2ea97d9ef0ac837a934f4dd927027e341bf0f45912eaf53b"),

@@ -434,3 +434,23 @@ def test_membership_sees_a_bump_hidden_by_a_split_midpoint_root():
     report = membership(f, 4, Fraction(51, 1000), Fraction(6))
     assert not report.ok and not report.numeric
     assert [v.kind for v in report.violations] == ["sup"]
+
+
+def test_exact_sup_just_above_a_is_no_member():
+    # sup 1 + 2^-60 at the rational vertex t = 1/2: equal to 1 once rounded to float
+    p = Poly([1 + F(1, 2**60) - F(1, 8), F(1, 2), F(-1, 2)])
+    report = membership(PiecewisePoly([F(0), F(1)], [p], 2), 2, F(1), F(1))
+    assert not report.ok and not report.numeric
+    assert [v.kind for v in report.violations] == ["sup"]
+
+
+@pytest.mark.parametrize("L", [F(1), F(1, 10**9), F(1, 10**11)])
+def test_exact_sup_at_an_irrational_point_of_a_short_piece(L):
+    # c (t/L - t^3/L^3) peaks at t = L / sqrt(3) with value 1 + 1e-7 (just
+    # below 1 for the second c); a critical-point bracket of fixed width 1e-12
+    # would read the sup about 2.6e-6 low once L is 1e-9
+    for rel, member in ((1e-7, False), (-1e-7, True)):
+        c = F(3 * math.sqrt(3) / 2 * (1 + rel))
+        f = PiecewisePoly([F(0), L], [Poly([0, c / L, 0, -c / L**3])], 3)
+        report = membership(f, 3, F(1), F(10**40))
+        assert report.ok is member and not report.numeric
