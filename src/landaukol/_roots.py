@@ -7,7 +7,9 @@ Two lanes, matching the two coefficient regimes of the splines handled here:
   bisection run on Python integers (primitive pseudo-remainder sequences,
   Collins 1967), giving certified isolating intervals (width at most 1e-12
   times min(1, hi - lo)) with exact multiplicities; a ``Fraction`` is built
-  only for the returned brackets;
+  only for the returned brackets; the same integer parts decide the sign of
+  p on an interval with no root located (``nonpositive``) and give p's Taylor
+  coefficients at a point from one Taylor shift (``taylor_coefficients``);
 * ``float`` coefficients: -c0/c1 at degree 1, and the real roots of
   ``numpy.roots`` at degree >= 2 (numpy loads only then), each inside the
   interval with multiplicity 1 (callers that need the order of a contact
@@ -192,11 +194,59 @@ def _isolate(
     return found
 
 
-def _integer(p: Poly) -> List[int]:
-    """p (rational coefficients) times a rational constant: primitive, integer."""
+def _cleared(p: Poly) -> Tuple[List[int], int]:
+    """(L p, L): p (rational coefficients) over the least common denominator L,
+    an integer polynomial with the signs of p."""
     coeffs = [Fraction(c) for c in p.coeffs]
     den = math.lcm(*(c.denominator for c in coeffs))
-    return _primitive([c.numerator * (den // c.denominator) for c in coeffs])
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _taylor_shift(f: List[int], num: int, den: int) -> List[int]:
+    """h with den^deg f(num / den + u / den) = sum h_m u^m: h_m is den^(deg - m)
+    times the m-th Taylor coefficient f^(m)(num / den) / m!, so it has its sign
+    (Horner's shift of sum f_i den^(deg - i) x^i by x = num + u)."""
+    h = [c * den ** (len(f) - 1 - i) for i, c in enumerate(f)]
+    for i in range(len(h) - 1):
+        for j in range(len(h) - 2, i - 1, -1):
+            h[j] += num * h[j + 1]
+    return h
+
+
+def taylor_coefficients(p: Poly, x: Fraction) -> List[Fraction]:
+    """p^(m)(x) / m! for m = 0 .. deg p (p and x rational), from one integer
+    Taylor shift; a zero coefficient comes back as the int 0."""
+    f, scale = _cleared(p)
+    x = Fraction(x)
+    d = len(f) - 1
+    return [Fraction(h, scale * x.denominator ** (d - m)) if h else 0
+            for m, h in enumerate(_taylor_shift(f, x.numerator, x.denominator))]
+
+
+def nonpositive(p: Poly, lo: Fraction, hi: Fraction) -> bool:
+    """Whether p (rational coefficients) is <= 0 on the closed [lo, hi], lo < hi,
+    decided from signs alone: the first nonzero Taylor coefficient of p at lo is
+    negative (p < 0 just right of lo), and no square-free factor of odd
+    multiplicity (the roots where p changes sign) has a root in the open
+    (lo, hi), by one Sturm variation count at each end."""
+    if p.is_zero():
+        return True
+    f = _primitive(_cleared(p)[0])
+    lo, hi = Fraction(lo), Fraction(hi)
+    if next(h for h in _taylor_shift(f, lo.numerator, lo.denominator) if h) > 0:
+        return False
+    if len(f) == 1:
+        return True
+    den = math.lcm(lo.denominator, hi.denominator)
+    a, b = lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator)
+    for factor, mult in _square_free(f):
+        if mult % 2:
+            chain = _sturm_chain(factor)
+            at_hi = _values(chain, b, den)
+            # the count covers (lo, hi]; a root at hi itself changes no sign inside
+            if _variations(_values(chain, a, den)) - _variations(at_hi) > (at_hi[0] == 0):
+                return False
+    return True
 
 
 def real_roots_exact(p: Poly, lo: Fraction, hi: Fraction) -> List[Root]:
@@ -209,7 +259,7 @@ def real_roots_exact(p: Poly, lo: Fraction, hi: Fraction) -> List[Root]:
     den, width = math.lcm(lo.denominator, hi.denominator), WIDTH * min(1, hi - lo)
     a, b = lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator)
     roots: List[Root] = []
-    for factor, mult in _square_free(_integer(p)):
+    for factor, mult in _square_free(_primitive(_cleared(p)[0])):
         if _values([factor], lo.numerator, lo.denominator)[0] == 0:
             roots.append(Root(float(lo), mult, exact=lo, bracket=(lo, lo)))
         for exact, x, y in _isolate(factor, a, b, den, width):

@@ -243,6 +243,14 @@ def _samples(text: str) -> int:
     return value
 
 
+def number(text: str):
+    """A bound of `verify` as typed: a finite nonzero decimal is read exactly,
+    so an exact spline gets an exact verdict; 0, nan and inf stay floats,
+    which the check refuses."""
+    x = float(text)
+    return Fraction(text) if 0 < abs(x) < math.inf else x
+
+
 def _add_bound_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, default=2, help="derivative class order")
     p.add_argument("--k", type=int, default=1, help="derivative order to bound")
@@ -312,8 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a spline JSON for membership/extremality")
     p.add_argument("--file", required=True)
     p.add_argument("--n", type=int, default=None, help="class order (default: the file's)")
-    p.add_argument("--a", type=float, default=1.0)
-    p.add_argument("--b", type=float, default=1.0)
+    p.add_argument("--a", type=number, default="1")
+    p.add_argument("--b", type=number, default="1")
     p.add_argument("--extreme", action="store_true")
     p.set_defaults(fn=cmd_verify)
 

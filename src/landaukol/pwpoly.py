@@ -4,7 +4,9 @@ exact extreme-point certificate.
 
 Pieces hold coefficients in the *global* coordinate (the same t as the knots).
 Coefficients and knots may be exact ``Fraction``s or ``float``s: exact splines
-are checked exactly, float splines against ``REL_TOL`` times the class scale
+are checked exactly (|p| <= a on a piece from the signs of p -/+ a, with no
+critical point located; joins from one Taylor shift of left - right at the
+knot), float splines against ``REL_TOL`` times the class scale
 a^(1 - m/n) b^(m/n) of the compared f^(m) (a for values and contacts, b for
 |f^(n)|) plus a rounding allowance ``EVAL_ULPS`` * (degree + 1) * sum (|c_m| +
 ``UNDERFLOW``) |t|^m at the piece ends, so no verdict changes when f maps to
@@ -241,7 +243,10 @@ def _touches(p: Poly, x: float, sign: int, a: float, lo: Real, hi: Real) -> bool
 def piece_sup(p: Poly, lo: Real, hi: Real, exact: bool) -> Real:
     """sup of |p| on [lo, hi] by critical-point enumeration (root isolation
     of p'): a float, or in exact mode a Fraction read at the ends of the
-    brackets of irrational critical points (`_roots.real_roots_exact`)."""
+    brackets of irrational critical points (`_roots.real_roots_exact`), which
+    can fall short of the sup. So the exact verdict of `membership` comes
+    from the signs of p -/+ a (`_roots.nonpositive`); this value only words
+    a violation."""
     if not exact:
         pf = p.to_float()
         return max(abs(pf(x)) for x in _float_peaks(pf, float(lo), float(hi)))
@@ -309,17 +314,21 @@ def membership(f: PiecewisePoly, n: int, a: Real, b: Real) -> MembershipReport:
     for i in range(1, len(f.pieces)):
         t = f.knots[i]
         left, right = f.pieces[i - 1], f.pieces[i]
-        dl, dr = left, right
-        for order in range(min(n, max(left.degree, right.degree) + 1)):  # higher orders vanish on both sides
-            if order:
-                dl, dr = dl.derivative(), dr.derivative()
-            vl, vr = dl(t), dr(t)
-            gap = abs(float(vl - vr))
-            scale = fa ** (1 - order / n) * fb ** (order / n)
-            if (vl != vr) if exact_pieces else not _within_allowance(gap, REL_TOL * scale, t, t, left, right, order=order):
-                violations.append(
-                    Violation("join", float(t), f"order-{order} mismatch at knot {i}: gap {gap:.3e}")
-                )
+        if exact_pieces:  # the order-m gap is m! |D_m|, D_m the Taylor coefficients of left - right at t
+            taylor = _roots.taylor_coefficients(left - right, t)[:n]
+            gaps = [(m, abs(float(c * math.factorial(m)))) for m, c in enumerate(taylor) if c]
+        else:
+            gaps = []
+            dl, dr = left, right
+            for order in range(min(n, max(left.degree, right.degree) + 1)):  # higher orders vanish on both sides
+                if order:
+                    dl, dr = dl.derivative(), dr.derivative()
+                gap = abs(float(dl(t) - dr(t)))
+                scale = fa ** (1 - order / n) * fb ** (order / n)
+                if not _within_allowance(gap, REL_TOL * scale, t, t, left, right, order=order):
+                    gaps.append((order, gap))
+        for order, gap in gaps:
+            violations.append(Violation("join", float(t), f"order-{order} mismatch at knot {i}: gap {gap:.3e}"))
 
     for i, p in enumerate(f.pieces):
         dn = abs(p.coeffs[n] * math.factorial(n)) if p.degree >= n else 0  # no n! below degree n
@@ -336,8 +345,13 @@ def membership(f: PiecewisePoly, n: int, a: Real, b: Real) -> MembershipReport:
 
     for i, p in enumerate(f.pieces):
         lo, hi = f.knots[i], f.knots[i + 1]
-        sup = piece_sup(p, lo, hi, exact)
-        if not (sup <= a if exact else _within_allowance(sup, fa * (1 + REL_TOL), lo, hi, p)):
+        if exact:  # |p| <= a iff p - a <= 0 and -p - a <= 0
+            below = Poly([-a])
+            member = _roots.nonpositive(p + below, lo, hi) and _roots.nonpositive(below - p, lo, hi)
+        else:
+            member = _within_allowance(piece_sup(p, lo, hi, False), fa * (1 + REL_TOL), lo, hi, p)
+        if not member:
+            sup = piece_sup(p, lo, hi, exact)  # only words the violation
             violations.append(
                 Violation("sup", float(lo), f"sup |f| = {float(sup)} > {fa} on piece {i}")
             )

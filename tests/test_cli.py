@@ -381,6 +381,18 @@ def test_verify_checks_exact_joins_exactly(tmp_path, capsys):
     assert [v["kind"] for v in payload["result"]["violations"]] == ["join"]
 
 
+def test_verify_refuses_an_exact_sup_just_above_a(tmp_path, capsys):
+    # 1 + 10^-30 - (t^2 - 2)^2 peaks at sqrt(2): the bounds are read as typed, so
+    # the exact spline gets the exact verdict, not a float one with an allowance
+    path = tmp_path / "bump.json"
+    path.write_text('{"knots": ["13/10", "3/2"], "pieces": [["-2999999999999999999999999999999/'
+                    '1000000000000000000000000000000", "0/1", "4/1", "0/1", "-1/1"]], "n": 4}')
+    code, payload, err = run_json(capsys, "verify", "--file", str(path), "--b", "100")
+    assert (code, err) == (1, "")
+    assert payload["result"] == {"membership": False, "numeric": False, "violations": [
+        {"kind": "sup", "where": 1.3, "detail": "sup |f| = 1.0 > 1.0 on piece 0"}]}
+
+
 def test_verify_extreme_flag(tmp_path, capsys):
     path = tmp_path / "w.json"
     run_cli(capsys, "extremal", "--n", "2", "--domain", "segment", "--T", "2", "--t0", "1",

@@ -7,18 +7,22 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from landaukol import pwpoly
+from landaukol._roots import real_roots_exact
 from landaukol.bounds import BoundQuery, FullLine, HalfLine, compute_bound
 from landaukol.eulerspline import euler_spline_piecewise
 from landaukol.exactnum import Poly
 from landaukol.pwpoly import (
     ContactInterval,
     MembershipError,
+    MembershipReport,
     PiecewisePoly,
     StructuralError,
     Violation,
     contact_set,
     is_extreme_point,
     membership,
+    piece_sup,
     total_variation,
     transform,
 )
@@ -454,3 +458,161 @@ def test_exact_sup_at_an_irrational_point_of_a_short_piece(L):
         f = PiecewisePoly([F(0), L], [Poly([0, c / L, 0, -c / L**3])], 3)
         report = membership(f, 3, F(1), F(10**40))
         assert report.ok is member and not report.numeric
+
+
+def _found_piece():
+    # 1 + 10^-30 - (t^2 - 2)^2 peaks at the irrational t = sqrt(2) with 1 + 10^-30,
+    # far less above 1 than p falls across a 1e-12 bracket of sqrt(2)
+    return PiecewisePoly([F(13, 10), F(3, 2)], [Poly([F(1, 10**30) - 3, 0, 4, 0, -1])], 4)
+
+
+def test_a_sup_just_above_a_at_an_irrational_point_is_no_member():
+    report = membership(_found_piece(), 4, F(1), F(100))
+    assert not report.ok and not report.numeric
+    assert report.violations == (Violation("sup", 1.3, "sup |f| = 1.0 > 1.0 on piece 0"),)
+    with pytest.raises(MembershipError):
+        is_extreme_point(_found_piece(), 4, F(1), F(100))
+
+
+_rational = st.fractions(min_value=-3, max_value=3, max_denominator=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    quartic=st.booleans(),
+    c=_rational,
+    k=_rational,
+    r=_rational,
+    m=st.sampled_from([2, 3, 5, 6, 7]),
+    w=st.fractions(min_value=F(1, 10), max_value=F(6, 5), max_denominator=20),
+    lo=_rational,
+    width=st.fractions(min_value=F(1, 40), max_value=4, max_denominator=40),
+    offset=st.sampled_from([-1, 0, 1, None]),
+    eps=st.sampled_from([F(1, 10**30), F(1, 10**6)]),
+)
+def test_exact_verdict_is_the_known_sup_against_a(quartic, c, k, r, m, w, lo, width, offset, eps):
+    # |p| peaks only at the ends and at critical points: r for c - k (t - r)^2, and
+    # 0 and +-sqrt(s) for A - (t^2 - s)^2 (A = 10 c), which takes A exactly at the
+    # irrational +-sqrt(s) (s = m w^2 is not the square of a rational)
+    hi = lo + width
+    inside = lambda x: lo <= x <= hi
+    if quartic:
+        s, A = m * w * w, 10 * c
+        p = Poly([A - s * s, 0, 2 * s, 0, -1])
+        n, b = 4, F(24)
+        # +-sqrt(s) in [lo, hi], decided on squares (never equal: s is no square)
+        at_root = ((lo < 0 or lo * lo < s) and hi > 0 and s < hi * hi) or (
+            lo < 0 and s < lo * lo and (hi > 0 or hi * hi < s))
+        peaks = [abs(A)] * at_root + [abs(p(0))] * inside(0)
+    else:
+        p = Poly([c - k * r * r, 2 * k * r, -k])
+        n, b = 2, 2 * abs(k) + 1
+        peaks = [abs(c)] * inside(r)
+    sup = max([abs(p(lo)), abs(p(hi))] + peaks)
+    # a just below, at or just above the sup, or anywhere
+    a = sup + offset * eps if offset is not None else abs(c) + eps
+    assume(a > 0)
+    report = membership(PiecewisePoly([lo, hi], [p], n), n, a, b)
+    assert report.ok is (sup <= a) and not report.numeric
+    assert [v.kind for v in report.violations] == ([] if report.ok else ["sup"])
+
+
+def test_join_violations_are_worded_order_by_order():
+    # every order 0..3 jumps at 1/3; orders 1, 2 and 3 at 2, the order-2 gap
+    # 1e-400 below the float range; order n = 4 may jump
+    t1, t2 = F(1, 3), F(2)
+    p0 = Poly([F(1, 5), F(-1, 2), F(3, 7), F(1, 9), F(-1, 24)])
+    p1 = p0 + Poly([F(1, 7), F(-2), F(5, 3), F(1, 1000), F(1, 2)]).compose_affine(-t1, 1)
+    p2 = p1 + Poly([0, F(1, 10**6), F(1, 10**400), F(123456, 7)]).compose_affine(-t2, 1)
+    f = PiecewisePoly([F(0), t1, t2, F(7, 2)], [p0, p1, p2], 4)
+    third = 0.3333333333333333
+    assert membership(f, 4, F(10**9), F(10**9)).violations == (
+        Violation("join", third, "order-0 mismatch at knot 1: gap 1.429e-01"),
+        Violation("join", third, "order-1 mismatch at knot 1: gap 2.000e+00"),
+        Violation("join", third, "order-2 mismatch at knot 1: gap 3.333e+00"),
+        Violation("join", third, "order-3 mismatch at knot 1: gap 6.000e-03"),
+        Violation("join", 2.0, "order-1 mismatch at knot 2: gap 1.000e-06"),
+        Violation("join", 2.0, "order-2 mismatch at knot 2: gap 0.000e+00"),
+        Violation("join", 2.0, "order-3 mismatch at knot 2: gap 1.058e+05"),
+    )
+
+
+def _bracket_reading(f, n, a, b):
+    """The exact membership report as read before the sign test: joins compared
+    order by order, sups read at the ends of the critical-point brackets."""
+    violations = [Violation("degree", float(f.knots[i]), f"piece {i} has degree {p.degree} > {n}")
+                  for i, p in enumerate(f.pieces) if p.degree > n]
+    for i in range(1, len(f.pieces)):
+        t, dl, dr = f.knots[i], f.pieces[i - 1], f.pieces[i]
+        for order in range(min(n, max(dl.degree, dr.degree) + 1)):
+            if order:
+                dl, dr = dl.derivative(), dr.derivative()
+            if dl(t) != dr(t):
+                gap = abs(float(dl(t) - dr(t)))
+                violations.append(Violation("join", float(t), f"order-{order} mismatch at knot {i}: gap {gap:.3e}"))
+    for i, p in enumerate(f.pieces):
+        dn = abs(p.coeffs[n] * math.factorial(n)) if p.degree >= n else 0
+        if dn > b:
+            violations.append(Violation("nth-derivative", float(f.knots[i]),
+                                        f"|f^({n})| = {float(dn)} > {float(b)} on piece {i}"))
+    for i, (p, lo, hi) in enumerate(zip(f.pieces, f.knots, f.knots[1:])):
+        if (sup := piece_sup(p, lo, hi, True)) > a:
+            violations.append(Violation("sup", float(lo), f"sup |f| = {float(sup)} > {float(a)} on piece {i}"))
+    return MembershipReport(not violations, False, tuple(violations))
+
+
+def _rises_above(p, lo, hi, a):
+    """A rational t in [lo, hi] with |p(t)| > a, searched in the brackets of
+    the sign changes of p' narrowed to 1e-40."""
+    dp = p.derivative()
+    for root in real_roots_exact(dp, lo, hi):
+        x, y = root.bracket
+        while y - x > F(1, 10**40) and dp(x) * dp(y) < 0:
+            mid = (x + y) / 2
+            x, y = (x, mid) if dp(x) * dp(mid) <= 0 else (mid, y)
+        if max(abs(p(x)), abs(p(y))) > a:
+            return True
+    return False
+
+
+def _euler_sweep():
+    """Euler splines n = 2..12 on [x0, x0 + 3], each followed by three copies
+    with one coefficient of one piece moved by 1e-3, -1e-9 or 1e-30 of itself."""
+    rng = random.Random(17)
+    for n in range(2, 13):
+        for x0 in (F(0), F(1, 3), F(-5, 4)):
+            f = euler_spline_piecewise(n, x0, x0 + 3)
+            b = abs(f.pieces[0].coeffs[n]) * math.factorial(n)
+            yield n, f, b
+            for rel in (F(1, 10**3), F(-1, 10**9), F(1, 10**30)):
+                i, j = rng.randrange(len(f.pieces)), rng.randrange(n + 1)
+                coeffs = list(f.pieces[i].coeffs)
+                coeffs[j] += rel * (coeffs[j] or 1)
+                pieces = list(f.pieces)
+                pieces[i] = Poly(coeffs)
+                yield n, PiecewisePoly(f.knots, pieces, n), b
+
+
+def test_sign_verdicts_agree_with_the_bracket_reading_on_euler_splines(monkeypatch):
+    # the reports agree wherever the reading is right; where they differ, the
+    # reading missed a sup above a that a narrower bracket shows
+    counts = {"splines": 0, "members": 0, "extreme": 0, "reading_wrong": 0}
+    for n, f, b in _euler_sweep():
+        counts["splines"] += 1
+        report, reading = membership(f, n, F(1), b), _bracket_reading(f, n, F(1), b)
+        if report != reading:
+            counts["reading_wrong"] += 1
+            missed = [v for v in report.violations if v not in reading.violations]
+            assert [v for v in report.violations if v not in missed] == list(reading.violations)
+            for v in missed:
+                i = int(v.detail.rsplit(" ", 1)[1])
+                assert v.kind == "sup" and _rises_above(f.pieces[i], f.knots[i], f.knots[i + 1], 1)
+            continue
+        if report.ok:
+            counts["members"] += 1
+            verdict = is_extreme_point(f, n, F(1), b)
+            with monkeypatch.context() as m:
+                m.setattr(pwpoly, "membership", _bracket_reading)
+                assert is_extreme_point(f, n, F(1), b) == verdict
+            counts["extreme"] += verdict.is_extreme
+    assert counts == {"splines": 132, "members": 33, "extreme": 17, "reading_wrong": 2}
