@@ -17,7 +17,6 @@ from .exactnum import Poly, Rational, bernoulli, euler_number, euler_poly
 from .eulerspline import e_n, euler_spline, favard, q_n, q_n_deriv_sup, r_n, s_n
 from .landau2 import PointwiseQuery, sigma1, sigma_inf, sigma_pointwise
 from .landaun import cnk_bracket, kolmogorov_bound, sato_segment
-from .peano import LinearFunctional, kernel_l1_norm, peano_kernel, vandermonde_certificate
 from .pwpoly import (
     ContactPoint,
     ExtremeVerdict,
@@ -75,3 +74,15 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+# peano (Peano kernels and the Vandermonde certificate) loads on first use, so
+# importing the package, as every `landau` process does, does not compile it
+_PEANO_NAMES = ("LinearFunctional", "kernel_l1_norm", "peano_kernel", "vandermonde_certificate")
+
+
+def __getattr__(name):
+    if name in _PEANO_NAMES:
+        from . import peano
+
+        return getattr(peano, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -252,7 +252,7 @@ def nonpositive(p: Poly, lo: Fraction, hi: Fraction) -> bool:
 def real_roots_exact(p: Poly, lo: Fraction, hi: Fraction) -> List[Root]:
     """All real roots of p (Fraction coefficients) in the closed [lo, hi],
     with multiplicities, sorted; irrational roots in brackets at most
-    WIDTH * min(1, hi - lo) wide."""
+    WIDTH * min(1, hi - lo) wide, roots at lo and hi exact."""
     lo, hi = Fraction(lo), Fraction(hi)
     if p.degree < 1:
         return []
@@ -262,6 +262,12 @@ def real_roots_exact(p: Poly, lo: Fraction, hi: Fraction) -> List[Root]:
     for factor, mult in _square_free(_primitive(_cleared(p)[0])):
         if _values([factor], lo.numerator, lo.denominator)[0] == 0:
             roots.append(Root(float(lo), mult, exact=lo, bracket=(lo, lo)))
+        if hi != lo and _values([factor], hi.numerator, hi.denominator)[0] == 0:
+            # deflated, so (lo, hi] below holds only the other roots
+            roots.append(Root(float(hi), mult, exact=hi, bracket=(hi, hi)))
+            factor = _primitive(_exact_quotient(factor, [-hi.numerator, hi.denominator]))
+            if len(factor) == 1:
+                continue
         for exact, x, y in _isolate(factor, a, b, den, width):
             if exact is not None:
                 roots.append(Root(float(exact), mult, exact=exact, bracket=(exact, exact)))

@@ -124,7 +124,7 @@ def compute_bound(query: BoundQuery) -> BoundResult:
 
 
 def _route(query: BoundQuery) -> BoundResult:
-    from . import landau2, peano
+    from . import landau2
 
     n, k, a, b, dom = query.n, query.k, query.a, query.b, query.domain
 
@@ -149,6 +149,8 @@ def _route(query: BoundQuery) -> BoundResult:
         bracket = landaun.cnk_bracket(n, k)
         tag = f"half-line-bracket({bracket.upper_source})"
         return BoundResult(bracket.upper * bracket.scale(a, b), UPPER_BOUND, tag, bracket=bracket)
+    from . import peano  # deferred: only this route needs it
+
     # restricting a member of the class on [0, T] to [0, T*] gives a member
     # there, so the bound at min(T, T*) holds on [0, T] as well
     cert = peano.vandermonde_certificate(n, k)

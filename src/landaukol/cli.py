@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 from typing import List, Optional
 
-from . import eulerspline, landaun, peano
+from . import eulerspline, landaun
 from .bounds import BoundQuery, BoundResult, FullLine, HalfLine, Segment, compute_bound
 from .exactnum import euler_number
 from .pwpoly import PiecewisePoly, StructuralError, is_extreme_point, membership
@@ -176,6 +176,8 @@ def _sample_csv(header: List[str], x0: float, x1: float, samples: int, fn) -> in
 
 
 def cmd_kernel(args) -> int:
+    from . import peano  # deferred: only this command needs it
+
     if args.n == 2:
         L = peano.derivative_functional(args.x, args.T)
     else:

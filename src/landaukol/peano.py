@@ -10,9 +10,13 @@ is piecewise polynomial in t with breakpoints at the alpha_i.  Functionals
 are exact: alpha, lambda and T are stored as Fractions (a float converts
 exactly), so the annihilation test is an identity, kernel pieces have
 rational coefficients and the L1 norm splits at exactly isolated sign
-changes.  The certificate runs on integer suffix sums over one denominator;
-its kernel sup is taken per piece at the float critical points, skipping the
-pieces whose exact Taylor bound cannot raise it, which leaves B unchanged.
+changes.  The certificate runs on integers over one denominator.  Its
+constants are maxima over a grid of x, found by branch and bound: in each
+slot of t between nodes the kernel-piece numerators are integer polynomials
+in the grid index j, so one integer Taylor shift in (j, t) bounds a whole
+run of grid points; only the runs, and then the pieces, whose bound could
+raise the maximum attained so far are evaluated (at the float critical
+points), which leaves A and B the same floats as a visit of every piece.
 """
 from __future__ import annotations
 
@@ -213,12 +217,24 @@ def certificate_nodes(n: int) -> List[Fraction]:
 def lagrange_derivatives(alphas: Sequence[Fraction], k: int) -> List[Poly]:
     """ell_i^(k) for the Lagrange basis ell_i on the nodes: lambda_i(x) =
     ell_i^(k)(x) are the weights with sum_i lambda_i(x) p(alpha_i) = p^(k)(x)
-    for every p of degree < len(alphas).  Coefficients of ell_i solve the
-    transposed Vandermonde system with right-hand side e_i."""
-    n = len(alphas)
-    matrix = [[alpha**m for m in range(n)] for alpha in alphas]
-    units = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    return [Poly(coeffs).nth_derivative(k) for coeffs in _solve_exact(matrix, units)]
+    for every p of degree < len(alphas).  ell_i is the product of
+    (x - alpha_m) / (alpha_i - alpha_m) over m != i; over the common denominator
+    L of the nodes, alpha_m = a_m / L, that is prod (L x - a_m) / prod (a_i - a_m),
+    an integer product."""
+    alphas = [Fraction(alpha) for alpha in alphas]
+    L = math.lcm(*(alpha.denominator for alpha in alphas))
+    nums = [int(alpha * L) for alpha in alphas]
+    out = []
+    for i, a_i in enumerate(nums):
+        prod, den = [1], 1
+        for m, a_m in enumerate(nums):
+            if m != i:
+                prod = [L * below - a_m * c for c, below in zip(prod + [0], [0] + prod)]
+                den *= a_i - a_m
+        if den == 0:
+            raise ValueError("repeated interpolation node")
+        out.append(Poly(Fraction(c * math.perm(e, k), den) for e, c in enumerate(prod) if e >= k))
+    return out
 
 
 def certificate_functional(n: int, k: int, x: Fraction) -> LinearFunctional:
@@ -241,7 +257,7 @@ class _GridTables(NamedTuple):
     expansions: List[List[int]]  # (alpha_i - t)^(n-1)/(n-1)! times D / lam_den
     x_term: List[int]  # (x - t)^d/d! times D is sum_m x_term[m] j^(d-m) t^m
     D: int
-    shift: List[int]  # u^(n-1-m), u = 2 n grid, for _piece_bound
+    shift: List[int]  # u^(n-1-m), u = 2 n grid, for _midpoint_shift
 
     def lambdas(self, j: int) -> List[int]:
         powers = [j**m for m in range(len(self.x_term))]
@@ -287,15 +303,22 @@ def _piece_bound(tab: _GridTables, lo: int, hi: int, nums: Sequence[int]) -> flo
     float candidates (rounded coefficients, Horner steps, points within 2^-53 of
     the piece in [0, 1], |p'| <= (n - 1) C) exceed the exact |p| by at most
     3n 2^-53 C, the quotients below lose a few 2^-53 C: 1e-12 C covers it all."""
-    top, mid, h = tab.n - 1, lo + hi, hi - lo
+    h = hi - lo
+    S = 0
+    for c in reversed(_midpoint_shift(tab, lo + hi, nums)):
+        S = S * h + abs(c)
+    return S / (tab.D * tab.shift[0]) + 1e-12 * (sum(map(abs, nums)) / tab.D)
+
+
+def _midpoint_shift(tab: _GridTables, mid: int, nums: Sequence[int]) -> List[int]:
+    """r with D u^(n-1) p(t) = sum_i r_i w^i for u t = mid + w, where p(t) = sum_m N_m t^m / D
+    and u = 2 n grid: Horner's shift of N_m u^(n-1-m) by mid."""
+    top = tab.n - 1
     r = [c * p for c, p in zip(nums, tab.shift)]
     for s in range(top):
         for m in range(top - 1, s - 1, -1):
             r[m] += mid * r[m + 1]
-    S = 0
-    for c in reversed(r):
-        S = S * h + abs(c)
-    return S / (tab.D * tab.shift[0]) + 1e-12 * (sum(map(abs, nums)) / tab.D)
+    return r
 
 
 def _kernel_sup(pieces: Sequence[Tuple[int, int, List[int]]], tab: _GridTables, best: float = 0.0) -> float:
@@ -314,21 +337,137 @@ def _kernel_sup(pieces: Sequence[Tuple[int, int, List[int]]], tab: _GridTables, 
     return best
 
 
+class _SlotForm(NamedTuple):
+    """The numerators of the kernel pieces in one slot s/n <= t <= (s+1)/n as
+    integer polynomials in j, N_m(j) = sum_a nums[a][m] j^a (the piece is
+    sum_m N_m(j) t^m / D), and what _slot_bound needs of them."""
+
+    nums: List[List[int]]
+    shifted: List[List[int]]  # _midpoint_shift of each nums[a] about the slot's midpoint
+    slack: float  # 1e-12 C(j) for every 0 <= j <= grid, C(j) = sum_m |N_m(j)| / D
+
+
+def _slot_form(tab: _GridTables, s: int, nums: List[List[int]]) -> _SlotForm:
+    """nums with its shift about the slot's midpoint and its slack, C(j) bounded by
+    one Taylor shift in j about grid/2."""
+    d = len(nums) - 1
+    shifted = [_midpoint_shift(tab, (2 * s + 1) * tab.grid, col) for col in nums]
+    return _SlotForm(nums, shifted, 1e-12 * (_shifted_abs(nums, tab.grid, tab.grid, 1) / (tab.D * 2**d)))
+
+
+def _slot_forms(tab: _GridTables) -> List[Tuple[_SlotForm, _SlotForm]]:
+    """Per slot s, the forms without and with the (x - t)^d/d! term: the suffix sums
+    of _certificate_pieces with L_i(j) left as polynomials in j."""
+    n, d = tab.n, len(tab.x_term) - 1
+    suffix, out = [[0] * n for _ in range(d + 1)], []
+    for s in range(n - 1, -1, -1):
+        for a, l in enumerate(tab.lam[s]):
+            suffix[a] = [c - l * e for c, e in zip(suffix[a], tab.expansions[s])]
+        with_x = [col[:] for col in suffix]
+        for m, c in enumerate(tab.x_term):
+            with_x[d - m][m] += c
+        out.append((_slot_form(tab, s, list(suffix)), _slot_form(tab, s, with_x)))
+    return out[::-1]
+
+
+def _shifted_abs(cols: Sequence[Sequence[int]], c: int, h: int, width: int) -> int:
+    """sum_a h^a sum_b width^b |g_ab| for the polynomials q_b(j) = sum_a cols[a][b] j^a,
+    where 2^d q_b((c + w)/2) = sum_a g_ab w^a, d = len(cols) - 1 (Horner's shift by c
+    of the entries scaled by 2^(d-a)): at least 2^d sum_b width^b |q_b(j)| wherever
+    |2j - c| <= h."""
+    d = len(cols) - 1
+    g = [[v << (d - a) for v in col] for a, col in enumerate(cols)]
+    for low in range(d):
+        for a in range(d - 1, low - 1, -1):
+            g[a] = [v + c * above for v, above in zip(g[a], g[a + 1])]
+    S = 0
+    for col in reversed(g):
+        T = 0
+        for v in reversed(col):
+            T = T * width + abs(v)
+        S = S * h + T
+    return S
+
+
+def _slot_bound(tab: _GridTables, s: int, forms: Tuple[_SlotForm, _SlotForm], j0: int, j1: int) -> float:
+    """_piece_bound over a run: an upper bound on every candidate _kernel_sup takes
+    on the pieces of slot s at x = j/grid for every j0 <= j <= j1, from one integer
+    Taylor shift in (j, t) about the centre (j0 + j1)/2 and the slot's midpoint, plus
+    the slot's float slack.  The form with the x term holds left of x and the form
+    without it right of x; a run may have x on either side of the slot or inside
+    it, and each form needed is bounded over the whole slot."""
+    needed = []
+    if j0 * tab.n < (s + 1) * tab.grid:
+        needed.append(forms[0])
+    if j1 * tab.n > s * tab.grid:
+        needed.append(forms[1])
+    scale = tab.D * tab.shift[0] * 2 ** (len(forms[0].nums) - 1)
+    return max(_shifted_abs(form.shifted, j0 + j1, j1 - j0, tab.grid) / scale + form.slack for form in needed)
+
+
+def _slot_pieces(tab: _GridTables, s: int, forms: Tuple[_SlotForm, _SlotForm], j: int) -> List[Tuple[int, int, List[int]]]:
+    """The pieces of _certificate_pieces at x = j/grid that lie in slot s, from its forms."""
+    lo, hi, x = s * tab.grid, (s + 1) * tab.grid, j * tab.n
+
+    def nums(form):
+        out = form.nums[-1]
+        for col in reversed(form.nums[:-1]):
+            out = [v * j + c for v, c in zip(out, col)]
+        return list(out)
+
+    if x >= hi:
+        return [(lo, hi, nums(forms[1]))]
+    if x <= lo:
+        return [(lo, hi, nums(forms[0]))]
+    return [(lo, x, nums(forms[1])), (x, hi, nums(forms[0]))]
+
+
+def _unpruned_points(j0: int, j1: int, dominated):
+    """The grid points of [j0, j1] left when the range is bisected into runs and
+    every run of two or more points for which dominated(j0, j1) holds is dropped."""
+    stack = [(j0, j1)] if j0 <= j1 else []
+    while stack:
+        j0, j1 = stack.pop()
+        if j0 == j1:
+            yield j0
+        elif not dominated(j0, j1):
+            mid = (j0 + j1) // 2
+            stack += [(mid + 1, j1), (j0, mid)]
+
+
+def _certificate_constants(n: int, k: int, grid: int) -> Tuple[float, float]:
+    """(A, B) = (max_j sum_i |lambda_i(j/grid)|, max_j sup_t |K_j(t)|) over j = 0..grid.
+    Both are maxima of values attained, so they do not depend on the order of the
+    search: j = 0 and j = grid seed them, then runs of the points between are
+    bisected until a bound over the run shows it cannot raise the maximum (for B,
+    one slot of t at a time) or a single point is left, whose values are taken."""
+    tab = _grid_tables(n, k, grid)
+    d = len(tab.x_term) - 1
+    A, B = 0, 0.0
+    for j in {0, grid}:
+        lambdas = tab.lambdas(j)
+        A = max(A, sum(map(abs, lambdas)))
+        B = _kernel_sup(_certificate_pieces(tab, j, lambdas), tab, B)
+    lam = [[row[a] if a < len(row) else 0 for row in tab.lam] for a in range(d + 1)]
+    for j in _unpruned_points(1, grid - 1, lambda j0, j1: _shifted_abs(lam, j0 + j1, j1 - j0, 1) <= A << d):
+        A = max(A, sum(map(abs, tab.lambdas(j))))
+    for s, forms in enumerate(_slot_forms(tab)):
+        for j in _unpruned_points(1, grid - 1, lambda j0, j1: _slot_bound(tab, s, forms, j0, j1) < B):
+            B = _kernel_sup(_slot_pieces(tab, s, forms, j), tab, B)
+    return A / tab.lam_den, B
+
+
 CERTIFICATE_GRID = 201  # x = j/200, j = 0..200
 
 
 def vandermonde_certificate(n: int, k: int) -> KernelCertificate:
     """Make L_x(f) = f^(k)(x) - sum_i lambda_i(x) f(i/n) annihilate degree < n
     for x on a uniform grid of [0, 1], with lambda_i = ell_i^(k) from the
-    Lagrange basis; A = max_x sum |lambda_i(x)| and B = max_x sup_t |K_x(t)|."""
+    Lagrange basis; A = max_x sum |lambda_i(x)| and B = max_x sup_t |K_x(t)|,
+    found by branch and bound over runs of grid points (_certificate_constants)."""
     if not 2 <= n <= 12:
         raise ValueError(f"unsupported order n={n}: Vandermonde certificate needs 2 <= n <= 12")
     if not 0 < k < n:
         raise ValueError(f"need 0 < k < n, got k={k}")
-    tab = _grid_tables(n, k, CERTIFICATE_GRID - 1)
-    A, B = 0, 0.0
-    for j in range(CERTIFICATE_GRID):
-        lambdas = tab.lambdas(j)
-        A = max(A, sum(map(abs, lambdas)))
-        B = _kernel_sup(_certificate_pieces(tab, j, lambdas), tab, B)
-    return KernelCertificate(A=A / tab.lam_den, B=B, n=n, k=k)
+    A, B = _certificate_constants(n, k, CERTIFICATE_GRID - 1)
+    return KernelCertificate(A=A, B=B, n=n, k=k)

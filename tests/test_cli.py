@@ -661,8 +661,8 @@ def test_table_variants(capsys):
 
 
 # Runs `landau ARGV` in a fresh interpreter and reports its exit code, stdout,
-# stderr and which of numpy, scipy and scipy.optimize it loaded; with no ARGV
-# it only imports the CLI.
+# stderr, which of numpy, scipy and scipy.optimize it loaded and whether it
+# loaded landaukol.peano; with no ARGV it only imports the CLI.
 _IMPORT_PROBE = """
 import contextlib, io, json, sys
 out = io.StringIO()
@@ -670,7 +670,7 @@ with contextlib.redirect_stdout(out):
     from landaukol.cli import main
     code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
 heavy = sorted(m for m in ("numpy", "scipy", "scipy.optimize") if m in sys.modules)
-print(json.dumps({"code": code, "out": out.getvalue(), "heavy": heavy}))
+print(json.dumps({"code": code, "out": out.getvalue(), "heavy": heavy, "peano": "landaukol.peano" in sys.modules}))
 """
 
 
@@ -706,6 +706,30 @@ def test_closed_forms_load_neither_numpy_nor_scipy(argv, tmp_path):
     probe = _probe(*(arg.format(witness=witness) for arg in argv))
     assert probe["code"] == 0
     assert probe["heavy"] == []
+
+
+@pytest.mark.parametrize("argv", [
+    (),
+    ("bound", "--n", "2", "--T", "10", "--t0", "1"),
+    ("bound", "--n", "5", "--k", "2", "--domain", "halfline"),
+    ("table", "--what", "cnk", "--max-n", "6"),
+], ids=lambda argv: " ".join(argv) or "import")
+def test_closed_forms_do_not_load_peano(argv):
+    # peano, with the certificate search, loads on first use: a process
+    # without a kernel or an n >= 4 segment does not compile it
+    probe = _probe(*argv)
+    assert probe["code"] == 0 and not probe["peano"]
+
+
+def test_certificate_route_and_package_attribute_load_peano():
+    probe = _probe("bound", "--n", "4", "--k", "2", "--T", "3")
+    assert probe["code"] == 0 and probe["peano"]
+    import landaukol
+    from landaukol import peano
+
+    assert landaukol.vandermonde_certificate is peano.vandermonde_certificate
+    with pytest.raises(AttributeError):
+        landaukol.no_such_name
 
 
 def test_oracle_still_loads_scipy():

@@ -235,6 +235,18 @@ def test_lagrange_derivatives_reproduce_polynomial_derivatives():
             assert lhs == (math.perm(j, k) * x ** (j - k) if j >= k else 0)
 
 
+def test_product_formula_basis_is_the_vandermonde_solution():
+    # ell_i from the product formula against the coefficients that solve the
+    # transposed Vandermonde system with right-hand side e_i
+    for n in range(2, 13):
+        alphas = certificate_nodes(n)
+        matrix = [[alpha**m for m in range(n)] for alpha in alphas]
+        units = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+        solved = [Poly(coeffs) for coeffs in peano._solve_exact(matrix, units)]
+        for k in range(1, n):
+            assert lagrange_derivatives(alphas, k) == [ell.nth_derivative(k) for ell in solved]
+
+
 @pytest.mark.parametrize("n, k", [(4, 2), (6, 3)])
 def test_suffix_sum_pieces_match_kernel_pieces(n, k):
     # grid points off the nodes, on a node, and at both ends
@@ -342,3 +354,54 @@ def test_piece_bound_dominates_every_candidate(data):
     if data.draw(st.booleans(), label="random numerators"):
         nums = data.draw(st.lists(st.integers(-tab.D, tab.D), min_size=n, max_size=n), label="nums")
     assert peano._kernel_sup([(lo, hi, nums)], tab) <= peano._piece_bound(tab, lo, hi, nums)
+
+
+@functools.lru_cache(maxsize=None)
+def _forms(n, k):
+    return peano._slot_forms(_tables(n, k))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_run_bound_dominates_every_candidate(data):
+    # the pruning bound of a run of grid points in one slot of t is at least the
+    # largest value _kernel_sup takes on any piece of the slot at any point of the
+    # run; half the runs are drawn near the points where x = j/200 is in the slot
+    n = data.draw(st.integers(2, 12), label="n")
+    k = data.draw(st.integers(1, n - 1), label="k")
+    s = data.draw(st.integers(0, n - 1), label="slot")
+    lo, hi = s * 200, (s + 1) * 200
+    if data.draw(st.booleans(), label="x near the slot"):
+        j0 = data.draw(st.integers(max(0, lo // n - 12), min(200, -(-hi // n))), label="j0")
+    else:
+        j0 = data.draw(st.integers(0, 200), label="j0")
+    j1 = data.draw(st.integers(j0, min(200, j0 + 16)), label="j1")
+    tab, forms = _tables(n, k), _forms(n, k)[s]
+    bound = peano._slot_bound(tab, s, forms, j0, j1)
+    d = n - 1 - k
+    lam = [[row[a] if a < len(row) else 0 for row in tab.lam] for a in range(d + 1)]
+    lam_bound = peano._shifted_abs(lam, j0 + j1, j1 - j0, 1)
+    for j in range(j0, j1 + 1):
+        lambdas = tab.lambdas(j)
+        assert sum(map(abs, lambdas)) << d <= lam_bound
+        pieces = peano._slot_pieces(tab, s, forms, j)
+        assert pieces == [p for p in peano._certificate_pieces(tab, j, lambdas) if lo <= p[0] and p[1] <= hi]
+        for piece in pieces:
+            assert peano._kernel_sup([piece], tab) <= bound
+
+
+def _reference_constants(n, k, grid):
+    """(A, B) from every grid point and every kernel piece at it."""
+    tab = peano._grid_tables(n, k, grid)
+    A, B = 0, 0.0
+    for j in range(grid + 1):
+        lambdas = tab.lambdas(j)
+        A = max(A, sum(map(abs, lambdas)))
+        B = peano._kernel_sup(peano._certificate_pieces(tab, j, lambdas), tab, B)
+    return A / tab.lam_den, B
+
+
+@pytest.mark.parametrize("grid", [1, 7, 37, 64])
+@pytest.mark.parametrize("nk", [(2, 1), (3, 2), (4, 1), (4, 3), (5, 2), (6, 3), (7, 6), (9, 4), (12, 1), (12, 11)], ids=str)
+def test_branch_and_bound_matches_every_grid_point(nk, grid):
+    assert peano._certificate_constants(*nk, grid) == _reference_constants(*nk, grid)

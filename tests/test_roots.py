@@ -51,12 +51,12 @@ PINNED = [
     ('roots_at_lo_and_hi', prod(lin(0), lin(1), lin(F(1, 3))), 0, 1, [
         Root(0.0, 1, F(0), (F(0), F(0))),
         Root(0.3333333333334849, 1, None, (F(366503875925, 1099511627776), F(183251937963, 549755813888))),
-        Root(0.9999999999995453, 1, None, (F(1099511627775, 1099511627776), F(1))),
+        Root(1.0, 1, F(1), (F(1), F(1))),
     ]),
     ('double_roots_at_lo_and_hi', prod(pw(lin(F(-1, 2)), 2), pw(lin(F(5, 3)), 3), lin(F(1, 7))), F(-1, 2), F(5, 3), [
         Root(-0.5, 2, F(-1, 2), (F(-1, 2), F(-1, 2))),
         Root(0.14285714285714826, 1, None, (F(628292358727, 4398046511104), F(942438538097, 6597069766656))),
-        Root(1.666666666666174, 3, None, (F(21990232555507, 13194139533312), F(5, 3))),
+        Root(1.6666666666666667, 3, F(5, 3), (F(5, 3), F(5, 3))),
     ]),
     ('dyadic_midpoints', prod(lin(F(1, 4)), lin(F(3, 8)), lin(F(13, 16)), lin(F(1, 10))), 0, 1, [
         Root(0.09999999999990905, 1, None, (F(109951162777, 1099511627776), F(54975581389, 549755813888))),
@@ -107,7 +107,7 @@ PINNED = [
     ]),
     ('integer_coeffs', Poly([6, -5, 1]), 0, 3, [
         Root(1.9999999999998863, 1, None, (F(4398046511103, 2199023255552), F(8796093022209, 4398046511104))),
-        Root(2.999999999999659, 1, None, (F(13194139533309, 4398046511104), F(3))),
+        Root(3.0, 1, F(3), (F(3), F(3))),
     ]),
 ]
 
