@@ -10,18 +10,19 @@ is piecewise polynomial in t with breakpoints at the alpha_i.  Functionals
 are exact: alpha, lambda and T are stored as Fractions (a float converts
 exactly), so the annihilation test is an identity, kernel pieces have
 rational coefficients and the L1 norm splits at exactly isolated sign
-changes.  The certificate runs on integers over one denominator.  Its
-constants are maxima over a grid of x, found by branch and bound: in each
-slot of t between nodes the kernel-piece numerators are integer polynomials
-in the grid index j, so one integer Taylor shift in (j, t) bounds a whole
-run of grid points; only the runs, and then the pieces, whose bound could
+changes.  The certificate runs on integers over one denominator, with one
+form of the kernel: in each slot of t between nodes the kernel-piece
+numerators are integer polynomials in the grid index j and in t.  Evaluated
+in j they give the pieces at one grid point (the seeds x = 0 and x = 1, and
+each point left by the search); one integer Taylor shift in (j, t) bounds a
+whole run of grid points.  The constants are maxima over the grid, found by
+branch and bound: only the runs, and then the pieces, whose bound could
 raise the maximum attained so far are evaluated (at the float critical
 points), which leaves A and B the same floats as a visit of every piece.
 """
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, NamedTuple, Sequence, Tuple
@@ -252,47 +253,35 @@ class _GridTables(NamedTuple):
 
     n: int
     grid: int
-    lam: List[List[int]]  # L_i(j) = sum_m lam[i][m] j^m
+    lam: List[List[int]]  # L_i(j) = sum_a lam[a][i] j^a
     lam_den: int
     expansions: List[List[int]]  # (alpha_i - t)^(n-1)/(n-1)! times D / lam_den
     x_term: List[int]  # (x - t)^d/d! times D is sum_m x_term[m] j^(d-m) t^m
     D: int
-    shift: List[int]  # u^(n-1-m), u = 2 n grid, for _midpoint_shift
-
-    def lambdas(self, j: int) -> List[int]:
-        powers = [j**m for m in range(len(self.x_term))]
-        return [sum(map(operator.mul, coeffs, powers)) for coeffs in self.lam]
+    u: int  # 2 n grid, so that t = (lo + hi + w)/u about a piece's midpoint
 
 
 def _grid_tables(n: int, k: int, grid: int) -> _GridTables:
     d = n - 1 - k
-    basis = lagrange_derivatives(certificate_nodes(n), k)
+    basis = lagrange_derivatives(certificate_nodes(n), k)  # each of degree d exactly
     den = math.lcm(*(c.denominator for ell in basis for c in ell.coeffs))
-    lam = [[int(c * den) * grid ** (d - m) for m, c in enumerate(ell.coeffs)] for ell in basis]
+    lam = [[int(ell.coeffs[a] * den) * grid ** (d - a) for ell in basis] for a in range(d + 1)]
     # (i/n - t)^(n-1)/(n-1)! has integer coefficients over n^(n-1) (n-1)!, (j/grid - t)^d/d! over grid^d d!
     e_den, x_den = den * grid**d * n ** (n - 1) * math.factorial(n - 1), grid**d * math.factorial(d)
     D = math.lcm(e_den, x_den)
     expansions = [[D // e_den * math.comb(n - 1, m) * (-1) ** m * i ** (n - 1 - m) * n**m for m in range(n)]
                   for i in range(1, n + 1)]
     x_term = [D // x_den * math.comb(d, m) * (-1) ** m * grid**m for m in range(d + 1)]
-    shift = [(2 * n * grid) ** (n - 1 - m) for m in range(n)]
-    return _GridTables(n, grid, lam, den * grid**d, expansions, x_term, D, shift)
+    return _GridTables(n, grid, lam, den * grid**d, expansions, x_term, D, 2 * n * grid)
 
 
-def _certificate_pieces(tab: _GridTables, j: int, lambdas: Sequence[int]) -> List[Tuple[int, int, List[int]]]:
-    """kernel_pieces of L_x at x = j/grid as (lo, hi, numerators), right to left: the
-    sum of -lambda_i (alpha_i - t)^(n-1)/(n-1)! over alpha_i >= hi, plus (x - t)^d/d! if x >= hi."""
-    n, grid, d = tab.n, tab.grid, len(tab.x_term) - 1
-    x_term = [c * j ** (d - m) for m, c in enumerate(tab.x_term)]
-    breaks = sorted({0, j * n, *range(grid, n * grid + 1, grid)})
-    suffix, i, out = [0] * n, n, []
-    for lo, hi in reversed(list(zip(breaks, breaks[1:]))):
-        while i and i * grid >= hi:
-            i -= 1
-            suffix = [s - lambdas[i] * e for s, e in zip(suffix, tab.expansions[i])]
-        coeffs = suffix if hi > j * n else [s + c for s, c in zip(suffix, x_term)] + suffix[d + 1:]
-        out.append((lo, hi, coeffs))
-    return out[::-1]
+def _at(cols: Sequence[Sequence[int]], j: int) -> List[int]:
+    """sum_a cols[a] j^a entrywise, by Horner in j: the values at j of integer
+    polynomials in j stored as columns of coefficients."""
+    out = cols[-1]
+    for col in reversed(cols[:-1]):
+        out = [v * j + c for v, c in zip(out, col)]
+    return list(out)
 
 
 def _piece_bound(tab: _GridTables, lo: int, hi: int, nums: Sequence[int]) -> float:
@@ -305,20 +294,9 @@ def _piece_bound(tab: _GridTables, lo: int, hi: int, nums: Sequence[int]) -> flo
     3n 2^-53 C, the quotients below lose a few 2^-53 C: 1e-12 C covers it all."""
     h = hi - lo
     S = 0
-    for c in reversed(_midpoint_shift(tab, lo + hi, nums)):
+    for c in reversed(_roots._taylor_shift(nums, lo + hi, tab.u)):
         S = S * h + abs(c)
-    return S / (tab.D * tab.shift[0]) + 1e-12 * (sum(map(abs, nums)) / tab.D)
-
-
-def _midpoint_shift(tab: _GridTables, mid: int, nums: Sequence[int]) -> List[int]:
-    """r with D u^(n-1) p(t) = sum_i r_i w^i for u t = mid + w, where p(t) = sum_m N_m t^m / D
-    and u = 2 n grid: Horner's shift of N_m u^(n-1-m) by mid."""
-    top = tab.n - 1
-    r = [c * p for c, p in zip(nums, tab.shift)]
-    for s in range(top):
-        for m in range(top - 1, s - 1, -1):
-            r[m] += mid * r[m + 1]
-    return r
+    return S / (tab.D * tab.u ** (tab.n - 1)) + 1e-12 * (sum(map(abs, nums)) / tab.D)
 
 
 def _kernel_sup(pieces: Sequence[Tuple[int, int, List[int]]], tab: _GridTables, best: float = 0.0) -> float:
@@ -343,7 +321,7 @@ class _SlotForm(NamedTuple):
     sum_m N_m(j) t^m / D), and what _slot_bound needs of them."""
 
     nums: List[List[int]]
-    shifted: List[List[int]]  # _midpoint_shift of each nums[a] about the slot's midpoint
+    shifted: List[List[int]]  # _piece_bound's Taylor shift of each nums[a] about the slot's midpoint
     slack: float  # 1e-12 C(j) for every 0 <= j <= grid, C(j) = sum_m |N_m(j)| / D
 
 
@@ -351,18 +329,19 @@ def _slot_form(tab: _GridTables, s: int, nums: List[List[int]]) -> _SlotForm:
     """nums with its shift about the slot's midpoint and its slack, C(j) bounded by
     one Taylor shift in j about grid/2."""
     d = len(nums) - 1
-    shifted = [_midpoint_shift(tab, (2 * s + 1) * tab.grid, col) for col in nums]
+    shifted = [_roots._taylor_shift(col, (2 * s + 1) * tab.grid, tab.u) for col in nums]
     return _SlotForm(nums, shifted, 1e-12 * (_shifted_abs(nums, tab.grid, tab.grid, 1) / (tab.D * 2**d)))
 
 
 def _slot_forms(tab: _GridTables) -> List[Tuple[_SlotForm, _SlotForm]]:
-    """Per slot s, the forms without and with the (x - t)^d/d! term: the suffix sums
-    of _certificate_pieces with L_i(j) left as polynomials in j."""
+    """Per slot s, the forms without and with the (x - t)^d/d! term: the sum of
+    -L_i(j) (alpha_i - t)^(n-1)/(n-1)! over the nodes alpha_i >= (s+1)/n, in integers
+    over D with L_i(j) left as polynomials in j (suffix sums from the right end)."""
     n, d = tab.n, len(tab.x_term) - 1
     suffix, out = [[0] * n for _ in range(d + 1)], []
     for s in range(n - 1, -1, -1):
-        for a, l in enumerate(tab.lam[s]):
-            suffix[a] = [c - l * e for c, e in zip(suffix[a], tab.expansions[s])]
+        for a, col in enumerate(tab.lam):
+            suffix[a] = [c - col[s] * e for c, e in zip(suffix[a], tab.expansions[s])]
         with_x = [col[:] for col in suffix]
         for m, c in enumerate(tab.x_term):
             with_x[d - m][m] += c
@@ -401,25 +380,19 @@ def _slot_bound(tab: _GridTables, s: int, forms: Tuple[_SlotForm, _SlotForm], j0
         needed.append(forms[0])
     if j1 * tab.n > s * tab.grid:
         needed.append(forms[1])
-    scale = tab.D * tab.shift[0] * 2 ** (len(forms[0].nums) - 1)
+    scale = tab.D * tab.u ** (tab.n - 1) * 2 ** (len(forms[0].nums) - 1)
     return max(_shifted_abs(form.shifted, j0 + j1, j1 - j0, tab.grid) / scale + form.slack for form in needed)
 
 
 def _slot_pieces(tab: _GridTables, s: int, forms: Tuple[_SlotForm, _SlotForm], j: int) -> List[Tuple[int, int, List[int]]]:
-    """The pieces of _certificate_pieces at x = j/grid that lie in slot s, from its forms."""
+    """The kernel pieces of L_x at x = j/grid that lie in slot s, as (lo, hi,
+    numerators) with breaks over n grid: the slot split at x, the forms at j."""
     lo, hi, x = s * tab.grid, (s + 1) * tab.grid, j * tab.n
-
-    def nums(form):
-        out = form.nums[-1]
-        for col in reversed(form.nums[:-1]):
-            out = [v * j + c for v, c in zip(out, col)]
-        return list(out)
-
     if x >= hi:
-        return [(lo, hi, nums(forms[1]))]
+        return [(lo, hi, _at(forms[1].nums, j))]
     if x <= lo:
-        return [(lo, hi, nums(forms[0]))]
-    return [(lo, x, nums(forms[1])), (x, hi, nums(forms[0]))]
+        return [(lo, hi, _at(forms[0].nums, j))]
+    return [(lo, x, _at(forms[1].nums, j)), (x, hi, _at(forms[0].nums, j))]
 
 
 def _unpruned_points(j0: int, j1: int, dominated):
@@ -441,17 +414,15 @@ def _certificate_constants(n: int, k: int, grid: int) -> Tuple[float, float]:
     search: j = 0 and j = grid seed them, then runs of the points between are
     bisected until a bound over the run shows it cannot raise the maximum (for B,
     one slot of t at a time) or a single point is left, whose values are taken."""
-    tab = _grid_tables(n, k, grid)
-    d = len(tab.x_term) - 1
+    tab, d = _grid_tables(n, k, grid), n - 1 - k
+    slots = _slot_forms(tab)
     A, B = 0, 0.0
     for j in {0, grid}:
-        lambdas = tab.lambdas(j)
-        A = max(A, sum(map(abs, lambdas)))
-        B = _kernel_sup(_certificate_pieces(tab, j, lambdas), tab, B)
-    lam = [[row[a] if a < len(row) else 0 for row in tab.lam] for a in range(d + 1)]
-    for j in _unpruned_points(1, grid - 1, lambda j0, j1: _shifted_abs(lam, j0 + j1, j1 - j0, 1) <= A << d):
-        A = max(A, sum(map(abs, tab.lambdas(j))))
-    for s, forms in enumerate(_slot_forms(tab)):
+        A = max(A, sum(map(abs, _at(tab.lam, j))))
+        B = _kernel_sup([p for s, forms in enumerate(slots) for p in _slot_pieces(tab, s, forms, j)], tab, B)
+    for j in _unpruned_points(1, grid - 1, lambda j0, j1: _shifted_abs(tab.lam, j0 + j1, j1 - j0, 1) <= A << d):
+        A = max(A, sum(map(abs, _at(tab.lam, j))))
+    for s, forms in enumerate(slots):
         for j in _unpruned_points(1, grid - 1, lambda j0, j1: _slot_bound(tab, s, forms, j0, j1) < B):
             B = _kernel_sup(_slot_pieces(tab, s, forms, j), tab, B)
     return A / tab.lam_den, B

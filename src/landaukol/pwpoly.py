@@ -4,9 +4,11 @@ exact extreme-point certificate.
 
 Pieces hold coefficients in the *global* coordinate (the same t as the knots).
 Coefficients and knots may be exact ``Fraction``s or ``float``s: exact splines
-are checked exactly (|p| <= a on a piece from the signs of p -/+ a, with no
-critical point located; joins from one Taylor shift of left - right at the
-knot), float splines against ``REL_TOL`` times the class scale
+are checked exactly whatever the type of a and b, a float bound meaning its
+exact binary value (a float 0.3 lies below 3/10; pass ``Fraction("0.3")`` for
+the decimal): |p| <= a on a piece from the signs of p -/+ a, with no critical
+point located, and joins from one Taylor shift of left - right at the knot.
+Float splines are checked against ``REL_TOL`` times the class scale
 a^(1 - m/n) b^(m/n) of the compared f^(m) (a for values and contacts, b for
 |f^(n)|) plus a rounding allowance ``EVAL_ULPS`` * (degree + 1) * sum (|c_m| +
 ``UNDERFLOW``) |t|^m at the piece ends, so no verdict changes when f maps to
@@ -294,6 +296,11 @@ class MembershipReport:
         return self.ok
 
 
+def _nth_derivative_abs(p: Poly, n: int) -> Real:
+    """|p^(n)| = n! |c_n|, a constant; 0 below degree n (with no n! computed)."""
+    return abs(p.coeffs[n] * math.factorial(n)) if p.degree >= n else 0
+
+
 def membership(f: PiecewisePoly, n: int, a: Real, b: Real) -> MembershipReport:
     """Check the class conditions: C^(n-1) joins at the knots, degree <= n per
     piece, sup |f| <= a, and |f^(n)| <= b (a constant on each piece)."""
@@ -301,8 +308,9 @@ def membership(f: PiecewisePoly, n: int, a: Real, b: Real) -> MembershipReport:
         raise ValueError("order n must be >= 1")
     if not (0 < a < math.inf and 0 < b < math.inf):
         raise ValueError("bounds a and b must be positive and finite")
-    exact = (exact_pieces := f.is_exact()) and _is_exact_number(a) and _is_exact_number(b)
     fa, fb = float(a), float(b)
+    if exact := f.is_exact():
+        a, b = Fraction(a), Fraction(b)
     violations: List[Violation] = []
 
     for i, p in enumerate(f.pieces):
@@ -314,7 +322,7 @@ def membership(f: PiecewisePoly, n: int, a: Real, b: Real) -> MembershipReport:
     for i in range(1, len(f.pieces)):
         t = f.knots[i]
         left, right = f.pieces[i - 1], f.pieces[i]
-        if exact_pieces:  # the order-m gap is m! |D_m|, D_m the Taylor coefficients of left - right at t
+        if exact:  # the order-m gap is m! |D_m|, D_m the Taylor coefficients of left - right at t
             taylor = _roots.taylor_coefficients(left - right, t)[:n]
             gaps = [(m, abs(float(c * math.factorial(m)))) for m, c in enumerate(taylor) if c]
         else:
@@ -331,7 +339,7 @@ def membership(f: PiecewisePoly, n: int, a: Real, b: Real) -> MembershipReport:
             violations.append(Violation("join", float(t), f"order-{order} mismatch at knot {i}: gap {gap:.3e}"))
 
     for i, p in enumerate(f.pieces):
-        dn = abs(p.coeffs[n] * math.factorial(n)) if p.degree >= n else 0  # no n! below degree n
+        dn = _nth_derivative_abs(p, n)
         lo, hi = f.knots[i], f.knots[i + 1]
         # written as "not <=" so that a NaN counts as a violation
         if not (dn <= b if exact else _within_allowance(float(dn), fb * (1 + REL_TOL), lo, hi, p, order=n)):
@@ -399,7 +407,9 @@ def contact_set(f: PiecewisePoly, n: int, a: Real) -> Tuple[List[ContactPoint], 
     member (|f| <= a), as `is_extreme_point` checks first: a float contact
     is then a point where |p| peaks on its piece (an end or a critical
     point) and touches a."""
-    exact = f.is_exact() and _is_exact_number(a)
+    if not 0 < a < math.inf:
+        raise ValueError("bound a must be positive and finite")
+    exact = f.is_exact()
     fa = float(a)
     points: List[ContactPoint] = []
     intervals: List[ContactInterval] = []
@@ -467,8 +477,9 @@ def is_extreme_point(f: PiecewisePoly, n: int, a: Real, b: Real) -> ExtremeVerdi
     multiplicities must sum to at least n, and every piece away from the
     contact set must have |f^(n)| equal to b (bang-bang)."""
     require_member(f, n, a, b)
-    exact = f.is_exact() and _is_exact_number(a) and _is_exact_number(b)
     fb = float(b)
+    if exact := f.is_exact():
+        b = Fraction(b)
     points, intervals = contact_set(f, n, a)
     msum: float = math.inf if intervals else sum(cp.multiplicity for cp in points)
 
@@ -477,7 +488,7 @@ def is_extreme_point(f: PiecewisePoly, n: int, a: Real, b: Real) -> ExtremeVerdi
         lo, hi = float(f.knots[i]), float(f.knots[i + 1])
         if any(iv.lo <= lo and hi <= iv.hi for iv in intervals):  # the same float knots
             continue
-        dn = abs(p.coeffs[n] * math.factorial(n)) if p.degree >= n else 0
+        dn = _nth_derivative_abs(p, n)
         if (dn != b) if exact else not _within_allowance(abs(float(dn) - fb), REL_TOL * fb, lo, hi, p, order=n):
             violations.append(i)
 

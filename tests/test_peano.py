@@ -247,13 +247,18 @@ def test_product_formula_basis_is_the_vandermonde_solution():
             assert lagrange_derivatives(alphas, k) == [ell.nth_derivative(k) for ell in solved]
 
 
-@pytest.mark.parametrize("n, k", [(4, 2), (6, 3)])
+def _pieces_at(tab, slots, j):
+    """Every kernel piece at x = j/grid, slot by slot from the slot forms."""
+    return [piece for s, forms in enumerate(slots) for piece in peano._slot_pieces(tab, s, forms, j)]
+
+
+@pytest.mark.parametrize("n, k", [(2, 1), (4, 2), (6, 3), (12, 11)])
 def test_suffix_sum_pieces_match_kernel_pieces(n, k):
     # grid points off the nodes, on a node, and at both ends
     for x in (F(0), F(7, 200), F(1, 2), F(1, 3), F(133, 200), F(1)):
         tab = peano._grid_tables(n, k, x.denominator)
         j, unit = x.numerator, n * tab.grid
-        pieces = peano._certificate_pieces(tab, j, tab.lambdas(j))
+        pieces = _pieces_at(tab, peano._slot_forms(tab), j)
         pieces = [(F(lo, unit), F(hi, unit), Poly(F(c, tab.D) for c in nums)) for lo, hi, nums in pieces]
         assert pieces == kernel_pieces(certificate_functional(n, k, x))
 
@@ -349,7 +354,7 @@ def test_piece_bound_dominates_every_candidate(data):
     k = data.draw(st.integers(1, n - 1), label="k")
     j = data.draw(st.integers(0, 200), label="j")
     tab = _tables(n, k)
-    pieces = peano._certificate_pieces(tab, j, tab.lambdas(j))
+    pieces = _pieces_at(tab, _forms(n, k), j)
     lo, hi, nums = data.draw(st.sampled_from(pieces), label="piece")
     if data.draw(st.booleans(), label="random numerators"):
         nums = data.draw(st.lists(st.integers(-tab.D, tab.D), min_size=n, max_size=n), label="nums")
@@ -379,25 +384,25 @@ def test_run_bound_dominates_every_candidate(data):
     tab, forms = _tables(n, k), _forms(n, k)[s]
     bound = peano._slot_bound(tab, s, forms, j0, j1)
     d = n - 1 - k
-    lam = [[row[a] if a < len(row) else 0 for row in tab.lam] for a in range(d + 1)]
-    lam_bound = peano._shifted_abs(lam, j0 + j1, j1 - j0, 1)
+    lam_bound = peano._shifted_abs(tab.lam, j0 + j1, j1 - j0, 1)
     for j in range(j0, j1 + 1):
-        lambdas = tab.lambdas(j)
-        assert sum(map(abs, lambdas)) << d <= lam_bound
-        pieces = peano._slot_pieces(tab, s, forms, j)
-        assert pieces == [p for p in peano._certificate_pieces(tab, j, lambdas) if lo <= p[0] and p[1] <= hi]
-        for piece in pieces:
+        assert sum(map(abs, peano._at(tab.lam, j))) << d <= lam_bound
+        for piece in peano._slot_pieces(tab, s, forms, j):
             assert peano._kernel_sup([piece], tab) <= bound
 
 
 def _reference_constants(n, k, grid):
-    """(A, B) from every grid point and every kernel piece at it."""
+    """(A, B) from every grid point and every kernel piece at it, with the
+    weights lambda_i(j/grid) lam_den from the Fraction basis and no pruning."""
     tab = peano._grid_tables(n, k, grid)
+    basis = lagrange_derivatives(certificate_nodes(n), k)
+    slots = peano._slot_forms(tab)
     A, B = 0, 0.0
     for j in range(grid + 1):
-        lambdas = tab.lambdas(j)
-        A = max(A, sum(map(abs, lambdas)))
-        B = peano._kernel_sup(peano._certificate_pieces(tab, j, lambdas), tab, B)
+        lambdas = [ell(F(j, grid)) * tab.lam_den for ell in basis]
+        assert all(lam.denominator == 1 for lam in lambdas)
+        A = max(A, int(sum(map(abs, lambdas))))
+        B = max([B] + [peano._kernel_sup([piece], tab) for piece in _pieces_at(tab, slots, j)])
     return A / tab.lam_den, B
 
 

@@ -108,6 +108,16 @@ def test_contact_set_two_endpoints():
     ]
 
 
+@pytest.mark.parametrize("a", [0, -1.0, F(-1), math.inf, math.nan])
+def test_contact_set_refuses_a_bound_that_is_not_positive_and_finite(a):
+    # an inf bound once gave contact intervals of both signs on one piece, and
+    # a negative one contacts with flipped signs
+    f = PiecewisePoly([F(0), F(4)], [Poly([F(-1), F(2), F(-1, 2)])], 2)
+    for g in (f, _float_copy(f)):
+        with pytest.raises(ValueError):
+            contact_set(g, 2, a)
+
+
 def test_contact_interval():
     f = PiecewisePoly([F(0), F(1)], [Poly([F(1)])], 2)
     points, intervals = contact_set(f, 2, F(1))
@@ -472,6 +482,44 @@ def test_a_sup_just_above_a_at_an_irrational_point_is_no_member():
     assert report.violations == (Violation("sup", 1.3, "sup |f| = 1.0 > 1.0 on piece 0"),)
     with pytest.raises(MembershipError):
         is_extreme_point(_found_piece(), 4, F(1), F(100))
+
+
+@pytest.mark.parametrize("a, b", [(1.0, 100.0), (F(1), 100.0)])
+def test_exact_pieces_are_checked_exactly_against_float_bounds(a, b):
+    # float bounds mean their exact binary values, so an exact spline takes the
+    # exact lane whatever the type of a and b, and its verdict does not change
+    report = membership(_found_piece(), 4, a, b)
+    assert report == membership(_found_piece(), 4, F(1), F(100))
+    assert not report.ok and not report.numeric
+    parabola = PiecewisePoly([F(0), F(4)], [Poly([F(-1), F(2), F(-1, 2)])], 2)
+    verdict = is_extreme_point(parabola, 2, F(1), b / 100)
+    assert verdict.is_extreme and verdict.numeric is False
+    assert verdict == is_extreme_point(parabola, 2, F(1), F(1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 7),
+    x0=st.fractions(min_value=-2, max_value=2, max_denominator=4),
+    perturb=st.one_of(st.none(), st.tuples(st.integers(0, 99), st.integers(0, 7),
+                                           st.sampled_from([F(1, 10**3), F(-1, 10**9), F(1, 10**30)]))),
+    a=st.one_of(st.sampled_from([1.0, 1 - 2.0**-52, 1 + 2.0**-52, 0.3]), st.floats(0.5, 2.0)),
+    rel_b=st.one_of(st.just(1.0), st.floats(0.5, 2.0)),
+)
+def test_float_bounds_give_the_report_of_their_exact_values(n, x0, perturb, a, rel_b):
+    # exact Euler splines and copies with one coefficient of one piece moved
+    f = euler_spline_piecewise(n, x0, x0 + 3)
+    if perturb is not None:
+        i, j, rel = perturb[0] % len(f.pieces), perturb[1] % (n + 1), perturb[2]
+        coeffs = list(f.pieces[i].coeffs)
+        coeffs[j] += rel * (coeffs[j] or 1)
+        pieces = list(f.pieces)
+        pieces[i] = Poly(coeffs)
+        f = PiecewisePoly(f.knots, pieces, n)
+    b = float(abs(f.pieces[0].coeffs[n]) * math.factorial(n)) * rel_b
+    report = membership(f, n, a, b)
+    assert not report.numeric
+    assert report == membership(f, n, F(a), F(b))
 
 
 _rational = st.fractions(min_value=-3, max_value=3, max_denominator=40)
