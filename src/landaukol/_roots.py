@@ -11,9 +11,10 @@ Two lanes, matching the two coefficient regimes of the splines handled here:
   p on an interval with no root located (``nonpositive``) and give p's Taylor
   coefficients at a point from one Taylor shift (``taylor_coefficients``);
 * ``float`` coefficients: -c0/c1 at degree 1, and the real roots of
-  ``numpy.roots`` at degree >= 2 (numpy loads only then), each inside the
-  interval with multiplicity 1 (callers that need the order of a contact
-  take it from derivatives).
+  ``numpy.roots`` at degree >= 2 (numpy loads only then; in t / 2^e, with
+  2^e about the interval's reach, when a companion entry would overflow),
+  each inside the interval with multiplicity 1 (callers that need the order
+  of a contact take it from derivatives).
 
 Integer polynomials are lists of ``int`` coefficients in ascending degree,
 without trailing zeros (the zero polynomial is ``[]``).
@@ -24,7 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from .exactnum import Poly
 
@@ -277,6 +278,16 @@ def real_roots_exact(p: Poly, lo: Fraction, hi: Fraction) -> List[Root]:
     return roots
 
 
+def _within(roots: Iterable[float], lo: float, hi: float) -> List[Root]:
+    """The roots r with lo - 1e-9 <= r <= hi + 1e-9, clamped to [lo, hi]: the rule by
+    which real_roots_float keeps the roots it found."""
+    out = []
+    for r in roots:
+        if lo - 1e-9 <= r <= hi + 1e-9:
+            out.append(Root(min(max(r, lo), hi), 1))
+    return out
+
+
 def real_roots_float(p: Poly, lo: float, hi: float) -> List[Root]:
     """The real roots in [lo, hi], sorted and clamped to the interval, each
     with multiplicity 1 (a double root may come twice): -c0/c1 at degree 1,
@@ -293,14 +304,21 @@ def real_roots_float(p: Poly, lo: float, hi: float) -> List[Root]:
     if len(coeffs) <= 1:
         return []
     if len(coeffs) == 2:
-        r = -coeffs[0] / coeffs[1]
-        return [Root(min(max(r, lo), hi), 1)] if lo - 1e-9 <= r <= hi + 1e-9 else []
+        return _within((-coeffs[0] / coeffs[1],), lo, hi)
     import numpy as np  # deferred: degree 1, the exact lane and the closed forms never need it
 
+    scale = 1.0
+    if not math.isfinite(max(map(abs, coeffs)) / coeffs[-1]):
+        # a companion entry -c_m/c_d overflows: solve in s = t / 2^e, 2^e <= R < 2^(e+1),
+        # with coefficients c_m 2^(e m) over a common power of two; the rule above keeps
+        # c_d 2^(e d) above 1e-14 2^-d times each of them, so its entries are finite
+        e = math.frexp(R)[1] - 1
+        parts = [math.frexp(c) for c in coeffs]
+        E = max(x + e * m for m, (f, x) in enumerate(parts) if f)
+        coeffs, scale = [math.ldexp(f, x + e * m - E) for m, (f, x) in enumerate(parts)], math.ldexp(1.0, e)
     raw = np.roots(coeffs[::-1])
     span = max(1.0, abs(hi - lo))
-    real = sorted(float(r.real) for r in raw if abs(r.imag) <= 1e-7 * span)
-    return [Root(min(max(r, lo), hi), 1) for r in real if lo - 1e-9 <= r <= hi + 1e-9]
+    return _within(sorted(float(r.real) * scale for r in raw if abs(float(r.imag) * scale) <= 1e-7 * span), lo, hi)
 
 
 def polish_float_root(p: Poly, r: float, lo: float, hi: float) -> float:

@@ -17,15 +17,18 @@ in j they give the pieces at one grid point (the seeds x = 0 and x = 1, and
 each point left by the search); one integer Taylor shift in (j, t) bounds a
 whole run of grid points.  The constants are maxima over the grid, found by
 branch and bound: only the runs, and then the pieces, whose bound could
-raise the maximum attained so far are evaluated (at the float critical
-points), which leaves A and B the same floats as a visit of every piece.
+raise the maximum attained so far are evaluated, which leaves A and B the
+same floats as a visit of every piece.  A piece is bounded by its Bernstein
+coefficients on its own interval, and evaluated at its ends and float
+critical points; these are searched once per distinct polynomial in a call,
+on [0, 1], and each piece keeps those in its interval.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import _roots
 from .exactnum import Poly, Real
@@ -258,7 +261,7 @@ class _GridTables(NamedTuple):
     expansions: List[List[int]]  # (alpha_i - t)^(n-1)/(n-1)! times D / lam_den
     x_term: List[int]  # (x - t)^d/d! times D is sum_m x_term[m] j^(d-m) t^m
     D: int
-    u: int  # 2 n grid, so that t = (lo + hi + w)/u about a piece's midpoint
+    u: int  # 2 n grid, so that t = (lo + hi + w)/u about a slot's midpoint
 
 
 def _grid_tables(n: int, k: int, grid: int) -> _GridTables:
@@ -286,22 +289,48 @@ def _at(cols: Sequence[Sequence[int]], j: int) -> List[int]:
 
 def _piece_bound(tab: _GridTables, lo: int, hi: int, nums: Sequence[int]) -> float:
     """Upper bound on every candidate _kernel_sup takes on p(t) = sum_m N_m t^m / D,
-    lo <= n grid t <= hi.  With u = 2 n grid and t = (lo + hi + w)/u, the exact
-    integer Taylor shift D u^(n-1) p(t) = sum_i r_i w^i and |w| <= hi - lo give
-    sup |p| <= sum_i |r_i| (hi - lo)^i / (D u^(n-1)) <= C = sum_m |N_m| / D.  The
-    float candidates (rounded coefficients, Horner steps, points within 2^-53 of
-    the piece in [0, 1], |p'| <= (n - 1) C) exceed the exact |p| by at most
-    3n 2^-53 C, the quotients below lose a few 2^-53 C: 1e-12 C covers it all."""
-    h = hi - lo
-    S = 0
-    for c in reversed(_roots._taylor_shift(nums, lo + hi, tab.u)):
-        S = S * h + abs(c)
-    return S / (tab.D * tab.u ** (tab.n - 1)) + 1e-12 * (sum(map(abs, nums)) / tab.D)
+    lo <= U t <= hi with U = n grid: the Bernstein bound (Farouki & Rajan 1988).  The
+    exact integer Taylor shift U^d N((lo + w)/U) = sum_m h_m w^m, d = n - 1, gives
+    c_m = h_m (hi - lo)^m, the coefficients in s = w/(hi - lo) in [0, 1].  p lies in
+    the hull of its Bernstein coefficients on the piece, sum_{m<=i} C(i, m)/C(d, m)
+    c_m / (D U^d), so sup |p| <= max_i |beta_i| / (d! D U^d) with beta_i = sum_{m<=i}
+    C(i, m) m! (d-m)! c_m, the binomial transform taken by d passes of adjacent sums.
+    That is at most C = sum_m |N_m| / D: the coefficients on [lo, hi] are convex
+    combinations of those on [0, 1] (de Casteljau), sum_{m<=i} C(i, m)/C(d, m) N_m / D
+    with weights in [0, 1].  The float candidates (rounded coefficients, Horner steps,
+    points within 2^-53 of the piece in [0, 1], |p'| <= (n - 1) C) exceed the exact
+    |p| by at most 3n 2^-53 C, the quotients below lose a few 2^-53 C: 1e-12 C covers
+    it all."""
+    d, w, unit = tab.n - 1, hi - lo, tab.n * tab.grid
+    beta = [math.factorial(m) * math.factorial(d - m) * h * w**m
+            for m, h in enumerate(_roots._taylor_shift(nums, lo, unit))]
+    for low in range(d):
+        for i in range(d, low, -1):
+            beta[i] += beta[i - 1]
+    return max(map(abs, beta)) / (math.factorial(d) * tab.D * unit**d) + 1e-12 * (sum(map(abs, nums)) / tab.D)
 
 
-def _kernel_sup(pieces: Sequence[Tuple[int, int, List[int]]], tab: _GridTables, best: float = 0.0) -> float:
+def _critical_points(crit: Dict[Tuple[int, ...], List[float]], fp: Poly, nums: Sequence[int],
+                     lo_f: float, hi_f: float) -> List[_roots.Root]:
+    """real_roots_float(fp', lo_f, hi_f) for 0 <= lo_f <= hi_f <= 1, where fp has the
+    numerators nums, from one search of fp' on [0, 1] per distinct nums kept in crit:
+    R and span in real_roots_float are 1 on both intervals, so the same roots are
+    found and _roots._within keeps them by the same rule.  The one difference: an
+    end within 1e-9 of 0 or 1 but not equal to it (no break over n grid is) may gain
+    a root clamped to that end, which repeats the end's own candidate."""
+    key = tuple(nums)
+    if key not in crit:
+        crit[key] = [r.approx for r in _roots.real_roots_float(fp.derivative(), 0.0, 1.0)] if fp.degree > 0 else []
+    return _roots._within(crit[key], lo_f, hi_f)
+
+
+def _kernel_sup(pieces: Sequence[Tuple[int, int, List[int]]], tab: _GridTables, best: float = 0.0,
+                crit: Optional[Dict[Tuple[int, ...], List[float]]] = None) -> float:
     """max(best, sup_t |K(t)|) from per-piece float maxima at the ends and critical
-    points, skipping a piece whose _piece_bound is below the running best."""
+    points, skipping a piece whose _piece_bound is below the running best.  crit holds
+    the critical points found so far (_critical_points); a caller that passes one
+    dict to several calls searches each distinct polynomial once."""
+    crit = {} if crit is None else crit
     unit = tab.n * tab.grid
     for lo, hi, nums in pieces:
         if not any(nums) or _piece_bound(tab, lo, hi, nums) < best:
@@ -309,8 +338,7 @@ def _kernel_sup(pieces: Sequence[Tuple[int, int, List[int]]], tab: _GridTables, 
         fp = Poly(c / tab.D for c in nums)
         lo_f, hi_f = lo / unit, hi / unit
         cand = [abs(fp(lo_f)), abs(fp(hi_f))]
-        if fp.degree > 0:
-            cand.extend(abs(fp(r.approx)) for r in _roots.real_roots_float(fp.derivative(), lo_f, hi_f))
+        cand.extend(abs(fp(r.approx)) for r in _critical_points(crit, fp, nums, lo_f, hi_f))
         best = max(best, *cand)
     return best
 
@@ -321,7 +349,7 @@ class _SlotForm(NamedTuple):
     sum_m N_m(j) t^m / D), and what _slot_bound needs of them."""
 
     nums: List[List[int]]
-    shifted: List[List[int]]  # _piece_bound's Taylor shift of each nums[a] about the slot's midpoint
+    shifted: List[List[int]]  # the Taylor shift of each nums[a] in t about the slot's midpoint
     slack: float  # 1e-12 C(j) for every 0 <= j <= grid, C(j) = sum_m |N_m(j)| / D
 
 
@@ -369,10 +397,9 @@ def _shifted_abs(cols: Sequence[Sequence[int]], c: int, h: int, width: int) -> i
 
 
 def _slot_bound(tab: _GridTables, s: int, forms: Tuple[_SlotForm, _SlotForm], j0: int, j1: int) -> float:
-    """_piece_bound over a run: an upper bound on every candidate _kernel_sup takes
-    on the pieces of slot s at x = j/grid for every j0 <= j <= j1, from one integer
-    Taylor shift in (j, t) about the centre (j0 + j1)/2 and the slot's midpoint, plus
-    the slot's float slack.  The form with the x term holds left of x and the form
+    """An upper bound on every candidate _kernel_sup takes on the pieces of slot s
+    at x = j/grid for every j0 <= j <= j1, from one integer Taylor shift in (j, t)
+    about the centre (j0 + j1)/2 and the slot's midpoint, plus the slot's float slack.  The form with the x term holds left of x and the form
     without it right of x; a run may have x on either side of the slot or inside
     it, and each form needed is bounded over the whole slot."""
     needed = []
@@ -415,16 +442,16 @@ def _certificate_constants(n: int, k: int, grid: int) -> Tuple[float, float]:
     bisected until a bound over the run shows it cannot raise the maximum (for B,
     one slot of t at a time) or a single point is left, whose values are taken."""
     tab, d = _grid_tables(n, k, grid), n - 1 - k
-    slots = _slot_forms(tab)
+    slots, crit = _slot_forms(tab), {}
     A, B = 0, 0.0
     for j in {0, grid}:
         A = max(A, sum(map(abs, _at(tab.lam, j))))
-        B = _kernel_sup([p for s, forms in enumerate(slots) for p in _slot_pieces(tab, s, forms, j)], tab, B)
+        B = _kernel_sup([p for s, forms in enumerate(slots) for p in _slot_pieces(tab, s, forms, j)], tab, B, crit)
     for j in _unpruned_points(1, grid - 1, lambda j0, j1: _shifted_abs(tab.lam, j0 + j1, j1 - j0, 1) <= A << d):
         A = max(A, sum(map(abs, _at(tab.lam, j))))
     for s, forms in enumerate(slots):
         for j in _unpruned_points(1, grid - 1, lambda j0, j1: _slot_bound(tab, s, forms, j0, j1) < B):
-            B = _kernel_sup(_slot_pieces(tab, s, forms, j), tab, B)
+            B = _kernel_sup(_slot_pieces(tab, s, forms, j), tab, B, crit)
     return A / tab.lam_den, B
 
 

@@ -757,6 +757,17 @@ def test_verify_reports_an_overflowing_sup_as_a_non_member(tmp_path):
     assert result["membership"] is False and {v["kind"] for v in result["violations"]} == {"sup"}
 
 
+def test_verify_reports_an_overflowing_cubic_sup_as_a_non_member(tmp_path):
+    # the same at degree 3: p' = 1e10 + 2e-300 t + 3e-300 t^2 overflows the companion
+    # matrix (-c0/c2), so its roots are searched in a scaled variable
+    path = tmp_path / "huge3.json"
+    path.write_text('{"knots": [1e300, 1.5e300], "pieces": [[0, 1e10, 1e-300, 1e-300]], "n": 3}')
+    probe = _probe("verify", "--file", str(path), "--a", "1", "--b", "1")
+    assert (probe["code"], probe["err"]) == (1, "")
+    result = json.loads(probe["out"])["result"]
+    assert result["membership"] is False and {v["kind"] for v in result["violations"]} == {"sup"}
+
+
 def test_verify_cost_does_not_grow_with_the_order(tmp_path):
     # joins are checked up to the larger degree of the two pieces, and no
     # piece below degree n computes n! (factorial(10**6) alone takes seconds)

@@ -1,3 +1,4 @@
+import collections
 import functools
 import math
 import random
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from landaukol import peano
+from landaukol import _roots, peano
 from landaukol.exactnum import Poly
 from landaukol.peano import (
     LinearFunctional,
@@ -359,6 +360,51 @@ def test_piece_bound_dominates_every_candidate(data):
     if data.draw(st.booleans(), label="random numerators"):
         nums = data.draw(st.lists(st.integers(-tab.D, tab.D), min_size=n, max_size=n), label="nums")
     assert peano._kernel_sup([(lo, hi, nums)], tab) <= peano._piece_bound(tab, lo, hi, nums)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_critical_points_from_the_unit_search_match_a_search_of_the_piece(data):
+    # the critical points _kernel_sup reuses from one search on [0, 1] are those a
+    # search of any [lo, hi] in [0, 1] finds, for ends on a grid of up to 10^6 points;
+    # the numerators are a slot piece's, random, or (q t - p)^2 (t + 2) with the
+    # critical point p/q within 2e-9 of an end, where roots are kept with a tolerance
+    n = data.draw(st.integers(2, 12), label="n")
+    k = data.draw(st.integers(1, n - 1), label="k")
+    j = data.draw(st.integers(0, 200), label="j")
+    tab = _tables(n, k)
+    unit = data.draw(st.integers(1, 10**6), label="unit")
+    lo, hi = sorted(data.draw(st.lists(st.integers(0, unit), min_size=2, max_size=2), label="ends"))
+    source = data.draw(st.sampled_from(["piece", "random", "near an end"]), label="numerators")
+    if source == "piece":
+        nums = data.draw(st.sampled_from(_pieces_at(tab, _forms(n, k), j)), label="piece")[2]
+    elif source == "random":
+        nums = data.draw(st.lists(st.integers(-tab.D, tab.D), min_size=n, max_size=n), label="nums")
+    else:
+        q = unit * 10**10
+        p = data.draw(st.sampled_from([lo, hi]), label="end") * 10**10 + data.draw(st.integers(-20, 20), label="offset")
+        nums = [2 * p * p, p * p - 4 * p * q, 2 * q * q - 2 * p * q, q * q]
+    fp = Poly(c / tab.D for c in nums)
+    lo_f, hi_f = lo / unit, hi / unit
+    crit = {}
+    peano._critical_points(crit, fp, nums, 0.0, 1.0)  # the search, as a first piece makes it
+    want = _roots.real_roots_float(fp.derivative(), lo_f, hi_f) if fp.degree > 0 else []
+    assert peano._critical_points(crit, fp, nums, lo_f, hi_f) == want
+
+
+def test_certificate_mix_searches_each_distinct_polynomial_once(monkeypatch):
+    # the five pairs of the certificate benchmark: one float root search per distinct
+    # kernel polynomial of a call (210 with one per piece), and the runs left by the
+    # branch and bound unchanged
+    calls = collections.Counter()
+    for owner, name in ((_roots, "real_roots_float"), (peano, "_kernel_sup")):
+        def counted(*args, _f=getattr(owner, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    for nk in ((4, 1), (4, 2), (4, 3), (5, 2), (6, 3)):
+        vandermonde_certificate(*nk)
+    assert calls["real_roots_float"] <= 23 and calls["_kernel_sup"] == 300
 
 
 @functools.lru_cache(maxsize=None)

@@ -151,6 +151,17 @@ def test_float_roots_have_multiplicity_one():
     assert {round(r.approx, 6) for r in roots} == {0.25, 0.5}
 
 
+def test_float_roots_of_a_wide_interval_survive_an_overflowing_companion():
+    # p'(t) = 1e-300 (t - 1.25e300)(t + 1e10): -c0/c2 = 1.25e310 overflows, so the
+    # roots are found in t / 2^e; the one inside [1e300, 1.5e300] is still there
+    p = Poly([-1.25e10, -1.25, 1e-300])
+    roots = real_roots_float(p, 1e300, 1.5e300)
+    assert len(roots) == 1 and math.isclose(roots[0].approx, 1.25e300, rel_tol=1e-12)
+    # with no real root, and with the roots outside the interval, none comes back
+    assert real_roots_float(Poly([1e10, 2e-300, 3e-300]), 1e300, 1.5e300) == []
+    assert real_roots_float(p, 1.3e300, 1.5e300) == []
+
+
 def _below_sqrt(r, s, q):
     """r <= s * sqrt(q) for rational r, s = +-1 and q > 0."""
     return (r < 0 or r * r <= q) if s > 0 else (r <= 0 and r * r >= q)
