@@ -13,7 +13,7 @@ from functools import cached_property
 from typing import Callable, Optional, Union
 
 from . import eulerspline, landaun
-from .pwpoly import PiecewisePoly, StructuralError, scalable, transform
+from .pwpoly import PiecewisePoly, StructuralError, to_class
 
 EXACT = "Exact"
 UPPER_BOUND = "UpperBound"
@@ -139,7 +139,7 @@ def _route(query: BoundQuery) -> BoundResult:
         return landau2.sigma_inf(a, b, dom)
     if dom is FullLine:
         return BoundResult(landaun.kolmogorov_bound(n, k, a, b), EXACT, "kolmogorov-whole-line",
-                           _build=lambda: _line_witness(n, a, b))
+                           _build=lambda: to_class(eulerspline.q_n_piecewise(n), n, a, b))
     if n == 3 and k in (1, 2):
         segment = isinstance(dom, Segment)
         sato = landaun.sato_segment(k, a, b, dom.T if segment else landaun.sato_t0(a, b))
@@ -157,10 +157,3 @@ def _route(query: BoundQuery) -> BoundResult:
     T = min(dom.T, cert.optimal_T(a, b))
     return BoundResult(cert.segment_bound(a, b, T), UPPER_BOUND, "vandermonde-certificate")
 
-
-def _line_witness(n: int, a: float, b: float) -> Optional[PiecewisePoly]:
-    """The Euler spline q_n over `eulerspline.q_n_piecewise`'s periods, scaled
-    to the (a, b) class; None when b/a leaves the normal float range."""
-    if not scalable(a, b):
-        return None
-    return transform(eulerspline.q_n_piecewise(n), mu=a, lam=(b / a) ** (1.0 / n))

@@ -3,7 +3,8 @@ runs, constant tables, and kernel/spline sampling.
 
 Results go to stdout as a JSON envelope (CSV for table/kernel/spline),
 diagnostics to stderr.  Exit codes: 0 success or verified, 1 verification
-negative, 2 usage or parse error.  LANDAU_SEED overrides --seed.
+negative, 2 usage or parse error or a closed stdout.  LANDAU_SEED overrides
+--seed.
 """
 from __future__ import annotations
 
@@ -333,9 +334,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
     except ValueError as exc:
         return _fail(f"error: {exc}")
+    except BrokenPipeError:  # the reader left; as in the signal docs' "Note on SIGPIPE",
+        # stdout goes to devnull so that the flush at exit raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
 
 
 if __name__ == "__main__":

@@ -125,7 +125,7 @@ def q_n_deriv_sup(n: int, k: int) -> float:
 def euler_spline_piecewise(n: int, x0: Fraction, x1: Fraction):
     """EE_n on [x0, x1] as an exact spline (knots where x + eps_n is an
     integer, one scaled Euler-polynomial piece in between)."""
-    from .pwpoly import PiecewisePoly  # deferred: pwpoly does not import us
+    from .pwpoly import PiecewisePoly, cut  # deferred: pwpoly does not import us
 
     if n < 1:
         raise ValueError("need n >= 1")
@@ -135,20 +135,10 @@ def euler_spline_piecewise(n: int, x0: Fraction, x1: Fraction):
     eps = _epsilon(n)
     denom = e_n_exact(n, eps)
     piece_of = euler_poly(n)
-    k_lo = math.floor(x0 + eps)
-    k_hi = math.ceil(x1 + eps)
-    knots = [x0]
-    pieces = []
-    for k in range(k_lo, k_hi):
-        lo = Fraction(k) - eps
-        hi = lo + 1
-        if hi <= x0 or lo >= x1:
-            continue
-        sign = Fraction(-1 if k % 2 else 1)
-        poly = piece_of.compose_affine(eps - k, Fraction(1)) * (sign / denom)
-        pieces.append(poly)
-        knots.append(min(hi, x1))
-    return PiecewisePoly(knots, pieces, max(n, 1))
+    ks = range(math.floor(x0 + eps), math.ceil(x1 + eps))  # piece k on [k - eps, k + 1 - eps]
+    knots = [k - eps for k in ks] + [ks[-1] + 1 - eps]
+    pieces = [piece_of.compose_affine(eps - k, Fraction(1)) * (Fraction(-1 if k % 2 else 1) / denom) for k in ks]
+    return PiecewisePoly(*cut(knots, pieces, x0, x1), n)
 
 
 def q_n_piecewise(n: int):

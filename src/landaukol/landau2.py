@@ -5,12 +5,13 @@ extendability, and the total-variation supremum sigma_1.
 
 Every exact value comes with a builder of an extremal witness spline, which
 `BoundResult.witness` runs on first access; the spline passes the membership
-check and attains the value at the reported point.  The witness is None when
-its knots would be closer than MIN_KNOT_GAP (a segment of length about 1e-12,
-or a, b so far apart that the scaling collapses), it would need more than
-MAX_ARCS comparison arcs, or b/a is outside the float range.  General (a, b)
-queries are reduced to the unit class by f(t) = a * f_unit(t * sqrt(b/a)),
-with sqrt(b/a) and sqrt(a b) kept in range.
+check and attains the value at the reported point.  Witnesses clip their
+pieces with `pwpoly.cut`, and the witness is None when no piece is left (a
+segment of length about 1e-12, or a, b so far apart that the scaling
+collapses), it would need more than MAX_ARCS comparison arcs, or the scaling
+of `pwpoly.to_class` leaves the float range.  General (a, b) queries are
+reduced to the unit class by f(t) = a * f_unit(t * sqrt(b/a)), with sqrt(b/a)
+and sqrt(a b) kept in range.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from typing import Callable, List, Optional, Tuple
 from .bounds import EXACT, INTERVAL, BoundResult, Domain, FullLine, HalfLine, Segment
 from .exactnum import Poly, Real
 from .landaun import kolmogorov_bound
-from .pwpoly import MIN_KNOT_GAP, PiecewisePoly, StructuralError, require_member, scalable, transform
+from .pwpoly import PiecewisePoly, StructuralError, cut, require_member, to_class, transform
 
 SQRT2 = math.sqrt(2.0)
 MAX_ARCS = 10**5
@@ -75,26 +76,16 @@ def q_train(shift: float, lo: float, hi: float) -> PiecewisePoly:
     if not lo < hi:
         raise ValueError("need lo < hi")
     period = 2 * SQRT2
-    k_lo = math.floor((lo - shift) / period) - 1
-    k_hi = math.ceil((hi - shift) / period) + 1
-    if k_hi - k_lo > MAX_ARCS:
+    # the length first: an infinite train has no integer arc index
+    if not (hi - lo) / period <= MAX_ARCS or (
+        (k_hi := math.ceil((hi - shift) / period) + 1) - (k_lo := math.floor((lo - shift) / period) - 1) > MAX_ARCS
+    ):
         raise StructuralError(f"comparison train on [{lo}, {hi}] has more than {MAX_ARCS} arcs")
-    knots: List[float] = [lo]
-    pieces: List[Poly] = []
+    arcs = range(k_lo, k_hi + 1)  # arc k is centred at shift + period k
+    knots = [shift + period * k_lo - SQRT2] + [shift + period * k + SQRT2 for k in arcs]
     base = Poly([1.0, 0.0, -0.5])
-    for k in range(k_lo, k_hi + 1):
-        arc_lo = shift + period * k - SQRT2
-        arc_hi = shift + period * k + SQRT2
-        if arc_hi <= lo + MIN_KNOT_GAP or arc_lo >= hi - MIN_KNOT_GAP:
-            continue
-        end = min(arc_hi, hi)
-        if end <= knots[-1] + MIN_KNOT_GAP:
-            continue
-        sign = 1.0 if k % 2 == 0 else -1.0
-        pieces.append(base.compose_affine(-(shift + period * k), 1.0) * sign)
-        knots.append(end)
-    knots[-1] = hi
-    return PiecewisePoly(knots, pieces, 2)
+    pieces = [base.compose_affine(-(shift + period * k), 1.0) * (1.0 if k % 2 == 0 else -1.0) for k in arcs]
+    return PiecewisePoly(*cut(knots, pieces, lo, hi), 2)
 
 
 # -- witnesses for the sup-norm problem -------------------------------------
@@ -130,12 +121,8 @@ def _witness(
 ) -> Optional[PiecewisePoly]:
     """The unit-class witness unit() mapped to the (a, b) class by
     W(t) = a w(t sqrt(b/a)), then reflected onto [0, reflect_at] if given."""
-    w = unit()
-    if (a, b) != (1, 1):
-        if not scalable(a, b):
-            return None
-        w = transform(w, mu=a, lam=_scales(a, b)[0])
-    return w if reflect_at is None else transform(w, mu=-1.0, lam=-1.0, t0=reflect_at)
+    w = to_class(unit(), 2, a, b)
+    return w if w is None or reflect_at is None else transform(w, mu=-1.0, lam=-1.0, t0=reflect_at)
 
 
 def sigma_inf_value(a: float, b: float, T: float) -> float:
@@ -198,29 +185,14 @@ def _two_contact_witness_unit(t0: float, T: float) -> PiecewisePoly:
     C = G(t0, T - t0)
     left = Poly([-1.0, C - t0, 0.5])
     right = Poly([1.0, C - (T - t0), -0.5]).compose_affine(-T, 1.0)
-    if t0 <= MIN_KNOT_GAP:
-        return PiecewisePoly([0.0, T], [right], 2)
-    if t0 >= T - MIN_KNOT_GAP:
-        return PiecewisePoly([0.0, T], [left], 2)
-    return PiecewisePoly([0.0, t0, T], [left, right], 2)
+    return PiecewisePoly(*cut([0.0, t0, T], [left, right], 0.0, T), 2)
 
 
 def _free_end_witness_unit(t0: float, T: float) -> PiecewisePoly:
     """Rise from (0, -1), peak at t0 + phi(t0), then park at the wall."""
     p = phi(t0)
-    knots: List[float] = [0.0]
-    pieces: List[Poly] = []
-    if t0 > MIN_KNOT_GAP:
-        pieces.append(Poly([-1.0, p - t0, 0.5]))
-        knots.append(t0)
-    pieces.append(Poly([1.0, 0.0, -0.5]).compose_affine(-(t0 + p), 1.0))
-    knots.append(t0 + p)
-    if T > t0 + p + MIN_KNOT_GAP:
-        pieces.append(Poly([1.0]))
-        knots.append(T)
-    else:
-        knots[-1] = T
-    return PiecewisePoly(knots, pieces, 2)
+    pieces = [Poly([-1.0, p - t0, 0.5]), Poly([1.0, 0.0, -0.5]).compose_affine(-(t0 + p), 1.0), Poly([1.0])]
+    return PiecewisePoly(*cut([0.0, t0, t0 + p, T], pieces, 0.0, T), 2)
 
 
 def _sigma_pointwise_unit(t0: float, T: float) -> Tuple[float, str, Callable[[], PiecewisePoly], bool]:
@@ -274,29 +246,13 @@ def extend_to_line(f: PiecewisePoly, pad: float = 1.0) -> PiecewisePoly:
     v1, d1 = _endpoint_state(f, False)
     t0, t1 = float(f.t_start), float(f.t_end)
 
-    knots: List[float] = []
-    pieces: List[Poly] = []
-
     s0 = 1.0 if d0 > 0 else -1.0
-    left_flat = v0 - s0 * d0 * d0 / 2
-    knots.append(t0 - abs(d0) - pad)
-    pieces.append(Poly([left_flat]))
-    if abs(d0) > MIN_KNOT_GAP:
-        knots.append(t0 - abs(d0))
-        pieces.append(Poly([v0, d0, s0 / 2]).compose_affine(-t0, 1.0))
-    knots.append(t0)
-
-    pieces.extend(p.to_float() for p in f.pieces)
-    knots.extend(float(k) for k in f.knots[1:])
-
     s1 = 1.0 if d1 > 0 else -1.0
-    if abs(d1) > MIN_KNOT_GAP:
-        pieces.append(Poly([v1, d1, -s1 / 2]).compose_affine(-t1, 1.0))
-        knots.append(t1 + abs(d1))
-    pieces.append(Poly([v1 + s1 * d1 * d1 / 2]))
-    knots.append(t1 + abs(d1) + pad)
-
-    return PiecewisePoly(knots, pieces, 2)
+    knots = [t0 - abs(d0) - pad, t0 - abs(d0), *(float(k) for k in f.knots), t1 + abs(d1), t1 + abs(d1) + pad]
+    pieces = [Poly([v0 - s0 * d0 * d0 / 2]), Poly([v0, d0, s0 / 2]).compose_affine(-t0, 1.0),
+              *(p.to_float() for p in f.pieces),
+              Poly([v1, d1, -s1 / 2]).compose_affine(-t1, 1.0), Poly([v1 + s1 * d1 * d1 / 2])]
+    return PiecewisePoly(*cut(knots, pieces, knots[0], knots[-1]), 2)
 
 
 def prolong_affine(f: PiecewisePoly, h: float, epsilon: float, theta: float) -> PiecewisePoly:
@@ -337,25 +293,14 @@ def insert_bump(f: PiecewisePoly, t0: float, h: float) -> PiecewisePoly:
     if not 0 < h <= cap:
         raise ValueError(f"need 0 < h <= 4 sqrt(1 - f(t0)) = {cap}, got h={h}")
 
-    knots: List[float] = []
-    pieces: List[Poly] = []
-    if t0 > start + MIN_KNOT_GAP:
-        head = f.restrict(f.t_start, t0)
-        knots.extend(float(k) for k in head.knots[:-1])
-        pieces.extend(p.to_float() for p in head.pieces)
-    knots.append(t0)
-
-    pieces.append(Poly([v, 0.0, 0.5]).compose_affine(-t0, 1.0))
-    knots.append(t0 + h / 4)
-    pieces.append(Poly([v + h * h / 16, 0.0, -0.5]).compose_affine(-(t0 + h / 2), 1.0))
-    knots.append(t0 + 3 * h / 4)
-    pieces.append(Poly([v, 0.0, 0.5]).compose_affine(-(t0 + h), 1.0))
-    knots.append(t0 + h)
-
-    tail = f.restrict(t0, f.t_end) if t0 > start + MIN_KNOT_GAP else f
-    for k, p in zip(tail.knots[1:], tail.pieces):
-        pieces.append(p.to_float().compose_affine(-h, 1.0))
-        knots.append(float(k) + h)
+    head_knots, head = cut(f.knots, f.pieces, f.t_start, t0)
+    tail_knots, tail = cut(f.knots, f.pieces, t0, f.t_end)
+    knots = [*(float(k) for k in head_knots[:-1]), t0, t0 + h / 4, t0 + 3 * h / 4, t0 + h,
+             *(float(k) + h for k in tail_knots[1:])]
+    pieces = [*(p.to_float() for p in head), Poly([v, 0.0, 0.5]).compose_affine(-t0, 1.0),
+              Poly([v + h * h / 16, 0.0, -0.5]).compose_affine(-(t0 + h / 2), 1.0),
+              Poly([v, 0.0, 0.5]).compose_affine(-(t0 + h), 1.0),
+              *(p.to_float().compose_affine(-h, 1.0) for p in tail)]
     return PiecewisePoly(knots, pieces, 2)
 
 

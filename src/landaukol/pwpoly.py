@@ -19,6 +19,10 @@ Float sups and contact sets share one candidate rule: |p| peaks on a piece
 only at its ends and at the real roots of p'; contacts within ``REL_TOL`` *
 length are one.
 
+Spline builders clip their pieces with `cut`, which drops a piece no longer
+than ``MIN_KNOT_GAP``, and map unit-class splines to the (a, b) class with
+`to_class`.
+
 The almost-everywhere bang-bang condition of the extreme-point certificate is
 decided piecewise-exactly, which is complete for splines; measurable members
 that are not piecewise polynomial are outside the certifier's scope.
@@ -31,7 +35,7 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from . import _roots
 from .exactnum import Poly, Real
@@ -99,7 +103,7 @@ class PiecewisePoly:
 
     def piece_index(self, t: Real) -> int:
         ft = float(t)
-        if not self._fknots[0] - 1e-12 <= ft <= self._fknots[-1] + 1e-12:
+        if not self._fknots[0] - MIN_KNOT_GAP <= ft <= self._fknots[-1] + MIN_KNOT_GAP:
             raise ValueError(f"t={t} outside domain [{self.t_start}, {self.t_end}]")
         i = bisect_right(self._fknots, ft) - 1
         return min(max(i, 0), len(self.pieces) - 1)
@@ -114,23 +118,9 @@ class PiecewisePoly:
         flo, fhi = float(lo), float(hi)
         if not flo < fhi:
             raise ValueError("need lo < hi")
-        if flo < self._fknots[0] - 1e-12 or fhi > self._fknots[-1] + 1e-12:
+        if flo < self._fknots[0] - MIN_KNOT_GAP or fhi > self._fknots[-1] + MIN_KNOT_GAP:
             raise ValueError(f"[{lo}, {hi}] outside domain [{self.t_start}, {self.t_end}]")
-        knots: List[Real] = [lo]
-        pieces: List[Poly] = []
-        for idx, p in enumerate(self.pieces):
-            seg_lo, seg_hi = self._fknots[idx], self._fknots[idx + 1]
-            # skip pieces outside the cut and sliver overlaps below the
-            # minimal knot gap (their neighbours cover them to within 1e-12)
-            if seg_hi <= flo + MIN_KNOT_GAP or seg_lo >= fhi - MIN_KNOT_GAP:
-                continue
-            end: Real = self.knots[idx + 1] if seg_hi < fhi - MIN_KNOT_GAP else hi
-            if float(end) - float(knots[-1]) <= MIN_KNOT_GAP:
-                continue
-            pieces.append(p)
-            knots.append(end)
-        knots[-1] = hi
-        return PiecewisePoly(knots, pieces, self.n_smooth)
+        return PiecewisePoly(*cut(self.knots, self.pieces, lo, hi), self.n_smooth)
 
     def __repr__(self) -> str:
         return f"PiecewisePoly(knots={list(self.knots)!r}, degree<={max(p.degree for p in self.pieces)}, n={self.n_smooth})"
@@ -179,14 +169,6 @@ class PiecewisePoly:
         return PiecewisePoly.from_json_dict(d)
 
 
-def scalable(a: float, b: float) -> bool:
-    """Whether a, b and b/a = lam^n are in the normal float range, where a
-    unit-class spline mapped to the (a, b) class by `transform` keeps the
-    bits of its values (of size a), of its n-th derivative (of size b) and of
-    its scaled lam^m t^m terms."""
-    return min(a, b, b / a) >= sys.float_info.min and b / a < math.inf
-
-
 def transform(f: PiecewisePoly, mu: Real = 1, lam: Real = 1, t0: Real = 0) -> PiecewisePoly:
     """g(t) = mu * f(lam * (t - t0)); maps membership with bounds (a, b) to
     (|mu| a, |mu lam^n| b) on the rescaled interval."""
@@ -198,6 +180,37 @@ def transform(f: PiecewisePoly, mu: Real = 1, lam: Real = 1, t0: Real = 0) -> Pi
         new_knots.reverse()
         new_pieces.reverse()
     return PiecewisePoly(new_knots, new_pieces, f.n_smooth)
+
+
+def cut(knots: Sequence[Real], pieces: Sequence[Poly], lo: Real, hi: Real) -> Tuple[List[Real], List[Poly]]:
+    """The pieces, piece i on [knots[i], knots[i + 1]], clipped to [lo, hi]. A
+    piece that ends no more than MIN_KNOT_GAP after lo, or would span no more
+    than the gap, is dropped, and the next one kept starts in its place; the
+    first to end within the gap of hi ends at hi. No piece is left when
+    [lo, hi] is no longer than the gap."""
+    flo, fhi = float(lo), float(hi)
+    out_knots: List[Real] = [lo]
+    out_pieces: List[Poly] = []
+    for i, p in enumerate(pieces):
+        seg_hi = float(knots[i + 1])
+        end = knots[i + 1] if seg_hi < fhi - MIN_KNOT_GAP else hi
+        if seg_hi - flo > MIN_KNOT_GAP and float(end) - float(out_knots[-1]) > MIN_KNOT_GAP:
+            out_pieces.append(p)
+            out_knots.append(end)
+    out_knots[-1] = hi
+    return out_knots, out_pieces
+
+
+def to_class(f: PiecewisePoly, n: int, a: float, b: float) -> Optional[PiecewisePoly]:
+    """The unit-class spline f mapped to the (a, b) class of order n: a f(lam t)
+    with lam^n = b/a, and f itself at (1, 1). None unless a, b and b/a are in the
+    normal float range, where the image keeps the bits of its values (of size
+    a), of its n-th derivative (of size b) and of its scaled lam^m t^m terms."""
+    if (a, b) == (1, 1):
+        return f
+    if not (min(a, b, b / a) >= sys.float_info.min and b / a < math.inf):
+        return None
+    return transform(f, mu=a, lam=math.sqrt(b / a) if n == 2 else (b / a) ** (1 / n))
 
 
 def _piece_roots(p: Poly, lo: Real, hi: Real, exact: bool) -> List[_roots.Root]:

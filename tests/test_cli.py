@@ -186,9 +186,11 @@ def test_bound_outside_float_range_exits_2(capsys):
 
 
 # finite bounds whose scaled witness would have knots closer than 1e-12, or
-# subnormal bounds, whose witness would lose the bits of its values
+# subnormal bounds, whose witness would lose the bits of its values, or a
+# comparison train on [0, T sqrt(b/a)] = [0, inf]
 COLLAPSED_WITNESS = {
     ("--T", "1e-13", "--t0", "0"): 2e13,
+    ("--b", "7", "--T", "1.7e308", "--t0", "8.5e307"): math.sqrt(14.0),
     ("--a", "1e-300", "--b", "1e300", "--T", "1"): 2.0,
     ("--a", "1e-300", "--b", "1e300", "--domain", "halfline"): 2.0,
     ("--a", "1e-300", "--b", "1e300", "--domain", "line"): math.sqrt(2.0),
@@ -674,12 +676,29 @@ print(json.dumps({"code": code, "out": out.getvalue(), "heavy": heavy, "peano": 
 """
 
 
-def _probe(*argv, timeout=120):
+def _env():
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv], env=env,
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def _probe(*argv, timeout=120):
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv], env=_env(),
                           capture_output=True, text=True, timeout=timeout, check=True)
     return dict(json.loads(proc.stdout), err=proc.stderr)
+
+
+@pytest.mark.parametrize("argv", [
+    ("extremal", "--n", "2", "--T", "5000", "--t0", "5"),  # 118 kB, more than a pipe holds
+    ("table", "--what", "euler-numbers", "--max-n", "64"),
+], ids=" ".join)
+def test_closed_stdout_exits_2_without_a_traceback(argv):
+    # the reader closes its end before reading anything; exit 1 would say
+    # "verification negative"
+    proc = subprocess.Popen([sys.executable, "-m", "landaukol.cli", *argv], env=_env(),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=120), err) == (2, b"")
 
 
 @pytest.mark.parametrize("argv", [

@@ -295,6 +295,16 @@ def test_insert_bump():
     assert float(g2(float(g2.t_end))) == pytest.approx(-0.5, abs=1e-12)
 
 
+def test_bump_within_the_knot_gap_of_the_end():
+    # no piece of f is left after t0, where restrict(t0, end) refused the sliver
+    flat = PiecewisePoly([0.0, 3.0], [Poly([0.0])], 2)
+    t0, h = 3 - 1e-13, 1.0
+    g = insert_bump(flat, t0=t0, h=h)
+    assert membership(g, 2, 1, 1).ok
+    assert (g.t_start, g.t_end) == (0.0, t0 + h)
+    assert total_variation(g) == pytest.approx(total_variation(flat) + h * h / 8, abs=1e-12)
+
+
 def test_tiny_domains_do_not_crash():
     res = sigma_inf(1, 1, Segment(1e-300))
     assert res.value > 1e299 and res.witness is None

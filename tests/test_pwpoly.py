@@ -13,6 +13,7 @@ from landaukol.bounds import BoundQuery, FullLine, HalfLine, compute_bound
 from landaukol.eulerspline import euler_spline_piecewise
 from landaukol.exactnum import Poly
 from landaukol.pwpoly import (
+    MIN_KNOT_GAP,
     ContactInterval,
     MembershipError,
     MembershipReport,
@@ -20,6 +21,7 @@ from landaukol.pwpoly import (
     StructuralError,
     Violation,
     contact_set,
+    cut,
     is_extreme_point,
     membership,
     piece_sup,
@@ -387,6 +389,38 @@ def test_restriction_closure():
         assert membership(g, 2, 1, 1).ok
         for t in [float(lo), float(hi), (float(lo) + float(hi)) / 2]:
             assert float(g(t)) == pytest.approx(float(f(t)), abs=1e-12)
+
+
+_KNOT_STEPS = [0.3 * MIN_KNOT_GAP, MIN_KNOT_GAP, 1.5 * MIN_KNOT_GAP, 3 * MIN_KNOT_GAP, 1e-9, 0.25, 1.0]
+_NUDGES = [0.0, 1e-13, -1e-13, 5e-13, -5e-13, 2e-12, -2e-12, 0.1, -0.1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), start=st.sampled_from([0.0, -3.0, 1.5]),
+       steps=st.lists(st.sampled_from(_KNOT_STEPS), min_size=1, max_size=8), exact=st.booleans())
+def test_cut_keeps_the_window_with_gaps_above_the_floor(data, start, steps, exact):
+    # windows at knots and near them; pieces are told apart by identity
+    num = Fraction if exact else float
+    knots = [num(start)]
+    for step in steps:
+        knots.append(knots[-1] + num(step))
+    pieces = [Poly([num(i)]) for i in range(len(steps))]
+    ends = [data.draw(st.one_of(
+        st.tuples(st.integers(0, len(steps)), st.sampled_from(_NUDGES)).map(
+            lambda kn: knots[kn[0]] + num(kn[1])),
+        st.floats(float(knots[0]), float(knots[-1])).map(num),
+    )) for _ in range(2)]
+    lo, hi = (max(knots[0], min(x, knots[-1])) for x in sorted(ends))
+    assume(lo < hi)
+    out_knots, out_pieces = cut(knots, pieces, lo, hi)
+    if not float(hi) - float(lo) > MIN_KNOT_GAP:
+        assert out_pieces == []
+        return
+    assert out_knots[0] is lo and out_knots[-1] is hi and len(out_knots) == len(out_pieces) + 1
+    assert all(float(v) - float(u) > MIN_KNOT_GAP for u, v in zip(out_knots, out_knots[1:]))
+    for p, u, v in zip(out_pieces, out_knots, out_knots[1:]):
+        i = next(i for i, q in enumerate(pieces) if q is p)
+        assert float(knots[i]) - MIN_KNOT_GAP <= float(u) and float(v) <= float(knots[i + 1]) + MIN_KNOT_GAP
 
 
 def test_transform_round_trip_values():
