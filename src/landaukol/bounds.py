@@ -10,10 +10,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional, Union
+from typing import TYPE_CHECKING, Callable, Optional, Union
 
-from . import eulerspline, landaun
-from .pwpoly import PiecewisePoly, StructuralError, to_class
+from . import landaun
+
+if TYPE_CHECKING:
+    from .pwpoly import PiecewisePoly
 
 EXACT = "Exact"
 UPPER_BOUND = "UpperBound"
@@ -102,6 +104,8 @@ class BoundResult:
     @cached_property
     def witness(self) -> Optional[PiecewisePoly]:
         """The extremal spline, built on first access; None if there is none or its knots collapse."""
+        from .pwpoly import StructuralError  # deferred: a caller of the value alone loads no spline code
+
         try:
             return None if self._build is None else self._build()
         except StructuralError:
@@ -123,23 +127,31 @@ def compute_bound(query: BoundQuery) -> BoundResult:
     return result
 
 
-def _route(query: BoundQuery) -> BoundResult:
-    from . import landau2
+def _line_witness(n: int, a: float, b: float) -> Optional[PiecewisePoly]:
+    """q_n, which attains every whole-line bound of order n, in the (a, b) class."""
+    from . import eulerspline
+    from .pwpoly import to_class
 
+    return to_class(lambda: eulerspline.q_n_piecewise(n), n, a, b)
+
+
+def _route(query: BoundQuery) -> BoundResult:
     n, k, a, b, dom = query.n, query.k, query.a, query.b, query.domain
 
-    if query.functional == "var":
-        return landau2.sigma1(a, b, dom.T)
-    if query.t0 is not None:
-        return landau2.sigma_pointwise(landau2.PointwiseQuery(query.t0, dom.T, a, b))
+    if query.functional == "var" or query.t0 is not None or (n, k) == (2, 1):
+        from . import landau2  # deferred: only the n = 2 routes need it
+
+        if query.functional == "var":
+            return landau2.sigma1(a, b, dom.T)
+        if query.t0 is not None:
+            return landau2.sigma_pointwise(landau2.PointwiseQuery(query.t0, dom.T, a, b))
+        return landau2.sigma_inf(a, b, dom)
     if k in (0, n):
         # a constant, or a short-period Euler spline, attains each given bound
         return BoundResult(a if k == 0 else b, EXACT, "class-bound")
-    if (n, k) == (2, 1):
-        return landau2.sigma_inf(a, b, dom)
     if dom is FullLine:
         return BoundResult(landaun.kolmogorov_bound(n, k, a, b), EXACT, "kolmogorov-whole-line",
-                           _build=lambda: to_class(eulerspline.q_n_piecewise(n), n, a, b))
+                           _build=lambda: _line_witness(n, a, b))
     if n == 3 and k in (1, 2):
         segment = isinstance(dom, Segment)
         sato = landaun.sato_segment(k, a, b, dom.T if segment else landaun.sato_t0(a, b))

@@ -20,7 +20,6 @@ from typing import List, Optional
 from . import eulerspline, landaun
 from .bounds import BoundQuery, BoundResult, FullLine, HalfLine, Segment, compute_bound
 from .exactnum import euler_number
-from .pwpoly import PiecewisePoly, StructuralError, is_extreme_point, membership
 
 SCHEMA_VERSION = "1"
 
@@ -72,6 +71,8 @@ def cmd_bound(args) -> int:
 
 
 def cmd_extremal(args) -> int:
+    from .pwpoly import membership  # deferred: only extremal and verify check splines
+
     query = _query(args)
     result = compute_bound(query)
     witness = result.witness
@@ -205,6 +206,8 @@ def cmd_spline(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .pwpoly import PiecewisePoly, StructuralError, is_extreme_point, membership
+
     try:
         with open(args.file) as fh:
             spline = PiecewisePoly.from_json(fh.read())

@@ -4,26 +4,29 @@ f'(t0), the comparison parabola train q, prolongation constructors, line
 extendability, and the total-variation supremum sigma_1.
 
 Every exact value comes with a builder of an extremal witness spline, which
-`BoundResult.witness` runs on first access; the spline passes the membership
-check and attains the value at the reported point.  Witnesses clip their
-pieces with `pwpoly.cut`, and the witness is None when no piece is left (a
-segment of length about 1e-12, or a, b so far apart that the scaling
-collapses), it would need more than MAX_ARCS comparison arcs, or the scaling
-of `pwpoly.to_class` leaves the float range.  General (a, b) queries are
-reduced to the unit class by f(t) = a * f_unit(t * sqrt(b/a)), with sqrt(b/a)
-and sqrt(a b) kept in range.
+`BoundResult.witness` runs on first access (only then does `pwpoly` load);
+the spline passes the membership check and attains the value at the reported
+point.  Witnesses clip their pieces with `pwpoly.cut`, and the witness is
+None when no piece is left (a segment of length about 1e-12, or a, b so far
+apart that the scaling collapses), it would need more than MAX_ARCS
+comparison arcs, or the scaling of `pwpoly.to_class` leaves the float range,
+which is decided before the unit-class witness is built.  General (a, b)
+queries are reduced to the unit class by f(t) = a * f_unit(t * sqrt(b/a)),
+with sqrt(b/a) and sqrt(a b) kept in range.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 from .bounds import EXACT, INTERVAL, BoundResult, Domain, FullLine, HalfLine, Segment
 from .exactnum import Poly, Real
 from .landaun import kolmogorov_bound
-from .pwpoly import PiecewisePoly, StructuralError, cut, require_member, to_class, transform
+
+if TYPE_CHECKING:
+    from .pwpoly import PiecewisePoly
 
 SQRT2 = math.sqrt(2.0)
 MAX_ARCS = 10**5
@@ -73,6 +76,8 @@ def pointwise_speed_bound(f_val: float) -> float:
 
 def q_train(shift: float, lo: float, hi: float) -> PiecewisePoly:
     """q(t - shift) on [lo, hi] as an explicit spline (float knots)."""
+    from .pwpoly import PiecewisePoly, StructuralError, cut
+
     if not lo < hi:
         raise ValueError("need lo < hi")
     period = 2 * SQRT2
@@ -99,11 +104,15 @@ def _number_type(T: Real) -> type:
 def _ramp_witness_unit(T: float) -> PiecewisePoly:
     """f = -t^2/2 + (2/T + T/2) t - 1 on [0, T]; member for T <= 2 with the
     maximal initial slope."""
+    from .pwpoly import PiecewisePoly
+
     return PiecewisePoly([0.0, T], [Poly([-1.0, 2 / T + T / 2, -0.5])], 2)
 
 
 def _long_witness_unit(T: Real) -> PiecewisePoly:
     """Rise along -t^2/2 + 2t - 1 for t <= 2, then park at the wall."""
+    from .pwpoly import PiecewisePoly
+
     F = _number_type(T)
     return PiecewisePoly([F(0), F(2), T], [Poly([F(-1), F(2), F(-1) / 2]), Poly([F(1)])], 2)
 
@@ -121,7 +130,9 @@ def _witness(
 ) -> Optional[PiecewisePoly]:
     """The unit-class witness unit() mapped to the (a, b) class by
     W(t) = a w(t sqrt(b/a)), then reflected onto [0, reflect_at] if given."""
-    w = to_class(unit(), 2, a, b)
+    from .pwpoly import to_class, transform
+
+    w = to_class(unit, 2, a, b)
     return w if w is None or reflect_at is None else transform(w, mu=-1.0, lam=-1.0, t0=reflect_at)
 
 
@@ -159,6 +170,8 @@ def sigma_inf(a: float, b: float, domain: Domain) -> BoundResult:
 
 def _whole_line_witness_unit() -> PiecewisePoly:
     """One arc of the comparison train on [0, 2 sqrt(2)]."""
+    from .pwpoly import PiecewisePoly
+
     return PiecewisePoly([0.0, 2 * SQRT2], [Poly([1.0, 0.0, -0.5]).compose_affine(-SQRT2, 1.0)], 2)
 
 
@@ -182,6 +195,8 @@ class PointwiseQuery:
 def _two_contact_witness_unit(t0: float, T: float) -> PiecewisePoly:
     """Bang-bang rise from (0, -1) to (T, +1) with maximal slope at t0;
     requires the slope C = G(t0, T - t0) to dominate max(t0, T - t0)."""
+    from .pwpoly import PiecewisePoly, cut
+
     C = G(t0, T - t0)
     left = Poly([-1.0, C - t0, 0.5])
     right = Poly([1.0, C - (T - t0), -0.5]).compose_affine(-T, 1.0)
@@ -190,6 +205,8 @@ def _two_contact_witness_unit(t0: float, T: float) -> PiecewisePoly:
 
 def _free_end_witness_unit(t0: float, T: float) -> PiecewisePoly:
     """Rise from (0, -1), peak at t0 + phi(t0), then park at the wall."""
+    from .pwpoly import PiecewisePoly, cut
+
     p = phi(t0)
     pieces = [Poly([-1.0, p - t0, 0.5]), Poly([1.0, 0.0, -0.5]).compose_affine(-(t0 + p), 1.0), Poly([1.0])]
     return PiecewisePoly(*cut([0.0, t0, t0 + p, T], pieces, 0.0, T), 2)
@@ -237,6 +254,8 @@ def extendable_to_line(f: PiecewisePoly) -> bool:
 def extend_to_line(f: PiecewisePoly, pad: float = 1.0) -> PiecewisePoly:
     """Extend a member of the unit class to a compact-derivative member on an
     enlarged segment: decelerating parabolas at both ends, then constants."""
+    from .pwpoly import PiecewisePoly, cut, require_member
+
     require_member(f, 2, 1, 1)
     if not extendable_to_line(f):
         raise ValueError(
@@ -258,6 +277,8 @@ def extend_to_line(f: PiecewisePoly, pad: float = 1.0) -> PiecewisePoly:
 def prolong_affine(f: PiecewisePoly, h: float, epsilon: float, theta: float) -> PiecewisePoly:
     """Append an affine-plus-parabola tail to (1 - epsilon) f; the step bound
     h <= epsilon / (|theta| + sigma_inf(T)) keeps the tail inside the walls."""
+    from .pwpoly import PiecewisePoly, require_member
+
     if not 0 < epsilon <= 1:
         raise ValueError(f"need 0 < epsilon <= 1, got epsilon={epsilon}")
     if abs(theta) > 1:
@@ -279,6 +300,8 @@ def insert_bump(f: PiecewisePoly, t0: float, h: float) -> PiecewisePoly:
     """Splice a double-parabola bump of height h^2/16 at a stationary point
     t0; the output lives on [start, end + h] and its total variation exceeds
     the input's by exactly h^2/8."""
+    from .pwpoly import PiecewisePoly, cut, require_member
+
     require_member(f, 2, 1, 1)
     start, end = float(f.t_start), float(f.t_end)
     if not start <= t0 < end:
@@ -356,17 +379,23 @@ def _sigma1_lower_unit(T: float) -> float:
 
 def _tau_witness_unit(T: float) -> PiecewisePoly:
     """tau = -1 + (2/T - T/2) t + t^2/2: monotone crossing for T <= 2."""
+    from .pwpoly import PiecewisePoly
+
     return PiecewisePoly([0.0, T], [Poly([-1.0, 2 / T - T / 2, 0.5])], 2)
 
 
 def _parabola_witness_unit(T: float) -> PiecewisePoly:
     """-1 + (t-2)^2/2 on [0, T]: one full descent-and-rise for 2 <= T <= 4."""
+    from .pwpoly import PiecewisePoly
+
     return PiecewisePoly([0.0, T], [Poly([-1.0, 0.0, 0.5]).compose_affine(-2.0, 1.0)], 2)
 
 
 def lattice_witness_unit(N: int) -> PiecewisePoly:
     """Wall-to-wall rise, N antiperiods of the comparison train, then a final
     wall-to-wall arc; total variation 2N + 4 on [0, 2 N sqrt(2) + 4]."""
+    from .pwpoly import PiecewisePoly
+
     if N < 0:
         raise ValueError("N must be >= 0")
     T = N * _LATTICE_STEP + 4

@@ -21,7 +21,7 @@ length are one.
 
 Spline builders clip their pieces with `cut`, which drops a piece no longer
 than ``MIN_KNOT_GAP``, and map unit-class splines to the (a, b) class with
-`to_class`.
+`to_class`, which builds none for a class out of range.
 
 The almost-everywhere bang-bang condition of the extreme-point certificate is
 decided piecewise-exactly, which is complete for splines; measurable members
@@ -35,7 +35,7 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import _roots
 from .exactnum import Poly, Real
@@ -201,16 +201,16 @@ def cut(knots: Sequence[Real], pieces: Sequence[Poly], lo: Real, hi: Real) -> Tu
     return out_knots, out_pieces
 
 
-def to_class(f: PiecewisePoly, n: int, a: float, b: float) -> Optional[PiecewisePoly]:
-    """The unit-class spline f mapped to the (a, b) class of order n: a f(lam t)
-    with lam^n = b/a, and f itself at (1, 1). None unless a, b and b/a are in the
-    normal float range, where the image keeps the bits of its values (of size
-    a), of its n-th derivative (of size b) and of its scaled lam^m t^m terms."""
-    if (a, b) == (1, 1):
-        return f
+def to_class(unit: Callable[[], PiecewisePoly], n: int, a: float, b: float) -> Optional[PiecewisePoly]:
+    """The unit-class spline f = unit() mapped to the (a, b) class of order n:
+    a f(lam t) with lam^n = b/a, and f itself at (1, 1). None, with unit never
+    called, unless a, b and b/a are in the normal float range, where the image
+    keeps the bits of its values (of size a), of its n-th derivative (of size b)
+    and of its scaled lam^m t^m terms."""
     if not (min(a, b, b / a) >= sys.float_info.min and b / a < math.inf):
         return None
-    return transform(f, mu=a, lam=math.sqrt(b / a) if n == 2 else (b / a) ** (1 / n))
+    f = unit()
+    return f if (a, b) == (1, 1) else transform(f, mu=a, lam=math.sqrt(b / a) if n == 2 else (b / a) ** (1 / n))
 
 
 def _piece_roots(p: Poly, lo: Real, hi: Real, exact: bool) -> List[_roots.Root]:

@@ -1,4 +1,5 @@
 import contextlib
+import importlib
 import io
 import json
 import math
@@ -195,6 +196,8 @@ COLLAPSED_WITNESS = {
     ("--a", "1e-300", "--b", "1e300", "--domain", "halfline"): 2.0,
     ("--a", "1e-300", "--b", "1e300", "--domain", "line"): math.sqrt(2.0),
     ("--T", "2.5", "--a", "5e-324", "--b", "5e-324"): 1e-323,
+    # refused before its 70,711-arc comparison train is built
+    ("--T", "2e5", "--t0", "5", "--a", "5e-324", "--b", "5e-324"): 5e-324,
 }
 
 
@@ -663,8 +666,9 @@ def test_table_variants(capsys):
 
 
 # Runs `landau ARGV` in a fresh interpreter and reports its exit code, stdout,
-# stderr, which of numpy, scipy and scipy.optimize it loaded and whether it
-# loaded landaukol.peano; with no ARGV it only imports the CLI.
+# stderr, which of numpy, scipy and scipy.optimize it loaded, whether it
+# loaded landaukol.peano and which landaukol modules it loaded (without the
+# prefix); with no ARGV it only imports the CLI.
 _IMPORT_PROBE = """
 import contextlib, io, json, sys
 out = io.StringIO()
@@ -672,7 +676,9 @@ with contextlib.redirect_stdout(out):
     from landaukol.cli import main
     code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
 heavy = sorted(m for m in ("numpy", "scipy", "scipy.optimize") if m in sys.modules)
-print(json.dumps({"code": code, "out": out.getvalue(), "heavy": heavy, "peano": "landaukol.peano" in sys.modules}))
+modules = sorted(m[len("landaukol."):] for m in sys.modules if m.startswith("landaukol."))
+print(json.dumps({"code": code, "out": out.getvalue(), "heavy": heavy, "peano": "landaukol.peano" in sys.modules,
+                  "modules": modules}))
 """
 
 
@@ -740,6 +746,34 @@ def test_closed_forms_do_not_load_peano(argv):
     assert probe["code"] == 0 and not probe["peano"]
 
 
+# every closed-form `bound` route, and `table`: whether it loads landau2, which
+# only the n = 2 routes with 0 < k < 2 need
+LOADS_LANDAU2 = {
+    ("bound", "--n", "2", "--T", "10"): True,
+    ("bound", "--n", "2", "--T", "10", "--t0", "1"): True,
+    ("bound", "--n", "2", "--T", "3", "--functional", "var"): True,
+    ("bound", "--n", "2", "--domain", "halfline"): True,
+    ("bound", "--n", "2", "--domain", "line"): True,
+    ("bound", "--n", "2", "--k", "0", "--T", "1"): False,
+    ("bound", "--n", "3", "--k", "1", "--T", "2"): False,
+    ("bound", "--n", "3", "--k", "2", "--domain", "halfline"): False,
+    ("bound", "--n", "5", "--k", "2", "--domain", "line"): False,
+    ("bound", "--n", "5", "--k", "2", "--domain", "halfline"): False,
+    ("table", "--what", "cnk", "--max-n", "6"): False,
+    ("table", "--what", "favard", "--max-n", "6"): False,
+}
+
+
+@pytest.mark.parametrize("argv", list(LOADS_LANDAU2), ids=" ".join)
+def test_closed_forms_load_no_spline_code(argv):
+    # pwpoly and _roots load with the first spline; a later top-level import
+    # would compile them in every process without failing anything else
+    probe = _probe(*argv)
+    assert probe["code"] == 0
+    assert not {"pwpoly", "_roots"} & set(probe["modules"])
+    assert ("landau2" in probe["modules"]) == LOADS_LANDAU2[argv]
+
+
 def test_certificate_route_and_package_attribute_load_peano():
     probe = _probe("bound", "--n", "4", "--k", "2", "--T", "3")
     assert probe["code"] == 0 and probe["peano"]
@@ -747,6 +781,36 @@ def test_certificate_route_and_package_attribute_load_peano():
     from landaukol import peano
 
     assert landaukol.vandermonde_certificate is peano.vandermonde_certificate
+    with pytest.raises(AttributeError):
+        landaukol.no_such_name
+
+
+# Imports the package alone, lists it, then reads one name
+_PACKAGE_PROBE = """
+import json, sys
+import landaukol
+loaded = lambda: sorted(m for m in sys.modules if m.startswith("landaukol."))
+before, listed = loaded(), dir(landaukol)
+landaukol.Poly
+print(json.dumps([before, listed, loaded()]))
+"""
+
+
+def test_package_names_resolve_to_their_modules():
+    # the package imports no submodule until a name is read, and then only its module
+    proc = subprocess.run([sys.executable, "-c", _PACKAGE_PROBE], env=_env(), capture_output=True, text=True,
+                          check=True)
+    before, listed, after = json.loads(proc.stdout)
+    import landaukol
+
+    assert set(landaukol.__all__) <= set(listed) and len(landaukol.__all__) == len(set(landaukol.__all__))
+    assert (before, after) == ([], ["landaukol.exactnum"])
+    namespace = {}
+    exec("from landaukol import *", namespace)
+    for name in landaukol.__all__:
+        home = importlib.import_module(f"landaukol.{landaukol._MODULE_OF[name]}")
+        assert getattr(landaukol, name) is getattr(home, name) is namespace[name], name
+        assert name in vars(home), name
     with pytest.raises(AttributeError):
         landaukol.no_such_name
 

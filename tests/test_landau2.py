@@ -312,6 +312,20 @@ def test_tiny_domains_do_not_crash():
     assert r1.exact == 2.0 and r1.witness is None
 
 
+@pytest.mark.parametrize("a, b", [(5e-324, 5e-324), (1e-310, 1.0), (1.0, 1e-310), (1e-300, 1e300), (1e300, 1e-300)])
+def test_unreachable_class_builds_no_unit_witness(a, b):
+    built = []
+    assert landau2._witness(lambda: built.append(a), a, b) is None
+    assert built == []
+
+
+def test_unreachable_long_train_is_refused_before_it_is_built(monkeypatch):
+    # the unit witness is a 70,711-arc comparison train on [0, 2e5]
+    monkeypatch.setattr(landau2, "q_train", lambda *args: pytest.fail("the train was built"))
+    res = sigma_pointwise(PointwiseQuery(5.0, 2e5, 5e-324, 5e-324))
+    assert res.provenance == "pointwise-interior-comparison" and res.witness is None
+
+
 def test_sigma1_exact_values():
     assert sigma1(1, 1, 2).exact == pytest.approx(2.0, abs=1e-12)
     assert sigma1(1, 1, 3).exact == pytest.approx(2.5, abs=1e-12)
