@@ -10,7 +10,7 @@ from importlib import import_module
 _EXPORTS = {
     "bounds": ("EXACT", "INTERVAL", "UPPER_BOUND", "BoundQuery", "BoundResult", "FullLine", "HalfLine",
                "Segment", "compute_bound"),
-    "exactnum": ("Poly", "Rational", "bernoulli", "euler_number", "euler_poly"),
+    "exactnum": ("Poly", "bernoulli", "euler_number", "euler_poly"),
     "eulerspline": ("e_n", "euler_spline", "favard", "q_n", "q_n_deriv_sup", "r_n", "s_n"),
     "landau2": ("PointwiseQuery", "sigma1", "sigma_inf", "sigma_pointwise"),
     "landaun": ("cnk_bracket", "kolmogorov_bound", "sato_segment"),

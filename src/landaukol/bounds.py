@@ -75,13 +75,19 @@ class BoundQuery:
             raise ValueError(f"functional must be 'sup' or 'var', got {self.functional!r}")
         if self.functional == "var" and not (self.n == 2 and segment):
             raise ValueError("--functional var needs --n 2 and --domain segment")
+        if self.functional == "var" and self.k != 1:
+            raise ValueError("--functional var needs --k 1")
         if self.t0 is not None:
             if not segment:
                 raise ValueError("--t0 only applies to --domain segment")
             if self.n != 2:
                 raise ValueError("pointwise bounds are only available for --n 2")
+            if (self.k, self.functional) != (1, "sup"):
+                raise ValueError("--t0 needs --k 1 and --functional sup")
             if not math.isfinite(self.t0):
                 raise ValueError(f"t0 must be finite, got {self.t0}")
+            if not 0 <= self.t0 <= self.domain.T:
+                raise ValueError(f"t0={self.t0} outside [0, {self.domain.T}]")
 
 
 @dataclass(frozen=True)
@@ -138,13 +144,13 @@ def _line_witness(n: int, a: float, b: float) -> Optional[PiecewisePoly]:
 def _route(query: BoundQuery) -> BoundResult:
     n, k, a, b, dom = query.n, query.k, query.a, query.b, query.domain
 
-    if query.functional == "var" or query.t0 is not None or (n, k) == (2, 1):
+    if (n, k) == (2, 1):  # every var and t0 query, as BoundQuery checks
         from . import landau2  # deferred: only the n = 2 routes need it
 
         if query.functional == "var":
             return landau2.sigma1(a, b, dom.T)
         if query.t0 is not None:
-            return landau2.sigma_pointwise(landau2.PointwiseQuery(query.t0, dom.T, a, b))
+            return landau2.sigma_pointwise(query)
         return landau2.sigma_inf(a, b, dom)
     if k in (0, n):
         # a constant, or a short-period Euler spline, attains each given bound

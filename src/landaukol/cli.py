@@ -85,8 +85,11 @@ def cmd_extremal(args) -> int:
     doc = witness.to_json_dict()
     out = {"spline": doc}
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(json.dumps(doc) + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(json.dumps(doc) + "\n")
+        except OSError as exc:
+            return _fail(f"error: cannot write spline: {exc}")
         out = {"written": args.out}
     _emit("extremal", {**out, "membership": "ok"}, [provenance])
     return 0
@@ -96,41 +99,31 @@ def cmd_oracle(args) -> int:
     from . import oracle  # deferred: only the oracles need numpy and scipy's BLAS
 
     seed = int(os.environ.get("LANDAU_SEED", args.seed))
+    config = {"problem": args.problem, "a": args.a, "b": args.b, "T": args.T}
     if args.problem == "pointwise":
         if args.t0 is None or args.T is None:
             return _fail("error: oracle pointwise needs --T and --t0")
         query = BoundQuery(2, 1, args.a, args.b, Segment(args.T), t0=args.t0)  # validates before the LP
         value = oracle.lp_max_pointwise_derivative(args.a, args.b, args.T, args.t0, args.M)
-        closed = compute_bound(query).value
-        result = {
-            "value": value,
-            "status": "OracleApprox",
-            "config": {"problem": "pointwise", "a": args.a, "b": args.b, "T": args.T,
-                       "t0": args.t0, "M": args.M},
-            "discrepancy_vs_closed_form": (value - closed) / closed,
-        }
-        _emit("oracle", result, ["lp-discretized-class"])
-        return 0
-    if args.T is None:
-        return _fail("error: oracle sigma1 needs --T")
-    query = BoundQuery(2, 1, args.a, args.b, Segment(args.T), "var")  # validates before the search
-    value, control = oracle.bangbang_sigma1_search(
-        args.a, args.b, args.T, max_switches=args.max_switches,
-        restarts=args.restarts, seed=seed,
-    )
-    closed = compute_bound(query)
-    discrepancy = None if closed.exact is None else (value - closed.exact) / closed.exact
-    result = {
-        "value": value,
-        "status": "OracleApprox",
-        "config": {"problem": "sigma1", "a": args.a, "b": args.b, "T": args.T,
-                   "restarts": args.restarts, "seed": seed},
-        "control": {"f0": control.f0, "fp0": control.fp0,
-                    "switches": list(control.switches), "sign": control.sign,
-                    "scale": control.scale},
-        "discrepancy_vs_closed_form": discrepancy,
-    }
-    _emit("oracle", result, ["bangbang-switching-search"])
+        config.update(t0=args.t0, M=args.M)
+        extra, method = {}, "lp-discretized-class"
+    else:
+        if args.T is None:
+            return _fail("error: oracle sigma1 needs --T")
+        query = BoundQuery(2, 1, args.a, args.b, Segment(args.T), "var")  # validates before the search
+        value, control = oracle.bangbang_sigma1_search(
+            args.a, args.b, args.T, max_switches=args.max_switches,
+            restarts=args.restarts, seed=seed,
+        )
+        config.update(restarts=args.restarts, seed=seed)
+        extra = {"control": {"f0": control.f0, "fp0": control.fp0,
+                             "switches": list(control.switches), "sign": control.sign,
+                             "scale": control.scale}}
+        method = "bangbang-switching-search"
+    closed = compute_bound(query).exact
+    result = {"value": value, "status": "OracleApprox", "config": config, **extra,
+              "discrepancy_vs_closed_form": None if closed is None else (value - closed) / closed}
+    _emit("oracle", result, [method])
     return 0
 
 
@@ -158,7 +151,11 @@ def cmd_table(args) -> int:
         keys = [(n, k) for n in range(2, args.max_n + 1) for k in range(1, n)]
     else:
         keys = [(n,) for n in range(args.max_n + 1)]
-    rows = [[*key, *values(*key)] for key in keys]  # before the header: a failing row prints nothing
+    return _write_csv(header, ([*key, *values(*key)] for key in keys))
+
+
+def _write_csv(header: List[str], rows) -> int:
+    rows = list(rows)  # before the header: a failing row prints nothing
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
@@ -166,15 +163,11 @@ def cmd_table(args) -> int:
 
 
 def _sample_csv(header: List[str], x0: float, x1: float, samples: int, fn) -> int:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(header)
     lo, width = Fraction(x0), Fraction(x1) - Fraction(x0)
-    for i in range(samples):
-        # rounded once from the exact point, so it lies in [x0, x1] and the
-        # last one is x1, where x0 + (x1 - x0) * i could overflow
-        x = float(lo + width * i / (samples - 1))
-        writer.writerow([repr(x), repr(fn(x))])
-    return 0
+    # each point rounded once from the exact one, so it lies in [x0, x1] and
+    # the last one is x1, where x0 + (x1 - x0) * i could overflow
+    xs = (float(lo + width * i / (samples - 1)) for i in range(samples))
+    return _write_csv(header, ([repr(x), repr(fn(x))] for x in xs))
 
 
 def cmd_kernel(args) -> int:
@@ -195,6 +188,8 @@ def cmd_kernel(args) -> int:
 
 def cmd_spline(args) -> int:
     x0, x1 = args.x0, args.x1
+    if not (math.isfinite(x0) and math.isfinite(x1)):
+        return _fail("error: --x0 and --x1 must be finite")
     if args.what == "en":
         fn = lambda x: eulerspline.e_n(args.n, x)
     elif args.what == "euler-spline":

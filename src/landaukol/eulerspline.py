@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exactnum import Real, _bernoulli_unchecked, _check_index, euler_number, euler_poly
+from .exactnum import Poly, Real, _bernoulli_unchecked, _check_index, euler_number, euler_poly, is_exact_number
 
 
 def r_n(n: int) -> Fraction:
@@ -41,33 +41,28 @@ def _epsilon(n: int) -> Fraction:
     return Fraction(0) if n % 2 else Fraction(1, 2)
 
 
-def e_n_exact(n: int, x: Fraction) -> Fraction:
-    """Exact value of the 2-periodic spline e_n at rational x."""
+def _on_piece(n: int, x: Real, num: type) -> Real:
+    """e_n(x) = (-1)^k E_n(u) on the piece x = k + u, 0 <= u < 1, evaluated in
+    the number type num (Fraction or float)."""
     _check_index(n)
-    x = Fraction(x)
     k = math.floor(x)
     u = x - k
-    sign = -1 if k % 2 else 1
+    sign = num(-1 if k % 2 else 1)
     if n == 0:
-        if u == 0:
-            return Fraction(0)  # normalized square wave vanishes at integers
-        return Fraction(sign)
-    return sign * euler_poly(n)(u)
+        return sign if u else num(0)  # normalized square wave vanishes at integers
+    return sign * Poly(map(num, euler_poly(n).coeffs))(u)
+
+
+def e_n_exact(n: int, x: Fraction) -> Fraction:
+    """Exact value of the 2-periodic spline e_n at rational x."""
+    return _on_piece(n, Fraction(x), Fraction)
 
 
 def e_n(n: int, x: Real) -> float:
     """e_n(x): piece selection by floor parity, then polynomial evaluation."""
-    if isinstance(x, (Fraction, int)):
-        return float(e_n_exact(n, Fraction(x)))
-    _check_index(n)
-    k = math.floor(x)
-    u = x - k
-    sign = -1.0 if k % 2 else 1.0
-    if n == 0:
-        if u == 0.0:
-            return 0.0
-        return sign
-    return sign * float(euler_poly(n).to_float()(u))
+    if is_exact_number(x):
+        return float(e_n_exact(n, x))
+    return _on_piece(n, x, float)
 
 
 def _frac_pow(fr: Fraction, expo: float) -> float:
@@ -98,7 +93,7 @@ def euler_spline(n: int, x: Real) -> float:
         raise ValueError("euler_spline needs n >= 1")
     eps = _epsilon(n)
     denom = e_n_exact(n, eps)
-    if isinstance(x, (Fraction, int)):
+    if is_exact_number(x):
         return float(e_n_exact(n, Fraction(x) + eps) / denom)
     return e_n(n, x + float(eps)) / float(denom)
 

@@ -19,11 +19,14 @@ import threading
 from fractions import Fraction
 from typing import Iterable, Union
 
-Rational = Fraction
-
 Real = Union[Fraction, float, int]
 
 MAX_INDEX = 64
+
+
+def is_exact_number(x: Real) -> bool:
+    """True for a Fraction or an int (bool included), which arithmetic keeps exact."""
+    return isinstance(x, (Fraction, int))
 
 
 class IndexTooLargeError(ValueError):
@@ -62,7 +65,7 @@ class Poly:
         return not self.coeffs
 
     def is_exact(self) -> bool:
-        return all(isinstance(c, (Fraction, int)) for c in self.coeffs)
+        return all(is_exact_number(c) for c in self.coeffs)
 
     def __call__(self, x: Real) -> Real:
         acc: Real = 0
@@ -117,7 +120,7 @@ class Poly:
         """Antiderivative with zero constant term; exact inputs stay exact."""
         out: list[Real] = [0]
         for i, c in enumerate(self.coeffs):
-            if isinstance(c, (Fraction, int)):
+            if is_exact_number(c):
                 out.append(Fraction(c, i + 1))
             else:
                 out.append(c / (i + 1))

@@ -1,7 +1,9 @@
 """Closed-form solutions of the order-2 extremal problems: the sup-norm of f'
 over a segment, half-line and the whole line, the pointwise supremum of
-f'(t0), the comparison parabola train q, prolongation constructors, line
-extendability, and the total-variation supremum sigma_1.
+f'(t0) (a `BoundQuery` with t0), the comparison parabola train q,
+prolongation constructors, line extendability, and the total-variation
+supremum sigma_1, whose exact regimes `_sigma1_regime` decides once for the
+value and its upper search.
 
 Every exact value comes with a builder of an extremal witness spline, which
 `BoundResult.witness` runs on first access (only then does `pwpoly` load);
@@ -17,12 +19,11 @@ with sqrt(b/a) and sqrt(a b) kept in range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
-from .bounds import EXACT, INTERVAL, BoundResult, Domain, FullLine, HalfLine, Segment
-from .exactnum import Poly, Real
+from .bounds import EXACT, INTERVAL, BoundQuery, BoundResult, Domain, FullLine, HalfLine, Segment
+from .exactnum import Poly, Real, is_exact_number
 from .landaun import kolmogorov_bound
 
 if TYPE_CHECKING:
@@ -96,11 +97,6 @@ def q_train(shift: float, lo: float, hi: float) -> PiecewisePoly:
 # -- witnesses for the sup-norm problem -------------------------------------
 
 
-def _number_type(T: Real) -> type:
-    """Fraction for an exact length, float otherwise."""
-    return Fraction if isinstance(T, (Fraction, int)) else float
-
-
 def _ramp_witness_unit(T: float) -> PiecewisePoly:
     """f = -t^2/2 + (2/T + T/2) t - 1 on [0, T]; member for T <= 2 with the
     maximal initial slope."""
@@ -113,7 +109,7 @@ def _long_witness_unit(T: Real) -> PiecewisePoly:
     """Rise along -t^2/2 + 2t - 1 for t <= 2, then park at the wall."""
     from .pwpoly import PiecewisePoly
 
-    F = _number_type(T)
+    F = Fraction if is_exact_number(T) else float
     return PiecewisePoly([F(0), F(2), T], [Poly([F(-1), F(2), F(-1) / 2]), Poly([F(1)])], 2)
 
 
@@ -134,11 +130,6 @@ def _witness(
 
     w = to_class(unit, 2, a, b)
     return w if w is None or reflect_at is None else transform(w, mu=-1.0, lam=-1.0, t0=reflect_at)
-
-
-def sigma_inf_value(a: float, b: float, T: float) -> float:
-    """Closed form for the segment sup of |f'|."""
-    return sigma_inf(a, b, Segment(T)).value
 
 
 def sigma_inf(a: float, b: float, domain: Domain) -> BoundResult:
@@ -178,18 +169,9 @@ def _whole_line_witness_unit() -> PiecewisePoly:
 # -- the pointwise problem ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PointwiseQuery:
-    t0: float
-    T: float
-    a: float = 1.0
-    b: float = 1.0
-
-    def __post_init__(self):
-        if not (self.a > 0 and self.b > 0 and self.T > 0):
-            raise ValueError("a, b, T must be positive")
-        if not 0 <= self.t0 <= self.T:
-            raise ValueError(f"t0={self.t0} outside [0, {self.T}]")
+def PointwiseQuery(t0: float, T: float, a: float = 1.0, b: float = 1.0) -> BoundQuery:
+    """The pointwise query at t0 on [0, T]; kept only for callers that build it by this name."""
+    return BoundQuery(2, 1, a, b, Segment(T), t0=t0)
 
 
 def _two_contact_witness_unit(t0: float, T: float) -> PiecewisePoly:
@@ -225,9 +207,9 @@ def _sigma_pointwise_unit(t0: float, T: float) -> Tuple[float, str, Callable[[],
     return phi(s), "pointwise-free-end", lambda: _free_end_witness_unit(s, T), reflected
 
 
-def sigma_pointwise(query: PointwiseQuery) -> BoundResult:
-    """sup of f'(t0) (equivalently |f'(t0)|) over the segment class."""
-    a, b, T, t0 = query.a, query.b, query.T, query.t0
+def sigma_pointwise(query: BoundQuery) -> BoundResult:
+    """sup of f'(t0) (equivalently |f'(t0)|) over the segment class of an n = 2 query with t0."""
+    a, b, T, t0 = query.a, query.b, query.domain.T, query.t0
     scale, root_ab = _scales(a, b)
     value_unit, tag, unit, reflected = _sigma_pointwise_unit(t0 * scale, T * scale)
     return BoundResult(value_unit * root_ab, EXACT, tag, witness_point=t0,
@@ -284,7 +266,7 @@ def prolong_affine(f: PiecewisePoly, h: float, epsilon: float, theta: float) -> 
     if abs(theta) > 1:
         raise ValueError(f"need |theta| <= 1, got theta={theta}")
     T = f.length
-    cap = epsilon / (abs(theta) + sigma_inf_value(1, 1, T))
+    cap = epsilon / (abs(theta) + sigma_inf(1, 1, Segment(T)).value)
     if not 0 < h <= cap:
         raise ValueError(f"need 0 < h <= epsilon/(|theta| + sigma_inf(T)) = {cap}, got h={h}")
     require_member(f, 2, 1, 1)
@@ -343,26 +325,29 @@ def _lattice_index(T: float) -> Optional[int]:
     return None
 
 
-def _sigma1_exact_unit(T: float) -> Optional[float]:
+def _sigma1_regime(T: float) -> Optional[Tuple[float, str, Callable[[], PiecewisePoly]]]:
+    """(sigma_1, regime tag, unit witness builder) of the unit class on [0, T], T > 0, in
+    the three exact regimes; None elsewhere. The lattice is tested before T <= 4, so
+    it owns [4 - _EDGE, 4]."""
     if T <= 2:
-        return 2.0
-    if T <= 4:
-        return T * T / 2 - 2 * T + 4
+        return 2.0, "T<=2", lambda: _tau_witness_unit(T)
     N = _lattice_index(T)
     if N is not None:
-        return 2.0 * N + 4
+        return 2.0 * N + 4, "lattice", lambda: lattice_witness_unit(N)
+    if T <= 4:
+        return T * T / 2 - 2 * T + 4, "2<=T<=4", lambda: _parabola_witness_unit(T)
     return None
 
 
 def _sigma1_upper_unit(T: float, depth: int = 2) -> float:
     """Upper bound for T > 0: exact, else the best split into exact blocks and shorter searches."""
-    ex = _sigma1_exact_unit(T)
-    if ex is not None:
-        return ex
+    exact = _sigma1_regime(T)
+    if exact is not None:
+        return exact[0]
     if depth == 0:
         return T / SQRT2 + 5
     cands = [2 * _sigma1_upper_unit(T / 2, depth - 1)]
-    cands.extend(_sigma1_exact_unit(s) + _sigma1_upper_unit(T - s, depth - 1) for s in (2.5, 3.0))
+    cands.extend(_sigma1_regime(s)[0] + _sigma1_upper_unit(T - s, depth - 1) for s in (2.5, 3.0))
     # every lattice block exceeds its length / sqrt(2) by the same 4 - 2 sqrt(2), so blocks
     # differ only in the remainder they leave, and only the two longest leave short ones
     last = math.floor((T - 4) / _LATTICE_STEP)
@@ -423,16 +408,12 @@ def sigma1(a: float, b: float, T: float) -> BoundResult:
     if T == 0:
         return BoundResult(0.0, EXACT, "T<=2", lower=0.0, upper=0.0)
     t_unit = T * _scales(a, b)[0]
-    N = _lattice_index(t_unit)
-    if t_unit <= 2:
-        v, tag, unit = 2 * a, "T<=2", (lambda: _tau_witness_unit(t_unit)) if T > _EDGE else None
-    elif t_unit <= 4 and N is None:
-        v, tag, unit = a * _sigma1_exact_unit(t_unit), "2<=T<=4", lambda: _parabola_witness_unit(t_unit)
-    elif N is not None:
-        v, tag, unit = a * (2 * N + 4), "lattice", lambda: lattice_witness_unit(N)
-    else:
+    exact = _sigma1_regime(t_unit)
+    if exact is None:
         lower = a * _sigma1_lower_unit(t_unit)
         upper = a * _sigma1_upper_unit(t_unit)
         return BoundResult(upper, INTERVAL, "subadditive", lower=lower, upper=upper)
-    build = None if unit is None else lambda: _witness(unit, a, b)
+    v_unit, tag, unit = exact
+    v = a * v_unit
+    build = None if tag == "T<=2" and T <= _EDGE else lambda: _witness(unit, a, b)
     return BoundResult(v, EXACT, tag, lower=v, upper=v, _build=build)

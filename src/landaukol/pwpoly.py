@@ -38,7 +38,7 @@ from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import _roots
-from .exactnum import Poly, Real
+from .exactnum import Poly, Real, is_exact_number
 
 REL_TOL = 1e-9  # of the class scale a^(1 - m/n) b^(m/n) of f^(m)
 EVAL_ULPS = 2.0**-51  # allowance of a float value per degree, in units of sum |c_m| |t|^m
@@ -56,10 +56,6 @@ class MembershipError(ValueError):
     def __init__(self, report: "MembershipReport"):
         super().__init__(f"not a member: {report.violations}")
         self.report = report
-
-
-def _is_exact_number(x: Real) -> bool:
-    return isinstance(x, (Fraction, int))
 
 
 class PiecewisePoly:
@@ -97,7 +93,7 @@ class PiecewisePoly:
         return self._fknots[-1] - self._fknots[0]
 
     def is_exact(self) -> bool:
-        return all(_is_exact_number(k) for k in self.knots) and all(
+        return all(is_exact_number(k) for k in self.knots) and all(
             p.is_exact() for p in self.pieces
         )
 
@@ -128,7 +124,7 @@ class PiecewisePoly:
     # -- serialization -----------------------------------------------------
     def to_json_dict(self) -> dict:
         def enc(v: Real):
-            if isinstance(v, (Fraction, int)):
+            if is_exact_number(v):
                 fr = Fraction(v)
                 return f"{fr.numerator}/{fr.denominator}"
             return float(v)
@@ -145,11 +141,10 @@ class PiecewisePoly:
     @staticmethod
     def from_json_dict(d: dict) -> "PiecewisePoly":
         def dec(v) -> Real:
-            if isinstance(v, str):
-                return Fraction(v)
-            if not math.isfinite(v):
+            x = Fraction(v) if isinstance(v, str) else v
+            if not math.isfinite(x):
                 raise ValueError(f"non-finite number {v}")
-            return float(v)
+            return x if isinstance(v, str) else float(v)
 
         try:
             knots = [dec(k) for k in d["knots"]]
@@ -158,6 +153,8 @@ class PiecewisePoly:
                 raise ValueError(f"n must be an integer >= 1, got {n!r}")
         except (KeyError, TypeError, ValueError) as exc:
             raise StructuralError(f"bad spline JSON: {exc}") from exc
+        except ArithmeticError as exc:  # "1/0", or a number beyond the float range
+            raise StructuralError(f"bad spline JSON: number outside the float range ({exc})") from exc
         return PiecewisePoly(knots, pieces, n)
 
     @staticmethod

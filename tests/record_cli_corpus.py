@@ -251,8 +251,20 @@ def _errors() -> list:
         ["verify"],
         ["frobnicate"],
         [],
+        ["bound", "--n", "2", "--k", "0", "--T", "1", "--t0", "0.5"],
+        ["bound", "--n", "2", "--k", "2", "--T", "1", "--t0", "0.5"],
+        ["bound", "--functional", "var", "--T", "1", "--t0", "5"],
+        ["bound", "--functional", "var", "--k", "2", "--T", "1"],
+        ["oracle", "--problem", "pointwise", "--T", "1", "--t0", "2"],
+        ["extremal", "--n", "2", "--T", "1", "--out", "{tmp}/missing/w.json"],
+        ["spline", "--what", "en", "--n", "3", "--x1", "inf"],
+        ["spline", "--what", "en", "--n", "3", "--x0", "nan"],
     ]
-    return [{"argv": argv} for argv in cases]
+    unreadable = {"zero.json": '{"knots": ["0", "1/0"], "pieces": [["1/2"]], "n": 2}',
+                  "farknot.json": '{"knots": ["0", "1e400"], "pieces": [["1/2"]], "n": 2}',
+                  "farcoef.json": '{"knots": [0, 1], "pieces": [["1e400"]], "n": 2}'}
+    return [{"argv": argv} for argv in cases] + [
+        {"argv": ["verify", "--file", "{tmp}/" + name], "files": {name: text}} for name, text in unreadable.items()]
 
 
 def cases() -> list:

@@ -6,10 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from landaukol.bounds import FullLine, HalfLine, Segment
+from landaukol.bounds import BoundQuery, FullLine, HalfLine, Segment
 from landaukol.eulerspline import favard, r_n, s_n
 from landaukol.exactnum import Poly, euler_number
-from landaukol.landau2 import PointwiseQuery, prolong_affine, sigma1, sigma_inf, sigma_pointwise
+from landaukol.landau2 import prolong_affine, sigma1, sigma_inf, sigma_pointwise
 from landaukol.landaun import (
     B_nk_kallioniemi,
     B_nk_lower,
@@ -83,7 +83,7 @@ def test_criterion_2_order2_closed_forms():
     assert abs(sigma_inf(1, 1, FullLine).value - SQRT2) <= 1e-12
     targets = [((0, 2), 2.0), ((1, 10), math.sqrt(6) - 1), ((2, 6), SQRT2)]
     for (t0, T), expected in targets:
-        assert abs(sigma_pointwise(PointwiseQuery(t0, T)).value - expected) <= 1e-12
+        assert abs(sigma_pointwise(BoundQuery(2, 1, 1.0, 1.0, Segment(T), t0=t0)).value - expected) <= 1e-12
     _report(2, "segment/half-line/line sup and three pointwise branches to 1e-12")
 
 
@@ -262,9 +262,7 @@ def test_criterion_10_property_suites():
         f = random_member(1, 1, T, seed=trial + 9000)
         eps = rng.uniform(0.05, 1.0)
         theta = rng.uniform(-1.0, 1.0)
-        from landaukol.landau2 import sigma_inf_value
-
-        h = eps / (abs(theta) + sigma_inf_value(1, 1, T)) * rng.uniform(0.1, 1.0)
+        h = eps / (abs(theta) + sigma_inf(1, 1, Segment(T)).value) * rng.uniform(0.1, 1.0)
         g = prolong_affine(f, h=h, epsilon=eps, theta=theta)
         assert membership(g, 2, 1, 1).ok
 

@@ -83,6 +83,17 @@ def test_query_validation():
         BoundQuery(3, 1, 1, 1, Segment(1.0), t0=0.5)
     with pytest.raises(ValueError):
         BoundQuery(2, 1, 1, 1, Segment(1.0), "l2")
+    # a t0 or var query refuses what it would ignore, and t0 lies in [0, T]
+    for k in (0, 2):
+        with pytest.raises(ValueError, match="--t0 needs --k 1 and --functional sup"):
+            BoundQuery(2, k, 1, 1, Segment(1.0), t0=0.5)
+        with pytest.raises(ValueError, match="--functional var needs --k 1"):
+            BoundQuery(2, k, 1, 1, Segment(1.0), "var")
+    with pytest.raises(ValueError, match="--t0 needs --k 1 and --functional sup"):
+        BoundQuery(2, 1, 1, 1, Segment(1.0), "var", t0=5.0)
+    for t0 in (-0.5, 2.0):
+        with pytest.raises(ValueError, match=r"outside \[0, 1.0\]"):
+            BoundQuery(2, 1, 1, 1, Segment(1.0), t0=t0)
 
 
 def test_var_and_pointwise_routing():

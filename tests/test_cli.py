@@ -416,7 +416,11 @@ def test_verify_extreme_flag(tmp_path, capsys):
 
 def test_verify_rejects_non_finite_spline(tmp_path, capsys):
     for text in ('{"knots": [0, 1], "pieces": [[NaN]], "n": 2}',
-                 '{"knots": [0, Infinity], "pieces": [[0.5]], "n": 2}'):
+                 '{"knots": [0, Infinity], "pieces": [[0.5]], "n": 2}',
+                 '{"knots": ["0", "1/0"], "pieces": [["1/2"]], "n": 2}',
+                 '{"knots": ["0", "1e400"], "pieces": [["1/2"]], "n": 2}',
+                 '{"knots": [0, 1], "pieces": [["1e400"]], "n": 2}',
+                 '{"knots": [0, 1], "pieces": [[1%s]], "n": 2}' % ("0" * 400)):
         path = tmp_path / "nan.json"
         path.write_text(text)
         code, out, err = run_cli(capsys, "verify", "--file", str(path))

@@ -7,11 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from landaukol import landau2
-from landaukol.bounds import FullLine, HalfLine, Segment
+from landaukol.bounds import BoundQuery, FullLine, HalfLine, Segment
 from landaukol.exactnum import Poly
 from landaukol.landau2 import (
     G,
-    PointwiseQuery,
     extend_to_line,
     extendable_to_line,
     insert_bump,
@@ -23,7 +22,6 @@ from landaukol.landau2 import (
     q_train,
     sigma1,
     sigma_inf,
-    sigma_inf_value,
     sigma_pointwise,
 )
 from landaukol.pwpoly import PiecewisePoly, is_extreme_point, membership, total_variation
@@ -96,16 +94,18 @@ def test_sigma_inf_monotone_in_T():
     for _ in range(50):
         t1 = rng.uniform(0.2, 6)
         t2 = t1 + rng.uniform(0.01, 6)
-        assert sigma_inf_value(1, 1, t2) <= sigma_inf_value(1, 1, t1) + 1e-12
+        assert sigma_inf(1, 1, Segment(t2)).value <= sigma_inf(1, 1, Segment(t1)).value + 1e-12
 
 
 def test_sigma_pointwise_three_branches():
-    assert sigma_pointwise(PointwiseQuery(0, 2)).value == pytest.approx(2.0, abs=1e-12)
-    assert sigma_pointwise(PointwiseQuery(1, 10)).value == pytest.approx(math.sqrt(6) - 1, abs=1e-12)
-    assert sigma_pointwise(PointwiseQuery(2, 6)).value == pytest.approx(SQRT2, abs=1e-12)
+    assert sigma_pointwise(BoundQuery(2, 1, 1.0, 1.0, Segment(2), t0=0)).value == pytest.approx(2.0, abs=1e-12)
+    assert sigma_pointwise(BoundQuery(2, 1, 1.0, 1.0, Segment(10), t0=1)).value == pytest.approx(
+        math.sqrt(6) - 1, abs=1e-12
+    )
+    assert sigma_pointwise(BoundQuery(2, 1, 1.0, 1.0, Segment(6), t0=2)).value == pytest.approx(SQRT2, abs=1e-12)
     # t0 = 0 on a short segment reproduces the sup-norm value
-    assert sigma_pointwise(PointwiseQuery(0, 1.4)).value == pytest.approx(
-        sigma_inf_value(1, 1, 1.4), abs=1e-12
+    assert sigma_pointwise(BoundQuery(2, 1, 1.0, 1.0, Segment(1.4), t0=0)).value == pytest.approx(
+        sigma_inf(1, 1, Segment(1.4)).value, abs=1e-12
     )
 
 
@@ -120,7 +120,7 @@ def test_sigma_pointwise_witnesses_attain():
         (0, 1, 2, 2),
     ]
     for t0, T, a, b in cases:
-        res = sigma_pointwise(PointwiseQuery(t0, T, a, b))
+        res = sigma_pointwise(BoundQuery(2, 1, a, b, Segment(T), t0=t0))
         assert res.witness is not None
         assert membership(res.witness, 2, a, b).ok
         slope = float(res.witness.deriv_value(t0, 1))
@@ -131,7 +131,7 @@ def test_interior_witness_tangential_contacts_found():
     # np.roots returned the double roots of p -/+ a here as complex pairs
     # and no contact point was found, so the extreme point was rejected
     a, b, T, t0 = 0.25575248004414, 0.3822180109466301, 5.299742231409002, 2.4507858849881297
-    res = sigma_pointwise(PointwiseQuery(t0, T, a, b))
+    res = sigma_pointwise(BoundQuery(2, 1, a, b, Segment(T), t0=t0))
     assert res.provenance == "pointwise-interior-comparison"
     verdict = is_extreme_point(res.witness, 2, a, b)
     assert verdict.is_extreme and verdict.numeric
@@ -152,7 +152,7 @@ def test_interior_witness_tangential_contacts_found():
 def test_interior_witnesses_are_certified_extreme(a, b, T_unit, share):
     t0_unit = SQRT2 + 0.005 + share * (T_unit - 2 * SQRT2 - 0.01)
     scale = math.sqrt(a / b)
-    res = sigma_pointwise(PointwiseQuery(t0_unit * scale, T_unit * scale, a, b))
+    res = sigma_pointwise(BoundQuery(2, 1, a, b, Segment(T_unit * scale), t0=t0_unit * scale))
     assert res.provenance == "pointwise-interior-comparison"
     verdict = is_extreme_point(res.witness, 2, a, b)
     assert verdict.is_extreme, verdict
@@ -187,8 +187,8 @@ def test_sigma_pointwise_monotone_in_T():
         T2 = T1 + rng.uniform(0.01, 4)
         if T1 <= 0:
             continue
-        v1 = sigma_pointwise(PointwiseQuery(t0, T1)).value
-        v2 = sigma_pointwise(PointwiseQuery(t0, T2)).value
+        v1 = sigma_pointwise(BoundQuery(2, 1, 1.0, 1.0, Segment(T1), t0=t0)).value
+        v2 = sigma_pointwise(BoundQuery(2, 1, 1.0, 1.0, Segment(T2), t0=t0)).value
         assert v2 <= v1 + 1e-12
 
 
@@ -259,7 +259,7 @@ def test_extension_has_compact_derivative():
 
 def test_prolong_affine():
     f = PiecewisePoly([F(0), F(2)], [Poly([F(-1), F(2), F(-1, 2)])], 2)
-    s = sigma_inf_value(1, 1, 2.0)
+    s = sigma_inf(1, 1, Segment(2.0)).value
     g = prolong_affine(f, h=0.25 / s, epsilon=0.25, theta=0.0)
     assert membership(g, 2, 1, 1).ok
     assert g.length == pytest.approx(2 + 0.25 / s, abs=1e-12)
@@ -322,7 +322,7 @@ def test_unreachable_class_builds_no_unit_witness(a, b):
 def test_unreachable_long_train_is_refused_before_it_is_built(monkeypatch):
     # the unit witness is a 70,711-arc comparison train on [0, 2e5]
     monkeypatch.setattr(landau2, "q_train", lambda *args: pytest.fail("the train was built"))
-    res = sigma_pointwise(PointwiseQuery(5.0, 2e5, 5e-324, 5e-324))
+    res = sigma_pointwise(BoundQuery(2, 1, 5e-324, 5e-324, Segment(2e5), t0=5.0))
     assert res.provenance == "pointwise-interior-comparison" and res.witness is None
 
 
@@ -366,16 +366,16 @@ def _full_scan_upper_unit(T, depth=2):
     """Reference upper bound from every candidate: T + 2, the eight exact
     blocks of length 0.5 .. 4 and every lattice block up to T = 1000 (the
     longest lattice block alone beyond)."""
-    ex = landau2._sigma1_exact_unit(T)
-    if ex is not None:
-        return ex
+    exact = landau2._sigma1_regime(T)
+    if exact is not None:
+        return exact[0]
     cands = [T + 2, T / SQRT2 + 5]
     if depth > 0:
         if T >= 1:
             cands.append(2 * _full_scan_upper_unit(T / 2, depth - 1))
         for s in [0.5 * i for i in range(1, 9)]:
             if s < T:
-                cands.append(landau2._sigma1_exact_unit(s) + _full_scan_upper_unit(T - s, depth - 1))
+                cands.append(landau2._sigma1_regime(s)[0] + _full_scan_upper_unit(T - s, depth - 1))
         step = 2 * SQRT2
         first = 1 if T <= 1000 else math.floor((T - 4) / step)
         for N in range(first, 10**9 if T <= 1000 else first + 1):
@@ -383,6 +383,18 @@ def _full_scan_upper_unit(T, depth=2):
                 break
             cands.append(2 * N + 4 + _full_scan_upper_unit(T - (N * step + 4), depth - 1))
     return min(cands)
+
+
+def test_sigma1_reads_its_regime_at_the_edges():
+    """At T' = 4 and at the lattice points, within 1e-10 either side, sigma1
+    takes its tag and exact value from the one regime rule."""
+    step = 2 * SQRT2
+    for edge in (4.0, step + 4, 2 * step + 4, 7 * step + 4):
+        for T in (edge - 1e-10, edge, edge + 1e-10):
+            value, tag, _ = landau2._sigma1_regime(T)
+            res = sigma1(1, 1, T)
+            assert (res.provenance, res.exact) == (tag, value), T
+    assert landau2._sigma1_regime(4.0)[1] == "lattice"
 
 
 def _off_lattice(rng, lo, hi, count):
@@ -464,7 +476,7 @@ def test_interior_contacts_of_witnesses_are_tangential(a, b, T, share):
     """A C^1 member touches the wall inside its domain only tangentially, so
     every interior contact of a sigma_pointwise or sigma1 witness has
     multiplicity 2."""
-    for res in (sigma_pointwise(PointwiseQuery(share * T, T, a, b)), sigma1(a, b, T)):
+    for res in (sigma_pointwise(BoundQuery(2, 1, a, b, Segment(T), t0=share * T)), sigma1(a, b, T)):
         if res.witness is None:
             continue
         w = res.witness

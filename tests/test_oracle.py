@@ -9,7 +9,8 @@ from scipy.optimize import linprog
 from scipy.optimize import minimize as scipy_minimize
 
 from landaukol import oracle
-from landaukol.landau2 import sigma1, sigma_inf_value, sigma_pointwise, PointwiseQuery
+from landaukol.bounds import BoundQuery, Segment
+from landaukol.landau2 import sigma1, sigma_inf, sigma_pointwise
 from landaukol.oracle import (
     BangBangControl,
     SimplexError,
@@ -152,7 +153,7 @@ def test_lp_matches_closed_forms_small():
 
 def test_lp_interior_matches_pointwise_formula():
     for (t0, T) in [(1.0, 10.0), (0.5, 2.0)]:
-        closed = sigma_pointwise(PointwiseQuery(t0, T)).value
+        closed = sigma_pointwise(BoundQuery(2, 1, 1.0, 1.0, Segment(T), t0=t0)).value
         lp = lp_max_pointwise_derivative(1, 1, T, t0, 200)
         assert lp == pytest.approx(closed, rel=0.02)
 
@@ -161,7 +162,7 @@ def test_lp_oh_slack_calibration():
     # |LP - closed| <= c h with c <= 5 across the order-2 suite
     cases = [(1, 1, 1.0, 0.0), (1, 1, 2.0, 0.0), (1, 1, 10.0, 5.0), (4, 1, 2.0, 0.0)]
     for (a, b, T, t0) in cases:
-        closed = sigma_pointwise(PointwiseQuery(t0, T, a, b)).value
+        closed = sigma_pointwise(BoundQuery(2, 1, a, b, Segment(T), t0=t0)).value
         for M in (100, 200):
             h = T / M
             lp = lp_max_pointwise_derivative(a, b, T, t0, M)
@@ -334,7 +335,7 @@ def test_random_member_speed_never_exceeds_sup():
         for i in range(26):
             t = 10.0 * i / 25
             worst = max(worst, abs(float(f.deriv_value(t, 1))))
-    assert worst <= sigma_inf_value(1, 1, 10.0) + 1e-9
+    assert worst <= sigma_inf(1, 1, Segment(10.0)).value + 1e-9
 
 
 def test_random_member_scaled_class():
