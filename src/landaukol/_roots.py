@@ -13,8 +13,9 @@ Two lanes, matching the two coefficient regimes of the splines handled here:
 * ``float`` coefficients: -c0/c1 at degree 1, and the real roots of
   ``numpy.roots`` at degree >= 2 (numpy loads only then; in t / 2^e, with
   2^e about the interval's reach, when a companion entry would overflow),
-  each inside the interval with multiplicity 1 (callers that need the order
-  of a contact take it from derivatives).
+  returned as plain floats inside the interval, with no multiplicity
+  (callers that need the order of a contact take it from derivatives);
+  ``Root`` is the type of the exact lane only.
 
 Integer polynomials are lists of ``int`` coefficients in ascending degree,
 without trailing zeros (the zero polynomial is ``[]``).
@@ -153,7 +154,8 @@ def _isolate(
 ) -> List[Tuple[Optional[Fraction], Fraction, Fraction]]:
     """Roots of square-free f in the half-open (a / den, b / den] as
     (exact_or_None, lo, hi) triples at most `width` wide, bisecting on numerators
-    over a common denominator and carrying the variation counts of both ends."""
+    over a common denominator and carrying the variation counts of both ends; the
+    half of a one-root interval without the root is popped with no evaluation."""
     chain = _sturm_chain(f)
     found: List[Tuple[Optional[Fraction], Fraction, Fraction]] = []
     stack = [(a, b, den, _variations(_values(chain, a, den)), _variations(_values(chain, b, den)))]
@@ -162,32 +164,19 @@ def _isolate(
         n = va - vb
         if n == 0:
             continue
-        if n == 1:
-            while (b - a) * width.denominator > width.numerator * den:
-                # the midpoint (a + b) / (2 den); the halves are (2a, a + b] and (a + b, 2b] over 2 den
-                mid, den = a + b, 2 * den
-                values = _values(chain, mid, den)
-                if values[0] == 0:
-                    x = Fraction(mid, den)
-                    found.append((x, x, x))
-                    break
-                vm = _variations(values)
-                if va - vm == 1:
-                    a, b, vb = 2 * a, mid, vm
-                else:
-                    a, b, va = mid, 2 * b, vm
-            else:
-                found.append((None, Fraction(a, den), Fraction(b, den)))
+        if n == 1 and (b - a) * width.denominator <= width.numerator * den:
+            found.append((None, Fraction(a, den), Fraction(b, den)))
             continue
+        # the midpoint (a + b) / (2 den); the halves are (2a, a + b] and (a + b, 2b] over 2 den
         mid, den = a + b, 2 * den
         values = _values(chain, mid, den)
         if values[0] == 0:
             x = Fraction(mid, den)
             found.append((x, x, x))
-            # deflate so the two halves only see the remaining roots
-            q = _primitive(_exact_quotient(f, [-x.numerator, x.denominator]))
-            found.extend(_isolate(q, 2 * a, mid, den, width))
-            found.extend(_isolate(q, mid, 2 * b, den, width))
+            if n > 1:  # deflate so the two halves only see the remaining roots
+                q = _primitive(_exact_quotient(f, [-x.numerator, x.denominator]))
+                found.extend(_isolate(q, 2 * a, mid, den, width))
+                found.extend(_isolate(q, mid, 2 * b, den, width))
             continue
         vm = _variations(values)
         stack.append((2 * a, mid, den, va, vm))
@@ -278,20 +267,15 @@ def real_roots_exact(p: Poly, lo: Fraction, hi: Fraction) -> List[Root]:
     return roots
 
 
-def _within(roots: Iterable[float], lo: float, hi: float) -> List[Root]:
+def _within(roots: Iterable[float], lo: float, hi: float) -> List[float]:
     """The roots r with lo - 1e-9 <= r <= hi + 1e-9, clamped to [lo, hi]: the rule by
     which real_roots_float keeps the roots it found."""
-    out = []
-    for r in roots:
-        if lo - 1e-9 <= r <= hi + 1e-9:
-            out.append(Root(min(max(r, lo), hi), 1))
-    return out
+    return [min(max(r, lo), hi) for r in roots if lo - 1e-9 <= r <= hi + 1e-9]
 
 
-def real_roots_float(p: Poly, lo: float, hi: float) -> List[Root]:
-    """The real roots in [lo, hi], sorted and clamped to the interval, each
-    with multiplicity 1 (a double root may come twice): -c0/c1 at degree 1,
-    numpy.roots above."""
+def real_roots_float(p: Poly, lo: float, hi: float) -> List[float]:
+    """The real roots in [lo, hi], sorted and clamped to the interval (a double
+    root may come twice): -c0/c1 at degree 1, numpy.roots above."""
     coeffs = [float(c) for c in p.coeffs]
     if not coeffs:
         raise ValueError("zero polynomial has every point as a root")

@@ -41,10 +41,10 @@ def _fail(message: str, code: int = 2) -> int:
 
 
 def _query(args) -> BoundQuery:
-    if args.domain == "line":
-        domain = FullLine
-    elif args.domain == "halfline":
-        domain = HalfLine
+    if args.domain != "segment":
+        if args.T is not None:
+            raise ValueError("--T only applies to --domain segment")
+        domain = FullLine if args.domain == "line" else HalfLine
     elif args.T is None:
         raise ValueError("--domain segment requires --T")
     else:
@@ -174,6 +174,8 @@ def cmd_kernel(args) -> int:
     from . import peano  # deferred: only this command needs it
 
     if args.n == 2:
+        if args.k != 1:
+            return _fail("error: the kernel of order n = 2 is that of f'; use --k 1")
         L = peano.derivative_functional(args.x, args.T)
     else:
         if args.T != 1.0:
@@ -187,16 +189,19 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_spline(args) -> int:
-    x0, x1 = args.x0, args.x1
-    if not (math.isfinite(x0) and math.isfinite(x1)):
-        return _fail("error: --x0 and --x1 must be finite")
     if args.what == "en":
         fn = lambda x: eulerspline.e_n(args.n, x)
     elif args.what == "euler-spline":
         fn = lambda x: eulerspline.euler_spline(args.n, x)
     else:  # qn
         fn = lambda x: eulerspline.q_n(args.n, x)
-        x0, x1 = 0.0, 4.0 / eulerspline.q_n_scale(args.n)  # two full periods
+    x0 = 0.0 if args.x0 is None else args.x0
+    if args.x1 is not None:
+        x1 = args.x1
+    else:  # two full periods of q_n, [0, 2] for the others
+        x1 = 4.0 / eulerspline.q_n_scale(args.n) if args.what == "qn" else 2.0
+    if not (math.isfinite(x0) and math.isfinite(x1)):
+        return _fail("error: --x0 and --x1 must be finite")
     return _sample_csv(["x", "value"], x0, x1, args.samples, fn)
 
 
@@ -314,8 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--what", choices=["en", "euler-spline", "qn"], required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--samples", type=_samples, default=201)
-    p.add_argument("--x0", type=float, default=0.0)
-    p.add_argument("--x1", type=float, default=2.0)
+    p.add_argument("--x0", type=float, help="left end (default 0)")
+    p.add_argument("--x1", type=float, help="right end (default 2; two periods for qn)")
     p.set_defaults(fn=cmd_spline)
 
     p = sub.add_parser("verify", help="check a spline JSON for membership/extremality")

@@ -8,14 +8,15 @@ Conventions:
   constants fixed by E_m(0) + E_m(1) = 2*[m == 0], equivalently the expansion
   of 2 e^{zx}/(e^z + 1).
 
-All sequence values are exact ``Fraction``s and are memoized; indices above
-``MAX_INDEX`` are rejected rather than silently ground through big-integer
-arithmetic.
+All sequence values are exact ``Fraction``s, memoized by ``functools.cache``
+on their recurrences; its cache is thread-safe, so threads can at worst
+compute one exact value twice.  Indices above ``MAX_INDEX`` are rejected
+rather than silently ground through big-integer arithmetic.
 """
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -141,12 +142,6 @@ class Poly:
         return f"Poly({list(self.coeffs)!r})"
 
 
-_lock = threading.Lock()
-_bernoulli: list[Fraction] = [Fraction(1)]
-_euler_num: list[Fraction] = [Fraction(1)]
-_euler_poly: list[Poly] = [Poly([Fraction(1)])]
-
-
 def bernoulli(m: int) -> Fraction:
     """Bernoulli number B_m, with B_1 = -1/2.
 
@@ -156,46 +151,34 @@ def bernoulli(m: int) -> Fraction:
     return _bernoulli_unchecked(m)
 
 
+@functools.cache
 def _bernoulli_unchecked(m: int) -> Fraction:
-    with _lock:
-        while len(_bernoulli) <= m:
-            k = len(_bernoulli)
-            s = sum(
-                Fraction(math.comb(k + 1, j)) * _bernoulli[j] for j in range(k)
-            )
-            _bernoulli.append(-s / (k + 1))
-        return _bernoulli[m]
+    if m == 0:
+        return Fraction(1)
+    return -sum(Fraction(math.comb(m + 1, j)) * _bernoulli_unchecked(j) for j in range(m)) / (m + 1)
 
 
+@functools.cache
 def euler_number(m: int) -> Fraction:
     """Euler number E_m (integer-valued); zero for odd m."""
     _check_index(m)
-    with _lock:
-        while len(_euler_num) <= m:
-            k = len(_euler_num)
-            if k % 2 == 1:
-                _euler_num.append(Fraction(0))
-                continue
-            # sum_{j even, j<=k} C(k, j) E_{k-j} = 0 from 1/cosh(z) * cosh(z) = 1
-            s = sum(
-                Fraction(math.comb(k, j)) * _euler_num[k - j]
-                for j in range(2, k + 1, 2)
-            )
-            _euler_num.append(-s)
-        return _euler_num[m]
+    if m % 2 == 1:
+        return Fraction(0)
+    if m == 0:
+        return Fraction(1)
+    # sum_{j even, j<=m} C(m, j) E_{m-j} = 0 from 1/cosh(z) * cosh(z) = 1
+    return -sum(Fraction(math.comb(m, j)) * euler_number(m - j) for j in range(2, m + 1, 2))
 
 
+@functools.cache
 def euler_poly(m: int) -> Poly:
     """Euler polynomial E_m(x), exact coefficients."""
     _check_index(m)
-    with _lock:
-        while len(_euler_poly) <= m:
-            k = len(_euler_poly)
-            q = (_euler_poly[k - 1] * k).antiderivative()
-            # constant fixed by E_k(0) + E_k(1) = 0 for k >= 1
-            const = -(q(Fraction(0)) + q(Fraction(1))) / 2
-            _euler_poly.append(q + Poly([const]))
-        return _euler_poly[m]
+    if m == 0:
+        return Poly([Fraction(1)])
+    q = (euler_poly(m - 1) * m).antiderivative()
+    # constant fixed by E_m(0) + E_m(1) = 0 for m >= 1
+    return q + Poly([-(q(Fraction(0)) + q(Fraction(1))) / 2])
 
 
 def euler_poly_at_zero(m: int) -> Fraction:

@@ -169,7 +169,6 @@ class CnkBracket:
     exact: Optional[float]
     matorin: float
     malliavin: float
-    lower_kappa_free: bool = True
 
     @property
     def upper_source(self) -> str:
@@ -188,7 +187,7 @@ class CnkBracket:
             "matorin": self.matorin * scale,
             "malliavin": self.malliavin * scale,
             "lower_shape": self.lower * scale,
-            "lower_kappa_free": self.lower_kappa_free,
+            "lower_kappa_free": True,
         }
 
 

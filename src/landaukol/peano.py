@@ -94,19 +94,14 @@ def annihilates_polys(L: LinearFunctional) -> bool:
     )
 
 
-def peano_kernel_at(L: LinearFunctional, t: Real) -> Tuple[float, bool]:
-    """(K(t), at_jump): the kernel value, one-sided (left limit) at jumps."""
+def peano_kernel(L: LinearFunctional, t: Real) -> float:
+    """The kernel value K(t), one-sided (left limit) at jumps."""
     total = 0.0
     for alpha, m, lam in L.terms:
         p = L.n - 1 - m
         if float(t) <= float(alpha):
             total += float(lam) * float(alpha - t) ** p / math.factorial(p)
-    at_jump = any(float(t) == float(a) for a, m, _ in L.terms if m == L.n - 1)  # order n-1 jumps
-    return total, at_jump
-
-
-def peano_kernel(L: LinearFunctional, t: Real) -> float:
-    return peano_kernel_at(L, t)[0]
+    return total
 
 
 def kernel_pieces(L: LinearFunctional) -> List[Tuple[Fraction, Fraction, Poly]]:
@@ -146,17 +141,6 @@ def deriv_kernel_l1_exact(x: Real, T: Real) -> Fraction:
     return (x**2 + (T - x) ** 2) / (2 * T)
 
 
-def landau_bound_n2(f_bounds: Tuple[Real, Real], T: Real, x: Real) -> float:
-    """Pointwise derivative bound 2a/T + b (x^2 + (T-x)^2) / (2T)."""
-    a, b = float(f_bounds[0]), float(f_bounds[1])
-    T, x = float(T), float(x)
-    if not (a > 0 and b > 0 and T > 0):
-        raise ValueError("a, b, T must be positive")
-    if not 0 <= x <= T:
-        raise ValueError("need 0 <= x <= T")
-    return 2 * a / T + b * (x**2 + (T - x) ** 2) / (2 * T)
-
-
 # -- the Vandermonde certificate -------------------------------------------
 
 
@@ -178,19 +162,9 @@ class KernelCertificate:
         a, b, T = float(a), float(b), float(T)
         return self.A * a * T**-self.k + self.B * b * T ** (self.n - self.k)
 
-    def _weights(self) -> Tuple[float, float]:
-        """(A / (n - k), B / k), which balance at the optimal T."""
-        return self.A / (self.n - self.k), self.B / self.k
-
-    def optimized_bound(self, a: Real, b: Real) -> float:
-        """min over T of segment_bound; scale-invariant in (a, b, T)."""
-        a, b = float(a), float(b)
-        a_star, b_star = self._weights()
-        c_star = self.n * a_star ** (1 - self.k / self.n) * b_star ** (self.k / self.n)
-        return c_star * a ** (1 - self.k / self.n) * b ** (self.k / self.n)
-
     def optimal_T(self, a: Real, b: Real) -> float:
-        a_star, b_star = self._weights()
+        """The T minimizing segment_bound, where the weights A / (n - k) and B / k balance."""
+        a_star, b_star = self.A / (self.n - self.k), self.B / self.k
         return (a_star * float(a) / (b_star * float(b))) ** (1.0 / self.n)
 
 
@@ -311,7 +285,7 @@ def _piece_bound(tab: _GridTables, lo: int, hi: int, nums: Sequence[int]) -> flo
 
 
 def _critical_points(crit: Dict[Tuple[int, ...], List[float]], fp: Poly, nums: Sequence[int],
-                     lo_f: float, hi_f: float) -> List[_roots.Root]:
+                     lo_f: float, hi_f: float) -> List[float]:
     """real_roots_float(fp', lo_f, hi_f) for 0 <= lo_f <= hi_f <= 1, where fp has the
     numerators nums, from one search of fp' on [0, 1] per distinct nums kept in crit:
     R and span in real_roots_float are 1 on both intervals, so the same roots are
@@ -320,7 +294,7 @@ def _critical_points(crit: Dict[Tuple[int, ...], List[float]], fp: Poly, nums: S
     a root clamped to that end, which repeats the end's own candidate."""
     key = tuple(nums)
     if key not in crit:
-        crit[key] = [r.approx for r in _roots.real_roots_float(fp.derivative(), 0.0, 1.0)] if fp.degree > 0 else []
+        crit[key] = _roots.real_roots_float(fp.derivative(), 0.0, 1.0) if fp.degree > 0 else []
     return _roots._within(crit[key], lo_f, hi_f)
 
 
@@ -338,7 +312,7 @@ def _kernel_sup(pieces: Sequence[Tuple[int, int, List[int]]], tab: _GridTables, 
         fp = Poly(c / tab.D for c in nums)
         lo_f, hi_f = lo / unit, hi / unit
         cand = [abs(fp(lo_f)), abs(fp(hi_f))]
-        cand.extend(abs(fp(r.approx)) for r in _critical_points(crit, fp, nums, lo_f, hi_f))
+        cand.extend(abs(fp(r)) for r in _critical_points(crit, fp, nums, lo_f, hi_f))
         best = max(best, *cand)
     return best
 

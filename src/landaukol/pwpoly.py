@@ -210,11 +210,12 @@ def to_class(unit: Callable[[], PiecewisePoly], n: int, a: float, b: float) -> O
     return f if (a, b) == (1, 1) else transform(f, mu=a, lam=math.sqrt(b / a) if n == 2 else (b / a) ** (1 / n))
 
 
-def _piece_roots(p: Poly, lo: Real, hi: Real, exact: bool) -> List[_roots.Root]:
+def _piece_roots(p: Poly, lo: Real, hi: Real, exact: bool) -> List[float]:
+    """Where the roots of p lie in [lo, hi], on either lane; none when p is zero."""
     if p.is_zero():
         return []
     if exact:
-        return _roots.real_roots_exact(p, Fraction(lo), Fraction(hi))
+        return [r.approx for r in _roots.real_roots_exact(p, Fraction(lo), Fraction(hi))]
     return _roots.real_roots_float(p, float(lo), float(hi))
 
 
@@ -222,8 +223,7 @@ def _float_peaks(p: Poly, lo: float, hi: float) -> List[float]:
     """Where |p| (float coefficients) can peak on [lo, hi]: the ends and the
     real roots of p' inside, polished by Newton."""
     dp = p.derivative()
-    return [lo, hi] + [_roots.polish_float_root(dp, r.approx, lo, hi)
-                       for r in _piece_roots(dp, lo, hi, False)]
+    return [lo, hi] + [_roots.polish_float_root(dp, r, lo, hi) for r in _piece_roots(dp, lo, hi, False)]
 
 
 def _within_allowance(x: float, limit: float, lo: Real, hi: Real, *polys: Poly, order: int = 0) -> bool:
@@ -263,7 +263,7 @@ def piece_sup(p: Poly, lo: Real, hi: Real, exact: bool) -> Real:
         pf = p.to_float()
         return max(abs(pf(x)) for x in _float_peaks(pf, float(lo), float(hi)))
     candidates = [abs(p(lo)), abs(p(hi))]
-    for r in _piece_roots(p.derivative(), lo, hi, True):
+    for r in _roots.real_roots_exact(p.derivative(), Fraction(lo), Fraction(hi)):
         candidates.extend(abs(p(x)) for x in r.bracket)  # (x, x) at a rational root
     return max(candidates)
 
@@ -272,7 +272,7 @@ def abs_integral(p: Poly, lo: Real, hi: Real, exact: bool) -> float:
     """Integral of |p| over [lo, hi]: split at the roots of p inside the
     interval and integrate the polynomial in between."""
     flo, fhi = float(lo), float(hi)
-    cuts = [flo] + [r.approx for r in _piece_roots(p, lo, hi, exact) if flo < r.approx < fhi] + [fhi]
+    cuts = [flo] + [r for r in _piece_roots(p, lo, hi, exact) if flo < r < fhi] + [fhi]
     anti = p.antiderivative().to_float()
     return sum((abs(anti(v) - anti(u)) for u, v in zip(cuts, cuts[1:])), 0.0)
 
@@ -434,7 +434,7 @@ def contact_set(f: PiecewisePoly, n: int, a: Real) -> Tuple[List[ContactPoint], 
                 q = p - Poly([sign * Fraction(a)])
                 if q.is_zero():
                     intervals.append(ContactInterval(float(lo), float(hi), sign))
-                for r in _piece_roots(q, lo, hi, True):  # none when q is zero
+                for r in _roots.real_roots_exact(q, Fraction(lo), Fraction(hi)):  # none when q is zero
                     points.append(ContactPoint(r.approx, sign, min(r.multiplicity, n)))
             elif all(_within_allowance(abs(pf(x) - sign * fa), REL_TOL * fa, lo, hi, pf) for x in peaks):
                 # p = sign * a at every place where it can peak, so on the whole piece

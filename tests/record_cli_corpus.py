@@ -259,6 +259,12 @@ def _errors() -> list:
         ["extremal", "--n", "2", "--T", "1", "--out", "{tmp}/missing/w.json"],
         ["spline", "--what", "en", "--n", "3", "--x1", "inf"],
         ["spline", "--what", "en", "--n", "3", "--x0", "nan"],
+        ["kernel", "--n", "2", "--k", "7", "--x", "0.5", "--samples", "3"],
+        ["kernel", "--n", "2", "--k", "0", "--x", "0.5", "--samples", "3"],
+        ["bound", "--domain", "line", "--n", "3", "--k", "1", "--T", "1"],
+        ["bound", "--domain", "halfline", "--T", "1"],
+        ["extremal", "--domain", "line", "--T", "1"],
+        ["spline", "--what", "qn", "--n", "3", "--x1", "inf"],
     ]
     unreadable = {"zero.json": '{"knots": ["0", "1/0"], "pieces": [["1/2"]], "n": 2}',
                   "farknot.json": '{"knots": ["0", "1e400"], "pieces": [["1/2"]], "n": 2}',

@@ -636,6 +636,10 @@ def test_table_with_a_failing_row_prints_no_partial_csv(capsys, what, max_n):
     (("oracle", "--problem", "sigma1", "--t0", "0"), "error: oracle sigma1 needs --T"),
     (("kernel", "--n", "4", "--x", "1.5"), "error: need 0 <= x <= 1"),
     (("kernel", "--n", "4", "--k", "0", "--x", "0.5"), "error: need 0 < k < n"),
+    (("kernel", "--n", "2", "--k", "7", "--x", "0.5", "--samples", "3"),
+     "error: the kernel of order n = 2 is that of f'; use --k 1"),
+    (("bound", "--domain", "line", "--n", "3", "--k", "1", "--T", "1"), "error: --T only applies to --domain segment"),
+    (("extremal", "--domain", "halfline", "--T", "1"), "error: --T only applies to --domain segment"),
 ], ids=" ".join)
 def test_missing_or_bad_arguments_exit_2_with_one_line(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
@@ -656,6 +660,11 @@ def test_golden_spline_en_and_qn_csv(capsys):
     assert code == 0 and out == GOLDEN_SPLINE_EN_CSV
     code, out, _ = run_cli(capsys, "spline", "--what", "qn", "--n", "3", "--samples", "5")
     assert code == 0 and out == GOLDEN_SPLINE_QN_CSV
+
+
+def test_spline_qn_samples_the_given_window(capsys):
+    code, out, _ = run_cli(capsys, "spline", "--what", "qn", "--n", "3", "--x0", "5", "--x1", "6", "--samples", "2")
+    assert code == 0 and [line.split(",")[0] for line in out.splitlines()] == ["x", "5.0", "6.0"]
 
 
 def test_table_variants(capsys):

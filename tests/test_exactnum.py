@@ -1,7 +1,10 @@
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
+from landaukol import exactnum
 from landaukol.exactnum import (
     IndexTooLargeError,
     Poly,
@@ -76,6 +79,30 @@ def test_index_cap():
             fn(65)
         with pytest.raises(ValueError):
             fn(-1)
+
+
+def test_sequences_are_thread_safe():
+    want = (bernoulli(64), euler_number(64), euler_poly(64))
+    for cached in (exactnum._bernoulli_unchecked, euler_number, euler_poly):
+        cached.cache_clear()
+    got, start = [], threading.Barrier(8, timeout=60)
+
+    def compute():
+        start.wait()  # all eight start on empty caches together
+        got.append((bernoulli(64), euler_number(64), euler_poly(64)))
+
+    threads = [threading.Thread(target=compute) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often inside the recurrences
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [want] * 8
 
 
 def test_poly_arithmetic():

@@ -140,7 +140,7 @@ def test_cnk_bracket_exact_values():
     br = cnk_bracket(3, 1)
     assert br.matorin == pytest.approx(br.exact, rel=1e-12)
     assert br.malliavin > 0
-    assert br.lower_kappa_free
+    assert br.as_dict(1, 1)["lower_kappa_free"] is True
 
 
 def test_cnk_upper_dominates_whole_line():

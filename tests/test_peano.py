@@ -20,9 +20,7 @@ from landaukol.peano import (
     kernel_l1_norm,
     kernel_pieces,
     lagrange_derivatives,
-    landau_bound_n2,
     peano_kernel,
-    peano_kernel_at,
     vandermonde_certificate,
 )
 from landaukol.pwpoly import PiecewisePoly
@@ -50,9 +48,7 @@ def test_peano_kernel_two_branches():
         ((F(1, 2), 0, F(1)), (F(1, 4), 0, F(-2)), (F(0), 0, F(1))), F(1), 2
     )
     assert peano_kernel(L2, F(3, 4)) == 0.0
-    value, at_jump = peano_kernel_at(L, F(1, 2))
-    assert at_jump and value == pytest.approx(0.5, abs=1e-15)
-    assert not peano_kernel_at(L, F(1, 4))[1]
+    assert peano_kernel(L, F(1, 2)) == pytest.approx(0.5, abs=1e-15)  # the left limit at the jump
 
 
 def test_kernel_l1_norm_closed_form():
@@ -94,14 +90,6 @@ def test_kernel_l1_matches_riemann_sum():
         h = 1.0 / npts
         riemann = sum(abs(peano_kernel(L, (i + 0.5) * h)) for i in range(npts)) * h
         assert kernel_l1_norm(L) == pytest.approx(riemann, abs=1e-6)
-
-
-def test_landau_bound_n2():
-    assert landau_bound_n2((1, 1), 2, 0) == pytest.approx(2.0, abs=1e-15)
-    assert landau_bound_n2((1, 1), 2, 1) == pytest.approx(1.5, abs=1e-15)
-    assert landau_bound_n2((4, 1), 2, 0) == pytest.approx(5.0, abs=1e-15)
-    with pytest.raises(ValueError):
-        landau_bound_n2((1, 1), 2, 3)
 
 
 def _random_member_spline(rng, n, T):
@@ -195,16 +183,13 @@ def test_vandermonde_certificate_n2():
     assert cert.A == pytest.approx(4.0, abs=1e-12)
     assert cert.B == pytest.approx(1.0, abs=1e-12)
     assert cert.segment_bound(1, 1, 2) >= 2.0  # sharp sup at T = 2 is 2
-    # at the optimizing T the segment bound reproduces the scale-free form
-    t_opt = cert.optimal_T(1, 1)
-    assert cert.segment_bound(1, 1, t_opt) == pytest.approx(cert.optimized_bound(1, 1), rel=1e-12)
 
 
 def test_vandermonde_certificate_n3():
     cert = vandermonde_certificate(3, 1)
     sharp = (9 / 8) ** (1 / 3)
     assert cert.segment_bound(1, 1, 50.0) > sharp
-    assert cert.optimized_bound(1, 1) >= sharp
+    assert cert.segment_bound(1, 1, cert.optimal_T(1, 1)) >= sharp
 
 
 def test_certificate_scaling_invariance():
@@ -213,8 +198,8 @@ def test_certificate_scaling_invariance():
     for _ in range(20):
         a, b = rng.uniform(0.1, 5), rng.uniform(0.1, 5)
         mu, lam = rng.uniform(0.1, 3), rng.uniform(0.1, 3)
-        lhs = cert.optimized_bound(mu * a, mu * lam**cert.n * b)
-        rhs = mu * lam**cert.k * cert.optimized_bound(a, b)
+        lhs = cert.segment_bound(mu * a, mu * lam**cert.n * b, cert.optimal_T(mu * a, mu * lam**cert.n * b))
+        rhs = mu * lam**cert.k * cert.segment_bound(a, b, cert.optimal_T(a, b))
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
 

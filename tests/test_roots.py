@@ -142,13 +142,13 @@ def test_exact_lane_finds_every_rational_root(roots):
     assert all(_located(root, r) for root, r in zip(found, want))
 
 
-def test_float_roots_have_multiplicity_one():
-    # (t - 1/2)^2 (t - 1/4): a double root comes back once or twice, never
-    # as a cluster with a summed multiplicity
+def test_float_roots_are_plain_floats():
+    # (t - 1/2)^2 (t - 1/4): a double root comes back once or twice, as floats
+    # with no multiplicity
     p = _product([F(1, 2), F(1, 2), F(1, 4)]).to_float()
     roots = real_roots_float(p, 0.0, 1.0)
-    assert all(r.multiplicity == 1 for r in roots)
-    assert {round(r.approx, 6) for r in roots} == {0.25, 0.5}
+    assert all(type(r) is float for r in roots)
+    assert {round(r, 6) for r in roots} == {0.25, 0.5}
 
 
 def test_float_roots_of_a_wide_interval_survive_an_overflowing_companion():
@@ -156,7 +156,7 @@ def test_float_roots_of_a_wide_interval_survive_an_overflowing_companion():
     # roots are found in t / 2^e; the one inside [1e300, 1.5e300] is still there
     p = Poly([-1.25e10, -1.25, 1e-300])
     roots = real_roots_float(p, 1e300, 1.5e300)
-    assert len(roots) == 1 and math.isclose(roots[0].approx, 1.25e300, rel_tol=1e-12)
+    assert len(roots) == 1 and math.isclose(roots[0], 1.25e300, rel_tol=1e-12)
     # with no real root, and with the roots outside the interval, none comes back
     assert real_roots_float(Poly([1e10, 2e-300, 3e-300]), 1e300, 1.5e300) == []
     assert real_roots_float(p, 1.3e300, 1.5e300) == []
