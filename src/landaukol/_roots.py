@@ -23,18 +23,16 @@ without trailing zeros (the zero polynomial is ``[]``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Tuple
 
 from .exactnum import Poly
 
 WIDTH = Fraction(1, 10**12)
 
 
-@dataclass(frozen=True)
-class Root:
+class Root(NamedTuple):
     """A located real root; `exact` is set when the root is rational."""
 
     approx: float

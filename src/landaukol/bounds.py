@@ -8,11 +8,11 @@ value is attained, a builder of the extremal witness spline, which
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from threading import Lock
 from typing import TYPE_CHECKING, Callable, Optional, Union
 
 from . import landaun
+from .exactnum import frozen_setattr
 
 if TYPE_CHECKING:
     from .pwpoly import PiecewisePoly
@@ -21,16 +21,30 @@ EXACT = "Exact"
 UPPER_BOUND = "UpperBound"
 INTERVAL = "Interval"
 
+_set = object.__setattr__  # the records below are frozen: their __setattr__ refuses
+_WITNESS_LOCK = Lock()
 
-@dataclass(frozen=True)
+
 class Segment:
-    T: float
+    __slots__ = ("T",)
 
-    def __post_init__(self):
-        if not self.T > 0:
-            raise ValueError(f"segment length must be positive, got {self.T}")
-        if self.T == math.inf:
+    def __init__(self, T: float):
+        if not T > 0:
+            raise ValueError(f"segment length must be positive, got {T}")
+        if T == math.inf:
             raise ValueError("segment length must be finite")
+        _set(self, "T", T)
+
+    def __repr__(self) -> str:
+        return f"Segment(T={self.T!r})"
+
+    def __eq__(self, other):
+        return self.T == other.T if other.__class__ is Segment else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.T)
+
+    __setattr__ = __delattr__ = frozen_setattr
 
 
 class _Unbounded:
@@ -49,73 +63,114 @@ FullLine = _Unbounded("FullLine")
 Domain = Union[Segment, _Unbounded]
 
 
-@dataclass(frozen=True)
 class BoundQuery:
     """sup |f^(k)|, or |f'(t0)| given t0, or the total variation of f if functional = "var"."""
 
-    n: int
-    k: int
-    a: float
-    b: float
-    domain: Domain
-    functional: str = "sup"
-    t0: Optional[float] = None
+    __slots__ = ("n", "k", "a", "b", "domain", "functional", "t0")
 
-    def __post_init__(self):
-        if self.n < 2:
+    def __init__(self, n: int, k: int, a: float, b: float, domain: Domain,
+                 functional: str = "sup", t0: Optional[float] = None):
+        if n < 2:
             raise ValueError("order n must be >= 2")
-        if not 0 <= self.k <= self.n:
-            raise ValueError(f"need 0 <= k <= n, got k={self.k}")
-        if not (self.a > 0 and self.b > 0):
+        if not 0 <= k <= n:
+            raise ValueError(f"need 0 <= k <= n, got k={k}")
+        if not (a > 0 and b > 0):
             raise ValueError("bounds a and b must be positive")
-        if math.inf in (self.a, self.b):
+        if math.inf in (a, b):
             raise ValueError("bounds a and b must be finite")
-        segment = isinstance(self.domain, Segment)
-        if self.functional not in ("sup", "var"):
-            raise ValueError(f"functional must be 'sup' or 'var', got {self.functional!r}")
-        if self.functional == "var" and not (self.n == 2 and segment):
+        segment = isinstance(domain, Segment)
+        if functional not in ("sup", "var"):
+            raise ValueError(f"functional must be 'sup' or 'var', got {functional!r}")
+        if functional == "var" and not (n == 2 and segment):
             raise ValueError("--functional var needs --n 2 and --domain segment")
-        if self.functional == "var" and self.k != 1:
+        if functional == "var" and k != 1:
             raise ValueError("--functional var needs --k 1")
-        if self.t0 is not None:
+        if t0 is not None:
             if not segment:
                 raise ValueError("--t0 only applies to --domain segment")
-            if self.n != 2:
+            if n != 2:
                 raise ValueError("pointwise bounds are only available for --n 2")
-            if (self.k, self.functional) != (1, "sup"):
+            if (k, functional) != (1, "sup"):
                 raise ValueError("--t0 needs --k 1 and --functional sup")
-            if not math.isfinite(self.t0):
-                raise ValueError(f"t0 must be finite, got {self.t0}")
-            if not 0 <= self.t0 <= self.domain.T:
-                raise ValueError(f"t0={self.t0} outside [0, {self.domain.T}]")
+            if not math.isfinite(t0):
+                raise ValueError(f"t0 must be finite, got {t0}")
+            if not 0 <= t0 <= domain.T:
+                raise ValueError(f"t0={t0} outside [0, {domain.T}]")
+        _set(self, "n", n)
+        _set(self, "k", k)
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "domain", domain)
+        _set(self, "functional", functional)
+        _set(self, "t0", t0)
+
+    def _values(self) -> tuple:
+        return self.n, self.k, self.a, self.b, self.domain, self.functional, self.t0
+
+    def __repr__(self) -> str:
+        return ("BoundQuery(n={!r}, k={!r}, a={!r}, b={!r}, domain={!r}, functional={!r}, t0={!r})"
+                .format(*self._values()))
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is BoundQuery else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    __setattr__ = __delattr__ = frozen_setattr
 
 
-@dataclass(frozen=True)
 class BoundResult:
-    """An Interval has value = upper; the half-line bracket route keeps its bracket."""
+    """An Interval has value = upper; the half-line bracket route keeps its
+    bracket.  `_build` makes the witness and is left out of repr and ==."""
 
-    value: float
-    status: str  # EXACT | UPPER_BOUND | INTERVAL
-    provenance: str
-    lower: Optional[float] = None
-    upper: Optional[float] = None
-    witness_point: Optional[float] = None  # where the witness attains the value
-    bracket: Optional[landaun.CnkBracket] = None
-    _build: Optional[Callable[[], Optional[PiecewisePoly]]] = field(default=None, repr=False, compare=False)
+    __slots__ = ("value", "status", "provenance", "lower", "upper", "witness_point", "bracket", "_build", "_witness")
+
+    def __init__(self, value: float, status: str, provenance: str, lower: Optional[float] = None,
+                 upper: Optional[float] = None, witness_point: Optional[float] = None,
+                 bracket: Optional[landaun.CnkBracket] = None,
+                 _build: Optional[Callable[[], Optional[PiecewisePoly]]] = None):
+        _set(self, "value", value)
+        _set(self, "status", status)  # EXACT | UPPER_BOUND | INTERVAL
+        _set(self, "provenance", provenance)
+        _set(self, "lower", lower)
+        _set(self, "upper", upper)
+        _set(self, "witness_point", witness_point)  # where the witness attains the value
+        _set(self, "bracket", bracket)
+        _set(self, "_build", _build)
+
+    def _values(self) -> tuple:
+        return self.value, self.status, self.provenance, self.lower, self.upper, self.witness_point, self.bracket
+
+    def __repr__(self) -> str:
+        return ("BoundResult(value={!r}, status={!r}, provenance={!r}, lower={!r}, upper={!r}, "
+                "witness_point={!r}, bracket={!r})".format(*self._values()))
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is BoundResult else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    __setattr__ = __delattr__ = frozen_setattr
 
     @property
     def exact(self) -> Optional[float]:
         return self.value if self.status == EXACT else None
 
-    @cached_property
+    @property
     def witness(self) -> Optional[PiecewisePoly]:
         """The extremal spline, built on first access; None if there is none or its knots collapse."""
         from .pwpoly import StructuralError  # deferred: a caller of the value alone loads no spline code
 
-        try:
-            return None if self._build is None else self._build()
-        except StructuralError:
-            return None
+        with _WITNESS_LOCK:  # one build per result, also when threads share it
+            if not hasattr(self, "_witness"):
+                try:
+                    witness = None if self._build is None else self._build()
+                except StructuralError:
+                    witness = None
+                _set(self, "_witness", witness)
+        return self._witness
 
 
 def compute_bound(query: BoundQuery) -> BoundResult:

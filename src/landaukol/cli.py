@@ -9,7 +9,6 @@ negative, 2 usage or parse error or a closed stdout.  LANDAU_SEED overrides
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -95,27 +94,38 @@ def cmd_extremal(args) -> int:
     return 0
 
 
+# the options that only one oracle problem reads, by that problem
+ORACLE_OPTIONS = {"pointwise": ("t0", "M"), "sigma1": ("restarts", "max_switches", "seed")}
+
+
 def cmd_oracle(args) -> int:
+    pointwise = args.problem == "pointwise"
+    if pointwise and (args.t0 is None or args.T is None):
+        return _fail("error: oracle pointwise needs --T and --t0")
+    if args.T is None:
+        return _fail("error: oracle sigma1 needs --T")
+    other = "sigma1" if pointwise else "pointwise"
+    for name in ORACLE_OPTIONS[other]:
+        if getattr(args, name) is not None:
+            return _fail(f"error: --{name.replace('_', '-')} only applies to --problem {other}")
+    # validates before the LP or the search; a sigma1 query has no t0
+    query = BoundQuery(2, 1, args.a, args.b, Segment(args.T), "sup" if pointwise else "var", args.t0)
+
     from . import oracle  # deferred: only the oracles need numpy and scipy's BLAS
 
-    seed = int(os.environ.get("LANDAU_SEED", args.seed))
     config = {"problem": args.problem, "a": args.a, "b": args.b, "T": args.T}
-    if args.problem == "pointwise":
-        if args.t0 is None or args.T is None:
-            return _fail("error: oracle pointwise needs --T and --t0")
-        query = BoundQuery(2, 1, args.a, args.b, Segment(args.T), t0=args.t0)  # validates before the LP
-        value = oracle.lp_max_pointwise_derivative(args.a, args.b, args.T, args.t0, args.M)
-        config.update(t0=args.t0, M=args.M)
+    if pointwise:
+        M = 400 if args.M is None else args.M
+        value = oracle.lp_max_pointwise_derivative(args.a, args.b, args.T, args.t0, M)
+        config.update(t0=args.t0, M=M)
         extra, method = {}, "lp-discretized-class"
     else:
-        if args.T is None:
-            return _fail("error: oracle sigma1 needs --T")
-        query = BoundQuery(2, 1, args.a, args.b, Segment(args.T), "var")  # validates before the search
+        restarts = 50 if args.restarts is None else args.restarts
+        seed = int(os.environ.get("LANDAU_SEED", 0 if args.seed is None else args.seed))
         value, control = oracle.bangbang_sigma1_search(
-            args.a, args.b, args.T, max_switches=args.max_switches,
-            restarts=args.restarts, seed=seed,
+            args.a, args.b, args.T, max_switches=args.max_switches, restarts=restarts, seed=seed,
         )
-        config.update(restarts=args.restarts, seed=seed)
+        config.update(restarts=restarts, seed=seed)
         extra = {"control": {"f0": control.f0, "fp0": control.fp0,
                              "switches": list(control.switches), "sign": control.sign,
                              "scale": control.scale}}
@@ -155,6 +165,8 @@ def cmd_table(args) -> int:
 
 
 def _write_csv(header: List[str], rows) -> int:
+    import csv  # deferred: the JSON commands do not write CSV
+
     rows = list(rows)  # before the header: a failing row prints nothing
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(header)
@@ -296,10 +308,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=float, default=1.0)
     p.add_argument("--T", type=float)
     p.add_argument("--t0", type=float)
-    p.add_argument("--M", type=int, default=400, help="grid intervals for the LP")
-    p.add_argument("--restarts", type=int, default=50)
-    p.add_argument("--max-switches", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--M", type=int, help="grid intervals for the LP (default 400)")
+    p.add_argument("--restarts", type=int, help="sigma1 search restarts (default 50)")
+    p.add_argument("--max-switches", type=int)
+    p.add_argument("--seed", type=int, help="sigma1 search seed (default 0); LANDAU_SEED overrides it")
     p.set_defaults(fn=cmd_oracle)
 
     p = sub.add_parser("table", help="emit constant tables (CSV)")

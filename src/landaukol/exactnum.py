@@ -25,6 +25,12 @@ Real = Union[Fraction, float, int]
 MAX_INDEX = 64
 
 
+def frozen_setattr(self, name: str, value=None):
+    """__setattr__ and __delattr__ of a frozen record, whose __init__ sets
+    its fields with object.__setattr__."""
+    raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+
 def is_exact_number(x: Real) -> bool:
     """True for a Fraction or an int (bool included), which arithmetic keeps exact."""
     return isinstance(x, (Fraction, int))

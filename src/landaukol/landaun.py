@@ -10,10 +10,9 @@ bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Optional
+from functools import cache
+from typing import NamedTuple, Optional
 
 from .eulerspline import q_n_deriv_sup
 from .exactnum import Poly
@@ -36,8 +35,7 @@ def kolmogorov_bound(n: int, k: int, a: float, b: float) -> float:
 # -- the order-3 segment formulas -------------------------------------------
 
 
-@dataclass(frozen=True)
-class SatoResult:
+class SatoResult(NamedTuple):
     """Segment suprema for |f'| and |f''| in the order-3 class."""
 
     alpha: float  # root in [1/3, 1/2) of 12 - 24 alpha = (T^3 b / a) alpha^2 (1-alpha)^2
@@ -106,7 +104,7 @@ def sato_segment(k: int, a: float, b: float, T: float) -> SatoResult:
 # -- Chebyshev-derivative constants ------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@cache
 def chebyshev_poly(m: int) -> Poly:
     """T_m(x) with exact integer coefficients, by the three-term recurrence."""
     if m < 0:
@@ -157,8 +155,7 @@ def B_nk_lower(n: int, k: int) -> Fraction:
 # -- half-line brackets -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CnkBracket:
+class CnkBracket(NamedTuple):
     """Bracket for the half-line constant C_{n,k}: exact where known,
     otherwise min(Matorin, Malliavin) above and a kappa-free shape below."""
 
@@ -212,6 +209,7 @@ def _adaptive_simpson(f, lo: float, hi: float, tol: float) -> float:
     return recurse(lo, hi, fa, fm, fb, simpson(lo, hi, fa, fm, fb), tol, 50)
 
 
+@cache
 def mu_malliavin(lam: float) -> float:
     """mu(lam) = -integral over [0, lam] of ln tan(pi t / 2): the logarithmic
     singularity at 0 is integrated analytically, the smooth remainder by

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -124,8 +123,7 @@ def simplex_maximize(
     return x[:n], float(T[m, -1]), pivots
 
 
-@dataclass(frozen=True)
-class LpProblem:
+class LpProblem(NamedTuple):
     """Discretized derivative maximization: M+1 samples v_i on a step-h grid,
     box |v_i| <= a, second differences within b h^2, linear objective c.  In
     the shifted variables u = v + a the box is the variable bound
@@ -134,9 +132,12 @@ class LpProblem:
 
     h: float
     a: float
-    c: np.ndarray = field(repr=False)
-    A: np.ndarray = field(repr=False)
-    rhs: np.ndarray = field(repr=False)
+    c: np.ndarray
+    A: np.ndarray
+    rhs: np.ndarray
+
+    def __repr__(self) -> str:  # without the arrays
+        return f"LpProblem(h={self.h!r}, a={self.a!r})"
 
     def solve(self) -> Tuple[float, np.ndarray, int]:
         u, value, pivots = simplex_maximize(self.c, self.A, self.rhs, x_max=2 * self.a, s_max=2 * self.rhs)
@@ -261,8 +262,7 @@ def minimize(
 # -- bang-bang switching-point search ----------------------------------------
 
 
-@dataclass(frozen=True)
-class BangBangControl:
+class BangBangControl(NamedTuple):
     """|f''| = b trajectory: initial state, switch times, leading sign of f''.
     `scale` < 1 records the uniform shrink applied when the raw trajectory
     grazes past |f| = a; the certified member is the scaled trajectory."""

@@ -26,12 +26,11 @@ on [0, 1], and each piece keeps those in its interval.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import _roots
-from .exactnum import Poly, Real
+from .exactnum import Poly, Real, frozen_setattr
 from .pwpoly import PiecewisePoly, abs_integral
 
 
@@ -42,27 +41,39 @@ def _exact(v: Real) -> Fraction:
     return Fraction(v)
 
 
-@dataclass(frozen=True)
 class LinearFunctional:
     """Finite sum of derivative evaluations on [0, T], kernel order n.
     alpha, lambda and T are stored as Fractions."""
 
-    terms: Tuple[Tuple[Fraction, int, Fraction], ...]  # (alpha, m, lambda)
-    T: Fraction
-    n: int
+    __slots__ = ("terms", "T", "n")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, terms: Sequence[Tuple[Real, int, Real]], T: Real, n: int):
+        if n < 1:
             raise ValueError("kernel order n must be >= 1")
-        T = _exact(self.T)
-        terms = tuple((_exact(alpha), m, _exact(lam)) for alpha, m, lam in self.terms)
+        T = _exact(T)
+        terms = tuple((_exact(alpha), m, _exact(lam)) for alpha, m, lam in terms)  # (alpha, m, lambda)
         for alpha, m, _lam in terms:
             if not 0 <= alpha <= T:
                 raise ValueError(f"alpha {alpha} outside [0, {T}]")
-            if not 0 <= m <= self.n - 1:
-                raise ValueError(f"derivative order {m} outside 0..{self.n - 1}")
-        object.__setattr__(self, "T", T)
+            if not 0 <= m <= n - 1:
+                raise ValueError(f"derivative order {m} outside 0..{n - 1}")
         object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "T", T)
+        object.__setattr__(self, "n", n)
+
+    def _values(self) -> tuple:
+        return self.terms, self.T, self.n
+
+    def __repr__(self) -> str:
+        return "LinearFunctional(terms={!r}, T={!r}, n={!r})".format(*self._values())
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is LinearFunctional else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    __setattr__ = __delattr__ = frozen_setattr
 
     def __call__(self, f) -> float:
         """Apply to a callable-with-derivatives (PiecewisePoly or Poly)."""
@@ -144,19 +155,33 @@ def deriv_kernel_l1_exact(x: Real, T: Real) -> Fraction:
 # -- the Vandermonde certificate -------------------------------------------
 
 
-@dataclass(frozen=True)
 class KernelCertificate:
     """Uniform constants (A, B) with |f^(k)| <= A a T^-k + B b T^(n-k) for all
     members; built from interpolation functionals at alpha_i = i/n."""
 
-    A: float
-    B: float
-    n: int
-    k: int
+    __slots__ = ("A", "B", "n", "k")
 
-    def __post_init__(self):
-        if not (self.A > 0 and self.B > 0):
+    def __init__(self, A: float, B: float, n: int, k: int):
+        if not (A > 0 and B > 0):
             raise ValueError("certificate constants must be positive")
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "B", B)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+
+    def _values(self) -> tuple:
+        return self.A, self.B, self.n, self.k
+
+    def __repr__(self) -> str:
+        return "KernelCertificate(A={!r}, B={!r}, n={!r}, k={!r})".format(*self._values())
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is KernelCertificate else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    __setattr__ = __delattr__ = frozen_setattr
 
     def segment_bound(self, a: Real, b: Real, T: Real) -> float:
         a, b, T = float(a), float(b), float(T)

@@ -33,9 +33,8 @@ import json
 import math
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import _roots
 from .exactnum import Poly, Real, is_exact_number
@@ -289,15 +288,13 @@ def total_variation(f: PiecewisePoly) -> float:
 # -- membership -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     kind: str  # 'degree' | 'join' | 'sup' | 'nth-derivative'
     where: float
     detail: str
 
 
-@dataclass(frozen=True)
-class MembershipReport:
+class MembershipReport(NamedTuple):
     ok: bool
     numeric: bool
     violations: Tuple[Violation, ...] = ()
@@ -387,22 +384,19 @@ def require_member(f: PiecewisePoly, n: int, a: Real, b: Real) -> MembershipRepo
 # -- contact sets and the extreme-point certificate ------------------------
 
 
-@dataclass(frozen=True)
-class ContactPoint:
+class ContactPoint(NamedTuple):
     t: float
     sign: int  # +1 where f = +a, -1 where f = -a
     multiplicity: int
 
 
-@dataclass(frozen=True)
-class ContactInterval:
+class ContactInterval(NamedTuple):
     lo: float
     hi: float
     sign: int
 
 
-@dataclass(frozen=True)
-class ExtremeVerdict:
+class ExtremeVerdict(NamedTuple):
     is_extreme: bool
     contact_points: Tuple[ContactPoint, ...]
     contact_intervals: Tuple[ContactInterval, ...]

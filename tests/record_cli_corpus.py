@@ -265,6 +265,11 @@ def _errors() -> list:
         ["bound", "--domain", "halfline", "--T", "1"],
         ["extremal", "--domain", "line", "--T", "1"],
         ["spline", "--what", "qn", "--n", "3", "--x1", "inf"],
+        ["oracle", "--problem", "sigma1", "--T", "3", "--t0", "1", "--restarts", "20"],
+        ["oracle", "--problem", "sigma1", "--T", "3", "--M", "50"],
+        ["oracle", "--problem", "pointwise", "--T", "1", "--t0", "0.5", "--M", "50", "--restarts", "3"],
+        ["oracle", "--problem", "pointwise", "--T", "1", "--t0", "0.5", "--max-switches", "2"],
+        ["oracle", "--problem", "pointwise", "--T", "1", "--t0", "0.5", "--seed", "1"],
     ]
     unreadable = {"zero.json": '{"knots": ["0", "1/0"], "pieces": [["1/2"]], "n": 2}',
                   "farknot.json": '{"knots": ["0", "1e400"], "pieces": [["1/2"]], "n": 2}',

@@ -494,6 +494,9 @@ def test_oracle_pointwise_json(capsys):
     assert res["value"] == pytest.approx(2.5, rel=0.02)
     assert abs(res["discrepancy_vs_closed_form"]) <= 0.02
     assert res["config"]["M"] == 100
+    code, payload, _ = run_json(capsys, "oracle", "--problem", "pointwise", "--T", "1", "--t0", "0")
+    assert code == 0 and payload["result"]["config"] == {"problem": "pointwise", "a": 1.0, "b": 1.0, "T": 1.0,
+                                                         "t0": 0.0, "M": 400}
 
 
 def test_oracle_sigma1_json_and_seed_env(capsys, monkeypatch):
@@ -640,6 +643,9 @@ def test_table_with_a_failing_row_prints_no_partial_csv(capsys, what, max_n):
      "error: the kernel of order n = 2 is that of f'; use --k 1"),
     (("bound", "--domain", "line", "--n", "3", "--k", "1", "--T", "1"), "error: --T only applies to --domain segment"),
     (("extremal", "--domain", "halfline", "--T", "1"), "error: --T only applies to --domain segment"),
+    (("oracle", "--problem", "sigma1", "--T", "3", "--t0", "1"), "error: --t0 only applies to --problem pointwise"),
+    (("oracle", "--problem", "pointwise", "--T", "1", "--t0", "0.5", "--max-switches", "2"),
+     "error: --max-switches only applies to --problem sigma1"),
 ], ids=" ".join)
 def test_missing_or_bad_arguments_exit_2_with_one_line(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
@@ -683,15 +689,18 @@ def test_table_variants(capsys):
 # loaded landaukol.peano and which landaukol modules it loaded (without the
 # prefix); with no ARGV it only imports the CLI.
 _IMPORT_PROBE = """
-import contextlib, io, json, sys
+import sys
+bare = set(sys.modules)  # what a bare interpreter has loaded, site included
+import contextlib, io, json
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     from landaukol.cli import main
     code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
 heavy = sorted(m for m in ("numpy", "scipy", "scipy.optimize") if m in sys.modules)
+codegen = sorted(m for m in ("dataclasses", "inspect") if m in sys.modules and m not in bare)
 modules = sorted(m[len("landaukol."):] for m in sys.modules if m.startswith("landaukol."))
-print(json.dumps({"code": code, "out": out.getvalue(), "heavy": heavy, "peano": "landaukol.peano" in sys.modules,
-                  "modules": modules}))
+print(json.dumps({"code": code, "out": out.getvalue(), "heavy": heavy, "codegen": codegen,
+                  "peano": "landaukol.peano" in sys.modules, "modules": modules}))
 """
 
 
@@ -737,6 +746,8 @@ def test_closed_stdout_exits_2_without_a_traceback(argv):
 def test_closed_forms_load_neither_numpy_nor_scipy(argv, tmp_path):
     # numpy and scipy cost most of a closed-form call's start-up; a later
     # top-level import would bring that back without failing anything else.
+    # Nor does any command load dataclasses, or inspect behind it, beyond
+    # what the interpreter had loaded before the call.
     # {witness} is the n = 2 witness of `extremal --n 2 --T 2 --t0 0`, whose
     # float roots are all of degree 1
     witness = tmp_path / "w.json"
@@ -744,6 +755,7 @@ def test_closed_forms_load_neither_numpy_nor_scipy(argv, tmp_path):
     probe = _probe(*(arg.format(witness=witness) for arg in argv))
     assert probe["code"] == 0
     assert probe["heavy"] == []
+    assert probe["codegen"] == []
 
 
 @pytest.mark.parametrize("argv", [
