@@ -111,7 +111,7 @@ def cmd_oracle(args) -> int:
     # validates before the LP or the search; a sigma1 query has no t0
     query = BoundQuery(2, 1, args.a, args.b, Segment(args.T), "sup" if pointwise else "var", args.t0)
 
-    from . import oracle  # deferred: only the oracles need numpy and scipy's BLAS
+    from . import oracle  # deferred: only the oracles need numpy
 
     config = {"problem": args.problem, "a": args.a, "b": args.b, "T": args.T}
     if pointwise:

@@ -23,14 +23,13 @@ from bisect import bisect_right
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg.blas import dger
 
 from .exactnum import Poly
 from .pwpoly import MIN_KNOT_GAP, PiecewisePoly
 
 SQRT2 = math.sqrt(2.0)
 PIVOT_TOL = 1e-9  # reduced costs and pivot-column entries this close to 0 count as 0
-PIVOT_RUN_GAP = 64  # nonzero pivot-row columns closer than this share one BLAS call
+PIVOT_RUN_GAP = 64  # nonzero pivot-row columns closer than this share one update
 
 
 class SimplexError(RuntimeError):
@@ -60,7 +59,7 @@ def simplex_maximize(
     ub = np.concatenate([np.broadcast_to(np.asarray(x_max, float), n), np.broadcast_to(np.asarray(s_max, float), m)])
     if np.any(b < 0) or np.any(b > ub[n:]) or np.any(ub[:n] < 0):
         raise SimplexError("slack basis infeasible: need 0 <= b <= s_max and x_max >= 0")
-    # Fortran order so that a run of columns is one in-place BLAS rank-1 update
+    # Fortran order, so that the update walks each column in memory order
     T = np.zeros((m + 1, n + m + 1), order="F")
     T[:m, :n] = A
     T[:m, n : n + m] = np.eye(m)
@@ -101,15 +100,20 @@ def simplex_maximize(
         reducer = T[:, j].copy()
         reducer[r] = 0.0
         row = np.ascontiguousarray(T[r])
-        # the rank-1 update adds -row[c] * reducer to column c, which leaves
-        # the column as it is where row[c] == 0: update only the runs of
-        # nonzero columns, merging runs less than PIVOT_RUN_GAP apart
+        # the rank-1 update subtracts row[c] * reducer[i] from T[i, c], a
+        # multiply and a subtract each rounded once, so the bits are the same
+        # on every CPU.  Where row[c] == 0 or reducer[i] == 0 it subtracts a
+        # zero: update only the runs of nonzero columns (merging runs less
+        # than PIVOT_RUN_GAP apart) and, in them, the span of constraint rows
+        # where reducer is nonzero, and the objective row on its own
+        span = np.flatnonzero(reducer[:m])
+        r0, r1 = (int(span[0]), int(span[-1]) + 1) if span.size else (0, 0)
         nz = np.flatnonzero(row)
         gaps = np.flatnonzero(np.diff(nz) >= PIVOT_RUN_GAP)
         for lo, hi in zip(np.r_[nz[0], nz[gaps + 1]].tolist(), (np.r_[nz[gaps], nz[-1]] + 1).tolist()):
-            block = T[:, lo:hi]
-            if dger(-1.0, reducer, row[lo:hi], a=block, overwrite_a=1) is not block:
-                raise SimplexError("the BLAS rank-1 update did not run in place")
+            block = T[r0:r1, lo:hi]
+            np.subtract(block, np.multiply.outer(row[lo:hi], reducer[r0:r1]).T, out=block)
+            T[m, lo:hi] -= reducer[m] * row[lo:hi]
         T[:, j] = 0.0
         T[r, j] = 1.0
         basis[r] = j
@@ -294,17 +298,21 @@ class BangBangControl(NamedTuple):
 
 
 def _evaluate_bangbang(
-    f0: float, fp0: float, switches: Sequence[float], sign: int, b: float, T: float
-) -> Tuple[float, float]:
-    """(variation, max_abs): exact per-piece extrema and variation of the raw
-    trajectory; arcs are skipped exactly where `BangBangControl.to_piecewise`
-    skips them."""
-    f, fp = f0, fp0
+    theta: List[float], sign: int, a: float, b: float, T: float
+) -> Tuple[float, float, List[float]]:
+    """(value, scale, switches) of the member that theta = (f0, f'0, switch
+    times...) describes: the switch times clamped to [0, T] and sorted, the
+    exact per-piece extrema and variation of the raw trajectory, and the
+    shrink `scale` onto |f| <= a with the variation it scales to.  Arcs are
+    skipped exactly where `BangBangControl.to_piecewise` skips them."""
+    ends = sorted([0.0 if s < 0.0 else T if s > T else s for s in theta[2:]])
+    ends.append(T)
+    f, fp = theta[0], theta[1]
     t = 0.0
     sgn = float(sign)
     variation = 0.0
-    max_abs = abs(f0)
-    for end in [*switches, T]:
+    max_abs = abs(f)
+    for end in ends:
         if end <= t + MIN_KNOT_GAP:
             sgn = -sgn
             continue
@@ -325,11 +333,15 @@ def _evaluate_bangbang(
         f, fp = f_end, fp + curv * d
         t = end
         sgn = -sgn
-    return variation, max_abs
+    ends.pop()
+    scale = 1.0 if max_abs <= a else a / max_abs
+    return variation * scale, scale, ends
 
 
-def _decode(theta: List[float], T: float) -> Tuple[float, float, List[float]]:
-    return theta[0], theta[1], sorted([0.0 if s < 0.0 else T if s > T else s for s in theta[2:]])
+def _decode(theta: List[float], sign: int, a: float, b: float, T: float) -> Tuple[float, BangBangControl]:
+    """(value, member) at theta: the certified member and its variation."""
+    value, scale, switches = _evaluate_bangbang(theta, sign, a, b, T)
+    return value, BangBangControl(theta[0], theta[1], tuple(switches), sign, scale)
 
 
 def bangbang_sigma1_search(
@@ -357,29 +369,21 @@ def bangbang_sigma1_search(
     rng = np.random.default_rng(seed)
     best: Tuple[float, Optional[BangBangControl]] = (-math.inf, None)
 
-    def feasible_value(theta: List[float], sign: int) -> Tuple[float, float]:
-        f0, fp0, switches = _decode(theta, T)
-        variation, max_abs = _evaluate_bangbang(f0, fp0, switches, sign, b, T)
-        scale = 1.0 if max_abs <= a else a / max_abs
-        return variation * scale, scale
-
     def optimize(theta0: List[float], sign: int, rounds: int) -> List[float]:
         # Nelder-Mead stalls when its simplex collapses; restarting it from
         # the incumbent point with a fresh simplex recovers the last digits
         x = theta0
         for _ in range(rounds):
             x = minimize(
-                lambda th: -feasible_value(th, sign)[0], x, maxiter=400 * (len(x) + 1), xatol=1e-12, fatol=1e-14
+                lambda th: -_evaluate_bangbang(th, sign, a, b, T)[0],
+                x, maxiter=400 * (len(x) + 1), xatol=1e-12, fatol=1e-14,
             ).x
         return x
 
     def incumbent(x: List[float], sign: int) -> Tuple[float, Optional[BangBangControl]]:
         # the member at x if it beats the incumbent, else the incumbent
-        value, scale = feasible_value(x, sign)
-        if not value > best[0]:
-            return best
-        f0, fp0, switches = _decode(x, T)
-        return value, BangBangControl(f0, fp0, tuple(switches), sign, scale)
+        value, control = _decode(x, sign, a, b, T)
+        return (value, control) if value > best[0] else best
 
     for r in range(restarts):
         m = int(rng.integers(0, max_switches + 1)) if r % 3 else min(r // 3, max_switches)

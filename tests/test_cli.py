@@ -840,18 +840,19 @@ def test_package_names_resolve_to_their_modules():
         landaukol.no_such_name
 
 
-def test_oracle_still_loads_scipy():
-    probe = _probe("oracle", "--problem", "pointwise", "--T", "2", "--t0", "1", "--M", "50")
-    assert probe["code"] == 0 and "scipy" in probe["heavy"]
-    assert json.loads(probe["out"])["result"]["status"] == "OracleApprox"
-
-
-def test_bangbang_oracle_does_not_load_scipy_optimize():
-    # the search runs its own Nelder-Mead; scipy.optimize alone costs a
-    # fresh process more start-up time and memory than the search needs
-    probe = _probe("oracle", "--problem", "sigma1", "--T", "2", "--restarts", "20", "--seed", "3")
-    assert probe["code"] == 0 and "scipy.optimize" not in probe["heavy"]
-    assert json.loads(probe["out"])["result"]["value"] == pytest.approx(2.0, abs=1e-3)
+@pytest.mark.parametrize("argv, check", [
+    (("--problem", "pointwise", "--T", "2", "--t0", "1", "--M", "50"),
+     lambda result: result["status"] == "OracleApprox"),
+    (("--problem", "sigma1", "--T", "2", "--restarts", "20", "--seed", "3"),
+     lambda result: result["value"] == pytest.approx(2.0, abs=1e-3)),
+], ids=["pointwise", "sigma1"])
+def test_oracle_does_not_load_scipy(argv, check):
+    # the simplex and Nelder-Mead are written on numpy and plain floats;
+    # scipy alone costs a fresh process more start-up time and memory than
+    # either oracle needs
+    probe = _probe("oracle", *argv)
+    assert probe["code"] == 0 and "scipy" not in probe["heavy"]
+    assert check(json.loads(probe["out"])["result"])
 
 
 def test_verify_reports_an_overflowing_sup_as_a_non_member(tmp_path):

@@ -1,5 +1,9 @@
-import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +27,7 @@ from landaukol.oracle import (
     simplex_maximize,
 )
 from landaukol.pwpoly import MIN_KNOT_GAP, membership, piece_sup, total_variation
+from simplex_cases import output
 
 SQRT2 = math.sqrt(2.0)
 
@@ -45,48 +50,44 @@ def test_simplex_rejects_negative_rhs():
             simplex_maximize(np.array([1.0]), np.array([[1.0]]), np.array([b]), **bounds)
 
 
-def _random_box_lp(seed, m=30, n=600, density=0.02):
-    """Sparse random rows over many variables, each variable boxed by 1: the
-    pivot rows have nonzeros in several runs of columns far apart."""
-    rng = np.random.default_rng(seed)
-    A = np.vstack([rng.uniform(-1.0, 1.0, size=(m, n)) * (rng.random((m, n)) < density), np.eye(n)])
-    b = np.concatenate([rng.uniform(0.0, 2.0, size=m), np.ones(n)])
-    return rng.uniform(-1.0, 1.0, size=n), A, b
+# (value, pivots, sha256 of x) of the cases in simplex_cases.py.  The
+# pointwise values are within 1e-9 of HiGHS and within 2e-14 relative of the
+# values of the earlier formulation, whose M + 1 box rows and 2(M - 1)
+# curvature rows were general <= rows.  The rank-1 update is a numpy
+# multiply and subtract, each rounded once, so the pins hold on every CPU and
+# under every OpenBLAS kernel (see the test after this one)
+PINS = {
+    "interior-800": ("1.4079646017701035", 572,
+                     "a9a76a331d34e4d82bf34428d7d6653b5328d270a6dd8b639ae6c513ccc93553"),
+    "short-200": ("2.5000000000000204", 199,
+                  "a9bb56ae6413e1fb188f3650fe1ecc008ece038eab9719ee548e59651d0fd8fa"),
+    "free-end-200": ("1.6166037735850456", 205,
+                     "03148dd84478c11018cfe182c7f0830b5f9ac5499835d67eceee0ac5656622d7"),
+    "interior-200": ("1.3892857142857145", 146,
+                     "ee94741cc96635002dc494098a111cbdc4e2d4048802f78e7ceb60f5fc1ac314"),
+    "random-2024": ("144.3330836808842", 347,
+                    "5fc01dc6c317d7ecfdf018b36905408d90e195ab92843fcfc1461c981dcb946e"),
+}
 
 
-def _pointwise(T, t0, M):
-    return build_pointwise_lp(1, 1, T, t0, M).solve()
+@pytest.mark.parametrize("case", PINS)
+def test_simplex_outputs_are_pinned_bit_for_bit(case):
+    assert output(case) == PINS[case]
 
 
-def _random(seed):
-    x, value, pivots = simplex_maximize(*_random_box_lp(seed))
-    return value, x, pivots
-
-
-# (value, pivots, sha256 of x).  random-2024, a general LP with no finite
-# bound, comes from the dense-update simplex, which updated every column of the
-# tableau on every pivot.  The pointwise rows come from the bounded-variable
-# simplex over the M - 1 range rows; each value is within 1e-9 of HiGHS and
-# within 2e-14 relative of the value of the earlier formulation, whose M + 1
-# box rows and 2(M - 1) curvature rows were general <= rows.  The pins hold
-# bit for bit on OpenBLAS's SkylakeX, Cooperlake and SapphireRapids kernels
-# (5/5 with OPENBLAS_CORETYPE set to each); the Haswell and Zen `dger` rounds
-# differently in the last bits (3/5 fail there), and SandyBridge fails 5/5
-@pytest.mark.parametrize("solve, args, value, pivots, digest", [
-    (_pointwise, (10, 5, 800), "1.4079646017699778", 572,
-     "d9e60561787768dd2ea97d9ef0ac837a934f4dd927027e341bf0f45912eaf53b"),
-    (_pointwise, (1, 0, 200), "2.500000000000019", 199,
-     "012cc49238b4b9d3d032795e47a8aa1c120020fd37591a7c1de42f37202ca709"),
-    (_pointwise, (4, 0.5, 200), "1.6166037735849124", 205,
-     "f7011d41fed3e6183f04ebd4a961d89fb1cd75865f5e962b0539efea6c2346f0"),
-    (_pointwise, (10, 5, 200), "1.389285714285715", 146,
-     "9d7b063ec766fd22435f57c3d66097a6954a6ebec1c31fde70799c3f4e6a0f89"),
-    (_random, (2024,), "144.33308368088413", 347,
-     "355e878ea0346d62518aedb7deb35448529b4f2f07a859fb5c7a173cb27f0940"),
-], ids=["interior-800", "short-200", "free-end-200", "interior-200", "random-2024"])
-def test_simplex_outputs_are_pinned_bit_for_bit(solve, args, value, pivots, digest):
-    v, x, p = solve(*args)
-    assert (repr(v), p, hashlib.sha256(x.tobytes()).hexdigest()) == (value, pivots, digest)
+def test_simplex_pins_hold_on_other_blas_kernels():
+    # OpenBLAS picks its kernels by CPU; the Haswell kernels fuse multiply and
+    # add, the SandyBridge ones do not.  Both child processes run at once
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    children = {core: subprocess.Popen([sys.executable, str(root / "tests" / "simplex_cases.py")],
+                                       env=dict(env, OPENBLAS_CORETYPE=core), stdout=subprocess.PIPE, text=True)
+                for core in ("Haswell", "SandyBridge")}
+    for core, child in children.items():
+        out, _ = child.communicate(timeout=120)
+        assert child.returncode == 0, core
+        assert {case: tuple(pin) for case, pin in json.loads(out).items()} == PINS, core
 
 
 def _highs_max(c, A_ub, b_ub, bounds):
@@ -134,13 +135,6 @@ def test_simplex_agrees_with_highs_on_random_bounded_lps(lp):
     highs = _highs_max(c, np.vstack([A, -A[lower]]), np.concatenate([rhs, (s_max - rhs)[lower]]),
                        [(0, None if math.isinf(u) else u) for u in x_max])
     assert value == pytest.approx(highs, rel=1e-9, abs=1e-12)
-
-
-def test_simplex_refuses_an_update_that_did_not_run_in_place(monkeypatch):
-    # a BLAS wrapper that returned a copy would drop the update silently
-    monkeypatch.setattr(oracle, "dger", lambda alpha, x, y, a, overwrite_a: a.copy())
-    with pytest.raises(SimplexError):
-        simplex_maximize(np.array([1.0]), np.array([[1.0]]), np.array([1.0]))
 
 
 def test_lp_matches_closed_forms_small():
@@ -229,9 +223,12 @@ def test_decode_matches_elementwise_clip():
     rng = np.random.default_rng(2024)
     for _ in range(50):
         theta = rng.uniform(-3.0, 8.0, size=int(rng.integers(2, 10))).tolist()
-        f0, fp0, switches = _decode(theta, 5.0)
-        assert (f0, fp0) == (float(theta[0]), float(theta[1]))
-        assert switches == sorted(min(max(float(s), 0.0), 5.0) for s in theta[2:])
+        sign = int(rng.choice([-1, 1]))
+        switches = sorted(min(max(float(s), 0.0), 5.0) for s in theta[2:])
+        value, scale, evaluated = _evaluate_bangbang(theta, sign, 1.0, 1.0, 5.0)
+        assert evaluated == switches
+        assert _decode(theta, sign, 1.0, 1.0, 5.0) == (
+            value, BangBangControl(float(theta[0]), float(theta[1]), tuple(switches), sign, scale))
 
 
 @pytest.mark.parametrize("a, b, T, seed", [
@@ -261,11 +258,18 @@ def _bangbang_controls(draw):
 @given(_bangbang_controls())
 def test_evaluator_matches_the_member_it_describes(case):
     f0, fp0, switches, sign, b, T = case
-    variation, max_abs = _evaluate_bangbang(f0, fp0, switches, sign, b, T)
+    theta = [f0, fp0, *switches]
+    # with no bound on |f| the value is the variation; a bound far below |f|
+    # shrinks the member by a / max_abs, which gives max_abs back
+    variation, unscaled, _ = _evaluate_bangbang(theta, sign, math.inf, b, T)
+    tiny = 1e-300
+    _, scale, _ = _evaluate_bangbang(theta, sign, tiny, b, T)
+    max_abs = tiny / scale
     f = BangBangControl(f0, fp0, tuple(switches), sign).to_piecewise(b, T)
     sup = max(piece_sup(p, lo, hi, False) for p, lo, hi in zip(f.pieces, f.knots, f.knots[1:]))
     # a bound on |f| over the domain sets the scale of the rounding
     tol = 1e-11 * (abs(f0) + abs(fp0) * T + b * T * T)
+    assert unscaled == 1.0
     assert variation == pytest.approx(total_variation(f), rel=1e-11, abs=tol)
     assert max_abs == pytest.approx(sup, rel=1e-11, abs=tol)
 
