@@ -218,7 +218,7 @@ def cmd_spline(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .pwpoly import PiecewisePoly, StructuralError, is_extreme_point, membership
+    from .pwpoly import MembershipError, MembershipReport, PiecewisePoly, StructuralError, is_extreme_point, membership
 
     try:
         with open(args.file) as fh:
@@ -226,7 +226,11 @@ def cmd_verify(args) -> int:
     except (OSError, StructuralError) as exc:
         return _fail(f"error: cannot read spline: {exc}")
     n = args.n if args.n is not None else spline.n_smooth
-    report = membership(spline, n, args.a, args.b)
+    try:  # the certificate checks membership in its own pass
+        verdict = is_extreme_point(spline, n, args.a, args.b) if args.extreme else None
+        report = membership(spline, n, args.a, args.b) if verdict is None else MembershipReport(True, verdict.numeric)
+    except MembershipError as exc:
+        verdict, report = None, exc.report
     result = {
         "membership": report.ok,
         "numeric": report.numeric,
@@ -234,9 +238,7 @@ def cmd_verify(args) -> int:
             {"kind": v.kind, "where": v.where, "detail": v.detail} for v in report.violations
         ],
     }
-    verdict_ok = report.ok
-    if args.extreme and report.ok:
-        verdict = is_extreme_point(spline, n, args.a, args.b)
+    if verdict is not None:
         result["is_extreme"] = verdict.is_extreme
         result["multiplicity_sum"] = (
             "inf" if math.isinf(verdict.multiplicity_sum) else verdict.multiplicity_sum
@@ -249,9 +251,8 @@ def cmd_verify(args) -> int:
             {"lo": iv.lo, "hi": iv.hi, "sign": iv.sign} for iv in verdict.contact_intervals
         ]
         result["condition_ii_violations"] = list(verdict.condition_ii_violations)
-        verdict_ok = verdict.is_extreme
     _emit("verify", result, ["membership-check" if not args.extreme else "extreme-point-certificate"])
-    return 0 if verdict_ok else 1
+    return 0 if report.ok and (verdict is None or verdict.is_extreme) else 1
 
 
 def _samples(text: str) -> int:

@@ -11,8 +11,8 @@ Three tools, deliberately sharing no code with the formulas they check:
   `solve()` returns (value, v, pivots));
 * a randomized switching-point search over genuine bang-bang trajectories,
   driven by a Nelder-Mead minimizer (also written here, on plain floats),
-  whose every reported value is attained by an exactly-verified member, hence
-  a certified lower bound on the total-variation supremum;
+  whose value is the float variation of a member passing float membership:
+  a lower bound on the total-variation supremum up to rounding (ROADMAP item 5);
 * a random member generator that inserts decelerating parabolic landings
   whenever a trajectory threatens the walls.
 """
@@ -269,7 +269,7 @@ def minimize(
 class BangBangControl(NamedTuple):
     """|f''| = b trajectory: initial state, switch times, leading sign of f''.
     `scale` < 1 records the uniform shrink applied when the raw trajectory
-    grazes past |f| = a; the certified member is the scaled trajectory."""
+    grazes past |f| = a; the member is the scaled trajectory."""
 
     f0: float
     fp0: float
@@ -339,7 +339,7 @@ def _evaluate_bangbang(
 
 
 def _decode(theta: List[float], sign: int, a: float, b: float, T: float) -> Tuple[float, BangBangControl]:
-    """(value, member) at theta: the certified member and its variation."""
+    """(value, member) at theta: the member and its float variation."""
     value, scale, switches = _evaluate_bangbang(theta, sign, a, b, T)
     return value, BangBangControl(theta[0], theta[1], tuple(switches), sign, scale)
 
@@ -353,9 +353,9 @@ def bangbang_sigma1_search(
     seed: int = 0,
 ) -> Tuple[float, BangBangControl]:
     """Best total variation over bang-bang members found by seeded
-    Nelder-Mead restarts on (f0, f'0, switch times); every candidate value is
-    attained by a genuine member (raw trajectories grazing past |f| = a are
-    shrunk onto it), so the result certifies a lower bound."""
+    Nelder-Mead restarts on (f0, f'0, switch times): the float variation of a
+    member that passes float membership (raw trajectories grazing past |f| = a
+    are shrunk onto it), a lower bound only up to rounding (ROADMAP item 5)."""
     if not (a > 0 and b > 0 and T > 0):
         raise ValueError("a, b, T must be positive")
     needed = math.ceil(T * math.sqrt(b / a) / SQRT2) + 2

@@ -308,9 +308,9 @@ def _nth_derivative_abs(p: Poly, n: int) -> Real:
     return abs(p.coeffs[n] * math.factorial(n)) if p.degree >= n else 0
 
 
-def membership(f: PiecewisePoly, n: int, a: Real, b: Real) -> MembershipReport:
-    """Check the class conditions: C^(n-1) joins at the knots, degree <= n per
-    piece, sup |f| <= a, and |f^(n)| <= b (a constant on each piece)."""
+def _class_check(f: PiecewisePoly, n: int, a: Real, b: Real) -> Tuple[bool, Real, Real, List[Violation]]:
+    """(exact, a, b, violations) for the conditions of `membership` but the
+    sup, with a and b Fractions on an exact spline."""
     if n < 1:
         raise ValueError("order n must be >= 1")
     if not (0 < a < math.inf and 0 < b < math.inf):
@@ -357,7 +357,14 @@ def membership(f: PiecewisePoly, n: int, a: Real, b: Real) -> MembershipReport:
                     f"|f^({n})| = {float(dn)} > {float(b)} on piece {i}",
                 )
             )
+    return exact, a, b, violations
 
+
+def membership(f: PiecewisePoly, n: int, a: Real, b: Real) -> MembershipReport:
+    """Check the class conditions: C^(n-1) joins at the knots, degree <= n per
+    piece, sup |f| <= a, and |f^(n)| <= b (a constant on each piece)."""
+    exact, a, _, violations = _class_check(f, n, a, b)
+    fa = float(a)
     for i, p in enumerate(f.pieces):
         lo, hi = f.knots[i], f.knots[i + 1]
         if exact:  # |p| <= a iff p - a <= 0 and -p - a <= 0
@@ -408,28 +415,41 @@ class ExtremeVerdict(NamedTuple):
 def contact_set(f: PiecewisePoly, n: int, a: Real) -> Tuple[List[ContactPoint], List[ContactInterval]]:
     """Points and whole pieces where |f| = a, with multiplicities
     (order of the first nonvanishing derivative, capped at n). f must be a
-    member (|f| <= a), as `is_extreme_point` checks first: a float contact
-    is then a point where |p| peaks on its piece (an end or a critical
-    point) and touches a."""
+    member (|f| <= a), as `is_extreme_point` checks in the same pass: a
+    float contact is then a point where |p| peaks on its piece (an end or a
+    critical point) and touches a."""
     if not 0 < a < math.inf:
         raise ValueError("bound a must be positive and finite")
-    exact = f.is_exact()
+    return _contacts(f, n, a, f.is_exact())[:2]
+
+
+def _contacts(f: PiecewisePoly, n: int, a: Real, exact: bool) -> Tuple[List[ContactPoint], List[ContactInterval], bool]:
+    """The contact set and whether |f| <= a on every piece, from one root
+    search (exact) or one list of peaks (float) per piece and sign."""
     fa = float(a)
     points: List[ContactPoint] = []
     intervals: List[ContactInterval] = []
+    sup_ok = True
 
     for i, p in enumerate(f.pieces):
         lo, hi = f.knots[i], f.knots[i + 1]
-        if not exact:
+        if exact:  # of p at lo; those of q = p - sign a differ in the first only
+            taylor = _roots.taylor_coefficients(p, lo) or [0]
+        else:
             pf = p.to_float()
             peaks = _float_peaks(pf, float(lo), float(hi))
+            # the bits of piece_sup, against the allowance of membership
+            sup_ok &= _within_allowance(max(abs(pf(x)) for x in peaks), fa * (1 + REL_TOL), lo, hi, p)
         for sign in (1, -1):
             if exact:
                 q = p - Poly([sign * Fraction(a)])
+                roots = _roots.real_roots_exact(q, lo, hi)  # none when q is zero
                 if q.is_zero():
                     intervals.append(ContactInterval(float(lo), float(hi), sign))
-                for r in _roots.real_roots_exact(q, Fraction(lo), Fraction(hi)):  # none when q is zero
-                    points.append(ContactPoint(r.approx, sign, min(r.multiplicity, n)))
+                else:  # sign * q <= 0 by the rule of _roots.nonpositive, on the same roots
+                    first = next(c for c in (taylor[0] - sign * Fraction(a), *taylor[1:]) if c)
+                    sup_ok &= sign * first < 0 and all(r.multiplicity % 2 == 0 or r.exact in (lo, hi) for r in roots)
+                points.extend(ContactPoint(r.approx, sign, min(r.multiplicity, n)) for r in roots)
             elif all(_within_allowance(abs(pf(x) - sign * fa), REL_TOL * fa, lo, hi, pf) for x in peaks):
                 # p = sign * a at every place where it can peak, so on the whole piece
                 intervals.append(ContactInterval(float(lo), float(hi), sign))
@@ -473,18 +493,21 @@ def contact_set(f: PiecewisePoly, n: int, a: Real) -> Tuple[List[ContactPoint], 
                 deduped[-1] = cp
             continue
         deduped.append(cp)
-    return deduped, merged
+    return deduped, merged, sup_ok
 
 
 def is_extreme_point(f: PiecewisePoly, n: int, a: Real, b: Real) -> ExtremeVerdict:
     """Certify whether f is an extreme point of the convex class: the contact
     multiplicities must sum to at least n, and every piece away from the
-    contact set must have |f^(n)| equal to b (bang-bang)."""
-    require_member(f, n, a, b)
+    contact set must have |f^(n)| equal to b (bang-bang). |f| <= a is decided
+    by the same root search (exact) or peaks (float) that find the contacts,
+    one pass per piece and sign; a non-member raises MembershipError with
+    the report of `membership`."""
+    exact, a, b, class_violations = _class_check(f, n, a, b)
+    points, intervals, sup_ok = ([], [], False) if class_violations else _contacts(f, n, a, exact)
+    if not sup_ok:
+        raise MembershipError(membership(f, n, a, b))
     fb = float(b)
-    if exact := f.is_exact():
-        b = Fraction(b)
-    points, intervals = contact_set(f, n, a)
     msum: float = math.inf if intervals else sum(cp.multiplicity for cp in points)
 
     violations: List[int] = []

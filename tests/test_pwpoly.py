@@ -698,3 +698,91 @@ def test_sign_verdicts_agree_with_the_bracket_reading_on_euler_splines(monkeypat
                 assert is_extreme_point(f, n, F(1), b) == verdict
             counts["extreme"] += verdict.is_extreme
     assert counts == {"splines": 132, "members": 33, "extreme": 17, "reading_wrong": 2}
+
+
+def _moved_euler(n, x0, perturb):
+    """The Euler spline of order n on [x0, x0 + 3] (sup 1, |f^(n)| = b), with
+    one coefficient of one piece moved by rel of itself when perturb = (i, j, rel)."""
+    f = euler_spline_piecewise(n, x0, x0 + 3)
+    b = abs(f.pieces[0].coeffs[n]) * math.factorial(n)
+    if perturb is not None:
+        i, j, rel = perturb[0] % len(f.pieces), perturb[1] % (n + 1), perturb[2]
+        coeffs = list(f.pieces[i].coeffs)
+        coeffs[j] += rel * (coeffs[j] or 1)
+        pieces = list(f.pieces)
+        pieces[i] = Poly(coeffs)
+        f = PiecewisePoly(f.knots, pieces, n)
+    return f, n, b, F(1)
+
+
+def _peak_piece(quartic, c, u, lo):
+    """One piece on [lo, lo + 2] whose |p| peaks at a known place: c - (t - r)^2
+    at the rational r = lo + u, or c - (t^2 - 2)^2 at the irrational +-sqrt(2),
+    with the sup of |p| on the piece, found exactly."""
+    hi, r = lo + 2, lo + u
+    if quartic:
+        p, n = Poly([c - 4, 0, 4, 0, -1]), 4
+        at_peak = [c] * ((lo < 0 or lo * lo < 2) and hi > 0 and 2 < hi * hi or lo < 0 and 2 < lo * lo)
+        at_peak += [abs(p(0))] * (lo <= 0 <= hi)
+    else:
+        p, n = Poly([c - r * r, 2 * r, -1]), 2
+        at_peak = [abs(c)] * (lo <= r <= hi)
+    return PiecewisePoly([lo, hi], [p], n), n, F(24), max([abs(p(lo)), abs(p(hi))] + at_peak)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    spline=st.one_of(
+        st.builds(_moved_euler, st.integers(2, 7), st.fractions(-2, 2, max_denominator=4),
+                  st.one_of(st.none(), st.tuples(st.integers(0, 99), st.integers(0, 7),
+                                                 st.sampled_from([F(1, 10**3), F(-1, 10**9), F(1, 10**30)])))),
+        st.builds(_peak_piece, st.booleans(), st.fractions(F(1, 2), 3, max_denominator=8),
+                  st.fractions(-1, 3, max_denominator=8), st.fractions(-3, 1, max_denominator=8)),
+        st.just((_found_piece(), 4, F(100), 1 + F(1, 10**30))),
+    ),
+    scale=st.sampled_from([1, F(1, 4)]),
+    offset=st.sampled_from([-1, 0, 1]),
+    eps=st.sampled_from([F(1, 10**30), F(1, 10**6)]),
+    as_float=st.booleans(),
+)
+def test_extreme_point_certificate_finds_the_non_members_of_membership(spline, scale, offset, eps, as_float):
+    # the certificate decides |f| <= a from the roots of p -/+ a that give the
+    # contacts; membership from Sturm counts (exact) or its own peaks (float).
+    # a is the sup of |f| (a touch) or eps below (a crossing) or above it, or
+    # a quarter of it, which whole pieces lie beyond; a piece whose |p| peaks
+    # at +-sqrt(2) touches a there at an irrational point
+    f, n, b, sup = spline
+    a = sup * scale + offset * eps
+    assume(a > 0)
+    if as_float:
+        f = _float_copy(f)
+    report = membership(f, n, a, b)
+    try:
+        is_extreme_point(f, n, a, b)
+    except MembershipError as exc:
+        assert not report.ok and exc.report == report
+    else:
+        assert report.ok
+
+
+def test_the_certificate_searches_each_piece_once_per_sign(monkeypatch):
+    f = euler_spline_piecewise(5, F(0), F(6))
+    b = abs(f.pieces[0].coeffs[5]) * math.factorial(5)
+    calls = {"nonpositive": 0, "real_roots_exact": 0, "_float_peaks": 0}
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(pwpoly._roots, "nonpositive")
+    counted(pwpoly._roots, "real_roots_exact")
+    counted(pwpoly, "_float_peaks")
+    assert is_extreme_point(f, 5, F(1), b).is_extreme
+    assert calls == {"nonpositive": 0, "real_roots_exact": 2 * len(f.pieces), "_float_peaks": 0}
+    calls.update(real_roots_exact=0)
+    assert is_extreme_point(_float_copy(f), 5, 1.0, float(b)).is_extreme
+    assert calls == {"nonpositive": 0, "real_roots_exact": 0, "_float_peaks": len(f.pieces)}
