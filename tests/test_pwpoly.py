@@ -542,14 +542,7 @@ def test_exact_pieces_are_checked_exactly_against_float_bounds(a, b):
 )
 def test_float_bounds_give_the_report_of_their_exact_values(n, x0, perturb, a, rel_b):
     # exact Euler splines and copies with one coefficient of one piece moved
-    f = euler_spline_piecewise(n, x0, x0 + 3)
-    if perturb is not None:
-        i, j, rel = perturb[0] % len(f.pieces), perturb[1] % (n + 1), perturb[2]
-        coeffs = list(f.pieces[i].coeffs)
-        coeffs[j] += rel * (coeffs[j] or 1)
-        pieces = list(f.pieces)
-        pieces[i] = Poly(coeffs)
-        f = PiecewisePoly(f.knots, pieces, n)
+    f = _moved_euler(n, x0, perturb)[0]
     b = float(abs(f.pieces[0].coeffs[n]) * math.factorial(n)) * rel_b
     report = membership(f, n, a, b)
     assert not report.numeric
