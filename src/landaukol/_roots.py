@@ -183,11 +183,10 @@ def _isolate(
 
 
 def _cleared(p: Poly) -> Tuple[List[int], int]:
-    """(L p, L): p (rational coefficients) over the least common denominator L,
-    an integer polynomial with the signs of p."""
-    coeffs = [Fraction(c) for c in p.coeffs]
-    den = math.lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
+    """(L p, L): p (Fraction or int coefficients, read as they are) over the least
+    common denominator L, an integer polynomial with the signs of p."""
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    return [c.numerator * (den // c.denominator) for c in p.coeffs], den
 
 
 def _taylor_shift(f: List[int], num: int, den: int) -> List[int]:

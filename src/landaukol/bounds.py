@@ -12,7 +12,7 @@ from threading import Lock
 from typing import TYPE_CHECKING, Callable, Optional, Union
 
 from . import landaun
-from .exactnum import frozen_setattr
+from .exactnum import Record, set_field
 
 if TYPE_CHECKING:
     from .pwpoly import PiecewisePoly
@@ -21,30 +21,18 @@ EXACT = "Exact"
 UPPER_BOUND = "UpperBound"
 INTERVAL = "Interval"
 
-_set = object.__setattr__  # the records below are frozen: their __setattr__ refuses
 _WITNESS_LOCK = Lock()
 
 
-class Segment:
-    __slots__ = ("T",)
+class Segment(Record):
+    __slots__ = _fields = ("T",)
 
     def __init__(self, T: float):
         if not T > 0:
             raise ValueError(f"segment length must be positive, got {T}")
         if T == math.inf:
             raise ValueError("segment length must be finite")
-        _set(self, "T", T)
-
-    def __repr__(self) -> str:
-        return f"Segment(T={self.T!r})"
-
-    def __eq__(self, other):
-        return self.T == other.T if other.__class__ is Segment else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.T)
-
-    __setattr__ = __delattr__ = frozen_setattr
+        set_field(self, "T", T)
 
 
 class _Unbounded:
@@ -63,10 +51,10 @@ FullLine = _Unbounded("FullLine")
 Domain = Union[Segment, _Unbounded]
 
 
-class BoundQuery:
+class BoundQuery(Record):
     """sup |f^(k)|, or |f'(t0)| given t0, or the total variation of f if functional = "var"."""
 
-    __slots__ = ("n", "k", "a", "b", "domain", "functional", "t0")
+    __slots__ = _fields = ("n", "k", "a", "b", "domain", "functional", "t0")
 
     def __init__(self, n: int, k: int, a: float, b: float, domain: Domain,
                  functional: str = "sup", t0: Optional[float] = None):
@@ -96,63 +84,34 @@ class BoundQuery:
                 raise ValueError(f"t0 must be finite, got {t0}")
             if not 0 <= t0 <= domain.T:
                 raise ValueError(f"t0={t0} outside [0, {domain.T}]")
-        _set(self, "n", n)
-        _set(self, "k", k)
-        _set(self, "a", a)
-        _set(self, "b", b)
-        _set(self, "domain", domain)
-        _set(self, "functional", functional)
-        _set(self, "t0", t0)
-
-    def _values(self) -> tuple:
-        return self.n, self.k, self.a, self.b, self.domain, self.functional, self.t0
-
-    def __repr__(self) -> str:
-        return ("BoundQuery(n={!r}, k={!r}, a={!r}, b={!r}, domain={!r}, functional={!r}, t0={!r})"
-                .format(*self._values()))
-
-    def __eq__(self, other):
-        return self._values() == other._values() if other.__class__ is BoundQuery else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    __setattr__ = __delattr__ = frozen_setattr
+        set_field(self, "n", n)
+        set_field(self, "k", k)
+        set_field(self, "a", a)
+        set_field(self, "b", b)
+        set_field(self, "domain", domain)
+        set_field(self, "functional", functional)
+        set_field(self, "t0", t0)
 
 
-class BoundResult:
+class BoundResult(Record):
     """An Interval has value = upper; the half-line bracket route keeps its
     bracket.  `_build` makes the witness and is left out of repr and ==."""
 
-    __slots__ = ("value", "status", "provenance", "lower", "upper", "witness_point", "bracket", "_build", "_witness")
+    _fields = ("value", "status", "provenance", "lower", "upper", "witness_point", "bracket")
+    __slots__ = (*_fields, "_build", "_witness")
 
     def __init__(self, value: float, status: str, provenance: str, lower: Optional[float] = None,
                  upper: Optional[float] = None, witness_point: Optional[float] = None,
                  bracket: Optional[landaun.CnkBracket] = None,
                  _build: Optional[Callable[[], Optional[PiecewisePoly]]] = None):
-        _set(self, "value", value)
-        _set(self, "status", status)  # EXACT | UPPER_BOUND | INTERVAL
-        _set(self, "provenance", provenance)
-        _set(self, "lower", lower)
-        _set(self, "upper", upper)
-        _set(self, "witness_point", witness_point)  # where the witness attains the value
-        _set(self, "bracket", bracket)
-        _set(self, "_build", _build)
-
-    def _values(self) -> tuple:
-        return self.value, self.status, self.provenance, self.lower, self.upper, self.witness_point, self.bracket
-
-    def __repr__(self) -> str:
-        return ("BoundResult(value={!r}, status={!r}, provenance={!r}, lower={!r}, upper={!r}, "
-                "witness_point={!r}, bracket={!r})".format(*self._values()))
-
-    def __eq__(self, other):
-        return self._values() == other._values() if other.__class__ is BoundResult else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    __setattr__ = __delattr__ = frozen_setattr
+        set_field(self, "value", value)
+        set_field(self, "status", status)  # EXACT | UPPER_BOUND | INTERVAL
+        set_field(self, "provenance", provenance)
+        set_field(self, "lower", lower)
+        set_field(self, "upper", upper)
+        set_field(self, "witness_point", witness_point)  # where the witness attains the value
+        set_field(self, "bracket", bracket)
+        set_field(self, "_build", _build)
 
     @property
     def exact(self) -> Optional[float]:
@@ -169,7 +128,7 @@ class BoundResult:
                     witness = None if self._build is None else self._build()
                 except StructuralError:
                     witness = None
-                _set(self, "_witness", witness)
+                set_field(self, "_witness", witness)
         return self._witness
 
 

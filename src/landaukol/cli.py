@@ -355,6 +355,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return code
     except ValueError as exc:
         return _fail(f"error: {exc}")
+    except MemoryError as exc:  # e.g. an oracle --M whose LP does not fit
+        return _fail(f"error: out of memory: {str(exc) or 'the problem is too large'}")
     except BrokenPipeError:  # the reader left; as in the signal docs' "Note on SIGPIPE",
         # stdout goes to devnull so that the flush at exit raises nothing
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -25,10 +25,33 @@ Real = Union[Fraction, float, int]
 MAX_INDEX = 64
 
 
-def frozen_setattr(self, name: str, value=None):
-    """__setattr__ and __delattr__ of a frozen record, whose __init__ sets
-    its fields with object.__setattr__."""
-    raise AttributeError(f"cannot assign to or delete field {name!r}")
+set_field = object.__setattr__  # one global name: a lookup cheaper than object.__setattr__
+
+
+class Record:
+    """Base of a frozen `__slots__` record.  A subclass names its fields in
+    `_fields`, which repr, == and hash read, and sets every slot once in its
+    own __init__ with `set_field`; assignment and deletion refuse."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__name__}({fields})"
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
 
 
 def is_exact_number(x: Real) -> bool:

@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import _roots
-from .exactnum import Poly, Real, frozen_setattr
+from .exactnum import Poly, Real, Record, set_field
 from .pwpoly import PiecewisePoly, abs_integral
 
 
@@ -41,11 +41,11 @@ def _exact(v: Real) -> Fraction:
     return Fraction(v)
 
 
-class LinearFunctional:
+class LinearFunctional(Record):
     """Finite sum of derivative evaluations on [0, T], kernel order n.
     alpha, lambda and T are stored as Fractions."""
 
-    __slots__ = ("terms", "T", "n")
+    __slots__ = _fields = ("terms", "T", "n")
 
     def __init__(self, terms: Sequence[Tuple[Real, int, Real]], T: Real, n: int):
         if n < 1:
@@ -57,23 +57,9 @@ class LinearFunctional:
                 raise ValueError(f"alpha {alpha} outside [0, {T}]")
             if not 0 <= m <= n - 1:
                 raise ValueError(f"derivative order {m} outside 0..{n - 1}")
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "T", T)
-        object.__setattr__(self, "n", n)
-
-    def _values(self) -> tuple:
-        return self.terms, self.T, self.n
-
-    def __repr__(self) -> str:
-        return "LinearFunctional(terms={!r}, T={!r}, n={!r})".format(*self._values())
-
-    def __eq__(self, other):
-        return self._values() == other._values() if other.__class__ is LinearFunctional else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    __setattr__ = __delattr__ = frozen_setattr
+        set_field(self, "terms", terms)
+        set_field(self, "T", T)
+        set_field(self, "n", n)
 
     def __call__(self, f) -> float:
         """Apply to a callable-with-derivatives (PiecewisePoly or Poly)."""
@@ -155,33 +141,19 @@ def deriv_kernel_l1_exact(x: Real, T: Real) -> Fraction:
 # -- the Vandermonde certificate -------------------------------------------
 
 
-class KernelCertificate:
+class KernelCertificate(Record):
     """Uniform constants (A, B) with |f^(k)| <= A a T^-k + B b T^(n-k) for all
     members; built from interpolation functionals at alpha_i = i/n."""
 
-    __slots__ = ("A", "B", "n", "k")
+    __slots__ = _fields = ("A", "B", "n", "k")
 
     def __init__(self, A: float, B: float, n: int, k: int):
         if not (A > 0 and B > 0):
             raise ValueError("certificate constants must be positive")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
-
-    def _values(self) -> tuple:
-        return self.A, self.B, self.n, self.k
-
-    def __repr__(self) -> str:
-        return "KernelCertificate(A={!r}, B={!r}, n={!r}, k={!r})".format(*self._values())
-
-    def __eq__(self, other):
-        return self._values() == other._values() if other.__class__ is KernelCertificate else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    __setattr__ = __delattr__ = frozen_setattr
+        set_field(self, "A", A)
+        set_field(self, "B", B)
+        set_field(self, "n", n)
+        set_field(self, "k", k)
 
     def segment_bound(self, a: Real, b: Real, T: Real) -> float:
         a, b, T = float(a), float(b), float(T)

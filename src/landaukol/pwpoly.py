@@ -140,6 +140,8 @@ class PiecewisePoly:
     @staticmethod
     def from_json_dict(d: dict) -> "PiecewisePoly":
         def dec(v) -> Real:
+            if v.__class__ is bool:  # an int to Python, not a number to JSON
+                raise ValueError(f"{json.dumps(v)} is not a number")
             x = Fraction(v) if isinstance(v, str) else v
             if not math.isfinite(x):
                 raise ValueError(f"non-finite number {v}")

@@ -886,3 +886,26 @@ def test_verify_cost_does_not_grow_with_the_order(tmp_path):
                    for n in ("3", "1000000"))
     assert huge == small
     assert json.loads(small["out"])["result"]["membership"] is True
+
+
+@pytest.mark.parametrize("text", ['{"knots": [0, true], "pieces": [[false, true]], "n": 2}',
+                                  '{"knots": [0, 1], "pieces": [[0.5, false]], "n": 2}'])
+def test_verify_refuses_json_booleans_as_numbers(tmp_path, capsys, text):
+    path = tmp_path / "w.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "verify", "--file", str(path))
+    assert (code, out) == (2, "") and len(err.splitlines()) == 1
+    assert err.startswith("error: cannot read spline: bad spline JSON: ") and "is not a number" in err
+
+
+@pytest.mark.parametrize("exc", [MemoryError(), MemoryError("Unable to allocate 2.98 GiB")], ids=repr)
+def test_oracle_out_of_memory_exits_2_with_one_line(capsys, monkeypatch, exc):
+    from landaukol import oracle
+
+    def too_large(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(oracle, "lp_max_pointwise_derivative", too_large)
+    code, out, err = run_cli(capsys, "oracle", "--problem", "pointwise", "--T", "1", "--t0", "0.5", "--M", "20000")
+    assert (code, out) == (2, "") and len(err.splitlines()) == 1
+    assert err.startswith("error: out of memory: ")

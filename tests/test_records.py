@@ -13,7 +13,7 @@ import pytest
 from landaukol import landaun
 from landaukol._roots import Root, real_roots_exact
 from landaukol.bounds import EXACT, BoundQuery, BoundResult, FullLine, Segment
-from landaukol.exactnum import Poly
+from landaukol.exactnum import Poly, Record
 from landaukol.oracle import BangBangControl, LpProblem
 from landaukol.peano import KernelCertificate, LinearFunctional
 from landaukol.pwpoly import (ContactInterval, ContactPoint, ExtremeVerdict, MembershipReport, PiecewisePoly,
@@ -173,3 +173,26 @@ def test_linear_functional_converts_and_refuses():
         assert str(err.value) == message
     with pytest.raises(ValueError, match="^certificate constants must be positive$"):
         KernelCertificate(0.0, 1.0, 4, 2)
+
+
+def test_record_fields_are_the_public_slots():
+    # a slot added without a field would drop out of repr, == and hash unseen
+    records = Record.__subclasses__()
+    assert {cls.__name__ for cls in records} == {
+        "Segment", "BoundQuery", "BoundResult", "LinearFunctional", "KernelCertificate"}
+    for cls in records:
+        assert cls._fields == tuple(name for name in cls.__slots__ if not name.startswith("_")), cls
+
+
+def test_a_record_equals_only_its_own_type():
+    class Twin(KernelCertificate):
+        __slots__ = ()
+
+    cert = KernelCertificate(1.0, 2.0, 4, 2)
+    assert cert == KernelCertificate(1.0, 2.0, 4, 2)
+    assert cert != Twin(1.0, 2.0, 4, 2) and Twin(1.0, 2.0, 4, 2) != cert
+    assert cert != (1.0, 2.0, 4, 2) and (1.0, 2.0, 4, 2) != cert
+    assert Segment(2.0) != (2.0,) and Segment(2.0) != 2.0
+    q = BoundQuery(2, 1, 1.0, 1.0, FullLine)
+    assert q != (2, 1, 1.0, 1.0, FullLine, "sup", None)
+    assert BoundResult(1.0, EXACT, "x") != (1.0, EXACT, "x", None, None, None, None)
