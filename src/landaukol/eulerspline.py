@@ -10,6 +10,10 @@ satisfies e_n(x+1) = -e_n(x).  Derived objects:
 * the unit-class comparison spline q_n(x) = EE_n(x * s_n^(1/n)), also as an
   explicit spline over enough periods to be an extreme point of the class.
 
+The exact spline EE_n on a window has one piece per period half, each
+(-1)^k E_n(x + eps_n - k) / e_n(eps_n): the Taylor coefficients of the scaled
+E_n at eps_n - k, from one integer Taylor shift (`_roots.taylor_coefficients`).
+
 Raising exact rationals to fractional powers is done once, in double
 precision, via exp/log of the integer numerator and denominator; it is the
 only inexact step in this module.
@@ -120,6 +124,7 @@ def q_n_deriv_sup(n: int, k: int) -> float:
 def euler_spline_piecewise(n: int, x0: Fraction, x1: Fraction):
     """EE_n on [x0, x1] as an exact spline (knots where x + eps_n is an
     integer, one scaled Euler-polynomial piece in between)."""
+    from ._roots import taylor_coefficients
     from .pwpoly import PiecewisePoly, cut  # deferred: pwpoly does not import us
 
     if n < 1:
@@ -128,11 +133,12 @@ def euler_spline_piecewise(n: int, x0: Fraction, x1: Fraction):
     if not x0 < x1:
         raise ValueError("need x0 < x1")
     eps = _epsilon(n)
-    denom = e_n_exact(n, eps)
-    piece_of = euler_poly(n)
+    even = euler_poly(n) * (1 / e_n_exact(n, eps))  # the pieces of even k, less the shift
+    odd = -even
     ks = range(math.floor(x0 + eps), math.ceil(x1 + eps))  # piece k on [k - eps, k + 1 - eps]
     knots = [k - eps for k in ks] + [ks[-1] + 1 - eps]
-    pieces = [piece_of.compose_affine(eps - k, Fraction(1)) * (Fraction(-1 if k % 2 else 1) / denom) for k in ks]
+    # piece k is (-1)^k E_n(x + eps - k) / e_n(eps): the Taylor coefficients at eps - k
+    pieces = [Poly(taylor_coefficients(odd if k % 2 else even, eps - k)) for k in ks]
     return PiecewisePoly(*cut(knots, pieces, x0, x1), n)
 
 

@@ -6,8 +6,13 @@ Pieces hold coefficients in the *global* coordinate (the same t as the knots).
 Coefficients and knots may be exact ``Fraction``s or ``float``s: exact splines
 are checked exactly whatever the type of a and b, a float bound meaning its
 exact binary value (a float 0.3 lies below 3/10; pass ``Fraction("0.3")`` for
-the decimal): |p| <= a on a piece from the signs of p -/+ a, with no critical
-point located, and joins from one Taylor shift of left - right at the knot.
+the decimal). The sup test and the contact search of an exact piece p on
+[lo, hi] run on its local Taylor form P(u) = p(lo + u) on [0, hi - lo]
+(pp-form; de Boor, A Practical Guide to Splines, 1978), once per distinct
+(P up to sign, hi - lo) in a call, so the pieces of a periodic train such as
+an Euler spline cost one or two: |p| <= a from the signs of P -/+ a, with no
+critical point located. Joins come from one Taylor shift of left - right at
+the knot.
 Float splines are checked against ``REL_TOL`` times the class scale
 a^(1 - m/n) b^(m/n) of the compared f^(m) (a for values and contacts, b for
 |f^(n)|) plus a rounding allowance ``EVAL_ULPS`` * (degree + 1) * sum (|c_m| +
@@ -34,7 +39,7 @@ import math
 import sys
 from bisect import bisect_right
 from fractions import Fraction
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import _roots
 from .exactnum import Poly, Real, is_exact_number
@@ -211,20 +216,46 @@ def to_class(unit: Callable[[], PiecewisePoly], n: int, a: float, b: float) -> O
     return f if (a, b) == (1, 1) else transform(f, mu=a, lam=math.sqrt(b / a) if n == 2 else (b / a) ** (1 / n))
 
 
-def _piece_roots(p: Poly, lo: Real, hi: Real, exact: bool) -> List[float]:
-    """Where the roots of p lie in [lo, hi], on either lane; none when p is zero."""
-    if p.is_zero():
-        return []
-    if exact:
-        return [r.approx for r in _roots.real_roots_exact(p, Fraction(lo), Fraction(hi))]
-    return _roots.real_roots_float(p, float(lo), float(hi))
+def _local_piece(p: Poly, lo: Real, hi: Real) -> Tuple[tuple, int]:
+    """The piece p on [lo, hi] (exact) in its local Taylor form P(u) = p(lo + u)
+    on [0, L], L = hi - lo, up to sign, as (key, sign): sign * P = sum g_m u^m / den
+    with integers g_m and den > 0 without a common factor and the top g_m
+    positive, and key = (g, den, numerator and denominator of L), integers all,
+    cheap to hash. Pieces with one key are translates of one polynomial or of
+    its negative on intervals of one length."""
+    f, scale = _roots._cleared(p)
+    length = hi - lo
+    if not f:
+        return ((), 1, length.numerator, length.denominator), 1
+    num, lo_den = lo.numerator, lo.denominator
+    # lo_den^deg f(lo + u / lo_den) = sum h_m u^m, so scale lo_den^deg p(lo + u) = sum h_m lo_den^m u^m
+    g = [h * lo_den**m for m, h in enumerate(_roots._taylor_shift(f, num, lo_den))]
+    den = scale * lo_den ** (len(f) - 1)
+    common = math.gcd(den, *g)
+    sign = 1 if g[-1] > 0 else -1
+    return (tuple(sign * c // common for c in g), den // common, length.numerator, length.denominator), sign
+
+
+def _local_search(key: tuple, sign: int, a: Fraction) -> Tuple[Poly, int, Fraction]:
+    """(q, 0, L): q = a.denominator * den * (sign P - a), a positive multiple of
+    sign P - a, for the local piece P on [0, L] of key (`_local_piece`), with
+    the interval of a root or sign search of q."""
+    g, den, length_num, length_den = key
+    q = [sign * a.denominator * c for c in g] or [0]
+    q[0] -= a.numerator * den
+    return Poly(q), 0, Fraction(length_num, length_den)
+
+
+def _piece_roots(p: Poly, lo: float, hi: float) -> List[float]:
+    """The float roots of p in [lo, hi]; none when p is zero."""
+    return [] if p.is_zero() else _roots.real_roots_float(p, lo, hi)
 
 
 def _float_peaks(p: Poly, lo: float, hi: float) -> List[float]:
     """Where |p| (float coefficients) can peak on [lo, hi]: the ends and the
     real roots of p' inside, polished by Newton."""
     dp = p.derivative()
-    return [lo, hi] + [_roots.polish_float_root(dp, r, lo, hi) for r in _piece_roots(dp, lo, hi, False)]
+    return [lo, hi] + [_roots.polish_float_root(dp, r, lo, hi) for r in _piece_roots(dp, lo, hi)]
 
 
 def _within_allowance(x: float, limit: float, lo: Real, hi: Real, *polys: Poly, order: int = 0) -> bool:
@@ -271,11 +302,26 @@ def piece_sup(p: Poly, lo: Real, hi: Real, exact: bool) -> Real:
 
 def abs_integral(p: Poly, lo: Real, hi: Real, exact: bool) -> float:
     """Integral of |p| over [lo, hi]: split at the roots of p inside the
-    interval and integrate the polynomial in between."""
-    flo, fhi = float(lo), float(hi)
-    cuts = [flo] + [r for r in _piece_roots(p, lo, hi, exact) if flo < r < fhi] + [fhi]
-    anti = p.antiderivative().to_float()
-    return sum((abs(anti(v) - anti(u)) for u, v in zip(cuts, cuts[1:])), 0.0)
+    interval and integrate the polynomial in between. In exact mode the
+    exact antiderivative is read at the exact cuts (an irrational root at the
+    midpoint of its bracket) and the sum rounded once."""
+    if not exact:
+        flo, fhi = float(lo), float(hi)
+        cuts = [flo] + [r for r in _piece_roots(p, flo, fhi) if flo < r < fhi] + [fhi]
+        anti = p.antiderivative().to_float()
+        return sum((abs(anti(v) - anti(u)) for u, v in zip(cuts, cuts[1:])), 0.0)
+    lo, hi = Fraction(lo), Fraction(hi)
+    cuts = [lo, *(sum(r.bracket) / 2 for r in _roots.real_roots_exact(p, lo, hi) if r.exact not in (lo, hi)), hi]
+    f, scale = _roots._cleared(p)
+    # scale * top times the antiderivative of p has integer coefficients, top = lcm(1 .. deg + 1)
+    top = math.lcm(*range(1, len(f) + 1))
+    anti = [0] + [c * (top // (m + 1)) for m, c in enumerate(f)]
+    # anti(x) = v / w at x = . / d: v = d^deg anti(x), w = d^deg
+    ends = [(_roots._values([anti], x.numerator, x.denominator)[0], x.denominator ** (len(anti) - 1)) for x in cuts]
+    num, den = 0, 1  # the sum of |anti(y) - anti(x)| over the cuts x < y, as num / den
+    for (v0, w0), (v1, w1) in zip(ends, ends[1:]):
+        num, den = num * w0 * w1 + abs(v1 * w0 - v0 * w1) * den, den * w0 * w1
+    return num / (den * scale * top)  # one int division, rounded as Fraction.__float__ rounds
 
 
 def total_variation(f: PiecewisePoly) -> float:
@@ -367,11 +413,14 @@ def membership(f: PiecewisePoly, n: int, a: Real, b: Real) -> MembershipReport:
     piece, sup |f| <= a, and |f^(n)| <= b (a constant on each piece)."""
     exact, a, _, violations = _class_check(f, n, a, b)
     fa = float(a)
+    seen: Dict[tuple, bool] = {}  # local piece key -> |P| <= a, for this call only
     for i, p in enumerate(f.pieces):
         lo, hi = f.knots[i], f.knots[i + 1]
-        if exact:  # |p| <= a iff p - a <= 0 and -p - a <= 0
-            below = Poly([-a])
-            member = _roots.nonpositive(p + below, lo, hi) and _roots.nonpositive(below - p, lo, hi)
+        if exact:  # |P| <= a iff P - a <= 0 and -P - a <= 0, the same for -P
+            key, _ = _local_piece(p, lo, hi)
+            if key not in seen:
+                seen[key] = all(_roots.nonpositive(*_local_search(key, sign, a)) for sign in (1, -1))
+            member = seen[key]
         else:
             member = _within_allowance(piece_sup(p, lo, hi, False), fa * (1 + REL_TOL), lo, hi, p)
         if not member:
@@ -433,25 +482,32 @@ def _contacts(f: PiecewisePoly, n: int, a: Real, exact: bool) -> Tuple[List[Cont
     intervals: List[ContactInterval] = []
     sup_ok = True
 
+    if exact:
+        a = Fraction(a)
+        seen: Dict[tuple, tuple] = {}  # (local piece key, sign) -> _local_contacts, for this call only
     for i, p in enumerate(f.pieces):
         lo, hi = f.knots[i], f.knots[i + 1]
-        if exact:  # of p at lo; those of q = p - sign a differ in the first only
-            taylor = _roots.taylor_coefficients(p, lo) or [0]
+        if exact:
+            key, flip = _local_piece(p, lo, hi)
+            lo_num, lo_den = lo.numerator, lo.denominator
         else:
             pf = p.to_float()
             peaks = _float_peaks(pf, float(lo), float(hi))
             # the bits of piece_sup, against the allowance of membership
             sup_ok &= _within_allowance(max(abs(pf(x)) for x in peaks), fa * (1 + REL_TOL), lo, hi, p)
         for sign in (1, -1):
-            if exact:
-                q = p - Poly([sign * Fraction(a)])
-                roots = _roots.real_roots_exact(q, lo, hi)  # none when q is zero
-                if q.is_zero():
+            if exact:  # p = sign a where flip * sign P = a, P the local form of the key
+                at = key, flip * sign
+                if at not in seen:
+                    seen[at] = _local_contacts(key, flip * sign, a)
+                ok, roots = seen[at]
+                if roots is None:
                     intervals.append(ContactInterval(float(lo), float(hi), sign))
-                else:  # sign * q <= 0 by the rule of _roots.nonpositive, on the same roots
-                    first = next(c for c in (taylor[0] - sign * Fraction(a), *taylor[1:]) if c)
-                    sup_ok &= sign * first < 0 and all(r.multiplicity % 2 == 0 or r.exact in (lo, hi) for r in roots)
-                points.extend(ContactPoint(r.approx, sign, min(r.multiplicity, n)) for r in roots)
+                    continue
+                sup_ok &= ok
+                # float(lo + u) for u = u_num / u_den, one int division rounded as Fraction.__float__ rounds
+                points.extend(ContactPoint((lo_num * u_den + u_num * lo_den) / (lo_den * u_den), sign, min(m, n))
+                              for u_num, u_den, m in roots)
             elif all(_within_allowance(abs(pf(x) - sign * fa), REL_TOL * fa, lo, hi, pf) for x in peaks):
                 # p = sign * a at every place where it can peak, so on the whole piece
                 intervals.append(ContactInterval(float(lo), float(hi), sign))
@@ -496,6 +552,23 @@ def _contacts(f: PiecewisePoly, n: int, a: Real, exact: bool) -> Tuple[List[Cont
             continue
         deduped.append(cp)
     return deduped, merged, sup_ok
+
+
+def _local_contacts(key: tuple, sign: int, a: Fraction) -> Tuple[bool, Optional[List[Tuple[int, int, int]]]]:
+    """Whether sign P <= a on [0, L], for the local piece P and length L of key
+    (`_local_piece`), and the roots of sign P - a there, each (numerator,
+    denominator, multiplicity) of the root or of the midpoint of its bracket;
+    None for the roots when sign P = a. The search on [0, L] bisects at the
+    points of the search on [lo, lo + L] less lo, so lo + u gives the same
+    brackets."""
+    q, _, length = search = _local_search(key, sign, a)
+    if q.is_zero():
+        return True, None
+    roots = _roots.real_roots_exact(*search)
+    # q <= 0 by the rule of _roots.nonpositive, on the same roots
+    ok = next(c for c in q.coeffs if c) < 0 and all(r.multiplicity % 2 == 0 or r.exact in (0, length) for r in roots)
+    mids = [sum(r.bracket) / 2 for r in roots]  # the root itself when rational
+    return ok, [(u.numerator, u.denominator, r.multiplicity) for u, r in zip(mids, roots)]
 
 
 def is_extreme_point(f: PiecewisePoly, n: int, a: Real, b: Real) -> ExtremeVerdict:

@@ -167,6 +167,34 @@ def test_piecewise_exporters():
             assert float(q(x)) == pytest.approx(q_n(n, x), abs=1e-9)
 
 
+def _compose_affine_construction(n, x0, x1):
+    """EE_n on [x0, x1] built piece by piece as E_n(x + eps - k) by Horner over
+    Poly, then scaled by (-1)^k / e_n(eps): the reference for the exporter."""
+    from landaukol.exactnum import euler_poly
+    from landaukol.pwpoly import PiecewisePoly, cut
+
+    eps = F(0) if n % 2 else F(1, 2)
+    denom = e_n_exact(n, eps)
+    ks = range(math.floor(x0 + eps), math.ceil(x1 + eps))
+    knots = [k - eps for k in ks] + [ks[-1] + 1 - eps]
+    pieces = [euler_poly(n).compose_affine(eps - k, F(1)) * (F(-1 if k % 2 else 1) / denom) for k in ks]
+    return PiecewisePoly(*cut(knots, pieces, x0, x1), n)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_exported_pieces_are_those_of_the_compose_affine_construction(n):
+    from landaukol.eulerspline import euler_spline_piecewise
+
+    for j in range(-9, 10):
+        x0 = F(j, 4)
+        for length in (F(1, 3), F(1), F(11, 4), F(6)):
+            got = euler_spline_piecewise(n, x0, x0 + length)
+            want = _compose_affine_construction(n, x0, x0 + length)
+            assert got.knots == want.knots and got.n_smooth == want.n_smooth == n
+            assert [p.coeffs for p in got.pieces] == [p.coeffs for p in want.pieces]
+            assert got.to_json() == want.to_json()
+
+
 def test_favard_best_approx():
     assert favard_best_approx(1, 1, 2 * math.pi) == pytest.approx(math.pi / 2, abs=1e-12)
     for n in range(1, 9):

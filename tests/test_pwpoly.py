@@ -15,6 +15,7 @@ from landaukol.exactnum import Poly
 from landaukol.pwpoly import (
     MIN_KNOT_GAP,
     ContactInterval,
+    ContactPoint,
     MembershipError,
     MembershipReport,
     PiecewisePoly,
@@ -439,6 +440,15 @@ def test_total_variation():
     assert total_variation(ramp) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("t0", [0, 10**3, 10**4, 10**6, F(10**9, 3)])
+def test_total_variation_of_an_exact_spline_far_from_the_origin(t0):
+    # a float copy of the global antiderivative gave 163840.0 at t0 = 1e4 and
+    # 3.4e15 at 1e6; the exact antiderivative at the exact cuts gives 2 per piece
+    assert total_variation(transform(euler_spline_piecewise(5, F(0), F(6)), t0=t0)) == 12.0
+    assert total_variation(transform(euler_spline_piecewise(4, F(1, 4), F(25, 4)), t0=t0)) == \
+        total_variation(euler_spline_piecewise(4, F(1, 4), F(25, 4)))
+
+
 def test_json_round_trip():
     f = two_contact_extreme(1, 2)
     d = f.to_json_dict()
@@ -775,7 +785,80 @@ def test_the_certificate_searches_each_piece_once_per_sign(monkeypatch):
     counted(pwpoly._roots, "real_roots_exact")
     counted(pwpoly, "_float_peaks")
     assert is_extreme_point(f, 5, F(1), b).is_extreme
-    assert calls == {"nonpositive": 0, "real_roots_exact": 2 * len(f.pieces), "_float_peaks": 0}
+    # the six exact pieces are one local piece P(u) = p(lo + u) on [0, 1] up to
+    # sign: searched once per sign in a call
+    assert len(f.pieces) == 6
+    assert calls == {"nonpositive": 0, "real_roots_exact": 2, "_float_peaks": 0}
     calls.update(real_roots_exact=0)
     assert is_extreme_point(_float_copy(f), 5, 1.0, float(b)).is_extreme
     assert calls == {"nonpositive": 0, "real_roots_exact": 0, "_float_peaks": len(f.pieces)}
+
+
+def _certificate_reading(g, n, a, b, reverse=False):
+    """What `membership` and `is_extreme_point` say about g that a translate or
+    a reflection (reverse) must repeat; every contact lies in the domain, where
+    g = sign * a to within 1e-6."""
+    report = membership(g, n, a, b)
+    reading = [report.ok, sorted(v.kind for v in report.violations)]
+    try:
+        verdict = is_extreme_point(g, n, a, b)
+    except MembershipError as exc:
+        assert not report.ok and exc.report == report
+        return reading
+    assert report.ok and not verdict.contact_intervals
+    for cp in verdict.contact_points:
+        assert float(g.t_start) <= cp.t <= float(g.t_end) and abs(g(F(cp.t)) - cp.sign * a) <= F(1, 10**6), cp
+    points = verdict.contact_points[::-1] if reverse else verdict.contact_points
+    return reading + [verdict.is_extreme, verdict.multiplicity_sum, [(cp.sign, cp.multiplicity) for cp in points]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(2, 9), j=st.integers(-8, 8), length=st.fractions(F(1, 4), 6, max_denominator=4),
+    perturb=st.one_of(st.none(), st.tuples(st.integers(0, 99), st.integers(0, 9), st.sampled_from([-1, 1]),
+                                           st.sampled_from([3, 9, 30]))),
+    t0=st.fractions(-10**6, 10**6, max_denominator=7),
+    below=st.sampled_from([0, F(1, 10**30), -F(1, 10**6)]),
+)
+def test_local_pieces_give_the_verdicts_of_translates_and_reflections(n, j, length, perturb, t0, below):
+    # exact pieces are checked once per distinct local form P(u) = p(lo + u) on
+    # [0, hi - lo] up to sign; a translate has the same local forms, a reflection
+    # others, a moved coefficient a new one
+    f = euler_spline_piecewise(n, F(j, 4), F(j, 4) + length)
+    b = abs(f.pieces[0].coeffs[n]) * math.factorial(n)
+    if perturb is not None:
+        i, m, sign, k = perturb[0] % len(f.pieces), perturb[1] % (n + 1), perturb[2], perturb[3]
+        coeffs = list(f.pieces[i].coeffs)
+        coeffs[m] += sign * F(1, 10**k) * (coeffs[m] or 1)
+        f = PiecewisePoly(f.knots, f.pieces[:i] + (Poly(coeffs),) + f.pieces[i + 1:], n)
+    a = 1 - below
+    reading = _certificate_reading(f, n, a, b)
+    assert _certificate_reading(transform(f, t0=t0), n, a, b) == reading
+    assert _certificate_reading(transform(f, lam=-1), n, a, b, reverse=True) == reading
+
+
+def test_a_moved_middle_piece_of_a_periodic_train_is_refused_at_that_piece():
+    f = euler_spline_piecewise(5, F(0), F(6))
+    b = abs(f.pieces[0].coeffs[5]) * math.factorial(5)
+    coeffs = list(f.pieces[3].coeffs)
+    coeffs[0] += coeffs[0] / 10**30
+    moved = PiecewisePoly(f.knots, f.pieces[:3] + (Poly(coeffs),) + f.pieces[4:], 5)
+    report = membership(moved, 5, F(1), b)
+    assert [(v.kind, v.where) for v in report.violations] == [("join", 3.0), ("join", 4.0), ("sup", 3.0)]
+    with pytest.raises(MembershipError) as exc:
+        is_extreme_point(moved, 5, F(1), b)
+    assert exc.value.report == report
+    assert membership(f, 5, F(1), b).ok and is_extreme_point(f, 5, F(1), b).is_extreme
+
+
+def test_a_cut_last_piece_is_checked_on_its_own_length():
+    # EE_4 peaks at the middle of its full pieces; the last piece, cut to
+    # [3/2, 7/4], has the local form of the full ones but stops before its peak
+    f = euler_spline_piecewise(4, F(-1, 2), F(7, 4))
+    b = abs(f.pieces[0].coeffs[4]) * math.factorial(4)
+    assert f.knots == (F(-1, 2), F(1, 2), F(3, 2), F(7, 4))
+    report = membership(f, 4, 1 - F(1, 10**30), b)
+    assert [(v.kind, v.where) for v in report.violations] == [("sup", -0.5), ("sup", 0.5)]
+    verdict = is_extreme_point(f, 4, F(1), b)
+    assert verdict.contact_points == (ContactPoint(0.0, 1, 2), ContactPoint(1.0, -1, 2))
+    assert verdict.is_extreme and verdict.multiplicity_sum == 4

@@ -3,6 +3,8 @@ workloads read result attributes by name; every such name must exist, or a
 refactor breaks the benchmark without failing a test."""
 import importlib
 import importlib.util
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +15,8 @@ from landaukol.bounds import BoundQuery, FullLine, HalfLine, Segment, compute_bo
 from landaukol.exactnum import Poly
 from landaukol.pwpoly import PiecewisePoly, is_extreme_point
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def _boundaries():
@@ -56,3 +59,13 @@ def test_result_fields_read_by_the_workloads():
     parabola = PiecewisePoly([Fraction(0), Fraction(4)], [Poly([Fraction(1), Fraction(-2), Fraction(1, 2)])], 2)
     v = is_extreme_point(parabola, 2, Fraction(1), Fraction(1))
     assert v.multiplicity_sum == 4 and v.numeric is False  # contacts at 0, 2 (tangential) and 4
+
+
+def test_one_checked_round_of_every_benchmark_workload_passes():
+    # `perfbench/run.py --quick` checks every output of one round of each
+    # workload against values computed apart from the library
+    run = subprocess.run([sys.executable, "perfbench/run.py", "--quick"], cwd=ROOT,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stdout + run.stderr
+    lines = run.stdout.splitlines()
+    assert len(lines) == 4 and all(line.startswith("ok ") for line in lines), run.stdout
