@@ -7,8 +7,7 @@ Two lanes, matching the two coefficient regimes of the splines handled here:
   bisection run on Python integers (primitive pseudo-remainder sequences,
   Collins 1967), giving certified isolating intervals (width at most 1e-12
   times min(1, hi - lo)) with exact multiplicities; a ``Fraction`` is built
-  only for the returned brackets; the same integer parts decide the sign of
-  p on an interval with no root located (``nonpositive``) and give p's Taylor
+  only for the returned brackets; the same integer parts give p's Taylor
   coefficients at a point from one Taylor shift (``taylor_coefficients``);
 * ``float`` coefficients: -c0/c1 at degree 1, and the real roots of
   ``numpy.roots`` at degree >= 2 (numpy loads only then; in t / 2^e, with
@@ -208,32 +207,6 @@ def taylor_coefficients(p: Poly, x: Fraction) -> List[Fraction]:
     d = len(f) - 1
     return [Fraction(h, scale * x.denominator ** (d - m)) if h else 0
             for m, h in enumerate(_taylor_shift(f, x.numerator, x.denominator))]
-
-
-def nonpositive(p: Poly, lo: Fraction, hi: Fraction) -> bool:
-    """Whether p (rational coefficients) is <= 0 on the closed [lo, hi], lo < hi,
-    decided from signs alone: the first nonzero Taylor coefficient of p at lo is
-    negative (p < 0 just right of lo), and no square-free factor of odd
-    multiplicity (the roots where p changes sign) has a root in the open
-    (lo, hi), by one Sturm variation count at each end."""
-    if p.is_zero():
-        return True
-    f = _primitive(_cleared(p)[0])
-    lo, hi = Fraction(lo), Fraction(hi)
-    if next(h for h in _taylor_shift(f, lo.numerator, lo.denominator) if h) > 0:
-        return False
-    if len(f) == 1:
-        return True
-    den = math.lcm(lo.denominator, hi.denominator)
-    a, b = lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator)
-    for factor, mult in _square_free(f):
-        if mult % 2:
-            chain = _sturm_chain(factor)
-            at_hi = _values(chain, b, den)
-            # the count covers (lo, hi]; a root at hi itself changes no sign inside
-            if _variations(_values(chain, a, den)) - _variations(at_hi) > (at_hi[0] == 0):
-                return False
-    return True
 
 
 def real_roots_exact(p: Poly, lo: Fraction, hi: Fraction) -> List[Root]:

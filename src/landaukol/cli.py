@@ -126,9 +126,7 @@ def cmd_oracle(args) -> int:
             args.a, args.b, args.T, max_switches=args.max_switches, restarts=restarts, seed=seed,
         )
         config.update(restarts=restarts, seed=seed)
-        extra = {"control": {"f0": control.f0, "fp0": control.fp0,
-                             "switches": list(control.switches), "sign": control.sign,
-                             "scale": control.scale}}
+        extra = {"control": control._asdict()}  # json writes the switches tuple as a list
         method = "bangbang-switching-search"
     closed = compute_bound(query).exact
     result = {"value": value, "status": "OracleApprox", "config": config, **extra,
@@ -234,22 +232,15 @@ def cmd_verify(args) -> int:
     result = {
         "membership": report.ok,
         "numeric": report.numeric,
-        "violations": [
-            {"kind": v.kind, "where": v.where, "detail": v.detail} for v in report.violations
-        ],
+        "violations": [v._asdict() for v in report.violations],
     }
     if verdict is not None:
         result["is_extreme"] = verdict.is_extreme
         result["multiplicity_sum"] = (
             "inf" if math.isinf(verdict.multiplicity_sum) else verdict.multiplicity_sum
         )
-        result["contact_points"] = [
-            {"t": cp.t, "sign": cp.sign, "multiplicity": cp.multiplicity}
-            for cp in verdict.contact_points
-        ]
-        result["contact_intervals"] = [
-            {"lo": iv.lo, "hi": iv.hi, "sign": iv.sign} for iv in verdict.contact_intervals
-        ]
+        result["contact_points"] = [cp._asdict() for cp in verdict.contact_points]
+        result["contact_intervals"] = [iv._asdict() for iv in verdict.contact_intervals]
         result["condition_ii_violations"] = list(verdict.condition_ii_violations)
     _emit("verify", result, ["membership-check" if not args.extreme else "extreme-point-certificate"])
     return 0 if report.ok and (verdict is None or verdict.is_extreme) else 1

@@ -108,16 +108,11 @@ def kernel_pieces(L: LinearFunctional) -> List[Tuple[Fraction, Fraction, Poly]]:
     for lo, hi in zip(breaks, breaks[1:]):
         poly = Poly()
         for alpha, m, lam in L.terms:
-            if alpha >= hi:
+            if alpha >= hi:  # every alpha is a break, so the others end at or before lo
                 p = L.n - 1 - m
-                # (alpha - t)^p expanded in t
-                base = Poly([alpha, -1])
-                powp = Poly([1])
-                for _ in range(p):
-                    powp = powp * base
-                poly = poly + powp * (lam * Fraction(1, math.factorial(p)))
-            elif alpha > lo:
-                raise AssertionError("alpha strictly inside a kernel piece")
+                # lam (alpha - t)^p / p! = sum_j lam C(p, j) alpha^(p - j) (-t)^j / p!
+                poly = poly + Poly([lam * math.comb(p, j) * alpha ** (p - j) * (-1) ** j / math.factorial(p)
+                                    for j in range(p + 1)])
         out.append((lo, hi, poly))
     return out
 

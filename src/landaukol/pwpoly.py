@@ -6,13 +6,13 @@ Pieces hold coefficients in the *global* coordinate (the same t as the knots).
 Coefficients and knots may be exact ``Fraction``s or ``float``s: exact splines
 are checked exactly whatever the type of a and b, a float bound meaning its
 exact binary value (a float 0.3 lies below 3/10; pass ``Fraction("0.3")`` for
-the decimal). The sup test and the contact search of an exact piece p on
-[lo, hi] run on its local Taylor form P(u) = p(lo + u) on [0, hi - lo]
-(pp-form; de Boor, A Practical Guide to Splines, 1978), once per distinct
-(P up to sign, hi - lo) in a call, so the pieces of a periodic train such as
-an Euler spline cost one or two: |p| <= a from the signs of P -/+ a, with no
-critical point located. Joins come from one Taylor shift of left - right at
-the knot.
+the decimal). An exact piece p on [lo, hi] is read through its local Taylor
+form P(u) = p(lo + u) on [0, hi - lo] (pp-form; de Boor, A Practical Guide to
+Splines, 1978), built once per piece in a call. |p| <= a and the contacts
+come from one root search of P -/+ a per distinct (P up to sign, hi - lo),
+and a join from the left form shifted by its own length against the right
+form at 0, once per distinct pair and relative sign, so the pieces and joins
+of a periodic train such as an Euler spline cost one or two.
 Float splines are checked against ``REL_TOL`` times the class scale
 a^(1 - m/n) b^(m/n) of the compared f^(m) (a for values and contacts, b for
 |f^(n)|) plus a rounding allowance ``EVAL_ULPS`` * (degree + 1) * sum (|c_m| +
@@ -34,12 +34,14 @@ that are not piecewise polynomial are outside the certifier's scope.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
 from bisect import bisect_right
 from fractions import Fraction
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from itertools import zip_longest
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import _roots
 from .exactnum import Poly, Real, is_exact_number
@@ -196,7 +198,7 @@ def cut(knots: Sequence[Real], pieces: Sequence[Poly], lo: Real, hi: Real) -> Tu
     out_pieces: List[Poly] = []
     for i, p in enumerate(pieces):
         seg_hi = float(knots[i + 1])
-        end = knots[i + 1] if seg_hi < fhi - MIN_KNOT_GAP else hi
+        end = knots[i + 1] if fhi - seg_hi > MIN_KNOT_GAP else hi  # compared as the drop rule compares
         if seg_hi - flo > MIN_KNOT_GAP and float(end) - float(out_knots[-1]) > MIN_KNOT_GAP:
             out_pieces.append(p)
             out_knots.append(end)
@@ -236,14 +238,26 @@ def _local_piece(p: Poly, lo: Real, hi: Real) -> Tuple[tuple, int]:
     return (tuple(sign * c // common for c in g), den // common, length.numerator, length.denominator), sign
 
 
-def _local_search(key: tuple, sign: int, a: Fraction) -> Tuple[Poly, int, Fraction]:
-    """(q, 0, L): q = a.denominator * den * (sign P - a), a positive multiple of
-    sign P - a, for the local piece P on [0, L] of key (`_local_piece`), with
-    the interval of a root or sign search of q."""
-    g, den, length_num, length_den = key
-    q = [sign * a.denominator * c for c in g] or [0]
-    q[0] -= a.numerator * den
-    return Poly(q), 0, Fraction(length_num, length_den)
+def _local_forms(f: PiecewisePoly) -> Optional[List[Tuple[tuple, int]]]:
+    """The local form (`_local_piece`) of each piece of f; None when f is not exact."""
+    if not f.is_exact():
+        return None
+    return [_local_piece(p, lo, hi) for p, lo, hi in zip(f.pieces, f.knots, f.knots[1:])]
+
+
+def _join_gaps(left: tuple, rel: int, right: tuple, n: int) -> List[Tuple[int, float]]:
+    """(m, m! |D_m|) for the orders m < n where D_m != 0, D_m the Taylor
+    coefficients of left - right at the knot between two exact pieces with
+    local forms of keys left and right (`_local_piece`) and rel the product
+    of their signs: those of the left form at its length L, from one Taylor
+    shift, less rel times those of the right form at 0."""
+    g, den, length_num, length_den = left
+    h, r, r_den = _roots._taylor_shift(g, length_num, length_den), right[0], right[1]
+    # the left form at L + v is sum h_m length_den^m v^m / w; D_m = +-d_m / (w r_den)
+    w = length_den ** max(len(g) - 1, 0) * den
+    d = [hm * length_den**m * r_den - rel * rm * w for m, (hm, rm) in enumerate(zip_longest(h, r, fillvalue=0))]
+    # one int division, rounded as Fraction.__float__ rounds
+    return [(m, abs(dm) * math.factorial(m) / (w * r_den)) for m, dm in enumerate(d[:n]) if dm]
 
 
 def _piece_roots(p: Poly, lo: float, hi: float) -> List[float]:
@@ -289,8 +303,8 @@ def piece_sup(p: Poly, lo: Real, hi: Real, exact: bool) -> Real:
     of p'): a float, or in exact mode a Fraction read at the ends of the
     brackets of irrational critical points (`_roots.real_roots_exact`), which
     can fall short of the sup. So the exact verdict of `membership` comes
-    from the signs of p -/+ a (`_roots.nonpositive`); this value only words
-    a violation."""
+    from the root search of P -/+ a (`_local_contacts`); this value only
+    words a violation."""
     if not exact:
         pf = p.to_float()
         return max(abs(pf(x)) for x in _float_peaks(pf, float(lo), float(hi)))
@@ -356,16 +370,19 @@ def _nth_derivative_abs(p: Poly, n: int) -> Real:
     return abs(p.coeffs[n] * math.factorial(n)) if p.degree >= n else 0
 
 
-def _class_check(f: PiecewisePoly, n: int, a: Real, b: Real) -> Tuple[bool, Real, Real, List[Violation]]:
-    """(exact, a, b, violations) for the conditions of `membership` but the
-    sup, with a and b Fractions on an exact spline."""
+def _class_check(f: PiecewisePoly, n: int, a: Real, b: Real
+                 ) -> Tuple[Optional[List[Tuple[tuple, int]]], Real, Real, List[Violation]]:
+    """(forms, a, b, violations) for the conditions of `membership` but the
+    sup: the local forms of the pieces (`_local_forms`, None when f is not
+    exact), and a and b Fractions on an exact spline."""
     if n < 1:
         raise ValueError("order n must be >= 1")
     if not (0 < a < math.inf and 0 < b < math.inf):
         raise ValueError("bounds a and b must be positive and finite")
     fa, fb = float(a), float(b)
-    if exact := f.is_exact():
+    if exact := (forms := _local_forms(f)) is not None:
         a, b = Fraction(a), Fraction(b)
+        join_gaps = functools.cache(_join_gaps)  # once per (left key, relative sign, right key) in this call
     violations: List[Violation] = []
 
     for i, p in enumerate(f.pieces):
@@ -377,9 +394,9 @@ def _class_check(f: PiecewisePoly, n: int, a: Real, b: Real) -> Tuple[bool, Real
     for i in range(1, len(f.pieces)):
         t = f.knots[i]
         left, right = f.pieces[i - 1], f.pieces[i]
-        if exact:  # the order-m gap is m! |D_m|, D_m the Taylor coefficients of left - right at t
-            taylor = _roots.taylor_coefficients(left - right, t)[:n]
-            gaps = [(m, abs(float(c * math.factorial(m)))) for m, c in enumerate(taylor) if c]
+        if exact:
+            (left_key, left_sign), (right_key, right_sign) = forms[i - 1], forms[i]
+            gaps = join_gaps(left_key, left_sign * right_sign, right_key, n)
         else:
             gaps = []
             dl, dr = left, right
@@ -405,22 +422,19 @@ def _class_check(f: PiecewisePoly, n: int, a: Real, b: Real) -> Tuple[bool, Real
                     f"|f^({n})| = {float(dn)} > {float(b)} on piece {i}",
                 )
             )
-    return exact, a, b, violations
+    return forms, a, b, violations
 
 
 def membership(f: PiecewisePoly, n: int, a: Real, b: Real) -> MembershipReport:
     """Check the class conditions: C^(n-1) joins at the knots, degree <= n per
     piece, sup |f| <= a, and |f^(n)| <= b (a constant on each piece)."""
-    exact, a, _, violations = _class_check(f, n, a, b)
-    fa = float(a)
-    seen: Dict[tuple, bool] = {}  # local piece key -> |P| <= a, for this call only
+    forms, a, _, violations = _class_check(f, n, a, b)
+    exact, fa = forms is not None, float(a)
+    search = functools.cache(_local_contacts)  # once per (local piece key, sign) in this call
     for i, p in enumerate(f.pieces):
         lo, hi = f.knots[i], f.knots[i + 1]
-        if exact:  # |P| <= a iff P - a <= 0 and -P - a <= 0, the same for -P
-            key, _ = _local_piece(p, lo, hi)
-            if key not in seen:
-                seen[key] = all(_roots.nonpositive(*_local_search(key, sign, a)) for sign in (1, -1))
-            member = seen[key]
+        if exact:  # |P| <= a iff P <= a and -P <= a, the same for -P
+            member = all(search(forms[i][0], sign, a)[0] for sign in (1, -1))
         else:
             member = _within_allowance(piece_sup(p, lo, hi, False), fa * (1 + REL_TOL), lo, hi, p)
         if not member:
@@ -471,24 +485,25 @@ def contact_set(f: PiecewisePoly, n: int, a: Real) -> Tuple[List[ContactPoint], 
     critical point) and touches a."""
     if not 0 < a < math.inf:
         raise ValueError("bound a must be positive and finite")
-    return _contacts(f, n, a, f.is_exact())[:2]
+    return _contacts(f, n, a, _local_forms(f))[:2]
 
 
-def _contacts(f: PiecewisePoly, n: int, a: Real, exact: bool) -> Tuple[List[ContactPoint], List[ContactInterval], bool]:
+def _contacts(f: PiecewisePoly, n: int, a: Real, forms: Optional[List[Tuple[tuple, int]]]
+              ) -> Tuple[List[ContactPoint], List[ContactInterval], bool]:
     """The contact set and whether |f| <= a on every piece, from one root
-    search (exact) or one list of peaks (float) per piece and sign."""
-    fa = float(a)
+    search per local form (`_local_forms`, exact) or one list of peaks
+    (float) per piece and sign."""
+    exact, fa = forms is not None, float(a)
     points: List[ContactPoint] = []
     intervals: List[ContactInterval] = []
     sup_ok = True
 
     if exact:
-        a = Fraction(a)
-        seen: Dict[tuple, tuple] = {}  # (local piece key, sign) -> _local_contacts, for this call only
+        a, search = Fraction(a), functools.cache(_local_contacts)  # once per (local piece key, sign) in this call
     for i, p in enumerate(f.pieces):
         lo, hi = f.knots[i], f.knots[i + 1]
         if exact:
-            key, flip = _local_piece(p, lo, hi)
+            key, flip = forms[i]
             lo_num, lo_den = lo.numerator, lo.denominator
         else:
             pf = p.to_float()
@@ -497,10 +512,7 @@ def _contacts(f: PiecewisePoly, n: int, a: Real, exact: bool) -> Tuple[List[Cont
             sup_ok &= _within_allowance(max(abs(pf(x)) for x in peaks), fa * (1 + REL_TOL), lo, hi, p)
         for sign in (1, -1):
             if exact:  # p = sign a where flip * sign P = a, P the local form of the key
-                at = key, flip * sign
-                if at not in seen:
-                    seen[at] = _local_contacts(key, flip * sign, a)
-                ok, roots = seen[at]
+                ok, roots = search(key, flip * sign, a)
                 if roots is None:
                     intervals.append(ContactInterval(float(lo), float(hi), sign))
                     continue
@@ -561,11 +573,16 @@ def _local_contacts(key: tuple, sign: int, a: Fraction) -> Tuple[bool, Optional[
     None for the roots when sign P = a. The search on [0, L] bisects at the
     points of the search on [lo, lo + L] less lo, so lo + u gives the same
     brackets."""
-    q, _, length = search = _local_search(key, sign, a)
+    g, den, length_num, length_den = key
+    # q = a.denominator * den * (sign P - a), a positive multiple of sign P - a
+    q = [sign * a.denominator * c for c in g] or [0]
+    q[0] -= a.numerator * den
+    q, length = Poly(q), Fraction(length_num, length_den)
     if q.is_zero():
         return True, None
-    roots = _roots.real_roots_exact(*search)
-    # q <= 0 by the rule of _roots.nonpositive, on the same roots
+    roots = _roots.real_roots_exact(q, 0, length)
+    # q <= 0: its first nonzero Taylor coefficient at 0 is negative (q < 0 just
+    # right of 0), and no root of odd multiplicity (a sign change) lies inside
     ok = next(c for c in q.coeffs if c) < 0 and all(r.multiplicity % 2 == 0 or r.exact in (0, length) for r in roots)
     mids = [sum(r.bracket) / 2 for r in roots]  # the root itself when rational
     return ok, [(u.numerator, u.denominator, r.multiplicity) for u, r in zip(mids, roots)]
@@ -578,8 +595,9 @@ def is_extreme_point(f: PiecewisePoly, n: int, a: Real, b: Real) -> ExtremeVerdi
     by the same root search (exact) or peaks (float) that find the contacts,
     one pass per piece and sign; a non-member raises MembershipError with
     the report of `membership`."""
-    exact, a, b, class_violations = _class_check(f, n, a, b)
-    points, intervals, sup_ok = ([], [], False) if class_violations else _contacts(f, n, a, exact)
+    forms, a, b, class_violations = _class_check(f, n, a, b)
+    exact = forms is not None
+    points, intervals, sup_ok = ([], [], False) if class_violations else _contacts(f, n, a, forms)
     if not sup_ok:
         raise MembershipError(membership(f, n, a, b))
     fb = float(b)

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from landaukol import pwpoly
-from landaukol._roots import real_roots_exact
+from landaukol._roots import real_roots_exact, taylor_coefficients
 from landaukol.bounds import BoundQuery, FullLine, HalfLine, compute_bound
 from landaukol.eulerspline import euler_spline_piecewise
 from landaukol.exactnum import Poly
@@ -424,6 +424,17 @@ def test_cut_keeps_the_window_with_gaps_above_the_floor(data, start, steps, exac
         assert float(knots[i]) - MIN_KNOT_GAP <= float(u) and float(v) <= float(knots[i + 1]) + MIN_KNOT_GAP
 
 
+def test_cut_ends_a_piece_at_hi_only_within_the_gap_of_its_knot():
+    # hi - 2.5000000000000003e-12 > MIN_KNOT_GAP, so piece 1 keeps its own end;
+    # a rule that rounded hi - MIN_KNOT_GAP instead stretched it to hi, one ulp
+    # past its knot plus the gap
+    knots = [0.0, 1e-12, 2.5000000000000003e-12, 5.5e-12]
+    pieces = [Poly([float(i)]) for i in range(3)]
+    out_knots, out_pieces = cut(knots, pieces, 0.0, 3.5000000000000004e-12)
+    assert out_knots == [0.0, 2.5000000000000003e-12, 3.5000000000000004e-12]
+    assert out_pieces == pieces[1:]
+
+
 def test_transform_round_trip_values():
     f = two_contact_extreme(1, 2)
     g = transform(f, mu=F(3), lam=F(-2), t0=F(1))
@@ -771,7 +782,7 @@ def test_extreme_point_certificate_finds_the_non_members_of_membership(spline, s
 def test_the_certificate_searches_each_piece_once_per_sign(monkeypatch):
     f = euler_spline_piecewise(5, F(0), F(6))
     b = abs(f.pieces[0].coeffs[5]) * math.factorial(5)
-    calls = {"nonpositive": 0, "real_roots_exact": 0, "_float_peaks": 0}
+    calls = {"real_roots_exact": 0, "_float_peaks": 0}
 
     def counted(owner, name):
         fn = getattr(owner, name)
@@ -781,17 +792,91 @@ def test_the_certificate_searches_each_piece_once_per_sign(monkeypatch):
             return fn(*args)
         monkeypatch.setattr(owner, name, wrapper)
 
-    counted(pwpoly._roots, "nonpositive")
     counted(pwpoly._roots, "real_roots_exact")
     counted(pwpoly, "_float_peaks")
     assert is_extreme_point(f, 5, F(1), b).is_extreme
     # the six exact pieces are one local piece P(u) = p(lo + u) on [0, 1] up to
     # sign: searched once per sign in a call
     assert len(f.pieces) == 6
-    assert calls == {"nonpositive": 0, "real_roots_exact": 2, "_float_peaks": 0}
+    assert calls == {"real_roots_exact": 2, "_float_peaks": 0}
     calls.update(real_roots_exact=0)
     assert is_extreme_point(_float_copy(f), 5, 1.0, float(b)).is_extreme
-    assert calls == {"nonpositive": 0, "real_roots_exact": 0, "_float_peaks": len(f.pieces)}
+    assert calls == {"real_roots_exact": 0, "_float_peaks": len(f.pieces)}
+
+
+def test_joins_are_read_once_per_distinct_pair_of_local_forms(monkeypatch):
+    # the six pieces of EE_5 on [0, 6] are one local form with alternating
+    # signs, so the five joins are one (left key, relative sign, right key):
+    # one Taylor shift per piece builds the forms, and one more reads the join
+    f = euler_spline_piecewise(5, F(0), F(6))
+    b = abs(f.pieces[0].coeffs[5]) * math.factorial(5)
+    calls = []
+    join_gaps, taylor_shift = pwpoly._join_gaps, pwpoly._roots._taylor_shift
+    monkeypatch.setattr(pwpoly, "_join_gaps", lambda *args: calls.append("join") or join_gaps(*args))
+    monkeypatch.setattr(pwpoly._roots, "_taylor_shift", lambda *args: calls.append("shift") or taylor_shift(*args))
+    assert membership(f, 5, F(1), b).ok
+    assert sorted(calls) == ["join"] + ["shift"] * (len(f.pieces) + 1)
+    calls.clear()
+    assert is_extreme_point(f, 5, F(1), b).is_extreme
+    assert sorted(calls) == ["join"] + ["shift"] * (len(f.pieces) + 1)
+
+
+def test_a_negated_piece_breaks_its_two_joins_and_no_other():
+    # negating piece 3 of EE_5 keeps every local form up to sign but turns the
+    # relative sign of its two joins from -1 to +1
+    f = euler_spline_piecewise(5, F(0), F(6))
+    b = abs(f.pieces[0].coeffs[5]) * math.factorial(5)
+    pieces = f.pieces[:3] + (-f.pieces[3],) + f.pieces[4:]
+    want = tuple(Violation("join", float(f.knots[i]), f"order-{m} mismatch at knot {i}: gap {gap:.3e}")
+                 for i in (3, 4) for m, gap in _reference_gaps(pieces[i - 1], pieces[i], f.knots[i], 5))
+    assert want and membership(PiecewisePoly(f.knots, pieces, 5), 5, F(1), b).violations == want
+
+
+def _reference_gaps(left, right, t, n):
+    """The (order, gap) list of the join of left and right at t from the Taylor
+    coefficients of left - right at t, as the joins were read before local forms."""
+    return [(m, abs(float(c * math.factorial(m)))) for m, c in enumerate(taylor_coefficients(left - right, t)[:n]) if c]
+
+
+_FRACTIONS = st.lists(st.fractions(-5, 5, max_denominator=12), max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(left=_FRACTIONS, tail=_FRACTIONS, order=st.integers(0, 7), negate=st.booleans(),
+       lo=st.fractions(-3, 3, max_denominator=30), left_length=st.fractions(F(1, 30), 4, max_denominator=30),
+       right_length=st.fractions(F(1, 30), 4, max_denominator=30), n=st.integers(1, 13))
+def test_join_gaps_are_those_of_the_difference_at_the_knot(left, tail, order, negate, lo, left_length,
+                                                           right_length, n):
+    # right = +-left + (t - knot)^order tail: gaps from `order` up when left is
+    # kept, at low orders too when it is negated; zero pieces when the lists
+    # are empty, and pieces cut to unequal lengths
+    knot = lo + left_length
+    p, bump = Poly(left), Poly(tail)
+    for _ in range(order):
+        bump = bump * Poly([-knot, F(1)])
+    q = (-p if negate else p) + bump
+    (left_key, left_sign), (right_key, right_sign) = (pwpoly._local_piece(p, lo, knot),
+                                                      pwpoly._local_piece(q, knot, knot + right_length))
+    assert pwpoly._join_gaps(left_key, left_sign * right_sign, right_key, n) == _reference_gaps(p, q, knot, n)
+
+
+def _nonpositive(p, lo, hi):
+    """Whether p <= 0 on [lo, hi], decided as membership decides |P| <= a:
+    p + 1 <= 1 from the root search of its local form."""
+    return pwpoly._local_contacts(*pwpoly._local_piece(p + Poly([1]), lo, hi), F(1))[0]
+
+
+def test_local_contacts_read_signs_at_the_ends_and_inside():
+    # -(t - 1)^2 touches 0 at 1; -(t - 1)^3 is negative only right of 1
+    step = Poly([F(-1), F(1)])
+    square, cube = -(step * step), -(step * step * step)
+    assert _nonpositive(square, F(0), F(2)) and _nonpositive(square, F(1), F(3))
+    assert _nonpositive(cube, F(1), F(2)) and _nonpositive(-cube, F(0), F(1))
+    assert not _nonpositive(cube, F(0), F(2)) and not _nonpositive(cube, F(0), F(1))
+    # (t^2 - 2)^2 - 1e-30 dips below 0 only near sqrt(2)
+    dip = Poly([-2, 0, 1]) * Poly([-2, 0, 1]) - Poly([F(1, 10**30)])
+    assert not _nonpositive(-dip, F(13, 10), F(3, 2)) and _nonpositive(-dip, F(3, 2), F(2))
+    assert _nonpositive(Poly(), F(0), F(1)) and not _nonpositive(Poly([F(1, 10**40)]), F(0), F(1))
 
 
 def _certificate_reading(g, n, a, b, reverse=False):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from landaukol._roots import WIDTH, Root, nonpositive, real_roots_exact, real_roots_float, taylor_coefficients
+from landaukol._roots import WIDTH, Root, real_roots_exact, real_roots_float, taylor_coefficients
 from landaukol.exactnum import Poly, euler_poly
 
 F = Fraction
@@ -209,15 +209,3 @@ def test_taylor_coefficients_are_the_scaled_derivatives(coeffs, x):
     taylor = taylor_coefficients(p, x)
     assert len(taylor) == p.degree + 1
     assert taylor == [p.nth_derivative(m)(x) / math.factorial(m) for m in range(p.degree + 1)]
-
-
-def test_nonpositive_reads_signs_at_the_ends_and_inside():
-    # -(t - 1)^2 touches 0 at 1; -(t - 1)^3 is negative only right of 1
-    square, cube = -pw(lin(1), 2), -pw(lin(1), 3)
-    assert nonpositive(square, F(0), F(2)) and nonpositive(square, F(1), F(3))
-    assert nonpositive(cube, F(1), F(2)) and nonpositive(-cube, F(0), F(1))
-    assert not nonpositive(cube, F(0), F(2)) and not nonpositive(cube, F(0), F(1))
-    # (t^2 - 2)^2 - 1e-30 dips below 0 only near sqrt(2)
-    dip = pw(Poly([-2, 0, 1]), 2) - Poly([F(1, 10**30)])
-    assert not nonpositive(-dip, F(13, 10), F(3, 2)) and nonpositive(-dip, F(3, 2), F(2))
-    assert nonpositive(Poly(), F(0), F(1)) and not nonpositive(Poly([F(1, 10**40)]), F(0), F(1))
