@@ -212,7 +212,8 @@ def taylor_coefficients(p: Poly, x: Fraction) -> List[Fraction]:
 def real_roots_exact(p: Poly, lo: Fraction, hi: Fraction) -> List[Root]:
     """All real roots of p (Fraction coefficients) in the closed [lo, hi],
     with multiplicities, sorted; irrational roots in brackets at most
-    WIDTH * min(1, hi - lo) wide, roots at lo and hi exact."""
+    WIDTH * min(1, hi - lo) wide, roots at lo and hi and the root of a
+    square-free factor of degree 1 exact."""
     lo, hi = Fraction(lo), Fraction(hi)
     if p.degree < 1:
         return []
@@ -228,6 +229,11 @@ def real_roots_exact(p: Poly, lo: Fraction, hi: Fraction) -> List[Root]:
             factor = _primitive(_exact_quotient(factor, [-hi.numerator, hi.denominator]))
             if len(factor) == 1:
                 continue
+        if len(factor) == 2:  # degree 1: the root -c0/c1 itself
+            x = Fraction(-factor[0], factor[1])
+            if lo < x < hi:
+                roots.append(Root(float(x), mult, exact=x, bracket=(x, x)))
+            continue
         for exact, x, y in _isolate(factor, a, b, den, width):
             if exact is not None:
                 roots.append(Root(float(exact), mult, exact=exact, bracket=(exact, exact)))

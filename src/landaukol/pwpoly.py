@@ -246,14 +246,15 @@ def _local_forms(f: PiecewisePoly) -> Optional[List[Tuple[tuple, int]]]:
 
 
 def _join_gaps(left: tuple, rel: int, right: tuple, n: int) -> List[Tuple[int, float]]:
-    """(m, m! |D_m|) for the orders m < n where D_m != 0, D_m the Taylor
-    coefficients of left - right at the knot between two exact pieces with
-    local forms of keys left and right (`_local_piece`) and rel the product
-    of their signs: those of the left form at its length L, from one Taylor
-    shift, less rel times those of the right form at 0."""
+    """(m, m! |D_m|) for each order m < n with D_m != 0, D_m the m-th Taylor
+    coefficient of left - right at the knot between two exact pieces given by
+    the keys of their local forms (`_local_piece`) and rel, the product of
+    their signs. Up to the sign of the left form, D_m is the coefficient of
+    the left form at its own length L (one Taylor shift) less rel times that
+    of the right form at 0."""
     g, den, length_num, length_den = left
     h, r, r_den = _roots._taylor_shift(g, length_num, length_den), right[0], right[1]
-    # the left form at L + v is sum h_m length_den^m v^m / w; D_m = +-d_m / (w r_den)
+    # the left form at L + v is sum h_m length_den^m v^m / w (deg 0 for the zero form); D_m = +-d_m / (w r_den)
     w = length_den ** max(len(g) - 1, 0) * den
     d = [hm * length_den**m * r_den - rel * rm * w for m, (hm, rm) in enumerate(zip_longest(h, r, fillvalue=0))]
     # one int division, rounded as Fraction.__float__ rounds
@@ -380,7 +381,8 @@ def _class_check(f: PiecewisePoly, n: int, a: Real, b: Real
     if not (0 < a < math.inf and 0 < b < math.inf):
         raise ValueError("bounds a and b must be positive and finite")
     fa, fb = float(a), float(b)
-    if exact := (forms := _local_forms(f)) is not None:
+    forms = _local_forms(f)
+    if exact := forms is not None:
         a, b = Fraction(a), Fraction(b)
         join_gaps = functools.cache(_join_gaps)  # once per (left key, relative sign, right key) in this call
     violations: List[Violation] = []

@@ -33,12 +33,12 @@ def _product(roots):
 # (name, p, lo, hi, real_roots_exact(p, lo, hi)): every field pinned bit for bit,
 # as the Fraction Sturm-chain implementation returned it
 PINNED = [
-    # multiplicities 1..4, 1/2 the first midpoint
+    # multiplicities 1..4, each a square-free factor of degree 1, so every root exact
     ('mult_1_to_4', prod(pw(lin(F(1, 3)), 4), pw(lin(F(1, 2)), 3), pw(lin(F(2, 7)), 2), lin(F(3, 5))), 0, 1, [
-        Root(0.28571428571422075, 2, None, (F(78536544841, 274877906944), F(314146179365, 1099511627776))),
-        Root(0.3333333333334849, 4, None, (F(366503875925, 1099511627776), F(183251937963, 549755813888))),
+        Root(0.2857142857142857, 2, F(2, 7), (F(2, 7), F(2, 7))),
+        Root(0.3333333333333333, 4, F(1, 3), (F(1, 3), F(1, 3))),
         Root(0.5, 3, F(1, 2), (F(1, 2), F(1, 2))),
-        Root(0.599999999999909, 1, None, (F(659706976665, 1099511627776), F(329853488333, 549755813888))),
+        Root(0.6, 1, F(3, 5), (F(3, 5), F(3, 5))),
     ]),
     ('x2_minus_2', Poly([-2, 0, 1]), -2, 2, [
         Root(-1.414213562372879, 1, None, (F(-388736063997, 274877906944), F(-1554944255987, 1099511627776))),
@@ -55,7 +55,7 @@ PINNED = [
     ]),
     ('double_roots_at_lo_and_hi', prod(pw(lin(F(-1, 2)), 2), pw(lin(F(5, 3)), 3), lin(F(1, 7))), F(-1, 2), F(5, 3), [
         Root(-0.5, 2, F(-1, 2), (F(-1, 2), F(-1, 2))),
-        Root(0.14285714285714826, 1, None, (F(628292358727, 4398046511104), F(942438538097, 6597069766656))),
+        Root(0.14285714285714285, 1, F(1, 7), (F(1, 7), F(1, 7))),
         Root(1.6666666666666667, 3, F(5, 3), (F(5, 3), F(5, 3))),
     ]),
     ('dyadic_midpoints', prod(lin(F(1, 4)), lin(F(3, 8)), lin(F(13, 16)), lin(F(1, 10))), 0, 1, [
@@ -106,7 +106,7 @@ PINNED = [
         Root(0.8318344987739389, 1, None, (F(42872423615, 51539607552), F(2743835111363, 3298534883328))),
     ]),
     ('integer_coeffs', Poly([6, -5, 1]), 0, 3, [
-        Root(1.9999999999998863, 1, None, (F(4398046511103, 2199023255552), F(8796093022209, 4398046511104))),
+        Root(2.0, 1, F(2), (F(2), F(2))),
         Root(3.0, 1, F(3), (F(3), F(3))),
     ]),
 ]
