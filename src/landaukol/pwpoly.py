@@ -493,8 +493,7 @@ def contact_set(f: PiecewisePoly, n: int, a: Real) -> Tuple[List[ContactPoint], 
 def _contacts(f: PiecewisePoly, n: int, a: Real, forms: Optional[List[Tuple[tuple, int]]]
               ) -> Tuple[List[ContactPoint], List[ContactInterval], bool]:
     """The contact set and whether |f| <= a on every piece, from one root
-    search per local form (`_local_forms`, exact) or one list of peaks
-    (float) per piece and sign."""
+    search per local form and sign (exact) or one list of peaks per piece (float)."""
     exact, fa = forms is not None, float(a)
     points: List[ContactPoint] = []
     intervals: List[ContactInterval] = []
