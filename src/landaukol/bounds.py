@@ -183,9 +183,5 @@ def _route(query: BoundQuery) -> BoundResult:
         return BoundResult(bracket.upper * bracket.scale(a, b), UPPER_BOUND, tag, bracket=bracket)
     from . import peano  # deferred: only this route needs it
 
-    # restricting a member of the class on [0, T] to [0, T*] gives a member
-    # there, so the bound at min(T, T*) holds on [0, T] as well
-    cert = peano.vandermonde_certificate(n, k)
-    T = min(dom.T, cert.optimal_T(a, b))
-    return BoundResult(cert.segment_bound(a, b, T), UPPER_BOUND, "vandermonde-certificate")
+    return BoundResult(peano.vandermonde_certificate(n, k).bound(a, b, dom.T), UPPER_BOUND, "vandermonde-certificate")
 

@@ -103,14 +103,14 @@ def euler_spline(n: int, x: Real) -> float:
 
 
 def q_n_scale(n: int) -> float:
-    """Time rescaling s_n^(1/n) that makes |q_n^(n)| = 1."""
+    """Time rescaling s_n^(1/n) that makes |q_n^(n)| = 1; n >= 2, as for q_n."""
+    if n < 2:
+        raise ValueError("q_n needs n >= 2")
     return _frac_pow(s_n(n), 1.0 / n)
 
 
 def q_n(n: int, x: Real) -> float:
     """Unit-class extremal q_n(x) = EE_n(x * s_n^(1/n))."""
-    if n < 2:
-        raise ValueError("q_n needs n >= 2")
     return euler_spline(n, float(x) * q_n_scale(n))
 
 
@@ -148,8 +148,6 @@ def q_n_piecewise(n: int):
     double contacts with +-1 sum to at least n."""
     from .pwpoly import transform
 
-    if n < 2:
-        raise ValueError("q_n needs n >= 2")
+    lam = q_n_scale(n)  # refuses n < 2
     periods = max(2, math.ceil((n - 2) / 4))
-    base = euler_spline_piecewise(n, Fraction(0), Fraction(2 * periods))
-    return transform(base, mu=1.0, lam=q_n_scale(n))
+    return transform(euler_spline_piecewise(n, Fraction(0), Fraction(2 * periods)), mu=1.0, lam=lam)

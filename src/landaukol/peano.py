@@ -26,6 +26,7 @@ on [0, 1], and each piece keeps those in its interval.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -150,14 +151,40 @@ class KernelCertificate(Record):
         set_field(self, "n", n)
         set_field(self, "k", k)
 
-    def segment_bound(self, a: Real, b: Real, T: Real) -> float:
+    def _terms(self, a: Real, b: Real, T: Real) -> Tuple[float, float]:
         a, b, T = float(a), float(b), float(T)
-        return self.A * a * T**-self.k + self.B * b * T ** (self.n - self.k)
+        return self.A * a * T**-self.k, self.B * b * T ** (self.n - self.k)
+
+    def segment_bound(self, a: Real, b: Real, T: Real) -> float:
+        return sum(self._terms(a, b, T))
 
     def optimal_T(self, a: Real, b: Real) -> float:
-        """The T minimizing segment_bound, where the weights A / (n - k) and B / k balance."""
+        """The T minimizing segment_bound, where the weights A / (n - k) and B / k
+        balance. It needs a / b within about 1e+-300 of 1, where their quotient
+        is a normal float; `bound` reads T* through homogeneity beyond that."""
         a_star, b_star = self.A / (self.n - self.k), self.B / self.k
         return (a_star * float(a) / (b_star * float(b))) ** (1.0 / self.n)
+
+    def bound(self, a: Real, b: Real, T: Real) -> float:
+        """segment_bound at min(T, T*), a bound on [0, T]: restricting a member
+        of the class on [0, T] to [0, T*] gives a member there. Where T* or a
+        term leaves the normal float range, the bound is read through
+        homogeneity, in logarithms: at (a, b, T) it is a^(1 - k/n) b^(k/n)
+        times the (1, 1) bound at tau = T (b/a)^(1/n), and T* scales alike.
+        OverflowError when the bound itself is past the float range."""
+        n, k, a, b, T = self.n, self.k, float(a), float(b), float(T)
+        try:
+            terms = self._terms(a, b, min(T, self.optimal_T(a, b)))
+        except ArithmeticError:  # T* = 0 to a negative power, or B b / k = 0 under it
+            terms = (0.0,)
+        if min(terms) >= sys.float_info.min and max(terms) < math.inf:
+            return sum(terms)
+        log_tau = min(math.log(T) + (math.log(b) - math.log(a)) / n, math.log(self.optimal_T(1, 1)))
+        x, y = math.log(self.A) - k * log_tau, math.log(self.B) + (n - k) * log_tau
+        value = math.exp(((n - k) * math.log(a) + k * math.log(b)) / n + max(x, y) + math.log1p(math.exp(-abs(x - y))))
+        if not value > 0:
+            raise OverflowError("the bound underflows")
+        return value
 
 
 def _solve_exact(matrix: List[List[Fraction]], rhss: List[List[Fraction]]) -> List[List[Fraction]]:

@@ -22,7 +22,10 @@ mu f(lam t) and (a, b) to (|mu| a, |mu lam^n| b). Float verdicts carry a
 represented exactly).
 Float sups and contact sets share one candidate rule: |p| peaks on a piece
 only at its ends and at the real roots of p'; contacts within ``REL_TOL`` *
-length are one.
+length are one. One pass over the pieces decides |f| <= a for `membership`
+and `is_extreme_point` alike and words each refused piece with its sup: the
+largest float peak, or the `piece_sup` of the exact local form, read once per
+distinct form.
 
 Spline builders clip their pieces with `cut`, which drops a piece no longer
 than ``MIN_KNOT_GAP``, and map unit-class splines to the (a, b) class with
@@ -303,9 +306,10 @@ def piece_sup(p: Poly, lo: Real, hi: Real, exact: bool) -> Real:
     """sup of |p| on [lo, hi] by critical-point enumeration (root isolation
     of p'): a float, or in exact mode a Fraction read at the ends of the
     brackets of irrational critical points (`_roots.real_roots_exact`), which
-    can fall short of the sup. So the exact verdict of `membership` comes
-    from the root search of P -/+ a (`_local_contacts`); this value only
-    words a violation."""
+    can fall short of the sup. So no verdict reads this value: the exact
+    verdict comes from the root search of P -/+ a (`_local_contacts`), and
+    the pass over the pieces reads it from the local form only to word a
+    refused piece (`_local_sup`)."""
     if not exact:
         pf = p.to_float()
         return max(abs(pf(x)) for x in _float_peaks(pf, float(lo), float(hi)))
@@ -431,21 +435,8 @@ def membership(f: PiecewisePoly, n: int, a: Real, b: Real) -> MembershipReport:
     """Check the class conditions: C^(n-1) joins at the knots, degree <= n per
     piece, sup |f| <= a, and |f^(n)| <= b (a constant on each piece)."""
     forms, a, _, violations = _class_check(f, n, a, b)
-    exact, fa = forms is not None, float(a)
-    search = functools.cache(_local_contacts)  # once per (local piece key, sign) in this call
-    for i, p in enumerate(f.pieces):
-        lo, hi = f.knots[i], f.knots[i + 1]
-        if exact:  # |P| <= a iff P <= a and -P <= a, the same for -P
-            member = all(search(forms[i][0], sign, a)[0] for sign in (1, -1))
-        else:
-            member = _within_allowance(piece_sup(p, lo, hi, False), fa * (1 + REL_TOL), lo, hi, p)
-        if not member:
-            sup = piece_sup(p, lo, hi, exact)  # only words the violation
-            violations.append(
-                Violation("sup", float(lo), f"sup |f| = {float(sup)} > {fa} on piece {i}")
-            )
-
-    return MembershipReport(ok=not violations, numeric=not exact, violations=tuple(violations))
+    violations += _piece_pass(f, n, a, forms, contacts=False)[2]
+    return MembershipReport(ok=not violations, numeric=forms is None, violations=tuple(violations))
 
 
 def require_member(f: PiecewisePoly, n: int, a: Real, b: Real) -> MembershipReport:
@@ -487,37 +478,43 @@ def contact_set(f: PiecewisePoly, n: int, a: Real) -> Tuple[List[ContactPoint], 
     critical point) and touches a."""
     if not 0 < a < math.inf:
         raise ValueError("bound a must be positive and finite")
-    return _contacts(f, n, a, _local_forms(f))[:2]
+    return _piece_pass(f, n, a, _local_forms(f))[:2]
 
 
-def _contacts(f: PiecewisePoly, n: int, a: Real, forms: Optional[List[Tuple[tuple, int]]]
-              ) -> Tuple[List[ContactPoint], List[ContactInterval], bool]:
-    """The contact set and whether |f| <= a on every piece, from one root
-    search per local form and sign (exact) or one list of peaks per piece (float)."""
+def _piece_pass(f: PiecewisePoly, n: int, a: Real, forms: Optional[List[Tuple[tuple, int]]], contacts: bool = True
+                ) -> Tuple[List[ContactPoint], List[ContactInterval], List[Violation]]:
+    """One pass over the pieces: a "sup" violation for each piece on which
+    |f| <= a fails, and, when contacts is set, the contact set. Both come from
+    one root search per local form and sign (exact) or one list of peaks per
+    piece (float); the sup that words a violation is the largest peak (float)
+    or is read from the local form (`_local_sup`), once per form in the call."""
     exact, fa = forms is not None, float(a)
     points: List[ContactPoint] = []
     intervals: List[ContactInterval] = []
-    sup_ok = True
+    refused: List[Violation] = []
 
-    if exact:
-        a, search = Fraction(a), functools.cache(_local_contacts)  # once per (local piece key, sign) in this call
+    if exact:  # each once per (local piece key, sign), or per key, in this call: no Fraction hashed
+        a = Fraction(a)
+        search, local_sup = functools.cache(functools.partial(_local_contacts, a=a)), functools.cache(_local_sup)
     for i, p in enumerate(f.pieces):
         lo, hi = f.knots[i], f.knots[i + 1]
-        if exact:
+        if exact:  # |P| <= a iff P <= a and -P <= a, the same for -P
             key, flip = forms[i]
-            lo_num, lo_den = lo.numerator, lo.denominator
+            member = search(key, 1)[0] and search(key, -1)[0]
         else:
             pf = p.to_float()
             peaks = _float_peaks(pf, float(lo), float(hi))
-            # the bits of piece_sup, against the allowance of membership
-            sup_ok &= _within_allowance(max(abs(pf(x)) for x in peaks), fa * (1 + REL_TOL), lo, hi, p)
-        for sign in (1, -1):
+            member = _within_allowance(sup := max(abs(pf(x)) for x in peaks), fa * (1 + REL_TOL), lo, hi, p)
+        if not member:
+            sup = local_sup(key) if exact else sup
+            refused.append(Violation("sup", float(lo), f"sup |f| = {float(sup)} > {fa} on piece {i}"))
+        for sign in (1, -1) if contacts else ():
             if exact:  # p = sign a where flip * sign P = a, P the local form of the key
-                ok, roots = search(key, flip * sign, a)
+                roots = search(key, flip * sign)[1]
                 if roots is None:
                     intervals.append(ContactInterval(float(lo), float(hi), sign))
                     continue
-                sup_ok &= ok
+                lo_num, lo_den = lo.numerator, lo.denominator
                 # float(lo + u) for u = u_num / u_den, one int division rounded as Fraction.__float__ rounds
                 points.extend(ContactPoint((lo_num * u_den + u_num * lo_den) / (lo_den * u_den), sign, min(m, n))
                               for u_num, u_den, m in roots)
@@ -564,7 +561,7 @@ def _contacts(f: PiecewisePoly, n: int, a: Real, forms: Optional[List[Tuple[tupl
                 deduped[-1] = cp
             continue
         deduped.append(cp)
-    return deduped, merged, sup_ok
+    return deduped, merged, refused
 
 
 def _local_contacts(key: tuple, sign: int, a: Fraction) -> Tuple[bool, Optional[List[Tuple[int, int, int]]]]:
@@ -589,18 +586,27 @@ def _local_contacts(key: tuple, sign: int, a: Fraction) -> Tuple[bool, Optional[
     return ok, [(u.numerator, u.denominator, r.multiplicity) for u, r in zip(mids, roots)]
 
 
+def _local_sup(key: tuple) -> Fraction:
+    """`piece_sup` of the local piece P on [0, L] of key (`_local_piece`), the
+    sum of g_m u^m over den. Its search of P' bisects at the points of the
+    search of p' on [lo, lo + L] less lo, so it is the rational that
+    `piece_sup` reads from p on [lo, lo + L]."""
+    g, den, length_num, length_den = key
+    return Fraction(piece_sup(Poly(g), 0, Fraction(length_num, length_den), True), den)
+
+
 def is_extreme_point(f: PiecewisePoly, n: int, a: Real, b: Real) -> ExtremeVerdict:
     """Certify whether f is an extreme point of the convex class: the contact
     multiplicities must sum to at least n, and every piece away from the
     contact set must have |f^(n)| equal to b (bang-bang). |f| <= a is decided
     by the same root search (exact) or peaks (float) that find the contacts,
     one pass per piece and sign; a non-member raises MembershipError with
-    the report of `membership`."""
+    the report of that pass, the report `membership` gives."""
     forms, a, b, class_violations = _class_check(f, n, a, b)
     exact = forms is not None
-    points, intervals, sup_ok = ([], [], False) if class_violations else _contacts(f, n, a, forms)
-    if not sup_ok:
-        raise MembershipError(membership(f, n, a, b))
+    points, intervals, refused = _piece_pass(f, n, a, forms, contacts=not class_violations)
+    if class_violations or refused:
+        raise MembershipError(MembershipReport(False, not exact, tuple(class_violations + refused)))
     fb = float(b)
     msum: float = math.inf if intervals else sum(cp.multiplicity for cp in points)
 

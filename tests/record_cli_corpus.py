@@ -270,6 +270,12 @@ def _errors() -> list:
         ["oracle", "--problem", "pointwise", "--T", "1", "--t0", "0.5", "--M", "50", "--restarts", "3"],
         ["oracle", "--problem", "pointwise", "--T", "1", "--t0", "0.5", "--max-switches", "2"],
         ["oracle", "--problem", "pointwise", "--T", "1", "--t0", "0.5", "--seed", "1"],
+        # (a, b) so far apart that T* leaves the float range, and q_n's default window at n = 0
+        ["bound", "--n", "12", "--k", "6", "--T", "1", "--a", "1e-300", "--b", "1e300"],
+        ["bound", "--n", "10", "--k", "3", "--a", "2.143606754004768e-267", "--b", "3.619802352911548e+290",
+         "--T", "3.3135122483901055e+145"],
+        ["bound", "--n", "12", "--k", "6", "--a", "1.7416429364733115e-184", "--b", "5e-324", "--T", "1e-308"],
+        ["spline", "--what", "qn", "--n", "0"],
     ]
     unreadable = {"zero.json": '{"knots": ["0", "1/0"], "pieces": [["1/2"]], "n": 2}',
                   "farknot.json": '{"knots": ["0", "1e400"], "pieces": [["1/2"]], "n": 2}',

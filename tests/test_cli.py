@@ -10,7 +10,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from landaukol.cli import main
@@ -682,6 +682,46 @@ def test_table_variants(capsys):
     assert code == 0
     header = out.splitlines()[0]
     assert "lower_shape_kappa_free" in header
+
+
+_INTS = st.integers(-2, 14)
+# magnitudes log-uniform in [1e-320, 1e308] with either sign, and the non-finite ends
+_REALS = st.one_of(st.builds(lambda e, sign: repr(sign * 10.0**e), st.floats(-320, 308), st.sampled_from([1, -1])),
+                   st.sampled_from(["0", "nan", "inf", "-inf"]))
+
+
+def _argv(command, required, **optional):
+    """`landau COMMAND` with the required flags and any of the optional ones, as --flag=value."""
+    flags = st.fixed_dictionaries(required, optional=optional)
+    return flags.map(lambda d: [*command, *(f"--{name.replace('_', '-')}={value}" for name, value in d.items())])
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=st.one_of(
+    _argv(["bound"], {}, n=_INTS, k=_INTS, a=_REALS, b=_REALS, T=_REALS, t0=_REALS,
+          domain=st.sampled_from(["segment", "halfline", "line"]), functional=st.sampled_from(["sup", "var"])),
+    _argv(["kernel", "--samples=3"], {"x": _REALS}, n=_INTS, k=_INTS, T=_REALS),
+    _argv(["spline", "--samples=3"], {"what": st.sampled_from(["en", "euler-spline", "qn"]), "n": _INTS},
+          x0=_REALS, x1=_REALS),
+    _argv(["table"], {"what": st.sampled_from(["favard", "euler-numbers", "rn", "cnk", "Ank", "Bnk"])}, max_n=_INTS),
+))
+@example(argv=["bound", "--n=12", "--k=6", "--T=1", "--a=1e-300", "--b=1e300"])
+@example(argv=["bound", "--n=10", "--k=3", "--a=2.143606754004768e-267", "--b=3.619802352911548e+290",
+               "--T=3.3135122483901055e+145"])
+@example(argv=["bound", "--n=12", "--k=6", "--a=1.7416429364733115e-184", "--b=5e-324", "--T=1e-308"])
+@example(argv=["spline", "--what=qn", "--n=0"])
+def test_no_landau_call_ends_in_a_traceback(argv):
+    # every call returns 0, 1 or 2 (2 with one line on stderr) or exits
+    # through argparse; any other exception fails
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refused the argv
+            code = None
+            assert exc.code == 2
+    assert code in (None, 0, 1, 2)
+    assert code != 2 or (out.getvalue() == "" and len(err.getvalue().splitlines()) == 1)
 
 
 # Runs `landau ARGV` in a fresh interpreter and reports its exit code, stdout,

@@ -12,6 +12,8 @@ from landaukol.eulerspline import (
     favard_best_approx,
     q_n,
     q_n_deriv_sup,
+    q_n_piecewise,
+    q_n_scale,
     r_n,
     s_n,
 )
@@ -138,6 +140,14 @@ def test_q_n_deriv_sup_values():
     for n in range(2, 13):
         for k in range(1, n):
             assert q_n_deriv_sup(n, k) <= math.pi / 2 + 1e-12
+
+
+@pytest.mark.parametrize("n", [-1, 0, 1])
+def test_q_n_and_its_scale_refuse_n_below_2(n):
+    # `spline --what qn` takes its default window from q_n_scale before it calls q_n
+    for fn in (q_n_scale, q_n_piecewise, lambda n: q_n(n, 0.5)):
+        with pytest.raises(ValueError, match="q_n needs n >= 2"):
+            fn(n)
 
 
 def test_q_n_is_bounded_by_one():

@@ -2,6 +2,7 @@ import collections
 import functools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from landaukol import _roots, peano
+from landaukol.bounds import BoundQuery, Segment, compute_bound
 from landaukol.exactnum import Poly
 from landaukol.peano import (
     LinearFunctional,
@@ -201,6 +203,30 @@ def test_certificate_scaling_invariance():
         lhs = cert.segment_bound(mu * a, mu * lam**cert.n * b, cert.optimal_T(mu * a, mu * lam**cert.n * b))
         rhs = mu * lam**cert.k * cert.segment_bound(a, b, cert.optimal_T(a, b))
         assert lhs == pytest.approx(rhs, rel=1e-10)
+
+
+@pytest.mark.parametrize("n, k, a, b, T", [
+    (12, 6, 1e-300, 1e300, 1.0),
+    (10, 3, 2.143606754004768e-267, 3.619802352911548e290, 3.3135122483901055e145),
+])
+def test_certificate_bound_of_far_apart_a_and_b_follows_homogeneity(n, k, a, b, T):
+    # T* = (A a / (n - k) / (B b / k))^(1/n) underflows to 0 here; the bound at
+    # (a, b, T) is a^(1 - k/n) b^(k/n) times the (1, 1) bound at tau = T (b/a)^(1/n)
+    value = compute_bound(BoundQuery(n, k, a, b, Segment(T))).value
+    tau = T * b ** (1 / n) / a ** (1 / n)
+    unit = compute_bound(BoundQuery(n, k, 1.0, 1.0, Segment(tau))).value
+    assert value == pytest.approx(a ** (1 - k / n) * b ** (k / n) * unit, rel=1e-12)
+
+
+def test_certificate_bound_past_the_float_range_is_refused():
+    # at T = 1e-308 the term A a T^-6 alone is past the float range (by the
+    # same identity, in logarithms); T* divided by B b / k = 0 here
+    n, k, a, b, T = 12, 6, 1.7416429364733115e-184, 5e-324, 1e-308
+    log_tau = math.log(T) + (math.log(b) - math.log(a)) / n
+    log_term = (math.log(a) + math.log(b)) / 2 + math.log(vandermonde_certificate(n, k).A) - k * log_tau
+    assert log_term > math.log(sys.float_info.max)
+    with pytest.raises(ValueError, match="the bound is outside the float range"):
+        compute_bound(BoundQuery(n, k, a, b, Segment(T)))
 
 
 def test_vandermonde_rejects_out_of_range():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from landaukol import pwpoly
 from landaukol._roots import real_roots_exact, taylor_coefficients
-from landaukol.bounds import BoundQuery, FullLine, HalfLine, compute_bound
+from landaukol.bounds import BoundQuery, FullLine, HalfLine, Segment, compute_bound
 from landaukol.eulerspline import euler_spline_piecewise
 from landaukol.exactnum import Poly
 from landaukol.pwpoly import (
@@ -819,6 +819,61 @@ def test_joins_are_read_once_per_distinct_pair_of_local_forms(monkeypatch):
     calls.clear()
     assert is_extreme_point(f, 5, F(1), b).is_extreme
     assert sorted(calls) == ["join"] + ["shift"] * (len(f.pieces) + 1)
+
+
+def test_a_refused_periodic_train_reads_its_sup_once_per_local_form(monkeypatch):
+    # EE_7 on [0, 40] is one local form up to sign on 40 pieces; just below its
+    # sup every piece is refused, and the sup that words them is searched once
+    calls = []
+    real_roots_exact = pwpoly._roots.real_roots_exact
+    monkeypatch.setattr(pwpoly._roots, "real_roots_exact", lambda *args: calls.append(1) or real_roots_exact(*args))
+    for end in (6, 40):
+        f = euler_spline_piecewise(7, F(0), F(end))
+        b = abs(f.pieces[0].coeffs[7]) * math.factorial(7)
+        calls.clear()
+        report = membership(f, 7, 1 - F(1, 10**6), b)
+        assert len(calls) == 2  # the sign search that fails, and one sup search
+        assert report.violations == tuple(Violation("sup", float(lo), f"sup |f| = 1.0 > 0.999999 on piece {i}")
+                                          for i, lo in enumerate(f.knots[:-1]))
+
+
+def test_a_cut_piece_is_worded_with_the_sup_of_its_own_length():
+    # the cut last piece of EE_4 has the local form of the full ones on a
+    # shorter interval, so its sup (0.7125) is not theirs (1)
+    f = euler_spline_piecewise(4, F(-1, 2), F(7, 4))
+    b = abs(f.pieces[0].coeffs[4]) * math.factorial(4)
+    sups = [piece_sup(p, lo, hi, True) for p, lo, hi in zip(f.pieces, f.knots, f.knots[1:])]
+    assert [float(s) for s in sups] == [1.0, 1.0, 0.7125]
+    assert membership(f, 4, F(1, 2), b).violations == tuple(
+        Violation("sup", float(lo), f"sup |f| = {float(s)} > 0.5 on piece {i}")
+        for i, (lo, s) in enumerate(zip(f.knots, sups)))
+
+
+def test_the_certificate_checks_the_class_once_on_a_non_member(monkeypatch):
+    calls = []
+    class_check = pwpoly._class_check
+    monkeypatch.setattr(pwpoly, "_class_check", lambda *args: calls.append(1) or class_check(*args))
+    f = euler_spline_piecewise(5, F(0), F(6))
+    b = abs(f.pieces[0].coeffs[5]) * math.factorial(5)
+    for g, a in ((f, 1 - F(1, 10**6)), (_float_copy(f), 0.999)):
+        calls.clear()
+        with pytest.raises(MembershipError) as exc:
+            is_extreme_point(g, 5, a, b)
+        assert len(calls) == 1
+        assert exc.value.report == membership(g, 5, a, b) and not exc.value.report.ok
+
+
+def test_membership_builds_no_contact(monkeypatch):
+    # a pointwise witness touches +-a; membership decides |f| <= a in the pass
+    # that finds the contacts but builds none of them
+    built = []
+    for name in ("ContactPoint", "ContactInterval", "_touches"):
+        step = getattr(pwpoly, name)
+        monkeypatch.setattr(pwpoly, name, lambda *args, step=step: built.append(step) or step(*args))
+    f = compute_bound(BoundQuery(2, 1, 1.0, 1.0, Segment(10.0), t0=1.0)).witness
+    assert not f.is_exact() and membership(f, 2, 1.0, 1.0).ok
+    assert built == []
+    assert is_extreme_point(f, 2, 1.0, 1.0).contact_points and built
 
 
 def test_a_negated_piece_breaks_its_two_joins_and_no_other():
