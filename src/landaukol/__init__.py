@@ -15,8 +15,8 @@ _EXPORTS = {
     "landau2": ("PointwiseQuery", "sigma1", "sigma_inf", "sigma_pointwise"),
     "landaun": ("cnk_bracket", "kolmogorov_bound", "sato_segment"),
     "peano": ("LinearFunctional", "kernel_l1_norm", "peano_kernel", "vandermonde_certificate"),
-    "pwpoly": ("ContactPoint", "ExtremeVerdict", "MembershipReport", "PiecewisePoly", "contact_set",
-               "is_extreme_point", "membership", "total_variation", "transform"),
+    "pwpoly": ("ContactPoint", "ExtremeVerdict", "MembershipReport", "PiecewisePoly", "is_extreme_point",
+               "membership", "total_variation", "transform"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

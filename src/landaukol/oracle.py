@@ -344,6 +344,15 @@ def _decode(theta: List[float], sign: int, a: float, b: float, T: float) -> Tupl
     return value, BangBangControl(theta[0], theta[1], tuple(switches), sign, scale)
 
 
+def _scales(a: float, b: float) -> Tuple[float, float]:
+    """(sqrt(b/a), sqrt(a b)) from a and b scaled by even powers of two: the
+    floats that math.sqrt gives of b / a and a * b wherever those are normal
+    floats, and finite past them."""
+    ea, eb = math.frexp(a)[1] // 2 * 2, math.frexp(b)[1] // 2 * 2
+    ma, mb = math.ldexp(a, -ea), math.ldexp(b, -eb)
+    return math.ldexp(math.sqrt(mb / ma), (eb - ea) // 2), math.ldexp(math.sqrt(ma * mb), (ea + eb) // 2)
+
+
 def bangbang_sigma1_search(
     a: float,
     b: float,
@@ -358,7 +367,8 @@ def bangbang_sigma1_search(
     are shrunk onto it), a lower bound only up to rounding (ROADMAP item 5)."""
     if not (a > 0 and b > 0 and T > 0):
         raise ValueError("a, b, T must be positive")
-    needed = math.ceil(T * math.sqrt(b / a) / SQRT2) + 2
+    scale, root_ab = _scales(a, b)
+    needed = math.ceil(T * scale / SQRT2) + 2
     if max_switches is None:
         max_switches = needed
     if max_switches < needed:
@@ -388,8 +398,9 @@ def bangbang_sigma1_search(
     for r in range(restarts):
         m = int(rng.integers(0, max_switches + 1)) if r % 3 else min(r // 3, max_switches)
         sign = -1 if r % 2 else 1
-        f0 = float(rng.uniform(-a, a)) if r % 3 else -a * float(sign)
-        fp0 = float(rng.uniform(-1, 1)) * 2 * math.sqrt(a * b)
+        # the float of uniform(-a, a), drawn where 2a may pass the float range
+        f0 = 2 * float(rng.uniform(-a / 2, a / 2)) if r % 3 else -a * float(sign)
+        fp0 = float(rng.uniform(-1, 1)) * 2 * root_ab
         theta0 = [f0, fp0] + sorted(rng.uniform(0, T, size=m).tolist())
 
         best = incumbent(optimize(theta0, sign, rounds=2), sign)

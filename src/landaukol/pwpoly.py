@@ -22,14 +22,17 @@ mu f(lam t) and (a, b) to (|mu| a, |mu lam^n| b). Float verdicts carry a
 represented exactly).
 Float sups and contact sets share one candidate rule: |p| peaks on a piece
 only at its ends and at the real roots of p'; contacts within ``REL_TOL`` *
-length are one. One pass over the pieces decides |f| <= a for `membership`
-and `is_extreme_point` alike and words each refused piece with its sup: the
-largest float peak, or the `piece_sup` of the exact local form, read once per
-distinct form.
+length are one. One pass over the pieces checks each piece's degree, its
+join with the piece before, |f^(n)| <= b and |f| <= a for `membership` and
+`is_extreme_point` alike, and for a member finds the certificate's contacts in
+the same searches. A refused piece is worded with its largest float peak, or
+the `piece_sup` of its exact local form, read once per distinct form; an
+exact gap, |f^(n)| or sup past the float range is worded inf.
 
 Spline builders clip their pieces with `cut`, which drops a piece no longer
 than ``MIN_KNOT_GAP``, and map unit-class splines to the (a, b) class with
-`to_class`, which builds none for a class out of range.
+`to_class`, which builds none for a class out of range or whose checks would
+leave the float range.
 
 The almost-everywhere bang-bang condition of the extreme-point certificate is
 decided piecewise-exactly, which is complete for splines; measurable members
@@ -214,11 +217,21 @@ def to_class(unit: Callable[[], PiecewisePoly], n: int, a: float, b: float) -> O
     a f(lam t) with lam^n = b/a, and f itself at (1, 1). None, with unit never
     called, unless a, b and b/a are in the normal float range, where the image
     keeps the bits of its values (of size a), of its n-th derivative (of size b)
-    and of its scaled lam^m t^m terms."""
+    and of its scaled lam^m t^m terms. None also where a c_m lam^m falls below
+    that range, or a `_reach` of the image at an order m <= n reaches a quarter
+    of it: a check adds two, or takes one value from another."""
     if not (min(a, b, b / a) >= sys.float_info.min and b / a < math.inf):
         return None
     f = unit()
-    return f if (a, b) == (1, 1) else transform(f, mu=a, lam=math.sqrt(b / a) if n == 2 else (b / a) ** (1 / n))
+    if (a, b) != (1, 1):
+        lam = math.sqrt(b / a) if n == 2 else (b / a) ** (1 / n)
+        # transform forms c_m lam^m before it multiplies by a
+        if any(0 < abs(c) * lam**m < sys.float_info.min for p in f.pieces for m, c in enumerate(p.coeffs)):
+            return None
+        f = transform(f, mu=a, lam=lam)
+    ends = zip(f.pieces, f._fknots, f._fknots[1:])
+    fits = all(_reach(max(-lo, hi), m, p) < sys.float_info.max / 4 for p, lo, hi in ends for m in range(n + 1))
+    return f if fits else None
 
 
 def _local_piece(p: Poly, lo: Real, hi: Real) -> Tuple[tuple, int]:
@@ -241,13 +254,6 @@ def _local_piece(p: Poly, lo: Real, hi: Real) -> Tuple[tuple, int]:
     return (tuple(sign * c // common for c in g), den // common, length.numerator, length.denominator), sign
 
 
-def _local_forms(f: PiecewisePoly) -> Optional[List[Tuple[tuple, int]]]:
-    """The local form (`_local_piece`) of each piece of f; None when f is not exact."""
-    if not f.is_exact():
-        return None
-    return [_local_piece(p, lo, hi) for p, lo, hi in zip(f.pieces, f.knots, f.knots[1:])]
-
-
 def _join_gaps(left: tuple, rel: int, right: tuple, n: int) -> List[Tuple[int, float]]:
     """(m, m! |D_m|) for each order m < n with D_m != 0, D_m the m-th Taylor
     coefficient of left - right at the knot between two exact pieces given by
@@ -260,8 +266,8 @@ def _join_gaps(left: tuple, rel: int, right: tuple, n: int) -> List[Tuple[int, f
     # the left form at L + v is sum h_m length_den^m v^m / w (deg 0 for the zero form); D_m = +-d_m / (w r_den)
     w = length_den ** max(len(g) - 1, 0) * den
     d = [hm * length_den**m * r_den - rel * rm * w for m, (hm, rm) in enumerate(zip_longest(h, r, fillvalue=0))]
-    # one int division, rounded as Fraction.__float__ rounds
-    return [(m, abs(dm) * math.factorial(m) / (w * r_den)) for m, dm in enumerate(d[:n]) if dm]
+    # rounded once, inf past the float range
+    return [(m, _float(Fraction(abs(dm) * math.factorial(m), w * r_den))) for m, dm in enumerate(d[:n]) if dm]
 
 
 def _piece_roots(p: Poly, lo: float, hi: float) -> List[float]:
@@ -277,24 +283,28 @@ def _float_peaks(p: Poly, lo: float, hi: float) -> List[float]:
 
 
 def _within_allowance(x: float, limit: float, lo: Real, hi: Real, *polys: Poly, order: int = 0) -> bool:
-    """x <= limit, or x <= limit + the sum over the polys p of EVAL_ULPS *
-    (deg p - order + 1) * P^(order)(t), P = sum (|c_m| + UNDERFLOW) t^m, at the end
-    t of [lo, hi] of largest |t|. This bounds the rounding of float p^(order)(t)
-    in global coordinates (Higham, Accuracy and Stability of Numerical
-    Algorithms, 5.1), with its underflow term: a coefficient or Horner product
-    below the normal range is off by up to 2^-1074 absolutely, and the error of
-    c_m reaches p^(order)(t) times the order-th derivative of t^m. The Horner
-    sum overflows to inf, which fails."""
+    """x <= limit, or x <= limit + EVAL_ULPS times the finite `_reach` of the
+    polys at the end t of [lo, hi] of largest |t|. This bounds the rounding of
+    float p^(order)(t) in global coordinates (Higham, Accuracy and Stability of
+    Numerical Algorithms, 5.1), with its underflow term: a coefficient or
+    Horner product below the normal range is off by up to 2^-1074 absolutely,
+    and the error of c_m reaches p^(order)(t) times the order-th derivative of t^m."""
     if x <= limit:
         return True
-    t = max(abs(float(lo)), abs(float(hi)))
+    extra = _reach(max(abs(float(lo)), abs(float(hi))), order, *polys)
+    return math.isfinite(extra) and x <= limit + EVAL_ULPS * extra
+
+
+def _reach(t: float, order: int, *polys: Poly) -> float:
+    """The sum over the polys p of (deg p - order + 1) * P^(order)(t), P = sum
+    (|c_m| + UNDERFLOW) t^m, by Horner: inf past the float range, no OverflowError."""
     extra = 0.0
     for p in polys:
         acc = 0.0
-        for m in range(p.degree, order - 1, -1):  # Horner: no OverflowError
+        for m in range(p.degree, order - 1, -1):
             acc = acc * t + (abs(float(p.coeffs[m])) + UNDERFLOW) * math.perm(m, order)
         extra += (p.degree - order + 1) * acc
-    return math.isfinite(extra) and x <= limit + EVAL_ULPS * extra
+    return extra
 
 
 def _touches(p: Poly, x: float, sign: int, a: float, lo: Real, hi: Real) -> bool:
@@ -352,11 +362,14 @@ def total_variation(f: PiecewisePoly) -> float:
     )
 
 
-# -- membership -----------------------------------------------------------
+# -- membership and the extreme-point certificate ---------------------------
+
+
+_KINDS = ("degree", "join", "nth-derivative", "sup")  # of a violation, in the order of a report
 
 
 class Violation(NamedTuple):
-    kind: str  # 'degree' | 'join' | 'sup' | 'nth-derivative'
+    kind: str  # one of _KINDS
     where: float
     detail: str
 
@@ -368,85 +381,6 @@ class MembershipReport(NamedTuple):
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-def _nth_derivative_abs(p: Poly, n: int) -> Real:
-    """|p^(n)| = n! |c_n|, a constant; 0 below degree n (with no n! computed)."""
-    return abs(p.coeffs[n] * math.factorial(n)) if p.degree >= n else 0
-
-
-def _class_check(f: PiecewisePoly, n: int, a: Real, b: Real
-                 ) -> Tuple[Optional[List[Tuple[tuple, int]]], Real, Real, List[Violation]]:
-    """(forms, a, b, violations) for the conditions of `membership` but the
-    sup: the local forms of the pieces (`_local_forms`, None when f is not
-    exact), and a and b Fractions on an exact spline."""
-    if n < 1:
-        raise ValueError("order n must be >= 1")
-    if not (0 < a < math.inf and 0 < b < math.inf):
-        raise ValueError("bounds a and b must be positive and finite")
-    fa, fb = float(a), float(b)
-    forms = _local_forms(f)
-    if exact := forms is not None:
-        a, b = Fraction(a), Fraction(b)
-        join_gaps = functools.cache(_join_gaps)  # once per (left key, relative sign, right key) in this call
-    violations: List[Violation] = []
-
-    for i, p in enumerate(f.pieces):
-        if p.degree > n:
-            violations.append(
-                Violation("degree", float(f.knots[i]), f"piece {i} has degree {p.degree} > {n}")
-            )
-
-    for i in range(1, len(f.pieces)):
-        t = f.knots[i]
-        left, right = f.pieces[i - 1], f.pieces[i]
-        if exact:
-            (left_key, left_sign), (right_key, right_sign) = forms[i - 1], forms[i]
-            gaps = join_gaps(left_key, left_sign * right_sign, right_key, n)
-        else:
-            gaps = []
-            dl, dr = left, right
-            for order in range(min(n, max(left.degree, right.degree) + 1)):  # higher orders vanish on both sides
-                if order:
-                    dl, dr = dl.derivative(), dr.derivative()
-                gap = abs(float(dl(t) - dr(t)))
-                scale = fa ** (1 - order / n) * fb ** (order / n)
-                if not _within_allowance(gap, REL_TOL * scale, t, t, left, right, order=order):
-                    gaps.append((order, gap))
-        for order, gap in gaps:
-            violations.append(Violation("join", float(t), f"order-{order} mismatch at knot {i}: gap {gap:.3e}"))
-
-    for i, p in enumerate(f.pieces):
-        dn = _nth_derivative_abs(p, n)
-        lo, hi = f.knots[i], f.knots[i + 1]
-        # written as "not <=" so that a NaN counts as a violation
-        if not (dn <= b if exact else _within_allowance(float(dn), fb * (1 + REL_TOL), lo, hi, p, order=n)):
-            violations.append(
-                Violation(
-                    "nth-derivative",
-                    float(f.knots[i]),
-                    f"|f^({n})| = {float(dn)} > {float(b)} on piece {i}",
-                )
-            )
-    return forms, a, b, violations
-
-
-def membership(f: PiecewisePoly, n: int, a: Real, b: Real) -> MembershipReport:
-    """Check the class conditions: C^(n-1) joins at the knots, degree <= n per
-    piece, sup |f| <= a, and |f^(n)| <= b (a constant on each piece)."""
-    forms, a, _, violations = _class_check(f, n, a, b)
-    violations += _piece_pass(f, n, a, forms, contacts=False)[2]
-    return MembershipReport(ok=not violations, numeric=forms is None, violations=tuple(violations))
-
-
-def require_member(f: PiecewisePoly, n: int, a: Real, b: Real) -> MembershipReport:
-    report = membership(f, n, a, b)
-    if not report.ok:
-        raise MembershipError(report)
-    return report
-
-
-# -- contact sets and the extreme-point certificate ------------------------
 
 
 class ContactPoint(NamedTuple):
@@ -470,36 +404,97 @@ class ExtremeVerdict(NamedTuple):
     numeric: bool
 
 
-def contact_set(f: PiecewisePoly, n: int, a: Real) -> Tuple[List[ContactPoint], List[ContactInterval]]:
-    """Points and whole pieces where |f| = a, with multiplicities
-    (order of the first nonvanishing derivative, capped at n). f must be a
-    member (|f| <= a), as `is_extreme_point` checks in the same pass: a
-    float contact is then a point where |p| peaks on its piece (an end or a
-    critical point) and touches a."""
-    if not 0 < a < math.inf:
-        raise ValueError("bound a must be positive and finite")
-    return _piece_pass(f, n, a, _local_forms(f))[:2]
+def membership(f: PiecewisePoly, n: int, a: Real, b: Real) -> MembershipReport:
+    """Check the class conditions: C^(n-1) joins at the knots, degree <= n per
+    piece, sup |f| <= a, and |f^(n)| <= b (a constant on each piece)."""
+    return _check_pieces(f, n, a, b, certificate=False)[0]
 
 
-def _piece_pass(f: PiecewisePoly, n: int, a: Real, forms: Optional[List[Tuple[tuple, int]]], contacts: bool = True
-                ) -> Tuple[List[ContactPoint], List[ContactInterval], List[Violation]]:
-    """One pass over the pieces: a "sup" violation for each piece on which
-    |f| <= a fails, and, when contacts is set, the contact set. Both come from
-    one root search per local form and sign (exact) or one list of peaks per
-    piece (float); the sup that words a violation is the largest peak (float)
-    or is read from the local form (`_local_sup`), once per form in the call."""
-    exact, fa = forms is not None, float(a)
-    points: List[ContactPoint] = []
-    intervals: List[ContactInterval] = []
-    refused: List[Violation] = []
+def require_member(f: PiecewisePoly, n: int, a: Real, b: Real) -> MembershipReport:
+    report = membership(f, n, a, b)
+    if not report.ok:
+        raise MembershipError(report)
+    return report
 
-    if exact:  # each once per (local piece key, sign), or per key, in this call: no Fraction hashed
-        a = Fraction(a)
-        search, local_sup = functools.cache(functools.partial(_local_contacts, a=a)), functools.cache(_local_sup)
-    for i, p in enumerate(f.pieces):
-        lo, hi = f.knots[i], f.knots[i + 1]
+
+def is_extreme_point(f: PiecewisePoly, n: int, a: Real, b: Real) -> ExtremeVerdict:
+    """Certify whether f is an extreme point of the convex class: the contact
+    multiplicities (order of the first nonvanishing derivative, capped at n)
+    must sum to at least n, and every piece that is not itself a contact
+    interval must have |f^(n)| equal to b (bang-bang). The class is checked in
+    the same pass that finds the contacts; a non-member raises
+    MembershipError with the report `membership` gives."""
+    report, points, intervals, off = _check_pieces(f, n, a, b, certificate=True)
+    if not report.ok:
+        raise MembershipError(report)
+    msum: float = math.inf if intervals else sum(cp.multiplicity for cp in points)
+    return ExtremeVerdict(msum >= n and not off, tuple(points), tuple(intervals), msum, tuple(off), report.numeric)
+
+
+def _nth_derivative_abs(p: Poly, n: int) -> Real:
+    """|p^(n)| = n! |c_n|, a constant; 0 below degree n (with no n! computed)."""
+    return abs(p.coeffs[n] * math.factorial(n)) if p.degree >= n else 0
+
+
+def _float(x: Real) -> float:
+    """float(x), or +-inf for an exact x past the float range, as float arithmetic words it."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def _float_join_gaps(left: Poly, right: Poly, t: Real, n: int, fa: float, fb: float) -> List[Tuple[int, float]]:
+    """(m, |left^(m)(t) - right^(m)(t)|) for each order m < n at which two float
+    pieces part at the knot t by more than REL_TOL * the scale of f^(m) and their allowance."""
+    gaps = []
+    dl, dr = left, right
+    for order in range(min(n, max(left.degree, right.degree) + 1)):  # higher orders vanish on both sides
+        if order:
+            dl, dr = dl.derivative(), dr.derivative()
+        gap = abs(_float(dl(t) - dr(t)))
+        scale = fa ** (1 - order / n) * fb ** (order / n)
+        if not _within_allowance(gap, REL_TOL * scale, t, t, left, right, order=order):
+            gaps.append((order, gap))
+    return gaps
+
+
+def _check_pieces(f: PiecewisePoly, n: int, a: Real, b: Real, certificate: bool
+                  ) -> Tuple[MembershipReport, List[ContactPoint], List[ContactInterval], List[int]]:
+    """One pass over the pieces of f, each checked for its degree, its join with
+    the piece before, |f^(n)| <= b and |f| <= a: the membership report (by kind
+    in that order, each kind in piece order) and, while no violation is found
+    and certificate is set, the contact points and intervals and the pieces that
+    break condition (ii) of `is_extreme_point`. Exact searches run once per
+    local form and sign, join key or form in a call."""
+    if n < 1:
+        raise ValueError("order n must be >= 1")
+    if not (0 < a < math.inf and 0 < b < math.inf):
+        raise ValueError("bounds a and b must be positive and finite")
+    fa, fb = float(a), float(b)
+    if exact := f.is_exact():  # each memo keyed by integers: no Fraction hashed
+        a, b = Fraction(a), Fraction(b)
+        join_gaps, local_sup = functools.cache(_join_gaps), functools.cache(_local_sup)
+        search = functools.cache(functools.partial(_local_contacts, a=a))
+    violations: List[Violation] = []
+    points, intervals, off = [], [], []  # the certificate's
+
+    form = None
+    for i, (p, lo, hi) in enumerate(zip(f.pieces, f.knots, f.knots[1:])):
+        if p.degree > n:
+            violations.append(Violation("degree", float(lo), f"piece {i} has degree {p.degree} > {n}"))
+        prev, form = form, _local_piece(p, lo, hi) if exact else None
+        if i:
+            gaps = join_gaps(prev[0], prev[1] * form[1], form[0], n) if exact else \
+                _float_join_gaps(f.pieces[i - 1], p, lo, n, fa, fb)
+            violations += (Violation("join", float(lo), f"order-{m} mismatch at knot {i}: gap {gap:.3e}")
+                           for m, gap in gaps)
+        dn = _nth_derivative_abs(p, n)
+        # written as "not <=" so that a NaN counts as a violation
+        if not (dn <= b if exact else _within_allowance(_float(dn), fb * (1 + REL_TOL), lo, hi, p, order=n)):
+            violations.append(Violation("nth-derivative", float(lo), f"|f^({n})| = {_float(dn)} > {fb} on piece {i}"))
         if exact:  # |P| <= a iff P <= a and -P <= a, the same for -P
-            key, flip = forms[i]
+            key, flip = form
             member = search(key, 1)[0] and search(key, -1)[0]
         else:
             pf = p.to_float()
@@ -507,21 +502,21 @@ def _piece_pass(f: PiecewisePoly, n: int, a: Real, forms: Optional[List[Tuple[tu
             member = _within_allowance(sup := max(abs(pf(x)) for x in peaks), fa * (1 + REL_TOL), lo, hi, p)
         if not member:
             sup = local_sup(key) if exact else sup
-            refused.append(Violation("sup", float(lo), f"sup |f| = {float(sup)} > {fa} on piece {i}"))
-        for sign in (1, -1) if contacts else ():
+            violations.append(Violation("sup", float(lo), f"sup |f| = {_float(sup)} > {fa} on piece {i}"))
+        if not certificate or violations:
+            continue
+
+        before = len(intervals)
+        for sign in (1, -1):
             if exact:  # p = sign a where flip * sign P = a, P the local form of the key
                 roots = search(key, flip * sign)[1]
-                if roots is None:
-                    intervals.append(ContactInterval(float(lo), float(hi), sign))
+                if roots is not None:
+                    lo_num, lo_den = lo.numerator, lo.denominator
+                    # float(lo + u) for u = u_num / u_den, one int division rounded as Fraction.__float__ rounds
+                    points.extend(ContactPoint((lo_num * u_den + u_num * lo_den) / (lo_den * u_den), sign,
+                                               min(m, n)) for u_num, u_den, m in roots)
                     continue
-                lo_num, lo_den = lo.numerator, lo.denominator
-                # float(lo + u) for u = u_num / u_den, one int division rounded as Fraction.__float__ rounds
-                points.extend(ContactPoint((lo_num * u_den + u_num * lo_den) / (lo_den * u_den), sign, min(m, n))
-                              for u_num, u_den, m in roots)
-            elif all(_within_allowance(abs(pf(x) - sign * fa), REL_TOL * fa, lo, hi, pf) for x in peaks):
-                # p = sign * a at every place where it can peak, so on the whole piece
-                intervals.append(ContactInterval(float(lo), float(hi), sign))
-            else:
+            elif not all(_within_allowance(abs(pf(x) - sign * fa), REL_TOL * fa, lo, hi, pf) for x in peaks):
                 for x in peaks:
                     if _touches(pf, x, sign, fa, lo, hi):
                         # p^(j)(x) = 0 within its own evaluation allowance
@@ -532,9 +527,19 @@ def _piece_pass(f: PiecewisePoly, n: int, a: Real, forms: Optional[List[Tuple[tu
                                 m = j
                                 break
                         points.append(ContactPoint(x, sign, m))
+                continue
+            # p = sign a on the whole piece: as a polynomial (exact), or at every place where it can peak
+            intervals.append(ContactInterval(float(lo), float(hi), sign))
+        # condition (ii) exempts exactly a piece that is a contact interval itself
+        if len(intervals) == before and ((dn != b) if exact else not _within_allowance(
+                abs(_float(dn) - fb), REL_TOL * fb, lo, hi, p, order=n)):
+            off.append(i)
 
-    # merge adjacent contact intervals of equal sign
-    intervals.sort(key=lambda iv: iv.lo)
+    if violations or not certificate:
+        violations.sort(key=lambda v: _KINDS.index(v.kind))  # stable: each kind stays in piece order
+        return MembershipReport(not violations, not exact, tuple(violations)), [], [], []
+
+    # merge adjacent contact intervals of equal sign, found in piece order
     merged: List[ContactInterval] = []
     for iv in intervals:
         if merged and iv.sign == merged[-1].sign and iv.lo <= merged[-1].hi:
@@ -561,7 +566,7 @@ def _piece_pass(f: PiecewisePoly, n: int, a: Real, forms: Optional[List[Tuple[tu
                 deduped[-1] = cp
             continue
         deduped.append(cp)
-    return deduped, merged, refused
+    return MembershipReport(True, not exact, ()), deduped, merged, off
 
 
 def _local_contacts(key: tuple, sign: int, a: Fraction) -> Tuple[bool, Optional[List[Tuple[int, int, int]]]]:
@@ -593,37 +598,3 @@ def _local_sup(key: tuple) -> Fraction:
     `piece_sup` reads from p on [lo, lo + L]."""
     g, den, length_num, length_den = key
     return Fraction(piece_sup(Poly(g), 0, Fraction(length_num, length_den), True), den)
-
-
-def is_extreme_point(f: PiecewisePoly, n: int, a: Real, b: Real) -> ExtremeVerdict:
-    """Certify whether f is an extreme point of the convex class: the contact
-    multiplicities must sum to at least n, and every piece away from the
-    contact set must have |f^(n)| equal to b (bang-bang). |f| <= a is decided
-    by the same root search (exact) or peaks (float) that find the contacts,
-    one pass per piece and sign; a non-member raises MembershipError with
-    the report of that pass, the report `membership` gives."""
-    forms, a, b, class_violations = _class_check(f, n, a, b)
-    exact = forms is not None
-    points, intervals, refused = _piece_pass(f, n, a, forms, contacts=not class_violations)
-    if class_violations or refused:
-        raise MembershipError(MembershipReport(False, not exact, tuple(class_violations + refused)))
-    fb = float(b)
-    msum: float = math.inf if intervals else sum(cp.multiplicity for cp in points)
-
-    violations: List[int] = []
-    for i, p in enumerate(f.pieces):
-        lo, hi = float(f.knots[i]), float(f.knots[i + 1])
-        if any(iv.lo <= lo and hi <= iv.hi for iv in intervals):  # the same float knots
-            continue
-        dn = _nth_derivative_abs(p, n)
-        if (dn != b) if exact else not _within_allowance(abs(float(dn) - fb), REL_TOL * fb, lo, hi, p, order=n):
-            violations.append(i)
-
-    return ExtremeVerdict(
-        is_extreme=msum >= n and not violations,
-        contact_points=tuple(points),
-        contact_intervals=tuple(intervals),
-        multiplicity_sum=msum,
-        condition_ii_violations=tuple(violations),
-        numeric=not exact,
-    )

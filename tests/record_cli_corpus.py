@@ -170,6 +170,10 @@ SPLINES = {
     "small.json": '{"knots": [0.0, 1.0], "pieces": [[5e-10]], "n": 2}',
     "flat.json": '{"knots": [0.0, 1.0, 3.0], "pieces": [[-1.0], [-1.0]], "n": 2}',
     "huge.json": '{"knots": [1e300, 1.5e300], "pieces": [[0, 1e10, 1e-300, 1e-300]], "n": 3}',
+    # exact gaps, |f^(n)| and sups past the float range
+    "farjoin.json": '{"knots": ["0", "1", "2"], "pieces": [["0", "1.5e308"], ["0", "-1.5e308"]], "n": 2}',
+    "farderiv.json": '{"knots": ["0", "1"], "pieces": [["0", "0", "0", "1.7e308"]], "n": 3}',
+    "farsup.json": '{"knots": ["0", "4"], "pieces": [["0", "1e308"]], "n": 2}',
 }
 
 
@@ -276,6 +280,14 @@ def _errors() -> list:
          "--T", "3.3135122483901055e+145"],
         ["bound", "--n", "12", "--k", "6", "--a", "1.7416429364733115e-184", "--b", "5e-324", "--T", "1e-308"],
         ["spline", "--what", "qn", "--n", "0"],
+        # witnesses whose membership check would leave the float range, and
+        # the sigma1 search where a b or b/a does
+        ["extremal", "--n", "7", "--domain", "line", "--a", "1e308", "--b", "1860.359431261814"],
+        ["extremal", "--n", "2", "--domain", "halfline", "--a", "1e308", "--b", "5.54392861966967"],
+        ["extremal", "--n", "11", "--k", "2", "--domain", "line", "--a", "3.8737383051219476e+299",
+         "--b", "66178.26140546787"],
+        ["oracle", "--problem", "sigma1", "--a", "1e155", "--b", "1e155", "--T", "1.5", "--restarts", "20"],
+        ["oracle", "--problem", "sigma1", "--a", "1e-300", "--b", "1e300", "--T", "1e-300", "--restarts", "20"],
     ]
     unreadable = {"zero.json": '{"knots": ["0", "1/0"], "pieces": [["1/2"]], "n": 2}',
                   "farknot.json": '{"knots": ["0", "1e400"], "pieces": [["1/2"]], "n": 2}',

@@ -711,8 +711,13 @@ def _argv(command, required, **optional):
 @example(argv=["bound", "--n=12", "--k=6", "--a=1.7416429364733115e-184", "--b=5e-324", "--T=1e-308"])
 @example(argv=["spline", "--what=qn", "--n=0"])
 def test_no_landau_call_ends_in_a_traceback(argv):
-    # every call returns 0, 1 or 2 (2 with one line on stderr) or exits
-    # through argparse; any other exception fails
+    _exit_code(argv)
+
+
+def _exit_code(argv):
+    """The code of `landau ARGV` run in-process, None where argparse refused
+    the argv: 0, 1 or 2, with one line on stderr and none on stdout for 2. Any
+    other exception fails."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -722,6 +727,101 @@ def test_no_landau_call_ends_in_a_traceback(argv):
             assert exc.code == 2
     assert code in (None, 0, 1, 2)
     assert code != 2 or (out.getvalue() == "" and len(err.getvalue().splitlines()) == 1)
+    return code
+
+
+_LOG10 = st.floats(-320, 308)
+
+
+def _ten_to(e):
+    """10^e as a decimal string, which reads as 0 or inf past the float range."""
+    return f"{10 ** (e % 1):.6f}e{math.floor(e)}"
+
+
+@st.composite
+def _extremal_argv(draw):
+    """`extremal` with a and b log-uniform in [1e-320, 1e308], and T (b/a)^(1/n) at most 100."""
+    n, la, lb = draw(st.integers(2, 12)), draw(_LOG10), draw(_LOG10)
+    domain = draw(st.sampled_from(["segment", "halfline", "line"] if n == 2 else ["halfline", "line"]))
+    argv = ["extremal", f"--n={n}", f"--k={draw(st.integers(1, n - 1))}", f"--a={_ten_to(la)}",
+            f"--b={_ten_to(lb)}", f"--domain={domain}"]
+    if domain == "segment":
+        T = float(_ten_to(draw(st.floats(-2, 2)) + (la - lb) / 2))
+        argv += [f"--T={T!r}", *draw(st.sampled_from([[], [f"--t0={T * draw(st.floats(0, 1))!r}"],
+                                                        ["--functional=var"]]))]
+    return argv
+
+
+_MAGNITUDE = st.one_of(st.just(0.0), st.builds(lambda e, sign: sign * 10.0**e, _LOG10, st.sampled_from([1, -1])))
+
+
+@st.composite
+def _spline_file(draw):
+    """Spline JSON of 1 to 4 pieces of degree up to 4, exact (decimal strings)
+    or float, with knots and coefficients of magnitude up to 1e308."""
+    count = draw(st.integers(1, 4))
+    knots = [draw(_MAGNITUDE)]
+    for _ in range(count):
+        knots.append(knots[-1] + max(abs(knots[-1]), 1.0) * 10.0 ** draw(st.floats(-13, 3)))
+    pieces = [draw(st.lists(_MAGNITUDE, min_size=1, max_size=5)) for _ in range(count)]
+    number = repr if draw(st.booleans()) else float
+    return json.dumps({"knots": [number(k) for k in knots], "pieces": [[number(c) for c in p] for p in pieces],
+                       "n": draw(st.integers(1, 5))})
+
+
+@st.composite
+def _oracle_argv(draw):
+    """`oracle` with a and b log-uniform in [1e-320, 1e308], T sqrt(b/a) at
+    most 3, --M at most 60 and 20 restarts."""
+    la, lb = draw(_LOG10), draw(_LOG10)
+    T = float(_ten_to(draw(st.floats(-3, math.log10(3))) + (la - lb) / 2))
+    argv = ["oracle", f"--a={_ten_to(la)}", f"--b={_ten_to(lb)}", f"--T={T!r}"]
+    if draw(st.booleans()):
+        return argv + ["--problem=pointwise", f"--t0={T * draw(st.floats(0, 1))!r}", f"--M={draw(st.integers(50, 60))}"]
+    return argv + ["--problem=sigma1", "--restarts=20"]
+
+
+_FAR_SPLINES = [
+    '{"knots": ["0", "1", "2"], "pieces": [["0", "1.5e308"], ["0", "-1.5e308"]], "n": 2}',
+    '{"knots": ["0", "1"], "pieces": [["0", "0", "0", "1.7e308"]], "n": 3}',
+    '{"knots": ["0", "4"], "pieces": [["0", "1e308"]], "n": 2}',
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(call=st.one_of(
+    _extremal_argv(),
+    st.tuples(_spline_file(), st.lists(st.sampled_from(["--extreme", "--a=0.5", "--b=3e300"]), unique=True)),
+))
+@example(call=["extremal", "--n", "7", "--domain", "line", "--a", "1e308", "--b", "1860.359431261814"])
+@example(call=["extremal", "--n", "2", "--domain", "halfline", "--a", "1e308", "--b", "5.54392861966967"])
+@example(call=["extremal", "--n", "11", "--k", "2", "--domain", "line", "--a", "3.8737383051219476e+299",
+               "--b", "66178.26140546787"])
+@example(call=(_FAR_SPLINES[0], []))
+@example(call=(_FAR_SPLINES[1], ["--extreme"]))
+@example(call=(_FAR_SPLINES[2], []))
+def test_no_extremal_or_verify_call_ends_in_a_traceback(call):
+    # an extremal witness is built only where its membership check stays in
+    # the float range, so extremal never exits 1; verify words an exact value
+    # past the range as inf
+    if isinstance(call, tuple):  # verify on a spline file, with some flags
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "spline.json")
+            path.write_text(call[0])
+            _exit_code(["verify", f"--file={path}", *call[1]])
+    else:
+        assert _exit_code(call) != 1
+
+
+# few examples: away from the unit scale every Nelder-Mead round of the sigma1
+# search runs to its iteration limit, about a second a call
+@settings(max_examples=3, deadline=None)
+@given(argv=_oracle_argv())
+@example(argv=["oracle", "--problem", "sigma1", "--a", "1e155", "--b", "1e155", "--T", "1.5", "--restarts", "20"])
+@example(argv=["oracle", "--problem", "sigma1", "--a", "1e-300", "--b", "1e300", "--T", "1e-300", "--restarts", "20"])
+def test_no_oracle_call_ends_in_a_traceback(argv):
+    # the sigma1 search scales by sqrt(b/a) and sqrt(a b) without forming b/a or a b
+    _exit_code(argv)
 
 
 # Runs `landau ARGV` in a fresh interpreter and reports its exit code, stdout,

@@ -21,7 +21,6 @@ from landaukol.pwpoly import (
     PiecewisePoly,
     StructuralError,
     Violation,
-    contact_set,
     cut,
     is_extreme_point,
     membership,
@@ -101,11 +100,16 @@ def test_structural_errors():
         PiecewisePoly([F(0), F(1)], [], 2)
 
 
+def _top_derivative(f, n):
+    """The largest |f^(n)| over the pieces of f."""
+    return max(pwpoly._nth_derivative_abs(p, n) for p in f.pieces)
+
+
 def test_contact_set_two_endpoints():
     f = two_contact_extreme(1, 2)
-    points, intervals = contact_set(f, 2, F(1))
-    assert not intervals
-    assert [(round(p.t, 12), p.sign, p.multiplicity) for p in points] == [
+    verdict = is_extreme_point(f, 2, F(1), F(1))
+    assert not verdict.contact_intervals
+    assert [(round(p.t, 12), p.sign, p.multiplicity) for p in verdict.contact_points] == [
         (0.0, -1, 1),
         (2.0, 1, 1),
     ]
@@ -118,38 +122,38 @@ def test_contact_set_refuses_a_bound_that_is_not_positive_and_finite(a):
     f = PiecewisePoly([F(0), F(4)], [Poly([F(-1), F(2), F(-1, 2)])], 2)
     for g in (f, _float_copy(f)):
         with pytest.raises(ValueError):
-            contact_set(g, 2, a)
+            is_extreme_point(g, 2, a, 1)
 
 
 def test_contact_interval():
     f = PiecewisePoly([F(0), F(1)], [Poly([F(1)])], 2)
-    points, intervals = contact_set(f, 2, F(1))
-    assert points == []
-    assert intervals == [ContactInterval(0.0, 1.0, 1)]
+    verdict = is_extreme_point(f, 2, F(1), F(1))
+    assert verdict.contact_points == ()
+    assert verdict.contact_intervals == (ContactInterval(0.0, 1.0, 1),)
 
 
 def test_adjacent_contact_intervals_of_one_sign_merge():
     for num in (F, float):
         f = PiecewisePoly([num(0), num(1), num(2), num(3)], [Poly([num(1)])] * 3, 2)
-        points, intervals = contact_set(f, 2, num(1))
-        assert points == [] and intervals == [ContactInterval(0.0, 3.0, 1)], num
+        verdict = is_extreme_point(f, 2, num(1), num(1))
+        assert verdict.contact_points == () and verdict.contact_intervals == (ContactInterval(0.0, 3.0, 1),), num
 
 
 def test_a_long_float_piece_with_small_coefficients_is_no_contact_interval():
     # the first piece of this witness is 1 - 1.1e-67 t^2 + ... on [0, 6.6e33]:
     # every coefficient of p - 1 is below REL_TOL, yet p falls from +1 to -1
     w = compute_bound(BoundQuery(9, 1, 1.0, 1e-300, FullLine)).witness
-    points, intervals = contact_set(w, 9, 1.0)
-    assert intervals == []
-    assert [p.multiplicity for p in points] == [2] * 5
     verdict = is_extreme_point(w, 9, 1.0, 1e-300)
+    assert verdict.contact_intervals == ()
+    assert [p.multiplicity for p in verdict.contact_points] == [2] * 5
     assert verdict.multiplicity_sum == 10 and not verdict.condition_ii_violations
 
 
 def test_contact_set_q_restriction():
     f = q_restriction_pieces()
-    points, intervals = contact_set(f, 2, 1)
-    assert not intervals
+    verdict = is_extreme_point(f, 2, 1, 1)
+    points = verdict.contact_points
+    assert not verdict.contact_intervals
     ts = sorted(p.t for p in points)
     assert ts == pytest.approx([0.0, 2 * SQRT2, 4 * SQRT2], abs=1e-9)
     assert all(p.multiplicity == 2 for p in points)
@@ -171,9 +175,10 @@ def _float_copy(f):
 ))
 def test_float_contact_sets_match_the_exact_lane(f):
     n = f.n_smooth
-    exact_points, exact_intervals = contact_set(f, n, F(1))
-    points, intervals = contact_set(_float_copy(f), n, 1.0)
-    assert not exact_intervals and not intervals
+    b = _top_derivative(f, n)
+    exact, rounded = is_extreme_point(f, n, F(1), b), is_extreme_point(_float_copy(f), n, 1.0, float(b))
+    exact_points, points = exact.contact_points, rounded.contact_points
+    assert not exact.contact_intervals and not rounded.contact_intervals
     assert [(p.sign, p.multiplicity) for p in points] == [
         (p.sign, p.multiplicity) for p in exact_points
     ]
@@ -189,8 +194,9 @@ def test_float_contact_sets_match_the_exact_lane_at_high_order():
     for n in (10, 11, 12):
         for j in range(9):
             f = euler_spline_piecewise(n, F(j, 4), F(j, 4) + 6)
-            exact_points, _ = contact_set(f, n, F(1))
-            points, _ = contact_set(_float_copy(f), n, 1.0)
+            b = _top_derivative(f, n)
+            exact_points = is_extreme_point(f, n, F(1), b).contact_points
+            points = is_extreme_point(_float_copy(f), n, 1.0, float(b)).contact_points
             assert [(p.sign, p.multiplicity) for p in points] == [
                 (p.sign, p.multiplicity) for p in exact_points
             ], (n, j)
@@ -258,8 +264,9 @@ def test_rounding_allowance_does_not_admit_non_members_or_far_peaks():
     # |f| <= 1, so an allowance that grows as 1e-12 * sum |c_m| |t|^m (0.33)
     # swallows both a doubled copy (sup 1.41) and the end value 0.71 < 1
     f = euler_spline_piecewise(12, F(15, 2), F(31, 4))
-    assert contact_set(f, 12, F(1)) == ([], [])
-    assert contact_set(_float_copy(f), 12, 1.0) == ([], [])
+    top = _top_derivative(f, 12)
+    for verdict in (is_extreme_point(f, 12, F(1), top), is_extreme_point(_float_copy(f), 12, 1.0, float(top))):
+        assert verdict.contact_points == () and verdict.contact_intervals == ()
     b = 2 * max(abs(float(p.nth_derivative(12)(0))) for p in f.pieces)
     doubled = PiecewisePoly([float(k) for k in f.knots], [(p * 2).to_float() for p in f.pieces], 12)
     report = membership(doubled, 12, 1.0, b)
@@ -689,13 +696,21 @@ def _euler_sweep():
                 yield n, PiecewisePoly(f.knots, pieces, n), b
 
 
-def test_sign_verdicts_agree_with_the_bracket_reading_on_euler_splines(monkeypatch):
+def test_sign_verdicts_agree_with_the_bracket_reading_on_euler_splines():
     # the reports agree wherever the reading is right; where they differ, the
-    # reading missed a sup above a that a narrower bracket shows
+    # reading missed a sup above a that a narrower bracket shows. The
+    # certificate refuses every non-member with the report of membership
     counts = {"splines": 0, "members": 0, "extreme": 0, "reading_wrong": 0}
     for n, f, b in _euler_sweep():
         counts["splines"] += 1
         report, reading = membership(f, n, F(1), b), _bracket_reading(f, n, F(1), b)
+        if report.ok:
+            counts["members"] += 1
+            counts["extreme"] += is_extreme_point(f, n, F(1), b).is_extreme
+        else:
+            with pytest.raises(MembershipError) as exc:
+                is_extreme_point(f, n, F(1), b)
+            assert exc.value.report == report
         if report != reading:
             counts["reading_wrong"] += 1
             missed = [v for v in report.violations if v not in reading.violations]
@@ -703,14 +718,6 @@ def test_sign_verdicts_agree_with_the_bracket_reading_on_euler_splines(monkeypat
             for v in missed:
                 i = int(v.detail.rsplit(" ", 1)[1])
                 assert v.kind == "sup" and _rises_above(f.pieces[i], f.knots[i], f.knots[i + 1], 1)
-            continue
-        if report.ok:
-            counts["members"] += 1
-            verdict = is_extreme_point(f, n, F(1), b)
-            with monkeypatch.context() as m:
-                m.setattr(pwpoly, "membership", _bracket_reading)
-                assert is_extreme_point(f, n, F(1), b) == verdict
-            counts["extreme"] += verdict.is_extreme
     assert counts == {"splines": 132, "members": 33, "extreme": 17, "reading_wrong": 2}
 
 
@@ -851,8 +858,8 @@ def test_a_cut_piece_is_worded_with_the_sup_of_its_own_length():
 
 def test_the_certificate_checks_the_class_once_on_a_non_member(monkeypatch):
     calls = []
-    class_check = pwpoly._class_check
-    monkeypatch.setattr(pwpoly, "_class_check", lambda *args: calls.append(1) or class_check(*args))
+    check_pieces = pwpoly._check_pieces
+    monkeypatch.setattr(pwpoly, "_check_pieces", lambda *args, **kw: calls.append(1) or check_pieces(*args, **kw))
     f = euler_spline_piecewise(5, F(0), F(6))
     b = abs(f.pieces[0].coeffs[5]) * math.factorial(5)
     for g, a in ((f, 1 - F(1, 10**6)), (_float_copy(f), 0.999)):
