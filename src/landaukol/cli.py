@@ -95,7 +95,7 @@ def cmd_extremal(args) -> int:
 
 
 # the options that only one oracle problem reads, by that problem
-ORACLE_OPTIONS = {"pointwise": ("t0", "M"), "sigma1": ("restarts", "max_switches", "seed")}
+ORACLE_OPTIONS = {"pointwise": ("t0", "M"), "sigma1": ("restarts", "seed")}
 
 
 def cmd_oracle(args) -> int:
@@ -122,9 +122,7 @@ def cmd_oracle(args) -> int:
     else:
         restarts = 50 if args.restarts is None else args.restarts
         seed = int(os.environ.get("LANDAU_SEED", 0 if args.seed is None else args.seed))
-        value, control = oracle.bangbang_sigma1_search(
-            args.a, args.b, args.T, max_switches=args.max_switches, restarts=restarts, seed=seed,
-        )
+        value, control = oracle.bangbang_sigma1_search(args.a, args.b, args.T, restarts=restarts, seed=seed)
         config.update(restarts=restarts, seed=seed)
         extra = {"control": control._asdict()}  # json writes the switches tuple as a list
         method = "bangbang-switching-search"
@@ -302,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t0", type=float)
     p.add_argument("--M", type=int, help="grid intervals for the LP (default 400)")
     p.add_argument("--restarts", type=int, help="sigma1 search restarts (default 50)")
-    p.add_argument("--max-switches", type=int)
     p.add_argument("--seed", type=int, help="sigma1 search seed (default 0); LANDAU_SEED overrides it")
     p.set_defaults(fn=cmd_oracle)
 

@@ -1,14 +1,16 @@
 """Independent brute-force verification of the closed forms.
 
-Three tools, deliberately sharing no code with the formulas they check:
+Three tools, deliberately sharing no code with the formulas they check; the
+first two solve the unit class a = b = 1 on [0, T sqrt(b/a)] and map their
+result to the (a, b) class once, by f(t) = a g(t sqrt(b/a)):
 
 * a bounded-variable tableau simplex (written here, no external LP
   dependency) whose Bland pivots update only the columns where the pivot row
   is nonzero, maximizing discretized derivative objectives over the
-  discretized class |v_i| <= a, |v_{i+1} - 2 v_i + v_{i-1}| <= b h^2: the box
+  discretized class |v_i| <= 1, |v_{i+1} - 2 v_i + v_{i-1}| <= h^2: the box
   is a bound on each variable and each curvature pair is one range row (an
-  `LpProblem` holds the step h, the shift a and the LP data c, A, rhs; its
-  `solve()` returns (value, v, pivots));
+  `LpProblem` holds the step h, the class (a, b) and the LP data c, A, rhs;
+  its `solve()` returns (value, v, pivots) in the (a, b) class);
 * a randomized switching-point search over genuine bang-bang trajectories,
   driven by a Nelder-Mead minimizer (also written here, on plain floats),
   whose value is the float variation of a member passing float membership:
@@ -30,6 +32,7 @@ from .pwpoly import MIN_KNOT_GAP, PiecewisePoly
 SQRT2 = math.sqrt(2.0)
 PIVOT_TOL = 1e-9  # reduced costs and pivot-column entries this close to 0 count as 0
 PIVOT_RUN_GAP = 64  # nonzero pivot-row columns closer than this share one update
+MAX_SWITCHES = 36  # the most switch times the sigma1 search optimizes over
 
 
 class SimplexError(RuntimeError):
@@ -128,39 +131,44 @@ def simplex_maximize(
 
 
 class LpProblem(NamedTuple):
-    """Discretized derivative maximization: M+1 samples v_i on a step-h grid,
-    box |v_i| <= a, second differences within b h^2, linear objective c.  In
-    the shifted variables u = v + a the box is the variable bound
-    0 <= u <= 2a, and each of the M-1 rows of the second-difference matrix A
-    is the range row -rhs <= A u <= rhs with rhs = b h^2."""
+    """Discretized derivative maximization in the unit class: M+1 samples v_i
+    on a step-h grid, box |v_i| <= 1, second differences within h^2, linear
+    objective c.  In u = v + 1 the box is the bound 0 <= u <= 2, and each of
+    the M-1 rows of the second-difference matrix A is the range row
+    -rhs <= A u <= rhs, rhs = h^2.  `solve()` scales to the class (a, b)."""
 
     h: float
     a: float
+    b: float
     c: np.ndarray
     A: np.ndarray
     rhs: np.ndarray
 
     def __repr__(self) -> str:  # without the arrays
-        return f"LpProblem(h={self.h!r}, a={self.a!r})"
+        return f"LpProblem(h={self.h!r}, a={self.a!r}, b={self.b!r})"
 
     def solve(self) -> Tuple[float, np.ndarray, int]:
-        u, value, pivots = simplex_maximize(self.c, self.A, self.rhs, x_max=2 * self.a, s_max=2 * self.rhs)
-        return value, u - self.a, pivots  # shift back to v = u - a
+        u, value, pivots = simplex_maximize(self.c, self.A, self.rhs, x_max=2.0, s_max=2 * self.rhs)
+        return _finite(value * (math.sqrt(self.a) * math.sqrt(self.b))), self.a * (u - 1.0), pivots
 
 
 def build_pointwise_lp(a: float, b: float, T: float, t0: float, M: int) -> LpProblem:
-    """Objective: centered 3-point derivative stencil at the grid point
-    nearest t0 (second-order one-sided stencil at the endpoints).  Variables
-    are shifted to u = v + a >= 0; the stencils have zero coefficient sum, so
-    the shift leaves the objective untouched."""
+    """The unit-class LP on [0, T sqrt(b/a)], refused where its step h squares
+    outside the normal floats.  Objective: centered 3-point derivative stencil
+    at the grid point nearest t0 sqrt(b/a) (second-order one-sided stencil at
+    the endpoints).  The stencils have zero coefficient sum, so the shift
+    u = v + 1 leaves the objective untouched."""
     if M < 50:
         raise ValueError("need M >= 50")
     if not (a > 0 and b > 0 and T > 0):
         raise ValueError("a, b, T must be positive")
     if not 0 <= t0 <= T:
         raise ValueError(f"t0={t0} outside [0, {T}]")
-    h = T / M
-    j = int(round(t0 / h))
+    ratio = math.sqrt(b) / math.sqrt(a)  # sqrt(b/a)
+    h = T * ratio / M
+    if not 2.0**-1022 <= h * h < math.inf:  # the least normal float
+        raise ValueError(f"the unit-class step T sqrt(b/a) / M = {h!r} does not square to a normal float")
+    j = int(round(t0 * ratio / h))
     c = np.zeros(M + 1)
     if j == 0:
         c[[0, 1, 2]] = np.array([-3.0, 4.0, -1.0]) / (2 * h)
@@ -175,7 +183,13 @@ def build_pointwise_lp(a: float, b: float, T: float, t0: float, M: int) -> LpPro
     rows = np.arange(M - 1)
     for k, w in enumerate((1.0, -2.0, 1.0)):
         A[rows, rows + k] = w
-    return LpProblem(h=h, a=a, c=c, A=A, rhs=np.full(M - 1, b * h * h))
+    return LpProblem(h=h, a=a, b=b, c=c, A=A, rhs=np.full(M - 1, h * h))
+
+
+def _finite(x: float) -> float:
+    if math.isinf(x):  # the map to the (a, b) class left the float range
+        raise ValueError("the oracle's result is outside the float range; rescale a, b or T")
+    return x
 
 
 def lp_max_pointwise_derivative(a: float, b: float, T: float, t0: float, M: int) -> float:
@@ -278,6 +292,8 @@ class BangBangControl(NamedTuple):
     scale: float = 1.0
 
     def to_piecewise(self, b: float, T: float) -> PiecewisePoly:
+        """The member on [0, T] without its arcs of at most MIN_KNOT_GAP: all
+        of them at T = 1e-300, though the search's value stays right."""
         knots: List[float] = [0.0]
         pieces: List[Poly] = []
         f, fp = self.f0 * self.scale, self.fp0 * self.scale
@@ -297,27 +313,24 @@ class BangBangControl(NamedTuple):
         return PiecewisePoly(knots, pieces, 2)
 
 
-def _evaluate_bangbang(
-    theta: List[float], sign: int, a: float, b: float, T: float
-) -> Tuple[float, float, List[float]]:
-    """(value, scale, switches) of the member that theta = (f0, f'0, switch
-    times...) describes: the switch times clamped to [0, T] and sorted, the
-    exact per-piece extrema and variation of the raw trajectory, and the
-    shrink `scale` onto |f| <= a with the variation it scales to.  Arcs are
-    skipped exactly where `BangBangControl.to_piecewise` skips them."""
+def _evaluate_bangbang(theta: List[float], sign: int, T: float) -> Tuple[float, float, List[float]]:
+    """(value, scale, switches) of the unit-class member that theta = (f0,
+    f'0, switch times...) describes: the switch times clamped to [0, T] and
+    sorted, the exact per-piece extrema and variation of the raw trajectory,
+    and the shrink `scale` onto |f| <= 1 with the variation it scales to.
+    Arcs are skipped where `BangBangControl.to_piecewise(1, T)` skips them."""
     ends = sorted([0.0 if s < 0.0 else T if s > T else s for s in theta[2:]])
     ends.append(T)
     f, fp = theta[0], theta[1]
     t = 0.0
-    sgn = float(sign)
+    curv = float(sign)
     variation = 0.0
     max_abs = abs(f)
     for end in ends:
         if end <= t + MIN_KNOT_GAP:
-            sgn = -sgn
+            curv = -curv
             continue
         d = end - t
-        curv = sgn * b
         # extrema of the quadratic piece
         f_end = f + fp * d + curv * d * d / 2
         if abs(f_end) > max_abs:
@@ -332,47 +345,36 @@ def _evaluate_bangbang(
             variation += abs(f_end - f)
         f, fp = f_end, fp + curv * d
         t = end
-        sgn = -sgn
+        curv = -curv
     ends.pop()
-    scale = 1.0 if max_abs <= a else a / max_abs
+    scale = 1.0 if max_abs <= 1.0 else 1.0 / max_abs
     return variation * scale, scale, ends
 
 
-def _decode(theta: List[float], sign: int, a: float, b: float, T: float) -> Tuple[float, BangBangControl]:
-    """(value, member) at theta: the member and its float variation."""
-    value, scale, switches = _evaluate_bangbang(theta, sign, a, b, T)
+def _decode(theta: List[float], sign: int, T: float) -> Tuple[float, BangBangControl]:
+    """(value, member) at theta: the unit-class member and its float variation."""
+    value, scale, switches = _evaluate_bangbang(theta, sign, T)
     return value, BangBangControl(theta[0], theta[1], tuple(switches), sign, scale)
 
 
-def _scales(a: float, b: float) -> Tuple[float, float]:
-    """(sqrt(b/a), sqrt(a b)) from a and b scaled by even powers of two: the
-    floats that math.sqrt gives of b / a and a * b wherever those are normal
-    floats, and finite past them."""
-    ea, eb = math.frexp(a)[1] // 2 * 2, math.frexp(b)[1] // 2 * 2
-    ma, mb = math.ldexp(a, -ea), math.ldexp(b, -eb)
-    return math.ldexp(math.sqrt(mb / ma), (eb - ea) // 2), math.ldexp(math.sqrt(ma * mb), (ea + eb) // 2)
-
-
 def bangbang_sigma1_search(
-    a: float,
-    b: float,
-    T: float,
-    max_switches: Optional[int] = None,
-    restarts: int = 50,
-    seed: int = 0,
+    a: float, b: float, T: float, restarts: int = 50, seed: int = 0
 ) -> Tuple[float, BangBangControl]:
-    """Best total variation over bang-bang members found by seeded
-    Nelder-Mead restarts on (f0, f'0, switch times): the float variation of a
-    member that passes float membership (raw trajectories grazing past |f| = a
-    are shrunk onto it), a lower bound only up to rounding (ROADMAP item 5)."""
+    """Best total variation over bang-bang members of the unit class on [0, T'],
+    T' = T sqrt(b/a), by seeded Nelder-Mead restarts on (f0, f'0, switch
+    times): the float variation of a member that passes float membership (a
+    raw trajectory past |f| = 1 is shrunk onto it), a lower bound only up to
+    rounding (ROADMAP item 5), times a, and the control (a f0, sqrt(a) sqrt(b)
+    f'0, s / sqrt(b/a)).  Refuses T' <= MIN_KNOT_GAP and too many switches."""
     if not (a > 0 and b > 0 and T > 0):
         raise ValueError("a, b, T must be positive")
-    scale, root_ab = _scales(a, b)
-    needed = math.ceil(T * scale / SQRT2) + 2
-    if max_switches is None:
-        max_switches = needed
-    if max_switches < needed:
-        raise ValueError(f"need max_switches >= ceil(T sqrt(b/a) / sqrt 2) + 2 = {needed}")
+    ratio = math.sqrt(b) / math.sqrt(a)  # sqrt(b/a)
+    T_unit = T * ratio
+    if not MIN_KNOT_GAP < T_unit < math.inf:
+        raise ValueError(f"the unit-class length T sqrt(b/a) = {T_unit!r} is outside ({MIN_KNOT_GAP}, inf)")
+    switches = math.ceil(T_unit / SQRT2) + 2
+    if switches > MAX_SWITCHES:
+        raise ValueError(f"the search needs ceil(T sqrt(b/a) / sqrt 2) + 2 = {switches} > {MAX_SWITCHES} switches")
     if restarts < 20:
         raise ValueError("need restarts >= 20")
 
@@ -385,23 +387,22 @@ def bangbang_sigma1_search(
         x = theta0
         for _ in range(rounds):
             x = minimize(
-                lambda th: -_evaluate_bangbang(th, sign, a, b, T)[0],
+                lambda th: -_evaluate_bangbang(th, sign, T_unit)[0],
                 x, maxiter=400 * (len(x) + 1), xatol=1e-12, fatol=1e-14,
             ).x
         return x
 
     def incumbent(x: List[float], sign: int) -> Tuple[float, Optional[BangBangControl]]:
         # the member at x if it beats the incumbent, else the incumbent
-        value, control = _decode(x, sign, a, b, T)
+        value, control = _decode(x, sign, T_unit)
         return (value, control) if value > best[0] else best
 
     for r in range(restarts):
-        m = int(rng.integers(0, max_switches + 1)) if r % 3 else min(r // 3, max_switches)
+        m = int(rng.integers(0, switches + 1)) if r % 3 else min(r // 3, switches)
         sign = -1 if r % 2 else 1
-        # the float of uniform(-a, a), drawn where 2a may pass the float range
-        f0 = 2 * float(rng.uniform(-a / 2, a / 2)) if r % 3 else -a * float(sign)
-        fp0 = float(rng.uniform(-1, 1)) * 2 * root_ab
-        theta0 = [f0, fp0] + sorted(rng.uniform(0, T, size=m).tolist())
+        f0 = float(rng.uniform(-1, 1)) if r % 3 else -float(sign)
+        fp0 = float(rng.uniform(-1, 1)) * 2
+        theta0 = [f0, fp0] + sorted(rng.uniform(0, T_unit, size=m).tolist())
 
         best = incumbent(optimize(theta0, sign, rounds=2), sign)
 
@@ -410,7 +411,10 @@ def bangbang_sigma1_search(
         raise SimplexError("no feasible bang-bang candidate found")
     # final polish of the incumbent
     x = optimize([control.f0, control.fp0, *control.switches], control.sign, rounds=3)
-    return incumbent(x, control.sign)
+    value, c = incumbent(x, control.sign)
+    times = tuple(_finite(s / ratio) for s in c.switches)
+    return _finite(a * value), c._replace(f0=_finite(a * c.f0), fp0=_finite(math.sqrt(a) * math.sqrt(b) * c.fp0),
+                                          switches=times)
 
 
 # -- random member generator ---------------------------------------------------

@@ -312,17 +312,14 @@ def _touches(p: Poly, x: float, sign: int, a: float, lo: Real, hi: Real) -> bool
     return _within_allowance(abs(p(x) - sign * a), 10 * REL_TOL * a, lo, hi, p)
 
 
-def piece_sup(p: Poly, lo: Real, hi: Real, exact: bool) -> Real:
-    """sup of |p| on [lo, hi] by critical-point enumeration (root isolation
-    of p'): a float, or in exact mode a Fraction read at the ends of the
+def piece_sup(p: Poly, lo: Real, hi: Real) -> Real:
+    """sup of |p| (exact coefficients) on [lo, hi] by critical-point
+    enumeration (root isolation of p'): a Fraction read at the ends of the
     brackets of irrational critical points (`_roots.real_roots_exact`), which
     can fall short of the sup. So no verdict reads this value: the exact
     verdict comes from the root search of P -/+ a (`_local_contacts`), and
     the pass over the pieces reads it from the local form only to word a
     refused piece (`_local_sup`)."""
-    if not exact:
-        pf = p.to_float()
-        return max(abs(pf(x)) for x in _float_peaks(pf, float(lo), float(hi)))
     candidates = [abs(p(lo)), abs(p(hi))]
     for r in _roots.real_roots_exact(p.derivative(), Fraction(lo), Fraction(hi)):
         candidates.extend(abs(p(x)) for x in r.bracket)  # (x, x) at a rational root
@@ -597,4 +594,4 @@ def _local_sup(key: tuple) -> Fraction:
     search of p' on [lo, lo + L] less lo, so it is the rational that
     `piece_sup` reads from p on [lo, lo + L]."""
     g, den, length_num, length_den = key
-    return Fraction(piece_sup(Poly(g), 0, Fraction(length_num, length_den), True), den)
+    return Fraction(piece_sup(Poly(g), 0, Fraction(length_num, length_den)), den)

@@ -292,8 +292,22 @@ def _errors() -> list:
     unreadable = {"zero.json": '{"knots": ["0", "1/0"], "pieces": [["1/2"]], "n": 2}',
                   "farknot.json": '{"knots": ["0", "1e400"], "pieces": [["1/2"]], "n": 2}',
                   "farcoef.json": '{"knots": [0, 1], "pieces": [["1e400"]], "n": 2}'}
+    # oracles away from the unit scale: answers once wrong or past the float
+    # range, a slow search, the switch cap and unit lengths out of range
+    far = [
+        ["oracle", "--problem", "pointwise", "--a", "1e-20", "--b", "1e-20", "--T", "4", "--t0", "0.5", "--M", "200"],
+        ["oracle", "--problem", "sigma1", "--a", "8e307", "--b", "1.79e308", "--T", "1", "--restarts", "20"],
+        ["oracle", "--problem", "sigma1", "--a", "6.006578e307", "--b", "6.953913e145", "--T", "5.409827e80",
+         "--restarts", "20"],
+        ["oracle", "--problem", "sigma1", "--a", "1e10", "--b", "1e10", "--T", "1.5", "--restarts", "20"],
+        ["oracle", "--problem", "sigma1", "--T", "1e5"],
+        ["oracle", "--problem", "sigma1", "--a", "5e-324", "--b", "1.7e308", "--T", "1e300", "--restarts", "20"],
+        ["oracle", "--problem", "pointwise", "--a", "1.7e308", "--b", "5e-324", "--T", "1e-300", "--t0", "0", "--M", "50"],
+        ["oracle", "--problem", "pointwise", "--a", "5e-324", "--b", "1.7e308", "--T", "1e300", "--t0", "1", "--M", "50"],
+    ]
     return [{"argv": argv} for argv in cases] + [
-        {"argv": ["verify", "--file", "{tmp}/" + name], "files": {name: text}} for name, text in unreadable.items()]
+        {"argv": ["verify", "--file", "{tmp}/" + name], "files": {name: text}} for name, text in unreadable.items()
+    ] + [{"argv": argv} for argv in far]
 
 
 def cases() -> list:

@@ -1,8 +1,10 @@
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,7 @@ from scipy.optimize import minimize as scipy_minimize
 
 from landaukol import oracle
 from landaukol.bounds import BoundQuery, Segment
+from landaukol.exactnum import Poly
 from landaukol.landau2 import sigma1, sigma_inf, sigma_pointwise
 from landaukol.oracle import (
     BangBangControl,
@@ -27,7 +30,7 @@ from landaukol.oracle import (
     simplex_maximize,
 )
 from landaukol.pwpoly import MIN_KNOT_GAP, membership, piece_sup, total_variation
-from simplex_cases import output
+from simplex_cases import CASES, output
 
 SQRT2 = math.sqrt(2.0)
 
@@ -73,6 +76,20 @@ PINS = {
 @pytest.mark.parametrize("case", PINS)
 def test_simplex_outputs_are_pinned_bit_for_bit(case):
     assert output(case) == PINS[case]
+
+
+@pytest.mark.parametrize("case", [case for case in PINS if case.endswith("-200")])
+def test_pointwise_pins_scale_bit_for_bit_over_powers_of_four(case):
+    # the unit-class LP times sqrt(a b): on (a, b) = (4^i, 4^j) the map is a
+    # power of two, so value, pivots and samples / a are the pinned bits
+    T, t0, M = CASES[case][1]
+    value, pivots, digest = PINS[case]
+    for i in range(-2, 3):
+        for j in range(-2, 3):
+            a, b, s = 4.0**i, 4.0**j, 2.0 ** (j - i)
+            v_ab, x, p = build_pointwise_lp(a, b, T / s, t0 / s, M).solve()
+            assert (v_ab, p) == (2.0 ** (i + j) * float(value), pivots), (i, j)
+            assert hashlib.sha256((x / a).tobytes()).hexdigest() == digest, (i, j)
 
 
 def test_simplex_pins_hold_on_other_blas_kernels():
@@ -225,9 +242,9 @@ def test_decode_matches_elementwise_clip():
         theta = rng.uniform(-3.0, 8.0, size=int(rng.integers(2, 10))).tolist()
         sign = int(rng.choice([-1, 1]))
         switches = sorted(min(max(float(s), 0.0), 5.0) for s in theta[2:])
-        value, scale, evaluated = _evaluate_bangbang(theta, sign, 1.0, 1.0, 5.0)
+        value, scale, evaluated = _evaluate_bangbang(theta, sign, 5.0)
         assert evaluated == switches
-        assert _decode(theta, sign, 1.0, 1.0, 5.0) == (
+        assert _decode(theta, sign, 5.0) == (
             value, BangBangControl(float(theta[0]), float(theta[1]), tuple(switches), sign, scale))
 
 
@@ -243,7 +260,6 @@ def test_bangbang_value_is_the_variation_of_its_member(a, b, T, seed):
 
 @st.composite
 def _bangbang_controls(draw):
-    b = draw(st.floats(0.1, 5.0))
     T = draw(st.floats(0.1, 10.0))
     switches = [T * s for s in draw(st.lists(st.floats(0.0, 1.0), max_size=8))]
     # switches a knot gap or less apart, and a little more than that
@@ -251,27 +267,28 @@ def _bangbang_controls(draw):
             [0.0, 0.5 * MIN_KNOT_GAP, MIN_KNOT_GAP, 3 * MIN_KNOT_GAP, 1e-9])), max_size=3)):
         switches += [T * s, min(T * s + gap, T)]
     f0, fp0 = draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0))
-    return f0, fp0, sorted(switches), draw(st.sampled_from([-1, 1])), b, T
+    return f0, fp0, sorted(switches), draw(st.sampled_from([-1, 1])), T
 
 
 @settings(max_examples=150, deadline=None)
 @given(_bangbang_controls())
 def test_evaluator_matches_the_member_it_describes(case):
-    f0, fp0, switches, sign, b, T = case
-    theta = [f0, fp0, *switches]
-    # with no bound on |f| the value is the variation; a bound far below |f|
-    # shrinks the member by a / max_abs, which gives max_abs back
-    variation, unscaled, _ = _evaluate_bangbang(theta, sign, math.inf, b, T)
-    tiny = 1e-300
-    _, scale, _ = _evaluate_bangbang(theta, sign, tiny, b, T)
-    max_abs = tiny / scale
-    f = BangBangControl(f0, fp0, tuple(switches), sign).to_piecewise(b, T)
-    sup = max(piece_sup(p, lo, hi, False) for p, lo, hi in zip(f.pieces, f.knots, f.knots[1:]))
+    f0, fp0, switches, sign, T = case
+    # the unit-class value is the variation times the shrink onto |f| <= 1,
+    # 1 / max |f| where max |f| > 1
+    value, scale, _ = _evaluate_bangbang([f0, fp0, *switches], sign, T)
+    f = BangBangControl(f0, fp0, tuple(switches), sign).to_piecewise(1, T)
+    # the exact sup of the member's floats: its pieces are quadratics, so the
+    # critical points are rational
+    sup = float(max(piece_sup(Poly(map(Fraction, p.coeffs)), Fraction(lo), Fraction(hi))
+                    for p, lo, hi in zip(f.pieces, f.knots, f.knots[1:])))
     # a bound on |f| over the domain sets the scale of the rounding
-    tol = 1e-11 * (abs(f0) + abs(fp0) * T + b * T * T)
-    assert unscaled == 1.0
-    assert variation == pytest.approx(total_variation(f), rel=1e-11, abs=tol)
-    assert max_abs == pytest.approx(sup, rel=1e-11, abs=tol)
+    tol = 1e-11 * (abs(f0) + abs(fp0) * T + T * T)
+    assert value / scale == pytest.approx(total_variation(f), rel=1e-11, abs=tol)
+    if scale < 1.0:
+        assert 1.0 / scale == pytest.approx(sup, rel=1e-11, abs=tol)
+    else:
+        assert scale == 1.0 and sup <= 1.0 + tol
 
 
 def _rosenbrock(x):
@@ -313,8 +330,11 @@ def test_bangbang_scaling():
 
 
 def test_bangbang_preconditions():
-    with pytest.raises(ValueError):
-        bangbang_sigma1_search(1, 1, 10.0, max_switches=2, restarts=20)
+    # ceil(T sqrt(b/a) / sqrt 2) + 2 switch times past the cap are refused
+    # before anything is drawn
+    T = (oracle.MAX_SWITCHES - 1.5) * SQRT2
+    with pytest.raises(ValueError, match=f"= {oracle.MAX_SWITCHES + 1} > {oracle.MAX_SWITCHES} switches"):
+        bangbang_sigma1_search(4.0, 1.0, 2 * T, restarts=20)
     with pytest.raises(ValueError):
         bangbang_sigma1_search(1, 1, 2.0, restarts=5)
 

@@ -659,7 +659,7 @@ def _bracket_reading(f, n, a, b):
             violations.append(Violation("nth-derivative", float(f.knots[i]),
                                         f"|f^({n})| = {float(dn)} > {float(b)} on piece {i}"))
     for i, (p, lo, hi) in enumerate(zip(f.pieces, f.knots, f.knots[1:])):
-        if (sup := piece_sup(p, lo, hi, True)) > a:
+        if (sup := piece_sup(p, lo, hi)) > a:
             violations.append(Violation("sup", float(lo), f"sup |f| = {float(sup)} > {float(a)} on piece {i}"))
     return MembershipReport(not violations, False, tuple(violations))
 
@@ -849,7 +849,7 @@ def test_a_cut_piece_is_worded_with_the_sup_of_its_own_length():
     # shorter interval, so its sup (0.7125) is not theirs (1)
     f = euler_spline_piecewise(4, F(-1, 2), F(7, 4))
     b = abs(f.pieces[0].coeffs[4]) * math.factorial(4)
-    sups = [piece_sup(p, lo, hi, True) for p, lo, hi in zip(f.pieces, f.knots, f.knots[1:])]
+    sups = [piece_sup(p, lo, hi) for p, lo, hi in zip(f.pieces, f.knots, f.knots[1:])]
     assert [float(s) for s in sups] == [1.0, 1.0, 0.7125]
     assert membership(f, 4, F(1, 2), b).violations == tuple(
         Violation("sup", float(lo), f"sup |f| = {float(s)} > 0.5 on piece {i}")

@@ -33,7 +33,7 @@ RECORDS = [
     Root(0.5, 1),
     LinearFunctional(((0, 0, 1),), 1, 1),
     KernelCertificate(1.0, 2.0, 4, 2),
-    LpProblem(0.5, 1.0, np.zeros(3), np.zeros((1, 3)), np.ones(1)),
+    LpProblem(0.5, 1.0, 1.0, np.zeros(3), np.zeros((1, 3)), np.ones(1)),
     BangBangControl(0.0, 1.0, (0.5,), 1),
 ]
 
@@ -138,7 +138,7 @@ def test_reprs_are_pinned():
     assert repr(LinearFunctional(((0, 0, 1),), 1, 1)) == (
         "LinearFunctional(terms=((Fraction(0, 1), 0, Fraction(1, 1)),), T=Fraction(1, 1), n=1)")
     assert repr(KernelCertificate(1.0, 2.0, 4, 2)) == "KernelCertificate(A=1.0, B=2.0, n=4, k=2)"
-    assert repr(RECORDS[-2]) == "LpProblem(h=0.5, a=1.0)"  # without the arrays
+    assert repr(RECORDS[-2]) == "LpProblem(h=0.5, a=1.0, b=1.0)"  # without the arrays
 
 
 @pytest.mark.parametrize("kwargs, message", [
