@@ -3,8 +3,7 @@ runs, constant tables, and kernel/spline sampling.
 
 Results go to stdout as a JSON envelope (CSV for table/kernel/spline),
 diagnostics to stderr.  Exit codes: 0 success or verified, 1 verification
-negative, 2 usage or parse error or a closed stdout.  LANDAU_SEED overrides
---seed.
+negative, 2 usage or parse error or a closed stdout.
 """
 from __future__ import annotations
 
@@ -121,7 +120,7 @@ def cmd_oracle(args) -> int:
         extra, method = {}, "lp-discretized-class"
     else:
         restarts = 50 if args.restarts is None else args.restarts
-        seed = int(os.environ.get("LANDAU_SEED", 0 if args.seed is None else args.seed))
+        seed = 0 if args.seed is None else args.seed
         value, control = oracle.bangbang_sigma1_search(args.a, args.b, args.T, restarts=restarts, seed=seed)
         config.update(restarts=restarts, seed=seed)
         extra = {"control": control._asdict()}  # json writes the switches tuple as a list
@@ -300,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t0", type=float)
     p.add_argument("--M", type=int, help="grid intervals for the LP (default 400)")
     p.add_argument("--restarts", type=int, help="sigma1 search restarts (default 50)")
-    p.add_argument("--seed", type=int, help="sigma1 search seed (default 0); LANDAU_SEED overrides it")
+    p.add_argument("--seed", type=int, help="sigma1 search seed (default 0)")
     p.set_defaults(fn=cmd_oracle)
 
     p = sub.add_parser("table", help="emit constant tables (CSV)")

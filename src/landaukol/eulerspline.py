@@ -11,8 +11,8 @@ satisfies e_n(x+1) = -e_n(x).  Derived objects:
   explicit spline over enough periods to be an extreme point of the class.
 
 The exact spline EE_n on a window has one piece per period half, each
-(-1)^k E_n(x + eps_n - k) / e_n(eps_n): the Taylor coefficients of the scaled
-E_n at eps_n - k, from one integer Taylor shift (`_roots.taylor_coefficients`).
+(-1)^k E_n(x + eps_n - k) / e_n(eps_n): the arc +-E_n(u) / e_n(eps_n) about its
+left knot k - eps_n, which `pwpoly.from_arcs` stores by one integer Taylor shift.
 
 Raising exact rationals to fractional powers is done once, in double
 precision, via exp/log of the integer numerator and denominator; it is the
@@ -124,8 +124,7 @@ def q_n_deriv_sup(n: int, k: int) -> float:
 def euler_spline_piecewise(n: int, x0: Fraction, x1: Fraction):
     """EE_n on [x0, x1] as an exact spline (knots where x + eps_n is an
     integer, one scaled Euler-polynomial piece in between)."""
-    from ._roots import taylor_coefficients
-    from .pwpoly import PiecewisePoly, cut  # deferred: pwpoly does not import us
+    from .pwpoly import cut, from_arcs  # deferred: pwpoly does not import us
 
     if n < 1:
         raise ValueError("need n >= 1")
@@ -133,13 +132,11 @@ def euler_spline_piecewise(n: int, x0: Fraction, x1: Fraction):
     if not x0 < x1:
         raise ValueError("need x0 < x1")
     eps = _epsilon(n)
-    even = euler_poly(n) * (1 / e_n_exact(n, eps))  # the pieces of even k, less the shift
-    odd = -even
+    even = euler_poly(n) * (1 / e_n_exact(n, eps))  # piece k is (-1)^k this about its left knot k - eps
     ks = range(math.floor(x0 + eps), math.ceil(x1 + eps))  # piece k on [k - eps, k + 1 - eps]
     knots = [k - eps for k in ks] + [ks[-1] + 1 - eps]
-    # piece k is (-1)^k E_n(x + eps - k) / e_n(eps): the Taylor coefficients at eps - k
-    pieces = [Poly(taylor_coefficients(odd if k % 2 else even, eps - k)) for k in ks]
-    return PiecewisePoly(*cut(knots, pieces, x0, x1), n)
+    arcs = [(k - eps, (-even if k % 2 else even).coeffs) for k in ks]
+    return from_arcs(*cut(knots, arcs, x0, x1), n)
 
 
 def q_n_piecewise(n: int):

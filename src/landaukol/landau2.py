@@ -8,9 +8,10 @@ value and its upper search.
 Every exact value comes with a builder of an extremal witness spline, which
 `BoundResult.witness` runs on first access (only then does `pwpoly` load);
 the spline passes the membership check and attains the value at the reported
-point.  Witnesses clip their pieces with `pwpoly.cut`, and the witness is
-None when no piece is left (a segment of length about 1e-12, or a, b so far
-apart that the scaling collapses), it would need more than MAX_ARCS
+point.  Witnesses write their pieces as arcs, each a polynomial about a point
+of its own, clip them with `pwpoly.cut` and store them with `pwpoly.from_arcs`.
+The witness is None when no piece is left (a segment of length about 1e-12, or
+a, b so far apart that the scaling collapses), it would need more than MAX_ARCS
 comparison arcs, or the scaling of `pwpoly.to_class` leaves the float range,
 which is decided before the unit-class witness is built.  General (a, b)
 queries are reduced to the unit class by f(t) = a * f_unit(t * sqrt(b/a)),
@@ -20,10 +21,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 from .bounds import EXACT, INTERVAL, BoundQuery, BoundResult, Domain, FullLine, HalfLine, Segment
-from .exactnum import Poly, Real, is_exact_number
+from .exactnum import Real, is_exact_number
 from .landaun import kolmogorov_bound
 
 if TYPE_CHECKING:
@@ -77,7 +78,7 @@ def pointwise_speed_bound(f_val: float) -> float:
 
 def q_train(shift: float, lo: float, hi: float) -> PiecewisePoly:
     """q(t - shift) on [lo, hi] as an explicit spline (float knots)."""
-    from .pwpoly import PiecewisePoly, StructuralError, cut
+    from .pwpoly import StructuralError, cut, from_arcs
 
     if not lo < hi:
         raise ValueError("need lo < hi")
@@ -87,11 +88,10 @@ def q_train(shift: float, lo: float, hi: float) -> PiecewisePoly:
         (k_hi := math.ceil((hi - shift) / period) + 1) - (k_lo := math.floor((lo - shift) / period) - 1) > MAX_ARCS
     ):
         raise StructuralError(f"comparison train on [{lo}, {hi}] has more than {MAX_ARCS} arcs")
-    arcs = range(k_lo, k_hi + 1)  # arc k is centred at shift + period k
-    knots = [shift + period * k_lo - SQRT2] + [shift + period * k + SQRT2 for k in arcs]
-    base = Poly([1.0, 0.0, -0.5])
-    pieces = [base.compose_affine(-(shift + period * k), 1.0) * (1.0 if k % 2 == 0 else -1.0) for k in arcs]
-    return PiecewisePoly(*cut(knots, pieces, lo, hi), 2)
+    ks = range(k_lo, k_hi + 1)  # arc k is +-(1 - u^2/2) about shift + period k
+    knots = [shift + period * k_lo - SQRT2] + [shift + period * k + SQRT2 for k in ks]
+    arcs = [(shift + period * k, (1.0, 0.0, -0.5) if k % 2 == 0 else (-1.0, -0.0, 0.5)) for k in ks]
+    return from_arcs(*cut(knots, arcs, lo, hi), 2)
 
 
 # -- witnesses for the sup-norm problem -------------------------------------
@@ -100,17 +100,17 @@ def q_train(shift: float, lo: float, hi: float) -> PiecewisePoly:
 def _ramp_witness_unit(T: float) -> PiecewisePoly:
     """f = -t^2/2 + (2/T + T/2) t - 1 on [0, T]; member for T <= 2 with the
     maximal initial slope."""
-    from .pwpoly import PiecewisePoly
+    from .pwpoly import from_arcs
 
-    return PiecewisePoly([0.0, T], [Poly([-1.0, 2 / T + T / 2, -0.5])], 2)
+    return from_arcs([0.0, T], [(0.0, (-1.0, 2 / T + T / 2, -0.5))], 2)
 
 
 def _long_witness_unit(T: Real) -> PiecewisePoly:
     """Rise along -t^2/2 + 2t - 1 for t <= 2, then park at the wall."""
-    from .pwpoly import PiecewisePoly
+    from .pwpoly import from_arcs
 
     F = Fraction if is_exact_number(T) else float
-    return PiecewisePoly([F(0), F(2), T], [Poly([F(-1), F(2), F(-1) / 2]), Poly([F(1)])], 2)
+    return from_arcs([F(0), F(2), T], [(F(0), (F(-1), F(2), F(-1) / 2)), (F(2), (F(1),))], 2)
 
 
 def _scales(a: float, b: float) -> Tuple[float, float]:
@@ -139,7 +139,7 @@ def sigma_inf(a: float, b: float, domain: Domain) -> BoundResult:
 
     if domain is FullLine:
         value, tag = kolmogorov_bound(2, 1, a, b), "kolmogorov-whole-line"
-        unit = _whole_line_witness_unit
+        unit = lambda: q_train(SQRT2, 0.0, 2 * SQRT2)  # one arc of q
     elif domain is HalfLine:
         value, tag = 2 * _scales(a, b)[1], "half-line-monotone-limit"
         unit = lambda: _long_witness_unit(Fraction(3))  # any length > 2 carries the extremal rise
@@ -159,13 +159,6 @@ def sigma_inf(a: float, b: float, domain: Domain) -> BoundResult:
     return BoundResult(value, EXACT, tag, witness_point=0.0, _build=build)
 
 
-def _whole_line_witness_unit() -> PiecewisePoly:
-    """One arc of the comparison train on [0, 2 sqrt(2)]."""
-    from .pwpoly import PiecewisePoly
-
-    return PiecewisePoly([0.0, 2 * SQRT2], [Poly([1.0, 0.0, -0.5]).compose_affine(-SQRT2, 1.0)], 2)
-
-
 # -- the pointwise problem ---------------------------------------------------
 
 
@@ -177,21 +170,20 @@ def PointwiseQuery(t0: float, T: float, a: float = 1.0, b: float = 1.0) -> Bound
 def _two_contact_witness_unit(t0: float, T: float) -> PiecewisePoly:
     """Bang-bang rise from (0, -1) to (T, +1) with maximal slope at t0;
     requires the slope C = G(t0, T - t0) to dominate max(t0, T - t0)."""
-    from .pwpoly import PiecewisePoly, cut
+    from .pwpoly import cut, from_arcs
 
     C = G(t0, T - t0)
-    left = Poly([-1.0, C - t0, 0.5])
-    right = Poly([1.0, C - (T - t0), -0.5]).compose_affine(-T, 1.0)
-    return PiecewisePoly(*cut([0.0, t0, T], [left, right], 0.0, T), 2)
+    arcs = [(0.0, (-1.0, C - t0, 0.5)), (T, (1.0, C - (T - t0), -0.5))]
+    return from_arcs(*cut([0.0, t0, T], arcs, 0.0, T), 2)
 
 
 def _free_end_witness_unit(t0: float, T: float) -> PiecewisePoly:
     """Rise from (0, -1), peak at t0 + phi(t0), then park at the wall."""
-    from .pwpoly import PiecewisePoly, cut
+    from .pwpoly import cut, from_arcs
 
     p = phi(t0)
-    pieces = [Poly([-1.0, p - t0, 0.5]), Poly([1.0, 0.0, -0.5]).compose_affine(-(t0 + p), 1.0), Poly([1.0])]
-    return PiecewisePoly(*cut([0.0, t0, t0 + p, T], pieces, 0.0, T), 2)
+    arcs = [(0.0, (-1.0, p - t0, 0.5)), (t0 + p, (1.0, 0.0, -0.5)), (t0 + p, (1.0,))]
+    return from_arcs(*cut([0.0, t0, t0 + p, T], arcs, 0.0, T), 2)
 
 
 def _sigma_pointwise_unit(t0: float, T: float) -> Tuple[float, str, Callable[[], PiecewisePoly], bool]:
@@ -219,6 +211,10 @@ def sigma_pointwise(query: BoundQuery) -> BoundResult:
 # -- prolongations and extendability ----------------------------------------
 
 
+def _float_arcs(arcs) -> list:
+    return [(float(c), [float(x) for x in cs]) for c, cs in arcs]
+
+
 def _endpoint_state(f: PiecewisePoly, at_start: bool) -> Tuple[float, float]:
     t = f.t_start if at_start else f.t_end
     return float(f(t)), float(f.deriv_value(t, 1))
@@ -236,7 +232,7 @@ def extendable_to_line(f: PiecewisePoly) -> bool:
 def extend_to_line(f: PiecewisePoly, pad: float = 1.0) -> PiecewisePoly:
     """Extend a member of the unit class to a compact-derivative member on an
     enlarged segment: decelerating parabolas at both ends, then constants."""
-    from .pwpoly import PiecewisePoly, cut, require_member
+    from .pwpoly import cut, from_arcs, require_member
 
     require_member(f, 2, 1, 1)
     if not extendable_to_line(f):
@@ -250,16 +246,15 @@ def extend_to_line(f: PiecewisePoly, pad: float = 1.0) -> PiecewisePoly:
     s0 = 1.0 if d0 > 0 else -1.0
     s1 = 1.0 if d1 > 0 else -1.0
     knots = [t0 - abs(d0) - pad, t0 - abs(d0), *(float(k) for k in f.knots), t1 + abs(d1), t1 + abs(d1) + pad]
-    pieces = [Poly([v0 - s0 * d0 * d0 / 2]), Poly([v0, d0, s0 / 2]).compose_affine(-t0, 1.0),
-              *(p.to_float() for p in f.pieces),
-              Poly([v1, d1, -s1 / 2]).compose_affine(-t1, 1.0), Poly([v1 + s1 * d1 * d1 / 2])]
-    return PiecewisePoly(*cut(knots, pieces, knots[0], knots[-1]), 2)
+    arcs = [(0.0, (v0 - s0 * d0 * d0 / 2,)), (t0, (v0, d0, s0 / 2)), *_float_arcs(f.arcs),
+            (t1, (v1, d1, -s1 / 2)), (0.0, (v1 + s1 * d1 * d1 / 2,))]
+    return from_arcs(*cut(knots, arcs, knots[0], knots[-1]), 2)
 
 
 def prolong_affine(f: PiecewisePoly, h: float, epsilon: float, theta: float) -> PiecewisePoly:
     """Append an affine-plus-parabola tail to (1 - epsilon) f; the step bound
     h <= epsilon / (|theta| + sigma_inf(T)) keeps the tail inside the walls."""
-    from .pwpoly import PiecewisePoly, require_member
+    from .pwpoly import from_arcs, require_member
 
     if not 0 < epsilon <= 1:
         raise ValueError(f"need 0 < epsilon <= 1, got epsilon={epsilon}")
@@ -272,17 +267,16 @@ def prolong_affine(f: PiecewisePoly, h: float, epsilon: float, theta: float) -> 
     require_member(f, 2, 1, 1)
     v, d = _endpoint_state(f, False)
     t1 = float(f.t_end)
-    tail = Poly([(1 - epsilon) * v, (1 - epsilon) * d, theta / 2]).compose_affine(-t1, 1.0)
-    knots = [float(k) for k in f.knots] + [t1 + h]
-    pieces = [p.to_float() * (1 - epsilon) for p in f.pieces] + [tail]
-    return PiecewisePoly(knots, pieces, 2)
+    arcs = [(float(c), [float(x) * (1 - epsilon) for x in cs]) for c, cs in f.arcs]
+    arcs.append((t1, ((1 - epsilon) * v, (1 - epsilon) * d, theta / 2)))
+    return from_arcs([float(k) for k in f.knots] + [t1 + h], arcs, 2)
 
 
 def insert_bump(f: PiecewisePoly, t0: float, h: float) -> PiecewisePoly:
     """Splice a double-parabola bump of height h^2/16 at a stationary point
     t0; the output lives on [start, end + h] and its total variation exceeds
     the input's by exactly h^2/8."""
-    from .pwpoly import PiecewisePoly, cut, require_member
+    from .pwpoly import cut, from_arcs, require_member
 
     require_member(f, 2, 1, 1)
     start, end = float(f.t_start), float(f.t_end)
@@ -298,15 +292,13 @@ def insert_bump(f: PiecewisePoly, t0: float, h: float) -> PiecewisePoly:
     if not 0 < h <= cap:
         raise ValueError(f"need 0 < h <= 4 sqrt(1 - f(t0)) = {cap}, got h={h}")
 
-    head_knots, head = cut(f.knots, f.pieces, f.t_start, t0)
-    tail_knots, tail = cut(f.knots, f.pieces, t0, f.t_end)
+    head_knots, head = cut(f.knots, f.arcs, f.t_start, t0)
+    tail_knots, tail = cut(f.knots, f.arcs, t0, f.t_end)
     knots = [*(float(k) for k in head_knots[:-1]), t0, t0 + h / 4, t0 + 3 * h / 4, t0 + h,
              *(float(k) + h for k in tail_knots[1:])]
-    pieces = [*(p.to_float() for p in head), Poly([v, 0.0, 0.5]).compose_affine(-t0, 1.0),
-              Poly([v + h * h / 16, 0.0, -0.5]).compose_affine(-(t0 + h / 2), 1.0),
-              Poly([v, 0.0, 0.5]).compose_affine(-(t0 + h), 1.0),
-              *(p.to_float().compose_affine(-h, 1.0) for p in tail)]
-    return PiecewisePoly(knots, pieces, 2)
+    arcs = [*_float_arcs(head), (t0, (v, 0.0, 0.5)), (t0 + h / 2, (v + h * h / 16, 0.0, -0.5)),
+            (t0 + h, (v, 0.0, 0.5)), *((c + h, cs) for c, cs in _float_arcs(tail))]
+    return from_arcs(knots, arcs, 2)
 
 
 # -- the total-variation problem sigma_1 ------------------------------------
@@ -364,38 +356,33 @@ def _sigma1_lower_unit(T: float) -> float:
 
 def _tau_witness_unit(T: float) -> PiecewisePoly:
     """tau = -1 + (2/T - T/2) t + t^2/2: monotone crossing for T <= 2."""
-    from .pwpoly import PiecewisePoly
+    from .pwpoly import from_arcs
 
-    return PiecewisePoly([0.0, T], [Poly([-1.0, 2 / T - T / 2, 0.5])], 2)
+    return from_arcs([0.0, T], [(0.0, (-1.0, 2 / T - T / 2, 0.5))], 2)
 
 
 def _parabola_witness_unit(T: float) -> PiecewisePoly:
     """-1 + (t-2)^2/2 on [0, T]: one full descent-and-rise for 2 <= T <= 4."""
-    from .pwpoly import PiecewisePoly
+    from .pwpoly import from_arcs
 
-    return PiecewisePoly([0.0, T], [Poly([-1.0, 0.0, 0.5]).compose_affine(-2.0, 1.0)], 2)
+    return from_arcs([0.0, T], [(2.0, (-1.0, 0.0, 0.5))], 2)
 
 
 def lattice_witness_unit(N: int) -> PiecewisePoly:
     """Wall-to-wall rise, N antiperiods of the comparison train, then a final
     wall-to-wall arc; total variation 2N + 4 on [0, 2 N sqrt(2) + 4]."""
-    from .pwpoly import PiecewisePoly
+    from .pwpoly import from_arcs
 
     if N < 0:
         raise ValueError("N must be >= 0")
-    T = N * _LATTICE_STEP + 4
-    knots: List[float] = [0.0]
-    pieces: List[Poly] = [Poly([1.0, 0.0, -0.5]).compose_affine(-2.0, 1.0)]
+    rise = (2.0, (1.0, 0.0, -0.5))
     if N == 0:
-        knots.append(4.0)
-        return PiecewisePoly(knots, pieces, 2)
-    train = q_train(2.0, 2.0, N * _LATTICE_STEP + 2.0)
-    knots.extend(float(k) for k in train.knots)  # train knots start at 2.0
-    pieces.extend(train.pieces)
+        return from_arcs([0.0, 4.0], [rise], 2)
+    end = N * _LATTICE_STEP + 2.0
+    train = q_train(2.0, 2.0, end)  # its knots start at 2.0
     sign = 1.0 if N % 2 == 0 else -1.0
-    pieces.append(Poly([sign, 0.0, -sign * 0.5]).compose_affine(-(N * _LATTICE_STEP + 2.0), 1.0))
-    knots.append(T)
-    return PiecewisePoly(knots, pieces, 2)
+    knots = [0.0, *train.knots, N * _LATTICE_STEP + 4]
+    return from_arcs(knots, [rise, *train.arcs, (end, (sign, 0.0, -sign * 0.5))], 2)
 
 
 def sigma1(a: float, b: float, T: float) -> BoundResult:

@@ -26,8 +26,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exactnum import Poly
-from .pwpoly import MIN_KNOT_GAP, PiecewisePoly
+from .pwpoly import MIN_KNOT_GAP, PiecewisePoly, from_arcs
 
 SQRT2 = math.sqrt(2.0)
 PIVOT_TOL = 1e-9  # reduced costs and pivot-column entries this close to 0 count as 0
@@ -294,8 +293,7 @@ class BangBangControl(NamedTuple):
     def to_piecewise(self, b: float, T: float) -> PiecewisePoly:
         """The member on [0, T] without its arcs of at most MIN_KNOT_GAP: all
         of them at T = 1e-300, though the search's value stays right."""
-        knots: List[float] = [0.0]
-        pieces: List[Poly] = []
+        knots, arcs = [0.0], []
         f, fp = self.f0 * self.scale, self.fp0 * self.scale
         sgn = float(self.sign)
         bounds = sorted(min(max(s, 0.0), T) for s in self.switches)
@@ -305,12 +303,12 @@ class BangBangControl(NamedTuple):
                 sgn = -sgn
                 continue
             curv = sgn * self.scale * b
-            pieces.append(Poly([f, fp, curv / 2]).compose_affine(-t, 1.0))
+            arcs.append((t, (f, fp, curv / 2)))
             d = end - t
             f, fp = f + fp * d + curv * d * d / 2, fp + curv * d
             knots.append(end)
             sgn = -sgn
-        return PiecewisePoly(knots, pieces, 2)
+        return from_arcs(knots, arcs, 2)
 
 
 def _evaluate_bangbang(theta: List[float], sign: int, T: float) -> Tuple[float, float, List[float]]:
@@ -432,8 +430,7 @@ def random_member(a: float, b: float, T: float, seed: int = 0) -> PiecewisePoly:
     cap = math.sqrt(2 * b * (a - abs(f)))
     fp = float(rng.uniform(-0.9, 0.9)) * cap
     t = 0.0
-    knots: List[float] = [0.0]
-    pieces: List[Poly] = []
+    knots, arcs = [0.0], []
     step_scale = math.sqrt(a / b)
 
     def margin_time(sgn: float) -> float:
@@ -453,9 +450,9 @@ def random_member(a: float, b: float, T: float, seed: int = 0) -> PiecewisePoly:
         if d < 1e-11:
             break
         curv = sgn * b
-        pieces.append(Poly([f, fp, curv / 2]).compose_affine(-t, 1.0))
+        arcs.append((t, (f, fp, curv / 2)))
         f, fp = f + fp * d + curv * d * d / 2, fp + curv * d
         t += d
         knots.append(t)
     knots[-1] = T
-    return PiecewisePoly(knots, pieces, 2)
+    return from_arcs(knots, arcs, 2)

@@ -32,7 +32,6 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import _roots
 from .exactnum import Poly, Real, Record, set_field
-from .pwpoly import PiecewisePoly, abs_integral
 
 
 def _exact(v: Real) -> Fraction:
@@ -63,13 +62,10 @@ class LinearFunctional(Record):
         set_field(self, "n", n)
 
     def __call__(self, f) -> float:
-        """Apply to a callable-with-derivatives (PiecewisePoly or Poly)."""
+        """Apply to a spline, or anything with f.deriv_value(t, m) = f^(m)(t)."""
         total = 0.0
         for alpha, m, lam in self.terms:
-            if isinstance(f, PiecewisePoly):
-                total += float(lam) * float(f.deriv_value(alpha, m))
-            else:
-                total += float(lam) * float(f.nth_derivative(m)(alpha))
+            total += float(lam) * float(f.deriv_value(alpha, m))
         return total
 
 
@@ -123,6 +119,8 @@ def kernel_l1_norm(L: LinearFunctional) -> float:
     changes and integrated in between."""
     if not annihilates_polys(L):
         raise ValueError("functional does not annihilate polynomials of degree < n")
+    from .pwpoly import abs_integral  # deferred: only the L1 norm needs pwpoly
+
     return sum((abs_integral(poly, lo, hi, True) for lo, hi, poly in kernel_pieces(L)), 0.0)
 
 

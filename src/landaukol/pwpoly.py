@@ -3,6 +3,8 @@ with |f| <= a and |f^(n)| <= b, contact sets with multiplicities, and the
 exact extreme-point certificate.
 
 Pieces hold coefficients in the *global* coordinate (the same t as the knots).
+Builders write pieces as arcs (c, d), sum d_m (t - c)^m, which `from_arcs` alone stores, and
+reuse a spline's pieces through its `arcs` view, so storing arcs locally changes only those two.
 Coefficients and knots may be exact ``Fraction``s or ``float``s: exact splines
 are checked exactly whatever the type of a and b, a float bound meaning its
 exact binary value (a float 0.3 lies below 3/10; pass ``Fraction("0.3")`` for
@@ -29,7 +31,7 @@ the same searches. A refused piece is worded with its largest float peak, or
 the `piece_sup` of its exact local form, read once per distinct form; an
 exact gap, |f^(n)| or sup past the float range is worded inf.
 
-Spline builders clip their pieces with `cut`, which drops a piece no longer
+Spline builders clip their arcs with `cut`, which drops a piece no longer
 than ``MIN_KNOT_GAP``, and map unit-class splines to the (a, b) class with
 `to_class`, which builds none for a class out of range or whose checks would
 leave the float range.
@@ -47,7 +49,7 @@ import sys
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import zip_longest
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import _roots
 from .exactnum import Poly, Real, is_exact_number
@@ -115,6 +117,11 @@ class PiecewisePoly:
             raise ValueError(f"t={t} outside domain [{self.t_start}, {self.t_end}]")
         i = bisect_right(self._fknots, ft) - 1
         return min(max(i, 0), len(self.pieces) - 1)
+
+    @property
+    def arcs(self) -> Tuple[Tuple[Real, Tuple[Real, ...]], ...]:
+        """Each piece as an arc (c, d) of `from_arcs`: (0, its global coefficients)."""
+        return tuple((0, p.coeffs) for p in self.pieces)
 
     def __call__(self, t: Real) -> Real:
         return self.pieces[self.piece_index(t)](t)
@@ -193,15 +200,30 @@ def transform(f: PiecewisePoly, mu: Real = 1, lam: Real = 1, t0: Real = 0) -> Pi
     return PiecewisePoly(new_knots, new_pieces, f.n_smooth)
 
 
-def cut(knots: Sequence[Real], pieces: Sequence[Poly], lo: Real, hi: Real) -> Tuple[List[Real], List[Poly]]:
-    """The pieces, piece i on [knots[i], knots[i + 1]], clipped to [lo, hi]. A
+def from_arcs(knots: Sequence[Real], arcs: Iterable[Tuple[Real, Sequence[Real]]], n: int) -> PiecewisePoly:
+    """The spline with piece i = arcs[i] = (c, d), sum d_m (t - c)^m, on [knots[i], knots[i + 1]],
+    stored globally: an exact arc (c and d Fraction or int) by one integer Taylor shift, about 0
+    too, so a zero coefficient is the int 0; a float arc by `Poly.compose_affine`, about 0 as given."""
+    pieces = []
+    for c, d in arcs:
+        p = Poly(d)
+        if is_exact_number(c) and p.is_exact():
+            p = Poly(_roots.taylor_coefficients(p, -c))
+        elif c != 0:
+            p = p.compose_affine(-c, 1.0)
+        pieces.append(p)
+    return PiecewisePoly(knots, pieces, n)
+
+
+def cut(knots: Sequence[Real], pieces: Sequence, lo: Real, hi: Real) -> Tuple[List[Real], list]:
+    """The pieces (or arcs), piece i on [knots[i], knots[i + 1]], clipped to [lo, hi]. A
     piece that ends no more than MIN_KNOT_GAP after lo, or would span no more
     than the gap, is dropped, and the next one kept starts in its place; the
     first to end within the gap of hi ends at hi. No piece is left when
     [lo, hi] is no longer than the gap."""
     flo, fhi = float(lo), float(hi)
     out_knots: List[Real] = [lo]
-    out_pieces: List[Poly] = []
+    out_pieces = []
     for i, p in enumerate(pieces):
         seg_hi = float(knots[i + 1])
         end = knots[i + 1] if fhi - seg_hi > MIN_KNOT_GAP else hi  # compared as the drop rule compares

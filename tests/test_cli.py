@@ -502,6 +502,7 @@ def test_oracle_pointwise_json(capsys):
 
 
 def test_oracle_sigma1_json_and_seed_env(capsys, monkeypatch):
+    # --seed decides; the environment does not
     code, payload, _ = run_json(capsys, "oracle", "--problem", "sigma1", "--T", "2",
                                 "--restarts", "20", "--seed", "3")
     assert code == 0
@@ -511,7 +512,7 @@ def test_oracle_sigma1_json_and_seed_env(capsys, monkeypatch):
     code, payload, _ = run_json(capsys, "oracle", "--problem", "sigma1", "--T", "2",
                                 "--restarts", "20", "--seed", "3")
     assert code == 0
-    assert payload["result"]["config"]["seed"] == 99
+    assert payload["result"]["config"]["seed"] == 3
 
 
 def test_kernel_csv(capsys):
@@ -976,8 +977,11 @@ def test_closed_forms_load_no_spline_code(argv):
 
 
 def test_certificate_route_and_package_attribute_load_peano():
-    probe = _probe("bound", "--n", "4", "--k", "2", "--T", "3")
-    assert probe["code"] == 0 and probe["peano"]
+    # neither the certificate nor a kernel sample reads a spline, so neither loads pwpoly
+    for argv in [("bound", "--n", "4", "--k", "2", "--T", "3"), ("kernel", "--n", "4", "--k", "2", "--x", "0.5")]:
+        probe = _probe(*argv)
+        assert probe["code"] == 0 and probe["peano"]
+        assert {"_roots", "peano"} <= set(probe["modules"]) and "pwpoly" not in probe["modules"]
     import landaukol
     from landaukol import peano
 

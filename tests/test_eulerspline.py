@@ -205,6 +205,23 @@ def test_exported_pieces_are_those_of_the_compose_affine_construction(n):
             assert got.to_json() == want.to_json()
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_exported_pieces_are_taylor_coefficients_with_their_types(n):
+    # piece k is the Taylor form of (-1)^k E_n / e_n(eps) at eps - k, a zero coefficient the int 0
+    from landaukol._roots import taylor_coefficients
+    from landaukol.eulerspline import euler_spline_piecewise
+    from landaukol.exactnum import Poly, euler_poly
+
+    eps = F(0) if n % 2 else F(1, 2)
+    even = euler_poly(n) * (1 / e_n_exact(n, eps))
+    for x0, x1 in [(F(0), F(2)), (F(-3, 2), F(7, 3)), (F(1, 7), F(1, 5)), (F(-5), F(6))]:
+        f = euler_spline_piecewise(n, x0, x1)
+        for p, u, v in zip(f.pieces, f.knots, f.knots[1:]):
+            k = math.floor((u + v) / 2 + eps)
+            want = Poly(taylor_coefficients(-even if k % 2 else even, eps - k))
+            assert [(type(c), c) for c in p.coeffs] == [(type(c), c) for c in want.coeffs]
+
+
 def test_favard_best_approx():
     assert favard_best_approx(1, 1, 2 * math.pi) == pytest.approx(math.pi / 2, abs=1e-12)
     for n in range(1, 9):

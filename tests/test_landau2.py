@@ -216,6 +216,23 @@ def test_q_train_matches_q_eval():
         assert float(f(t)) == pytest.approx(q_eval(t - 0.7)[0], abs=1e-10)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_q_train_pieces_are_the_composed_parabola_bit_for_bit(seed):
+    # arc k is +-(1 - u^2/2) about shift + 2 sqrt(2) k, composed to the global coordinate
+    rng = random.Random(seed)
+    period, base = 2 * SQRT2, Poly([1.0, 0.0, -0.5])
+    windows = [(-period, -5.0, 5.0), (0.0, -5.0, 5.0)] if seed == 0 else []
+    for _ in range(50):
+        lo = rng.uniform(-30, 30)
+        windows.append((rng.uniform(-30, 30), lo, lo + rng.choice([rng.uniform(1e-3, 3), rng.uniform(3, 60)])))
+    for shift, lo, hi in windows:
+        f = q_train(shift, lo, hi)
+        for p, u, v in zip(f.pieces, f.knots, f.knots[1:]):
+            k = round(((u + v) / 2 - shift) / period)
+            want = base.compose_affine(-(shift + period * k), 1.0) * (1.0 if k % 2 == 0 else -1.0)
+            assert [c.hex() for c in p.coeffs] == [c.hex() for c in want.coeffs]
+
+
 def test_pointwise_speed_bound():
     assert pointwise_speed_bound(1) == 0.0
     assert pointwise_speed_bound(0) == pytest.approx(SQRT2, abs=1e-15)

@@ -12,6 +12,7 @@ from landaukol._roots import real_roots_exact, taylor_coefficients
 from landaukol.bounds import BoundQuery, FullLine, HalfLine, Segment, compute_bound
 from landaukol.eulerspline import euler_spline_piecewise
 from landaukol.exactnum import Poly
+from landaukol.landau2 import q_train
 from landaukol.pwpoly import (
     MIN_KNOT_GAP,
     ContactInterval,
@@ -22,6 +23,7 @@ from landaukol.pwpoly import (
     StructuralError,
     Violation,
     cut,
+    from_arcs,
     is_extreme_point,
     membership,
     piece_sup,
@@ -440,6 +442,40 @@ def test_cut_ends_a_piece_at_hi_only_within_the_gap_of_its_knot():
     out_knots, out_pieces = cut(knots, pieces, 0.0, 3.5000000000000004e-12)
     assert out_knots == [0.0, 2.5000000000000003e-12, 3.5000000000000004e-12]
     assert out_pieces == pieces[1:]
+
+
+def _bits(p):
+    """The coefficients of p with their types, floats by their bits (the sign of a zero included)."""
+    return [(type(c), c.hex() if isinstance(c, float) else c) for c in p.coeffs]
+
+
+def test_from_arcs_stores_each_arc_as_the_builders_did():
+    rng = random.Random(34)
+    for _ in range(200):
+        c, d = rng.uniform(-40, 40), [rng.uniform(-3, 3) for _ in range(rng.randrange(1, 5))]
+        assert _bits(from_arcs([c - 1, c + 1], [(c, d)], 2).pieces[0]) == _bits(Poly(d).compose_affine(-c, 1.0))
+        # about 0 a float arc is taken as given, the sign of a zero coefficient included
+        assert _bits(from_arcs([-1.0, 1.0], [(0.0, d)], 2).pieces[0]) == _bits(Poly(d))
+        c = F(rng.randrange(-50, 50), rng.randrange(1, 9))
+        d = [F(rng.randrange(-9, 9), rng.randrange(1, 5)) for _ in range(rng.randrange(1, 6))]
+        (p,) = from_arcs([c - 1, c + 1], [(c, d)], 4).pieces
+        assert _bits(p) == _bits(Poly(taylor_coefficients(Poly(d), -c)))
+        assert p == Poly(d).compose_affine(-c, F(1))
+    assert _bits(from_arcs([0.0, 1.0], [(0.0, (-1.0, -0.0, 0.5))], 2).pieces[0])[1] == (float, "-0x0.0p+0")
+    # an exact arc about 0 goes through the shift too: int coefficients become Fractions, a zero the int 0
+    (p,) = from_arcs([F(0), F(1)], [(F(0), (1, F(0), F(1, 2)))], 2).pieces
+    assert _bits(p) == [(F, F(1)), (int, 0), (F, F(1, 2))]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: q_train(-2 * SQRT2, -5.0, 9.0),  # an arc about 0 with a -0.0 coefficient
+    lambda: euler_spline_piecewise(5, F(-1, 3), F(7, 2)),
+], ids=["float", "exact"])
+def test_from_arcs_rebuilds_a_spline_from_its_arcs(make):
+    f = make()
+    g = from_arcs(f.knots, f.arcs, f.n_smooth)
+    assert (g.knots, g.n_smooth) == (f.knots, f.n_smooth)
+    assert [_bits(p) for p in g.pieces] == [_bits(p) for p in f.pieces]
 
 
 def test_transform_round_trip_values():

@@ -3,6 +3,7 @@ workloads read result attributes by name; every such name must exist, or a
 refactor breaks the benchmark without failing a test."""
 import importlib
 import importlib.util
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -44,6 +45,17 @@ def test_traced_boundary_resolves(module, attr, layer):
 def test_result_attributes_read_by_the_workloads(make, point):
     r = make()
     assert r.witness.to_json_dict()["n"] == 2 and r.witness_point == point
+
+
+def test_only_pwpoly_turns_arcs_into_stored_pieces():
+    # builders write arcs for pwpoly.from_arcs and reuse pieces through the arcs view, so
+    # storing arcs in local form changes pwpoly alone
+    for path in sorted((ROOT / "src" / "landaukol").glob("*.py")):
+        text = path.read_text()
+        if path.stem not in ("exactnum", "pwpoly"):
+            assert not re.search(r"(?<!def )\b(compose_affine|taylor_coefficients)\(", text), path.name
+        if path.stem in ("landau2", "oracle", "eulerspline", "bounds"):
+            assert ".pieces" not in text, path.name
 
 
 def test_lp_solve_returns_value_samples_and_pivots():
