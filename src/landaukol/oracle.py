@@ -206,15 +206,17 @@ class NelderMeadResult(NamedTuple):
 
 
 def minimize(
-    fun: Callable[[List[float]], float], x0: Sequence[float], maxiter: int, xatol: float, fatol: float
+    fun: Callable[[List[float]], float], x0: Sequence[float], maxiter: int, xatol: float | Sequence[float], fatol: float
 ) -> NelderMeadResult:
     """Nelder-Mead on plain floats, step for step scipy's
     `minimize(method="Nelder-Mead")` with the same maxiter, xatol and fatol:
     reflection 1, expansion 2, contraction and shrink 1/2, the 5 % / 0.00025
     initial simplex, the centroid summed row by row from row 0.  Vertices with
     tied f keep their simplex order (a stable sort), so the path does not
-    depend on how a machine's numpy sorts ties."""
+    depend on how a machine's numpy sorts ties.  xatol, the stopping distance
+    from the best vertex, is one float, as scipy's, or one per coordinate."""
     n = len(x0)
+    xatol = [xatol] * n if isinstance(xatol, (int, float)) else list(xatol)
     sim = [list(x0)]
     for k in range(n):
         y = list(x0)
@@ -229,7 +231,7 @@ def minimize(
         best = sim[0]
         # fsim is sorted, so its spread is max |fsim[0] - fsim[i]| exactly
         if fsim[-1] - fsim[0] <= fatol and all(
-            abs(v - c) <= xatol for x in sim[1:] for v, c in zip(x, best)
+            abs(v - c) <= tol for x in sim[1:] for v, c, tol in zip(x, best, xatol)
         ):
             break
         xbar = best
@@ -360,10 +362,12 @@ def bangbang_sigma1_search(
 ) -> Tuple[float, BangBangControl]:
     """Best total variation over bang-bang members of the unit class on [0, T'],
     T' = T sqrt(b/a), by seeded Nelder-Mead restarts on (f0, f'0, switch
-    times): the float variation of a member that passes float membership (a
-    raw trajectory past |f| = 1 is shrunk onto it), a lower bound only up to
-    rounding (ROADMAP item 5), times a, and the control (a f0, sqrt(a) sqrt(b)
-    f'0, s / sqrt(b/a)).  Refuses T' <= MIN_KNOT_GAP and too many switches."""
+    times), each stopped within 1e-12, f'0 (about 2 / T' below T' = 1) within
+    1e-12 / min(1, T'): the float variation of a member that passes float
+    membership (a raw trajectory past |f| = 1 is shrunk onto it), a lower
+    bound only up to rounding (ROADMAP item 5), times a, and the control
+    (a f0, sqrt(a) sqrt(b) f'0, s / sqrt(b/a)).  Refuses T' <= MIN_KNOT_GAP
+    and too many switches."""
     if not (a > 0 and b > 0 and T > 0):
         raise ValueError("a, b, T must be positive")
     ratio = math.sqrt(b) / math.sqrt(a)  # sqrt(b/a)
@@ -382,11 +386,11 @@ def bangbang_sigma1_search(
     def optimize(theta0: List[float], sign: int, rounds: int) -> List[float]:
         # Nelder-Mead stalls when its simplex collapses; restarting it from
         # the incumbent point with a fresh simplex recovers the last digits
-        x = theta0
+        x, xatol = theta0, [1e-12, 1e-12 / min(1.0, T_unit)] + [1e-12] * (len(theta0) - 2)
         for _ in range(rounds):
             x = minimize(
                 lambda th: -_evaluate_bangbang(th, sign, T_unit)[0],
-                x, maxiter=400 * (len(x) + 1), xatol=1e-12, fatol=1e-14,
+                x, maxiter=400 * (len(x) + 1), xatol=xatol, fatol=1e-14,
             ).x
         return x
 

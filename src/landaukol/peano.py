@@ -115,13 +115,14 @@ def kernel_pieces(L: LinearFunctional) -> List[Tuple[Fraction, Fraction, Poly]]:
 
 
 def kernel_l1_norm(L: LinearFunctional) -> float:
-    """Integral of |K| over [0, T]: each piece split at the kernel's sign
-    changes and integrated in between."""
+    """Integral of |K| over [0, T]: the exact variation (`pwpoly.variation`) of
+    an antiderivative of each kernel piece, cut at the kernel's sign changes
+    and rounded once per piece."""
     if not annihilates_polys(L):
         raise ValueError("functional does not annihilate polynomials of degree < n")
-    from .pwpoly import abs_integral  # deferred: only the L1 norm needs pwpoly
+    from .pwpoly import variation  # deferred: only the L1 norm needs pwpoly
 
-    return sum((abs_integral(poly, lo, hi, True) for lo, hi, poly in kernel_pieces(L)), 0.0)
+    return sum((variation(poly.antiderivative(), lo, hi) for lo, hi, poly in kernel_pieces(L)), 0.0)
 
 
 def deriv_kernel_l1_exact(x: Real, T: Real) -> Fraction:

@@ -12,9 +12,10 @@ the decimal). An exact piece p on [lo, hi] is read through its local Taylor
 form P(u) = p(lo + u) on [0, hi - lo] (pp-form; de Boor, A Practical Guide to
 Splines, 1978), built once per piece in a call. |p| <= a and the contacts
 come from one root search of P -/+ a per distinct (P up to sign, hi - lo),
-and a join from the left form shifted by its own length against the right
-form at 0, once per distinct pair and relative sign, so the pieces and joins
-of a periodic train such as an Euler spline cost one or two.
+the variation from one of P', and a join from the left form shifted by its
+own length against the right form at 0, once per distinct pair and relative
+sign, so the pieces and joins of a periodic train such as an Euler spline
+cost one or two.
 Float splines are checked against ``REL_TOL`` times the class scale
 a^(1 - m/n) b^(m/n) of the compared f^(m) (a for values and contacts, b for
 |f^(n)|) plus a rounding allowance ``EVAL_ULPS`` * (degree + 1) * sum (|c_m| +
@@ -22,14 +23,15 @@ a^(1 - m/n) b^(m/n) of the compared f^(m) (a for values and contacts, b for
 mu f(lam t) and (a, b) to (|mu| a, |mu lam^n| b). Float verdicts carry a
 ``numeric`` flag (extremal constructions involving sqrt(2) cannot be
 represented exactly).
-Float sups and contact sets share one candidate rule: |p| peaks on a piece
-only at its ends and at the real roots of p'; contacts within ``REL_TOL`` *
-length are one. One pass over the pieces checks each piece's degree, its
-join with the piece before, |f^(n)| <= b and |f| <= a for `membership` and
-`is_extreme_point` alike, and for a member finds the certificate's contacts in
-the same searches. A refused piece is worded with its largest float peak, or
-the `piece_sup` of its exact local form, read once per distinct form; an
-exact gap, |f^(n)| or sup past the float range is worded inf.
+Float sups, contact sets and variations share one candidate rule: p turns,
+and |p| peaks, on a piece only at its ends and at the real roots of p';
+contacts within ``REL_TOL`` * length are one. One pass over the pieces
+checks each piece's degree, its join with the piece before, |f^(n)| <= b and
+|f| <= a for `membership` and `is_extreme_point` alike, and for a member finds
+the certificate's contacts in the same searches. A refused piece is worded
+with its largest float peak, or the `piece_sup` of its exact local form, read
+once per distinct form; an exact gap, |f^(n)| or sup past the float range is
+worded inf.
 
 Spline builders clip their arcs with `cut`, which drops a piece no longer
 than ``MIN_KNOT_GAP``, and map unit-class splines to the (a, b) class with
@@ -292,16 +294,11 @@ def _join_gaps(left: tuple, rel: int, right: tuple, n: int) -> List[Tuple[int, f
     return [(m, _float(Fraction(abs(dm) * math.factorial(m), w * r_den))) for m, dm in enumerate(d[:n]) if dm]
 
 
-def _piece_roots(p: Poly, lo: float, hi: float) -> List[float]:
-    """The float roots of p in [lo, hi]; none when p is zero."""
-    return [] if p.is_zero() else _roots.real_roots_float(p, lo, hi)
-
-
 def _float_peaks(p: Poly, lo: float, hi: float) -> List[float]:
-    """Where |p| (float coefficients) can peak on [lo, hi]: the ends and the
-    real roots of p' inside, polished by Newton."""
-    dp = p.derivative()
-    return [lo, hi] + [_roots.polish_float_root(dp, r, lo, hi) for r in _piece_roots(dp, lo, hi)]
+    """Where |p| (float coefficients) can peak on [lo, hi], and where p can
+    turn: the ends and the real roots of p' inside, polished by Newton."""
+    roots = [] if (dp := p.derivative()).is_zero() else _roots.real_roots_float(dp, lo, hi)
+    return [lo, hi] + [_roots.polish_float_root(dp, r, lo, hi) for r in roots]
 
 
 def _within_allowance(x: float, limit: float, lo: Real, hi: Real, *polys: Poly, order: int = 0) -> bool:
@@ -348,37 +345,23 @@ def piece_sup(p: Poly, lo: Real, hi: Real) -> Real:
     return max(candidates)
 
 
-def abs_integral(p: Poly, lo: Real, hi: Real, exact: bool) -> float:
-    """Integral of |p| over [lo, hi]: split at the roots of p inside the
-    interval and integrate the polynomial in between. In exact mode the
-    exact antiderivative is read at the exact cuts (an irrational root at the
-    midpoint of its bracket) and the sum rounded once."""
-    if not exact:
-        flo, fhi = float(lo), float(hi)
-        cuts = [flo] + [r for r in _piece_roots(p, flo, fhi) if flo < r < fhi] + [fhi]
-        anti = p.antiderivative().to_float()
-        return sum((abs(anti(v) - anti(u)) for u, v in zip(cuts, cuts[1:])), 0.0)
-    lo, hi = Fraction(lo), Fraction(hi)
-    cuts = [lo, *(sum(r.bracket) / 2 for r in _roots.real_roots_exact(p, lo, hi) if r.exact not in (lo, hi)), hi]
-    f, scale = _roots._cleared(p)
-    # scale * top times the antiderivative of p has integer coefficients, top = lcm(1 .. deg + 1)
-    top = math.lcm(*range(1, len(f) + 1))
-    anti = [0] + [c * (top // (m + 1)) for m, c in enumerate(f)]
-    # anti(x) = v / w at x = . / d: v = d^deg anti(x), w = d^deg
-    ends = [(_roots._values([anti], x.numerator, x.denominator)[0], x.denominator ** (len(anti) - 1)) for x in cuts]
-    num, den = 0, 1  # the sum of |anti(y) - anti(x)| over the cuts x < y, as num / den
-    for (v0, w0), (v1, w1) in zip(ends, ends[1:]):
-        num, den = num * w0 * w1 + abs(v1 * w0 - v0 * w1) * den, den * w0 * w1
-    return num / (den * scale * top)  # one int division, rounded as Fraction.__float__ rounds
+def variation(p: Poly, lo: Real, hi: Real) -> float:
+    """Integral of |p'| over [lo, hi]: sum |p(v) - p(u)| over the cuts at lo, at the
+    critical points inside and at hi, `_local_variation` when p, lo and hi are exact
+    and else between the float candidates of the sup check (`_float_peaks`)."""
+    if is_exact_number(lo) and is_exact_number(hi) and p.is_exact():
+        return _local_variation(_local_piece(p, lo, hi)[0])
+    cuts = sorted(_float_peaks(pf := p.to_float(), float(lo), float(hi)))
+    return sum((abs(pf(v) - pf(u)) for u, v in zip(cuts, cuts[1:])), 0.0)
 
 
 def total_variation(f: PiecewisePoly) -> float:
-    """Integral of |f'| over the domain, piece by piece."""
-    exact = f.is_exact()
-    return sum(
-        abs_integral(p.derivative(), lo, hi, exact)
-        for p, lo, hi in zip(f.pieces, f.knots, f.knots[1:])
-    )
+    """Integral of |f'| over the domain: `variation` per piece, an exact spline's once per distinct local form."""
+    pieces = zip(f.pieces, f.knots, f.knots[1:])
+    if f.is_exact():
+        local = functools.cache(_local_variation)
+        return sum(local(_local_piece(p, lo, hi)[0]) for p, lo, hi in pieces)
+    return sum(variation(p, float(lo), float(hi)) for p, lo, hi in pieces)
 
 
 # -- membership and the extreme-point certificate ---------------------------
@@ -617,3 +600,20 @@ def _local_sup(key: tuple) -> Fraction:
     `piece_sup` reads from p on [lo, lo + L]."""
     g, den, length_num, length_den = key
     return Fraction(piece_sup(Poly(g), 0, Fraction(length_num, length_den)), den)
+
+
+def _local_variation(key: tuple) -> float:
+    """The variation of the local piece P on [0, L] of key (`_local_piece`): sum
+    |P(v) - P(u)| over the cuts at 0, at the roots of P' inside (an irrational
+    one at the midpoint of its bracket) and at L, one rational rounded once. The
+    search of P' bisects at the points of the search on [lo, lo + L] less lo."""
+    g, den, length_num, length_den = key
+    length = Fraction(length_num, length_den)
+    roots = _roots.real_roots_exact(Poly(g).derivative(), 0, length)
+    cuts = [Fraction(0), *(sum(r.bracket) / 2 for r in roots if r.exact not in (0, length)), length]
+    # P(x) = v / (w den) at x = . / d: v = d^deg g(x), w = d^deg
+    ends = [(_roots._values([g], x.numerator, x.denominator)[0], x.denominator ** max(len(g) - 1, 0)) for x in cuts]
+    num, acc = 0, 1  # the sum of |P(y) - P(x)| over the cuts x < y, as num / (acc den)
+    for (v0, w0), (v1, w1) in zip(ends, ends[1:]):
+        num, acc = num * w0 * w1 + abs(v1 * w0 - v0 * w1) * acc, acc * w0 * w1
+    return num / (acc * den)  # one int division, rounded as Fraction.__float__ rounds

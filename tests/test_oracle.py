@@ -314,6 +314,28 @@ def test_nelder_mead_follows_scipy_bit_for_bit():
     assert compared >= 30
 
 
+def test_per_coordinate_xatol_equal_to_the_scalar_stops_alike():
+    for seed in range(5):
+        x0 = np.random.default_rng(seed).uniform(-2.0, 2.0, size=2 + seed % 3).tolist()
+        scalar = oracle.minimize(_rosenbrock, x0, maxiter=400 * (len(x0) + 1), xatol=1e-12, fatol=1e-14)
+        listed = oracle.minimize(_rosenbrock, x0, maxiter=400 * (len(x0) + 1), xatol=[1e-12] * len(x0), fatol=1e-14)
+        assert (listed.x, listed.nfev) == (scalar.x, scalar.nfev)
+
+
+@pytest.mark.parametrize("T", [1e-6, 1e-11])
+def test_bangbang_search_on_a_tiny_unit_length_stops_early(T, monkeypatch):
+    # the best f'0 is about 2 / T', so its tolerance is relative, 1e-12 / T',
+    # and the searches stop before their iteration limits
+    evals = []
+    search = oracle.minimize
+    monkeypatch.setattr(oracle, "minimize", lambda *args, **kw: evals.append((res := search(*args, **kw)).nfev) or res)
+    value, ctrl = bangbang_sigma1_search(1, 1, T, restarts=20, seed=7)
+    assert sum(evals) <= 40_000
+    target = sigma1(1, 1, T).exact
+    assert target - 1e-4 <= value <= target + 1e-9
+    assert membership(ctrl.to_piecewise(1.0, T), 2, 1, 1).ok
+
+
 def test_nelder_mead_keeps_tied_vertices_in_simplex_order():
     # on a flat f every step ties, every step shrinks towards the first
     # vertex, and a stable order keeps x0 first until the simplex collapses

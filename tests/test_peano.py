@@ -26,6 +26,7 @@ from landaukol.peano import (
     vandermonde_certificate,
 )
 from landaukol.pwpoly import PiecewisePoly
+from test_pwpoly import reference_abs_integral
 
 F = Fraction
 
@@ -80,6 +81,24 @@ def test_kernel_l1_norm_of_float_functionals():
         x = rng.uniform(0.0, T)
         got = kernel_l1_norm(derivative_functional(x, T))
         assert got == pytest.approx(float(deriv_kernel_l1_exact(x, T)), rel=1e-12)
+
+
+def test_kernel_l1_norm_is_the_reference_bit_for_bit():
+    # the variation of an antiderivative of each kernel piece is the integral
+    # of |K| split at its sign changes, the same rational rounded once
+    def reference(L):
+        return sum((reference_abs_integral(poly, lo, hi, True) for lo, hi, poly in kernel_pieces(L)), 0.0)
+
+    rng = random.Random(7)
+    functionals = [certificate_functional(n, rng.randint(1, n - 1), F(rng.randint(0, 1000), 1000))
+                   for n in range(2, 10) for _ in range(6)]
+    for _ in range(30):
+        T = F(rng.randint(1, 40), 4)
+        functionals.append(derivative_functional(F(rng.randint(0, 20), 20) * T, T))
+        T = rng.uniform(0.01, 50.0)
+        functionals.append(derivative_functional(rng.uniform(0.0, T), T))
+    for L in functionals:
+        assert repr(kernel_l1_norm(L)) == repr(reference(L))
 
 
 def test_kernel_l1_matches_riemann_sum():

@@ -8,11 +8,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from landaukol import pwpoly
-from landaukol._roots import real_roots_exact, taylor_coefficients
+from landaukol._roots import _cleared, _values, real_roots_exact, real_roots_float, taylor_coefficients
 from landaukol.bounds import BoundQuery, FullLine, HalfLine, Segment, compute_bound
 from landaukol.eulerspline import euler_spline_piecewise
 from landaukol.exactnum import Poly
-from landaukol.landau2 import q_train
+from landaukol.landau2 import PointwiseQuery, q_train, sigma_pointwise
+from landaukol.oracle import random_member
 from landaukol.pwpoly import (
     MIN_KNOT_GAP,
     ContactInterval,
@@ -29,6 +30,7 @@ from landaukol.pwpoly import (
     piece_sup,
     total_variation,
     transform,
+    variation,
 )
 
 F = Fraction
@@ -1045,3 +1047,113 @@ def test_a_cut_last_piece_is_checked_on_its_own_length():
     verdict = is_extreme_point(f, 4, F(1), b)
     assert verdict.contact_points == (ContactPoint(0.0, 1, 2), ContactPoint(1.0, -1, 2))
     assert verdict.is_extreme and verdict.multiplicity_sum == 4
+
+
+def reference_abs_integral(p, lo, hi, exact):
+    """Integral of |p| over [lo, hi], a rule apart from `variation`: split at
+    the roots of p inside, integrate in between; exact, the antiderivative of
+    p in global coordinates at the exact cuts (an irrational root at the
+    midpoint of its bracket), the sum rounded once; float, a float copy of the
+    antiderivative at the float roots of p."""
+    if not exact:
+        flo, fhi = float(lo), float(hi)
+        roots = [] if p.is_zero() else real_roots_float(p, flo, fhi)
+        cuts = [flo] + [r for r in roots if flo < r < fhi] + [fhi]
+        anti = p.antiderivative().to_float()
+        return sum((abs(anti(v) - anti(u)) for u, v in zip(cuts, cuts[1:])), 0.0)
+    lo, hi = F(lo), F(hi)
+    cuts = [lo, *(sum(r.bracket) / 2 for r in real_roots_exact(p, lo, hi) if r.exact not in (lo, hi)), hi]
+    f, scale = _cleared(p)
+    top = math.lcm(*range(1, len(f) + 1))
+    anti = [0] + [c * (top // (m + 1)) for m, c in enumerate(f)]
+    ends = [(_values([anti], x.numerator, x.denominator)[0], x.denominator ** (len(anti) - 1)) for x in cuts]
+    num, den = 0, 1
+    for (v0, w0), (v1, w1) in zip(ends, ends[1:]):
+        num, den = num * w0 * w1 + abs(v1 * w0 - v0 * w1) * den, den * w0 * w1
+    return num / (den * scale * top)
+
+
+def _reference_variation(f):
+    exact = f.is_exact()
+    return sum(reference_abs_integral(p.derivative(), lo, hi, exact) for p, lo, hi in zip(f.pieces, f.knots, f.knots[1:]))
+
+
+def _random_exact_spline(rng):
+    """1 to 6 pieces of degree 0 to 12 on rational knots: zero and constant
+    pieces, critical points at an end or inside (some double), and random
+    coefficients with irrational critical points."""
+    def frac(big=20, den=12):
+        return F(rng.randint(-big, big), rng.randint(1, den))
+
+    knots = [frac(10, 6)]
+    for _ in range(rng.randint(1, 6)):
+        knots.append(knots[-1] + F(rng.randint(1, 30), rng.randint(1, 10)))
+    pieces = []
+    for lo, hi in zip(knots, knots[1:]):
+        kind, d = rng.random(), rng.randint(0, 12)
+        if kind < 0.08:
+            pieces.append(Poly())
+        elif kind < 0.16:
+            pieces.append(Poly([frac()]))
+        elif kind < 0.4:  # p' = (t - r) q, (t - r)^2 q
+            r = rng.choice([lo, hi, lo + (hi - lo) * F(rng.randint(1, 9), 10)])
+            dp = Poly([-r, F(1)]) * Poly([frac() for _ in range(rng.randint(1, max(1, d - 1)))])
+            if rng.random() < 0.3:
+                dp = dp * Poly([-r, F(1)])
+            pieces.append(dp.antiderivative() + Poly([frac()]))
+        else:
+            pieces.append(Poly([frac() for _ in range(d + 1)]))
+    return PiecewisePoly(knots, pieces, 2)
+
+
+def _exact_variation_cases():
+    for n in range(1, 13):
+        for x0, x1 in [(F(0), F(2)), (F(-3, 2), F(7, 3)), (F(1, 7), F(1, 5)), (F(-5), F(6))]:
+            yield euler_spline_piecewise(n, x0, x1)
+    rng = random.Random(20261022)
+    for _ in range(200):
+        f = _random_exact_spline(rng)
+        yield f
+        mu, lam = F(rng.randint(1, 20), rng.randint(1, 12)), F(rng.randint(-5, 5) or 1, rng.randint(1, 7))
+        yield transform(f, mu=mu, lam=lam, t0=F(rng.randint(-100, 100), rng.randint(1, 9)))
+
+
+def test_exact_variation_is_the_reference_bit_for_bit():
+    # Euler exports, random exact splines and their Fraction transforms: the
+    # variation of p at the critical points of its local form is the integral
+    # of |p'| at the global cuts, the same rational rounded once
+    for f in _exact_variation_cases():
+        assert f.is_exact()
+        for p, lo, hi in zip(f.pieces, f.knots, f.knots[1:]):
+            assert repr(variation(p, lo, hi)) == repr(reference_abs_integral(p.derivative(), lo, hi, True))
+        assert repr(total_variation(f)) == repr(_reference_variation(f))
+
+
+def test_float_variation_is_the_reference_within_rel_tol():
+    rng = random.Random(3)
+    splines = []
+    for i in range(100):
+        a, b = 4.0 ** rng.randint(-2, 2), 4.0 ** rng.randint(-2, 2)
+        splines.append(random_member(a, b, 3.0 * (1 + i % 4) * math.sqrt(a / b), seed=101 + i))
+    for _ in range(100):
+        a, b, T = math.exp(rng.uniform(-3, 3)), math.exp(rng.uniform(-3, 3)), rng.uniform(0.1, 20.0)
+        splines.append(sigma_pointwise(PointwiseQuery(rng.uniform(0, T), T, a, b)).witness)
+    splines.append(compute_bound(BoundQuery(5, 1, 1.0, 1.0, FullLine)).witness)
+    for f in splines:
+        assert not f.is_exact()
+        want = _reference_variation(f)
+        assert abs(total_variation(f) - want) <= pwpoly.REL_TOL * want
+        p, lo, hi = f.pieces[0], f.knots[0], f.knots[1]
+        assert variation(p, lo, hi) == pytest.approx(reference_abs_integral(p.derivative(), lo, hi, False),
+                                                     rel=pwpoly.REL_TOL)
+
+
+def test_exact_total_variation_searches_once_per_local_form(monkeypatch):
+    # the 40 pieces of EE_7 on [0, 40] are one local form up to sign
+    f = euler_spline_piecewise(7, 0, 40)
+    calls = []
+    search = pwpoly._roots.real_roots_exact
+    monkeypatch.setattr(pwpoly._roots, "real_roots_exact", lambda *args: calls.append(args) or search(*args))
+    assert len(f.pieces) == 40
+    assert total_variation(f) == 80.0
+    assert len(calls) <= 2

@@ -1,6 +1,7 @@
 """The benchmark's tracer wraps landaukol functions by name, and its
 workloads read result attributes by name; every such name must exist, or a
 refactor breaks the benchmark without failing a test."""
+import ast
 import importlib
 import importlib.util
 import re
@@ -56,6 +57,21 @@ def test_only_pwpoly_turns_arcs_into_stored_pieces():
             assert not re.search(r"(?<!def )\b(compose_affine|taylor_coefficients)\(", text), path.name
         if path.stem in ("landau2", "oracle", "eulerspline", "bounds"):
             assert ".pieces" not in text, path.name
+
+
+def test_exact_searches_of_pwpoly_read_local_forms():
+    # every exact per-piece question reads the integer local form, and a lane
+    # follows its input rather than a flag
+    tree = ast.parse((ROOT / "src" / "landaukol" / "pwpoly.py").read_text())
+    searchers, flagged = set(), set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            if any(arg.arg == "exact" for arg in fn.args.args + fn.args.kwonlyargs):
+                flagged.add(fn.name)
+            if any(getattr(node, "attr", getattr(node, "id", None)) == "real_roots_exact" for node in ast.walk(fn)):
+                searchers.add(fn.name)
+    assert searchers == {"piece_sup", "_local_contacts", "_local_variation"}
+    assert not flagged
 
 
 def test_lp_solve_returns_value_samples_and_pivots():
